@@ -274,27 +274,36 @@ def assign_categories(
 ) -> list[int]:
     """Category per smell: equal vectors share a category.
 
-    Groups are numbered with the canonical anchors (the group holding SS3 is
-    1, SS1 is 2, SS5 is 3; leftovers follow by first appearance), then
-    compressed so labels run contiguously from 1.
+    Groups are ordered by first appearance and labelled by
+    :func:`anchor_labels`.
     """
     groups: dict[tuple[bool, ...], list[int]] = {}
     for i, vec in enumerate(vectors):
         groups.setdefault(vec.as_tuple(), []).append(i)
+    labels = anchor_labels([{str(ids[i]) for i in members} for members in groups.values()])
+    label_of = dict(zip(groups, labels))
+    return [label_of[vec.as_tuple()] for vec in vectors]
 
-    provisional: dict[tuple[bool, ...], int] = {}
+
+def anchor_labels(groups: list[set[str]]) -> list[int]:
+    """Category label per group of smell ids, in the order given.
+
+    The group holding SS3 is 1 (General), SS1's is 2 (Demand), SS5's is 3
+    (Application); other groups are numbered from 4 in order. The labels are
+    then compressed to run contiguously from 1, so a missing anchor leaves no
+    gap.
+    """
+    provisional = []
     next_extra = 4
-    for key, members in sorted(groups.items(), key=lambda kv: kv[1][0]):
-        names = {str(ids[i]) for i in members}
+    for names in groups:
         if "SS3" in names:
-            provisional[key] = 1
+            provisional.append(1)
         elif "SS1" in names:
-            provisional[key] = 2
+            provisional.append(2)
         elif "SS5" in names:
-            provisional[key] = 3
+            provisional.append(3)
         else:
-            provisional[key] = next_extra
+            provisional.append(next_extra)
             next_extra += 1
-
-    relabel = {old: new for new, old in enumerate(sorted(set(provisional.values())), 1)}
-    return [relabel[provisional[vec.as_tuple()]] for vec in vectors]
+    compress = {old: new for new, old in enumerate(sorted(set(provisional)), 1)}
+    return [compress[label] for label in provisional]

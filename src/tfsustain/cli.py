@@ -23,7 +23,7 @@ from .catalog import (
     similarity_matrix,
 )
 from .clustering import LINKAGES, agglomerate, categorize, dendrogram_to_json_dict, distance_matrix
-from .detectors import ConfigError, DetectorConfig, config_from_dict
+from .detectors import ENGINES, ConfigError, DetectorConfig, config_from_dict
 from .harvest import (
     TOKEN_ENV_VAR,
     CodeSearchClient,
@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _common_scan_flags(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument("--engine", choices=("ast", "pattern"), default="ast")
+    cmd.add_argument("--engine", choices=ENGINES, default="ast")
     cmd.add_argument("--config", default=None, help="detector config JSON")
     cmd.add_argument("--jobs", type=int, default=1)
     cmd.add_argument("--output", default=None, help="write the report to a file")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Hashable, Sequence
 
-from .catalog import SimilarityMatrix, SmellDescriptor, similarity_matrix
+from .catalog import SimilarityMatrix, SmellDescriptor, anchor_labels, similarity_matrix
 
 Distances = tuple[tuple[float, ...], ...]
 
@@ -168,34 +168,19 @@ def categorize(
     """Cluster a catalog and relabel clusters to the published categories.
 
     The similarity of the attribute vectors is turned into binary distances,
-    clustered, and cut at 0.5. The cluster containing SS3 becomes category 1
-    (General), SS1's cluster category 2 (Demand), SS5's category 3
-    (Application); any further clusters are numbered from 4 by smallest
-    member, and the labels are then compressed to run contiguously from 1.
+    clustered, and cut at 0.5. Clusters, ordered by smallest member, are
+    relabelled by :func:`~tfsustain.catalog.anchor_labels`: SS3's cluster
+    becomes category 1 (General), SS1's 2 (Demand), SS5's 3 (Application).
     """
     sim = similarity_matrix(descriptors)
     dend = agglomerate(distance_matrix(sim), linkage, leaves=[d.id for d in descriptors])
     raw = cut(dend, 0.5)
 
     order = {d.id: i for i, d in enumerate(descriptors)}
-    provisional: dict[int, int] = {}
-    next_extra = 4
-    for label in range(1, raw.num_clusters + 1):
-        names = {str(member) for member in raw.members(label)}
-        if "SS3" in names:
-            provisional[label] = 1
-        elif "SS1" in names:
-            provisional[label] = 2
-        elif "SS5" in names:
-            provisional[label] = 3
-        else:
-            provisional[label] = next_extra
-            next_extra += 1
-    # keep labels contiguous from 1 even when an anchor smell is absent
-    compress = {old: new for new, old in enumerate(sorted(set(provisional.values())), 1)}
-    mapping = {
-        member: compress[provisional[raw.mapping[member]]] for member in raw.mapping
-    }
+    labels = anchor_labels(
+        [{str(m) for m in raw.members(label)} for label in range(1, raw.num_clusters + 1)]
+    )
+    mapping = {member: labels[label - 1] for member, label in raw.mapping.items()}
     ordered = dict(sorted(mapping.items(), key=lambda kv: order[kv[0]]))
     return ClusterAssignment(ordered, raw.num_clusters)
 

@@ -7,15 +7,11 @@ from typing import Mapping, Sequence
 
 from ..hcl import ConfigFile
 from . import ast_engine, pattern_engine
-from .config import (
-    ConfigError,
-    DetectorConfig,
-    config_from_dict,
-    load_config_file,
-)
+from .config import ConfigError, DetectorConfig, config_from_dict
 from .findings import SmellFinding
 
-ENGINES = ("ast", "pattern")
+_ENGINE_MODULES = {"ast": ast_engine, "pattern": pattern_engine}
+ENGINES = tuple(_ENGINE_MODULES)
 
 
 @dataclass(frozen=True)
@@ -49,40 +45,15 @@ def detect_all(
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; pick one of {ENGINES}")
+    module = _ENGINE_MODULES[engine]
     if cfg is None:
         cfg = DetectorConfig()
     findings: list[SmellFinding] = []
     for dirname in sorted(units_by_dir):
         units = sorted(units_by_dir[dirname], key=lambda u: u.path)
-        for unit in units:
-            findings.extend(detect_file(unit, cfg, engine))
-        findings.extend(_detect_directory(units, cfg, engine))
+        findings.extend(module.detect_directory(units, cfg))
     findings.sort(key=lambda f: f.sort_key())
     return findings
-
-
-def detect_file(unit: ScanUnit, cfg: DetectorConfig, engine: str) -> list[SmellFinding]:
-    """Per-file detectors for one engine (everything except remote state)."""
-    findings: list[SmellFinding] = []
-    if engine == "ast":
-        if unit.file is not None:
-            for detector in ast_engine.PER_FILE_DETECTORS:
-                findings.extend(detector(unit.file, cfg))
-    else:
-        if unit.text is not None:
-            for detector in pattern_engine.PER_FILE_PATTERNS:
-                findings.extend(detector(unit.path, unit.text, cfg))
-    return findings
-
-
-def _detect_directory(
-    units: Sequence[ScanUnit], cfg: DetectorConfig, engine: str
-) -> list[SmellFinding]:
-    if engine == "ast":
-        files = [u.file for u in units if u.file is not None]
-        return ast_engine.detect_ss6_local_state(files, cfg) if files else []
-    texts = [(u.path, u.text) for u in units if u.text is not None]
-    return pattern_engine.pattern_ss6(texts, cfg) if texts else []
 
 
 __all__ = [
@@ -94,8 +65,6 @@ __all__ = [
     "ast_engine",
     "config_from_dict",
     "detect_all",
-    "detect_file",
-    "load_config_file",
     "pattern_engine",
     "unit_for",
 ]

@@ -1,6 +1,8 @@
 """Structural smell detectors working on parsed configuration files.
 
-All seven detectors are pure functions of (AST, config). Findings for a
+All seven detectors are pure functions of (file view, config). A view holds
+the AST plus what every detector needs from it, its resource blocks and
+whether one of them is an autoscaler, derived once per file. Findings for a
 file depend only on that file's content except for the remote-state check,
 which is scoped to a directory of files (one root module).
 """
@@ -8,6 +10,8 @@ which is scoped to a directory of files (one root module).
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
 from ..catalog import SmellId
 from ..hcl import (
@@ -29,6 +33,9 @@ from ..hcl import (
 from .config import LOG_GROUP_TYPES, REGION_ATTR_ORDER, SIZE_ATTRS, DetectorConfig
 from .findings import SmellFinding
 
+if TYPE_CHECKING:
+    from . import ScanUnit
+
 _GCP_ZONE_RE = re.compile(r"\A(?P<region>[a-z]+-[a-z]+\d+)-[a-z]\Z")
 _AWS_AZ_RE = re.compile(r"\A(?P<region>[a-z]{2}(?:-[a-z]+)+-\d+)[a-z]\Z")
 
@@ -46,10 +53,19 @@ def resource_name(block: Block) -> str:
     return block.labels[1] if len(block.labels) > 1 else ""
 
 
-def has_autoscaler(file: ConfigFile, cfg: DetectorConfig) -> bool:
-    return any(
-        resource_type(b) in cfg.ss2_autoscaler_types for b in resource_blocks(file)
-    )
+@dataclass(frozen=True)
+class FileView:
+    """One parsed file as every AST detector reads it, built once per file."""
+
+    file: ConfigFile
+    resources: list[Block]
+    autoscaled: bool
+
+
+def prepare(file: ConfigFile, cfg: DetectorConfig) -> FileView:
+    resources = resource_blocks(file)
+    autoscaled = any(resource_type(b) in cfg.ss2_autoscaler_types for b in resources)
+    return FileView(file, resources, autoscaled)
 
 
 def whole_file_span(file: ConfigFile) -> SourceSpan:
@@ -81,13 +97,13 @@ def _string_literal(value: ExpressionValue | None) -> str | None:
 
 
 def detect_ss1_overprovisioning(
-    file: ConfigFile, cfg: DetectorConfig
+    view: FileView, cfg: DetectorConfig
 ) -> list[SmellFinding]:
     """Oversized instance literals in files without any autoscaler."""
-    if has_autoscaler(file, cfg):
+    if view.autoscaled:
         return []
     findings = []
-    for block in resource_blocks(file):
+    for block in view.resources:
         rtype = resource_type(block)
         sizes = None
         for prefix, names in cfg.ss1_large_sizes.items():
@@ -109,7 +125,7 @@ def detect_ss1_overprovisioning(
                 findings.append(
                     SmellFinding(
                         SmellId.SS1,
-                        file.path,
+                        view.file.path,
                         node.span,
                         literal,
                         "ast",
@@ -121,13 +137,13 @@ def detect_ss1_overprovisioning(
 
 
 def detect_ss2_no_autoscaling(
-    file: ConfigFile, cfg: DetectorConfig
+    view: FileView, cfg: DetectorConfig
 ) -> list[SmellFinding]:
     """Fixed instance counts on compute resources without an autoscaler."""
-    if has_autoscaler(file, cfg):
+    if view.autoscaled:
         return []
     findings = []
-    for block in resource_blocks(file):
+    for block in view.resources:
         if resource_type(block) not in cfg.ss2_compute_types:
             continue
         node = get_attribute_node(block, "count")
@@ -138,7 +154,7 @@ def detect_ss2_no_autoscaling(
             findings.append(
                 SmellFinding(
                     SmellId.SS2,
-                    file.path,
+                    view.file.path,
                     node.span,
                     f"count={count}",
                     "ast",
@@ -150,11 +166,11 @@ def detect_ss2_no_autoscaling(
 
 
 def detect_ss3_no_lifecycle(
-    file: ConfigFile, cfg: DetectorConfig
+    view: FileView, cfg: DetectorConfig
 ) -> list[SmellFinding]:
     """Lifecycle-sensitive resources missing a lifecycle block."""
     findings = []
-    for block in resource_blocks(file):
+    for block in view.resources:
         rtype = resource_type(block)
         if rtype not in cfg.ss3_lifecycle_required_types:
             continue
@@ -163,7 +179,7 @@ def detect_ss3_no_lifecycle(
         findings.append(
             SmellFinding(
                 SmellId.SS3,
-                file.path,
+                view.file.path,
                 block.span,
                 rtype,
                 "ast",
@@ -174,11 +190,11 @@ def detect_ss3_no_lifecycle(
 
 
 def detect_ss4_excessive_logging(
-    file: ConfigFile, cfg: DetectorConfig
+    view: FileView, cfg: DetectorConfig
 ) -> list[SmellFinding]:
     """Log groups retained too long, or with no retention policy at all."""
     findings = []
-    for block in resource_blocks(file):
+    for block in view.resources:
         rtype = resource_type(block)
         attr_name = LOG_GROUP_TYPES.get(rtype)
         if attr_name is None:
@@ -189,7 +205,7 @@ def detect_ss4_excessive_logging(
                 findings.append(
                     SmellFinding(
                         SmellId.SS4,
-                        file.path,
+                        view.file.path,
                         block.span,
                         "unset",
                         "ast",
@@ -205,7 +221,7 @@ def detect_ss4_excessive_logging(
             findings.append(
                 SmellFinding(
                     SmellId.SS4,
-                    file.path,
+                    view.file.path,
                     node.span,
                     str(days),
                     "ast",
@@ -256,10 +272,10 @@ def region_class(block: Block, cfg: DetectorConfig) -> str | None:
 
 
 def detect_ss5_cross_region_transfer(
-    file: ConfigFile, cfg: DetectorConfig
+    view: FileView, cfg: DetectorConfig
 ) -> list[SmellFinding]:
     """Pairs of resources in different regions where one references the other."""
-    resources = resource_blocks(file)
+    resources = view.resources
     regions = {id(b): region_class(b, cfg) for b in resources}
     refs = {id(b): _block_references(b) for b in resources}
     addresses = {
@@ -282,7 +298,7 @@ def detect_ss5_cross_region_transfer(
             findings.append(
                 SmellFinding(
                     SmellId.SS5,
-                    file.path,
+                    view.file.path,
                     link.span,
                     f"{ra} != {rb}",
                     "ast",
@@ -318,7 +334,7 @@ def _remote_backends(file: ConfigFile) -> list[Block]:
 
 
 def detect_ss6_local_state(
-    files: list[ConfigFile], cfg: DetectorConfig
+    views: list[FileView], cfg: DetectorConfig
 ) -> list[SmellFinding]:
     """Missing remote state backend, evaluated over one directory.
 
@@ -326,7 +342,7 @@ def detect_ss6_local_state(
     finding; if no file declares one, the lexicographically first file
     carries a single whole-file finding.
     """
-    ordered = sorted(files, key=lambda f: f.path)
+    ordered = sorted((v.file for v in views), key=lambda f: f.path)
     backends_by_file = {f.path: _remote_backends(f) for f in ordered}
     for backs in backends_by_file.values():
         for back in backs:
@@ -378,16 +394,16 @@ def detect_ss6_local_state(
     return findings
 
 
-def detect_ss7_monolithic(file: ConfigFile, cfg: DetectorConfig) -> list[SmellFinding]:
+def detect_ss7_monolithic(view: FileView, cfg: DetectorConfig) -> list[SmellFinding]:
     """Files managing at least the configured number of resources."""
-    count = len(resource_blocks(file))
+    count = len(view.resources)
     if count < cfg.ss7_max_resources_per_file:
         return []
     return [
         SmellFinding(
             SmellId.SS7,
-            file.path,
-            whole_file_span(file),
+            view.file.path,
+            whole_file_span(view.file),
             str(count),
             "ast",
             f"{count} resources in a single file (threshold "
@@ -404,3 +420,15 @@ PER_FILE_DETECTORS = (
     detect_ss5_cross_region_transfer,
     detect_ss7_monolithic,
 )
+
+
+def detect_directory(units: Sequence[ScanUnit], cfg: DetectorConfig) -> list[SmellFinding]:
+    """All seven smells over one directory's parsed files, each prepared once."""
+    views = [prepare(u.file, cfg) for u in units if u.file is not None]
+    findings: list[SmellFinding] = []
+    for view in views:
+        for detector in PER_FILE_DETECTORS:
+            findings.extend(detector(view, cfg))
+    if views:
+        findings.extend(detect_ss6_local_state(views, cfg))
+    return findings

@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 # Attribute names that carry an instance size, per provider resource prefix.
 SIZE_ATTRS = ("vm_size", "instance_type", "machine_type")
@@ -202,17 +201,6 @@ def config_from_dict(data: dict, source_text: str | None = None) -> DetectorConf
                 sizes[prefix] = frozenset(names)
             kwargs[key] = sizes
     return DetectorConfig(**kwargs)
-
-
-def load_config_file(path: str | Path) -> DetectorConfig:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ConfigError(
-            f"malformed config JSON: {err.msg}", err.lineno, err.colno
-        ) from err
-    return config_from_dict(data, source_text=text)
 
 
 def _locate_key(source_text: str | None, key: str) -> tuple[int | None, int | None]:

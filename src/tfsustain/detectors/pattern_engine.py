@@ -9,12 +9,16 @@ reports never mix the two methodologies silently.
 Comments are masked out before matching (replaced by spaces, offsets
 preserved) so commented-out code does not trigger findings. The region
 detector can optionally scan comment text too via
-``ss5_pattern_scan_comments``.
+``ss5_pattern_scan_comments``. Each file is masked and line-indexed once,
+into the :class:`TextView` that all seven detectors share.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
 from ..catalog import SmellId
 from ..hcl import SourceSpan
@@ -22,9 +26,27 @@ from .ast_engine import normalize_region
 from .config import LOG_GROUP_TYPES, SIZE_ATTRS, DetectorConfig
 from .findings import SmellFinding
 
+if TYPE_CHECKING:
+    from . import ScanUnit
+
 _RESOURCE_DECL_RE = re.compile(r'^[ \t]*resource[ \t]+"([^"\n]+)"', re.MULTILINE)
 _TERRAFORM_BLOCK_RE = re.compile(r"^[ \t]*terraform[ \t]*\{", re.MULTILINE)
 _BACKEND_RE = re.compile(r'\bbackend[ \t]+"([^"\n]+)"')
+
+
+# A string literal (kept as is), a line comment, or a block comment. The
+# block comment starts matching after its "/", so "/*/" closes on the shared
+# "*"; an unterminated string ends at the newline, an unterminated block
+# comment at the end of the text.
+_MASK_RE = re.compile(
+    r'"(?:\\[\s\S]|[^"\\\n])*"?|(?:#|//)[^\n]*|/(?=\*)(?:[\s\S]*?\*/|[\s\S]*)'
+)
+_NOT_NEWLINE_RE = re.compile(r"[^\n]")
+
+
+def _blank_comment(m: re.Match) -> str:
+    token = m.group()
+    return token if token[0] == '"' else _NOT_NEWLINE_RE.sub(" ", token)
 
 
 def mask_comments(text: str) -> str:
@@ -33,71 +55,36 @@ def mask_comments(text: str) -> str:
     Quote-aware: ``#`` inside a string literal is kept. Newlines inside
     block comments survive so line numbers stay correct.
     """
-    out = list(text)
-    i = 0
-    n = len(text)
-    in_string = False
-    while i < n:
-        ch = text[i]
-        if ch == "\\" and in_string:
-            i += 2
-            continue
-        if ch == '"':
-            in_string = not in_string
-            i += 1
-            continue
-        if in_string:
-            if ch == "\n":  # unterminated string; stop treating it as one
-                in_string = False
-            i += 1
-            continue
-        if ch == "#" or text[i : i + 2] == "//":
-            while i < n and text[i] != "\n":
-                out[i] = " "
-                i += 1
-            continue
-        if text[i : i + 2] == "/*":
-            while i < n and text[i : i + 2] != "*/":
-                if text[i] != "\n":
-                    out[i] = " "
-                i += 1
-            if i < n:
-                out[i] = out[i + 1] = " "
-                i += 2
-            continue
-        i += 1
-    return "".join(out)
+    return _MASK_RE.sub(_blank_comment, text)
 
 
-class _LineIndex:
-    """Offset to 1-based (line, column) conversion."""
+@dataclass(frozen=True)
+class TextView:
+    """One file as every pattern detector reads it, built once per file.
 
-    def __init__(self, text: str) -> None:
-        self.starts = [0]
-        for i, ch in enumerate(text):
-            if ch == "\n":
-                self.starts.append(i + 1)
-        self.length = len(text)
-        self.last_line = len(self.starts)
-        self.last_col = self.length - self.starts[-1] + 1
+    ``line_starts`` holds the offset of each line's first character.
+    """
 
-    def position(self, offset: int) -> tuple[int, int]:
-        lo, hi = 0, len(self.starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.starts[mid] <= offset:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo + 1, offset - self.starts[lo] + 1
+    path: str
+    text: str
+    masked: str
+    line_starts: tuple[int, ...]
 
-    def span(self, path: str, start: int, end: int) -> SourceSpan:
-        sl, sc = self.position(start)
-        el, ec = self.position(end)
-        return SourceSpan(path, sl, sc, el, ec)
+    def span(self, start: int, end: int) -> SourceSpan:
+        return SourceSpan(self.path, *self._position(start), *self._position(end))
 
-    def file_span(self, path: str) -> SourceSpan:
-        return SourceSpan(path, 1, 1, self.last_line, self.last_col)
+    def file_span(self) -> SourceSpan:
+        return SourceSpan(self.path, 1, 1, *self._position(len(self.text)))
+
+    def _position(self, offset: int) -> tuple[int, int]:
+        line = bisect_right(self.line_starts, offset)
+        return line, offset - self.line_starts[line - 1] + 1
+
+
+def prepare(path: str, text: str) -> TextView:
+    starts = [0]
+    starts.extend(m.end() for m in re.finditer("\n", text))
+    return TextView(path, text, mask_comments(text), tuple(starts))
 
 
 def _alternation(names: frozenset[str] | set[str]) -> str:
@@ -108,25 +95,23 @@ def _has_autoscaler_text(masked: str, cfg: DetectorConfig) -> bool:
     return re.search(rf"\b(?:{_alternation(cfg.ss2_autoscaler_types)})\b", masked) is not None
 
 
-def pattern_ss1(path: str, text: str, cfg: DetectorConfig) -> list[SmellFinding]:
-    masked = mask_comments(text)
-    if _has_autoscaler_text(masked, cfg):
+def pattern_ss1(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
+    if _has_autoscaler_text(view.masked, cfg):
         return []
-    index = _LineIndex(text)
     all_sizes = frozenset().union(*cfg.ss1_large_sizes.values())
     findings = []
     size_re = re.compile(
         rf'\b(?:{"|".join(SIZE_ATTRS)})[ \t]*=[ \t]*"([^"\n]+)"'
     )
-    for m in size_re.finditer(masked):
+    for m in size_re.finditer(view.masked):
         literal = m.group(1)
         short = literal.rsplit("/", 1)[-1]
         if literal in all_sizes or short in all_sizes:
             findings.append(
                 SmellFinding(
                     SmellId.SS1,
-                    path,
-                    index.span(path, m.start(), m.end()),
+                    view.path,
+                    view.span(m.start(), m.end()),
                     literal,
                     "pattern",
                     f'instance size "{literal}" matches the oversized catalog '
@@ -136,22 +121,20 @@ def pattern_ss1(path: str, text: str, cfg: DetectorConfig) -> list[SmellFinding]
     return findings
 
 
-def pattern_ss2(path: str, text: str, cfg: DetectorConfig) -> list[SmellFinding]:
-    masked = mask_comments(text)
-    if _has_autoscaler_text(masked, cfg):
+def pattern_ss2(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
+    if _has_autoscaler_text(view.masked, cfg):
         return []
-    if not re.search(rf"\b(?:{_alternation(cfg.ss2_compute_types)})\b", masked):
+    if not re.search(rf"\b(?:{_alternation(cfg.ss2_compute_types)})\b", view.masked):
         return []
-    index = _LineIndex(text)
     findings = []
-    for m in re.finditer(r"\bcount[ \t]*=[ \t]*(\d+)", masked):
+    for m in re.finditer(r"\bcount[ \t]*=[ \t]*(\d+)", view.masked):
         count = int(m.group(1))
         if count >= cfg.ss2_fixed_count_min:
             findings.append(
                 SmellFinding(
                     SmellId.SS2,
-                    path,
-                    index.span(path, m.start(), m.end()),
+                    view.path,
+                    view.span(m.start(), m.end()),
                     f"count={count}",
                     "pattern",
                     f"fixed count of {count} in a file declaring compute "
@@ -161,21 +144,19 @@ def pattern_ss2(path: str, text: str, cfg: DetectorConfig) -> list[SmellFinding]
     return findings
 
 
-def pattern_ss3(path: str, text: str, cfg: DetectorConfig) -> list[SmellFinding]:
-    masked = mask_comments(text)
-    if re.search(r"\blifecycle[ \t]*\{", masked):
+def pattern_ss3(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
+    if re.search(r"\blifecycle[ \t]*\{", view.masked):
         return []
-    index = _LineIndex(text)
     required = cfg.ss3_lifecycle_required_types
     findings = []
-    for m in _RESOURCE_DECL_RE.finditer(masked):
+    for m in _RESOURCE_DECL_RE.finditer(view.masked):
         rtype = m.group(1)
         if rtype in required:
             findings.append(
                 SmellFinding(
                     SmellId.SS3,
-                    path,
-                    index.span(path, m.start(), m.end()),
+                    view.path,
+                    view.span(m.start(), m.end()),
                     rtype,
                     "pattern",
                     f"{rtype} declared in a file with no lifecycle block",
@@ -184,21 +165,19 @@ def pattern_ss3(path: str, text: str, cfg: DetectorConfig) -> list[SmellFinding]
     return findings
 
 
-def pattern_ss4(path: str, text: str, cfg: DetectorConfig) -> list[SmellFinding]:
-    masked = mask_comments(text)
-    index = _LineIndex(text)
+def pattern_ss4(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
     retention_re = re.compile(r"\b(retention_in_days|retention_days)[ \t]*=[ \t]*(\d+)")
     findings = []
     saw_retention = False
-    for m in retention_re.finditer(masked):
+    for m in retention_re.finditer(view.masked):
         saw_retention = True
         days = int(m.group(2))
         if days > cfg.ss4_retention_max_days:
             findings.append(
                 SmellFinding(
                     SmellId.SS4,
-                    path,
-                    index.span(path, m.start(), m.end()),
+                    view.path,
+                    view.span(m.start(), m.end()),
                     str(days),
                     "pattern",
                     f"log retention of {days} days exceeds the configured "
@@ -206,12 +185,12 @@ def pattern_ss4(path: str, text: str, cfg: DetectorConfig) -> list[SmellFinding]
                 )
             )
     if not saw_retention and cfg.ss4_flag_missing_retention:
-        if re.search(rf"\b(?:{_alternation(set(LOG_GROUP_TYPES))})\b", masked):
+        if re.search(rf"\b(?:{_alternation(set(LOG_GROUP_TYPES))})\b", view.masked):
             findings.append(
                 SmellFinding(
                     SmellId.SS4,
-                    path,
-                    index.file_span(path),
+                    view.path,
+                    view.file_span(),
                     "unset",
                     "pattern",
                     "log resources declared but no retention attribute found",
@@ -220,8 +199,8 @@ def pattern_ss4(path: str, text: str, cfg: DetectorConfig) -> list[SmellFinding]
     return findings
 
 
-def pattern_ss5(path: str, text: str, cfg: DetectorConfig) -> list[SmellFinding]:
-    scan_text = text if cfg.ss5_pattern_scan_comments else mask_comments(text)
+def pattern_ss5(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
+    scan_text = view.text if cfg.ss5_pattern_scan_comments else view.masked
     attr_re = re.compile(
         rf'\b({_alternation(cfg.ss5_region_attrs)})[ \t]*=[ \t]*"([^"\n]+)"'
     )
@@ -232,12 +211,11 @@ def pattern_ss5(path: str, text: str, cfg: DetectorConfig) -> list[SmellFinding]
             classes.append(region)
     if len(classes) < 2:
         return []
-    index = _LineIndex(text)
     return [
         SmellFinding(
             SmellId.SS5,
-            path,
-            index.file_span(path),
+            view.path,
+            view.file_span(),
             f"{classes[0]} != {classes[1]}",
             "pattern",
             f"file places resources in {len(classes)} distinct regions "
@@ -246,59 +224,51 @@ def pattern_ss5(path: str, text: str, cfg: DetectorConfig) -> list[SmellFinding]
     ]
 
 
-def pattern_ss6(
-    files: list[tuple[str, str]], cfg: DetectorConfig
-) -> list[SmellFinding]:
-    """Directory-scoped remote-backend check over (path, text) pairs."""
-    ordered = sorted(files, key=lambda item: item[0])
-    masked = {path: mask_comments(text) for path, text in ordered}
-    for path, _ in ordered:
-        for m in _BACKEND_RE.finditer(masked[path]):
+def pattern_ss6(views: list[TextView], cfg: DetectorConfig) -> list[SmellFinding]:
+    """Directory-scoped remote-backend check over the directory's files."""
+    ordered = sorted(views, key=lambda v: v.path)
+    for view in ordered:
+        for m in _BACKEND_RE.finditer(view.masked):
             if m.group(1) != "local":
                 return []
 
     findings = []
-    with_terraform = [
-        (path, text) for path, text in ordered if _TERRAFORM_BLOCK_RE.search(masked[path])
-    ]
+    with_terraform = [v for v in ordered if _TERRAFORM_BLOCK_RE.search(v.masked)]
     if not with_terraform:
-        path, text = ordered[0]
-        index = _LineIndex(text)
         return [
             SmellFinding(
                 SmellId.SS6,
-                path,
-                index.file_span(path),
+                ordered[0].path,
+                ordered[0].file_span(),
                 "unset",
                 "pattern",
                 "no remote state backend token found in this directory",
             )
         ]
-    for path, text in with_terraform:
-        index = _LineIndex(text)
+    for view in with_terraform:
         local = next(
-            (m for m in _BACKEND_RE.finditer(masked[path]) if m.group(1) == "local"),
+            (m for m in _BACKEND_RE.finditer(view.masked) if m.group(1) == "local"),
             None,
         )
         if local is not None:
             findings.append(
                 SmellFinding(
                     SmellId.SS6,
-                    path,
-                    index.span(path, local.start(), local.end()),
+                    view.path,
+                    view.span(local.start(), local.end()),
                     "local",
                     "pattern",
                     'state is kept in an explicit "local" backend',
                 )
             )
         else:
-            m = _TERRAFORM_BLOCK_RE.search(masked[path])
+            m = _TERRAFORM_BLOCK_RE.search(view.masked)
             assert m is not None
             findings.append(
                 SmellFinding(
                     SmellId.SS6,
-                    path,
-                    index.span(path, m.start(), m.end()),
+                    view.path,
+                    view.span(m.start(), m.end()),
                     "unset",
                     "pattern",
                     "terraform block with no remote state backend token",
@@ -307,17 +277,15 @@ def pattern_ss6(
     return findings
 
 
-def pattern_ss7(path: str, text: str, cfg: DetectorConfig) -> list[SmellFinding]:
-    masked = mask_comments(text)
-    count = len(_RESOURCE_DECL_RE.findall(masked))
+def pattern_ss7(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
+    count = len(_RESOURCE_DECL_RE.findall(view.masked))
     if count < cfg.ss7_max_resources_per_file:
         return []
-    index = _LineIndex(text)
     return [
         SmellFinding(
             SmellId.SS7,
-            path,
-            index.file_span(path),
+            view.path,
+            view.file_span(),
             str(count),
             "pattern",
             f"{count} resource declarations in a single file (threshold "
@@ -334,3 +302,15 @@ PER_FILE_PATTERNS = (
     pattern_ss5,
     pattern_ss7,
 )
+
+
+def detect_directory(units: Sequence[ScanUnit], cfg: DetectorConfig) -> list[SmellFinding]:
+    """All seven smells over one directory's readable files, each prepared once."""
+    views = [prepare(u.path, u.text) for u in units if u.text is not None]
+    findings: list[SmellFinding] = []
+    for view in views:
+        for detector in PER_FILE_PATTERNS:
+            findings.extend(detector(view, cfg))
+    if views:
+        findings.extend(pattern_ss6(views, cfg))
+    return findings

@@ -99,9 +99,6 @@ class ConfigFile:
     path: str
     body: list[Block | Attribute] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    # Comment text keyed by the line the comment starts on; not part of the
-    # AST proper, kept for evidence rendering only.
-    comments: dict[int, str] = field(default_factory=dict)
     span: SourceSpan | None = None
 
 

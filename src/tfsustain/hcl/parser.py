@@ -13,7 +13,6 @@ through arbitrarily broken files.
 from __future__ import annotations
 
 import re
-from typing import Iterable
 
 from .ast import (
     Attribute,
@@ -53,7 +52,6 @@ def parse(text: str, path: str = "<input>") -> ConfigFile:
         path=path,
         body=body,
         diagnostics=parser.diagnostics,
-        comments={t.span.start_line: t.text for t in tokens if t.kind is TokenKind.COMMENT},
         span=SourceSpan(path, 1, 1, eof.span.end_line, eof.span.end_col),
     )
     for tok in tokens:
@@ -65,25 +63,18 @@ def parse(text: str, path: str = "<input>") -> ConfigFile:
 
 
 def find_blocks(
-    node: ConfigFile | Block,
-    block_type: str,
-    label_filter: Iterable[str] | None = None,
-    recursive: bool = False,
+    node: ConfigFile | Block, block_type: str, recursive: bool = False
 ) -> list[Block]:
     """Blocks of the given type in source order.
 
-    ``label_filter`` matches as a prefix of the block labels; nested bodies
-    are searched only when ``recursive`` is set.
+    Nested bodies are searched only when ``recursive`` is set.
     """
-    wanted = None if label_filter is None else list(label_filter)
     out: list[Block] = []
 
     def visit(body: list) -> None:
         for item in body:
             if isinstance(item, Block):
-                if item.block_type == block_type and (
-                    wanted is None or item.labels[: len(wanted)] == wanted
-                ):
+                if item.block_type == block_type:
                     out.append(item)
                 if recursive:
                     visit(item.body)

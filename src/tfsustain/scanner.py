@@ -100,6 +100,8 @@ def scan(
     root = Path(root)
     if not root.exists():
         raise ScanError(f"scan root does not exist: {root}")
+    if jobs < 1:
+        raise ScanError(f"jobs must be at least 1, got {jobs}")
     if cfg is None:
         cfg = DetectorConfig()
     rels = discover_tf_files(root)

@@ -45,6 +45,13 @@ def test_lint_missing_path_exits_two(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["lint", "scan"])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_exits_two(capsys, command, jobs):
+    assert run([command, str(FIXTURES / "smelly"), "--jobs", jobs]) == 2
+    assert "jobs must be at least 1" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_two(capsys):
     assert run(["explode"]) == 2
     assert "usage" in capsys.readouterr().err.lower()

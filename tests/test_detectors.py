@@ -8,8 +8,10 @@ from tfsustain.catalog import SmellId
 from tfsustain.detectors import (
     ConfigError,
     DetectorConfig,
+    ast_engine,
     config_from_dict,
     detect_all,
+    pattern_engine,
     unit_for,
 )
 from tfsustain.detectors.ast_engine import (
@@ -21,10 +23,11 @@ from tfsustain.detectors.ast_engine import (
     detect_ss6_local_state,
     detect_ss7_monolithic,
     normalize_region,
+    prepare,
 )
 from tfsustain.hcl import parse, span_text
 
-from conftest import FIXTURES
+from conftest import FIXTURES, fixture_corpus_files
 
 CFG = DetectorConfig()
 
@@ -41,6 +44,10 @@ def load_dir(rel: str):
     ]
 
 
+def view(unit, cfg=CFG):
+    return prepare(unit.file, cfg)
+
+
 def smell_names(findings):
     return [f.smell.name for f in findings]
 
@@ -50,14 +57,14 @@ def smell_names(findings):
 
 def test_ss1_sample_fixture_fires_once():
     unit = load_unit("samples/ss1.tf")
-    findings = detect_ss1_overprovisioning(unit.file, CFG)
+    findings = detect_ss1_overprovisioning(view(unit), CFG)
     assert len(findings) == 1
     assert findings[0].evidence == "Standard_D16s_v3"
     assert findings[0].smell is SmellId.SS1
 
 
 def test_ss1_empty_file():
-    assert detect_ss1_overprovisioning(parse(""), CFG) == []
+    assert detect_ss1_overprovisioning(prepare(parse(""), CFG), CFG) == []
 
 
 def test_ss1_suppressed_by_scale_set_in_same_file():
@@ -67,7 +74,7 @@ def test_ss1_suppressed_by_scale_set_in_same_file():
         "}\n"
     )
     unit = unit_for("x.tf", text)
-    assert detect_ss1_overprovisioning(unit.file, CFG) == []
+    assert detect_ss1_overprovisioning(view(unit), CFG) == []
 
 
 def test_ss1_gcp_machine_type_self_link_matches_tail():
@@ -76,7 +83,7 @@ def test_ss1_gcp_machine_type_self_link_matches_tail():
         '  machine_type = "zones/us-central1-a/machineTypes/n1-standard-16"\n'
         "}\n"
     )
-    findings = detect_ss1_overprovisioning(unit_for("x.tf", text).file, CFG)
+    findings = detect_ss1_overprovisioning(view(unit_for("x.tf", text)), CFG)
     assert len(findings) == 1
 
 
@@ -85,26 +92,26 @@ def test_ss1_gcp_machine_type_self_link_matches_tail():
 
 def test_ss2_sample_fixture_fires_once():
     unit = load_unit("samples/ss2.tf")
-    findings = detect_ss2_no_autoscaling(unit.file, CFG)
+    findings = detect_ss2_no_autoscaling(view(unit), CFG)
     assert len(findings) == 1
     assert findings[0].evidence == "count=5"
 
 
 def test_ss2_count_one_is_clean():
     text = 'resource "aws_instance" "one" {\n  count = 1\n}\n'
-    assert detect_ss2_no_autoscaling(unit_for("x.tf", text).file, CFG) == []
+    assert detect_ss2_no_autoscaling(view(unit_for("x.tf", text)), CFG) == []
 
 
 def test_ss2_suppressed_by_autoscaling_group():
     text = (FIXTURES / "samples" / "ss2.tf").read_text() + (
         '\nresource "aws_autoscaling_group" "asg" {\n  max_size = 10\n}\n'
     )
-    assert detect_ss2_no_autoscaling(unit_for("x.tf", text).file, CFG) == []
+    assert detect_ss2_no_autoscaling(view(unit_for("x.tf", text)), CFG) == []
 
 
 def test_ss2_ignores_non_literal_count():
     text = 'resource "aws_instance" "v" {\n  count = var.n\n}\n'
-    assert detect_ss2_no_autoscaling(unit_for("x.tf", text).file, CFG) == []
+    assert detect_ss2_no_autoscaling(view(unit_for("x.tf", text)), CFG) == []
 
 
 # -- SS3 ---------------------------------------------------------------
@@ -112,19 +119,19 @@ def test_ss2_ignores_non_literal_count():
 
 def test_ss3_compliant_sample_is_clean():
     unit = load_unit("samples/ss3.tf")
-    assert detect_ss3_no_lifecycle(unit.file, CFG) == []
+    assert detect_ss3_no_lifecycle(view(unit), CFG) == []
 
 
 def test_ss3_mutant_without_lifecycle_fires():
     unit = load_unit("mutants/ss3_no_lifecycle/main.tf")
-    findings = detect_ss3_no_lifecycle(unit.file, CFG)
+    findings = detect_ss3_no_lifecycle(view(unit), CFG)
     assert smell_names(findings) == ["SS3"]
     assert findings[0].evidence == "azurerm_managed_disk"
 
 
 def test_ss3_type_outside_required_set_is_clean():
     text = 'resource "aws_sns_topic" "t" {\n  name = "t"\n}\n'
-    assert detect_ss3_no_lifecycle(unit_for("x.tf", text).file, CFG) == []
+    assert detect_ss3_no_lifecycle(view(unit_for("x.tf", text)), CFG) == []
 
 
 # -- SS4 ---------------------------------------------------------------
@@ -132,25 +139,25 @@ def test_ss3_type_outside_required_set_is_clean():
 
 def test_ss4_sample_fixture_fires_once():
     unit = load_unit("samples/ss4.tf")
-    findings = detect_ss4_excessive_logging(unit.file, CFG)
+    findings = detect_ss4_excessive_logging(view(unit), CFG)
     assert len(findings) == 1 and findings[0].evidence == "365"
 
 
 def test_ss4_short_retention_is_clean():
     text = 'resource "aws_cloudwatch_log_group" "g" {\n  retention_in_days = 30\n}\n'
-    assert detect_ss4_excessive_logging(unit_for("x.tf", text).file, CFG) == []
+    assert detect_ss4_excessive_logging(view(unit_for("x.tf", text)), CFG) == []
 
 
 def test_ss4_missing_retention_fires_with_unset_evidence():
     text = 'resource "aws_cloudwatch_log_group" "g" {\n  name = "g"\n}\n'
-    findings = detect_ss4_excessive_logging(unit_for("x.tf", text).file, CFG)
+    findings = detect_ss4_excessive_logging(view(unit_for("x.tf", text)), CFG)
     assert len(findings) == 1 and findings[0].evidence == "unset"
 
 
 def test_ss4_missing_retention_flag_can_be_disabled():
     cfg = DetectorConfig(ss4_flag_missing_retention=False)
     text = 'resource "aws_cloudwatch_log_group" "g" {\n  name = "g"\n}\n'
-    assert detect_ss4_excessive_logging(unit_for("x.tf", text).file, cfg) == []
+    assert detect_ss4_excessive_logging(view(unit_for("x.tf", text), cfg), cfg) == []
 
 
 # -- SS5 ---------------------------------------------------------------
@@ -169,31 +176,31 @@ resource "google_compute_instance" "b" {
 
 
 def test_ss5_cross_region_pair_fires_once():
-    findings = detect_ss5_cross_region_transfer(unit_for("x.tf", SS5_PAIR).file, CFG)
+    findings = detect_ss5_cross_region_transfer(view(unit_for("x.tf", SS5_PAIR)), CFG)
     assert len(findings) == 1
     assert findings[0].evidence == "us-west1 != europe-west1"
 
 
 def test_ss5_same_region_zones_are_clean():
     text = SS5_PAIR.replace("europe-west1-b", "us-west1-b")
-    assert detect_ss5_cross_region_transfer(unit_for("x.tf", text).file, CFG) == []
+    assert detect_ss5_cross_region_transfer(view(unit_for("x.tf", text)), CFG) == []
 
 
 def test_ss5_sample_fixture_invisible_to_ast_engine():
     unit = load_unit("samples/ss5.tf")
-    assert detect_ss5_cross_region_transfer(unit.file, CFG) == []
+    assert detect_ss5_cross_region_transfer(view(unit), CFG) == []
 
 
 def test_ss5_no_reference_means_no_finding():
     text = SS5_PAIR.replace("  peer = google_compute_instance.a.id\n", "")
-    assert detect_ss5_cross_region_transfer(unit_for("x.tf", text).file, CFG) == []
+    assert detect_ss5_cross_region_transfer(view(unit_for("x.tf", text)), CFG) == []
 
 
 def test_ss5_reference_inside_template_counts():
     text = SS5_PAIR.replace(
         "google_compute_instance.a.id", ""
     ).replace("peer = ", 'peer = "${google_compute_instance.a.id}"')
-    findings = detect_ss5_cross_region_transfer(unit_for("x.tf", text).file, CFG)
+    findings = detect_ss5_cross_region_transfer(view(unit_for("x.tf", text)), CFG)
     assert len(findings) == 1
 
 
@@ -208,26 +215,26 @@ def test_region_normalization():
 
 
 def test_ss6_remote_backend_directory_is_clean():
-    assert detect_ss6_local_state([load_unit("samples/ss6.tf").file], CFG) == []
+    assert detect_ss6_local_state([view(load_unit("samples/ss6.tf"))], CFG) == []
 
 
 def test_ss6_terraform_without_backend_fires():
     unit = load_unit("mutants/ss6_no_backend/main.tf")
-    findings = detect_ss6_local_state([unit.file], CFG)
+    findings = detect_ss6_local_state([view(unit)], CFG)
     assert smell_names(findings) == ["SS6"]
     assert findings[0].evidence == "unset"
 
 
 def test_ss6_explicit_local_backend_fires():
     unit = load_unit("mutants/ss6_local_backend/main.tf")
-    findings = detect_ss6_local_state([unit.file], CFG)
+    findings = detect_ss6_local_state([view(unit)], CFG)
     assert len(findings) == 1 and findings[0].evidence == "local"
 
 
 def test_ss6_no_terraform_block_flags_first_file_only():
     files = [
-        unit_for("dir/b.tf", 'resource "aws_sns_topic" "t" {\n  name = "t"\n}\n').file,
-        unit_for("dir/a.tf", 'resource "aws_sqs_queue" "q" {\n  name = "q"\n}\n').file,
+        view(unit_for("dir/b.tf", 'resource "aws_sns_topic" "t" {\n  name = "t"\n}\n')),
+        view(unit_for("dir/a.tf", 'resource "aws_sqs_queue" "q" {\n  name = "q"\n}\n')),
     ]
     findings = detect_ss6_local_state(files, CFG)
     assert len(findings) == 1 and findings[0].path == "dir/a.tf"
@@ -235,8 +242,8 @@ def test_ss6_no_terraform_block_flags_first_file_only():
 
 def test_ss6_one_remote_backend_covers_whole_directory():
     files = [
-        load_unit("samples/ss6.tf").file,
-        load_unit("mutants/ss6_no_backend/main.tf").file,
+        view(load_unit("samples/ss6.tf")),
+        view(load_unit("mutants/ss6_no_backend/main.tf")),
     ]
     assert detect_ss6_local_state(files, CFG) == []
 
@@ -246,20 +253,20 @@ def test_ss6_one_remote_backend_covers_whole_directory():
 
 def test_ss7_twelve_resources_fire_with_count_evidence():
     unit = load_unit("mutants/ss7_extended/main.tf")
-    findings = detect_ss7_monolithic(unit.file, CFG)
+    findings = detect_ss7_monolithic(view(unit), CFG)
     assert len(findings) == 1 and findings[0].evidence == "12"
 
 
 def test_ss7_single_resource_is_clean():
     text = 'resource "aws_sns_topic" "t" {\n  name = "t"\n}\n'
-    assert detect_ss7_monolithic(unit_for("x.tf", text).file, CFG) == []
+    assert detect_ss7_monolithic(view(unit_for("x.tf", text)), CFG) == []
 
 
 def test_ss7_monotone_in_appended_resources():
     base = (FIXTURES / "mutants" / "ss7_extended" / "main.tf").read_text()
     grown = base + '\nresource "aws_sns_topic" "extra" {\n  name = "x"\n}\n'
-    before = detect_ss7_monolithic(unit_for("x.tf", base).file, CFG)
-    after = detect_ss7_monolithic(unit_for("x.tf", grown).file, CFG)
+    before = detect_ss7_monolithic(view(unit_for("x.tf", base)), CFG)
+    after = detect_ss7_monolithic(view(unit_for("x.tf", grown)), CFG)
     assert int(after[0].evidence) == int(before[0].evidence) + 1
 
 
@@ -268,12 +275,12 @@ def test_ss7_threshold_config_sensitivity():
         f'resource "aws_sns_topic" "t{i}" {{\n  name = "t{i}"\n}}\n' for i in range(6)
     )
     unit = unit_for("x.tf", text)
-    assert detect_ss7_monolithic(unit.file, DetectorConfig()) == []
+    assert detect_ss7_monolithic(view(unit), DetectorConfig()) == []
     low = DetectorConfig(ss7_max_resources_per_file=5)
-    assert len(detect_ss7_monolithic(unit.file, low)) == 1
+    assert len(detect_ss7_monolithic(view(unit), low)) == 1
     # raising the threshold never adds findings
     high = DetectorConfig(ss7_max_resources_per_file=50)
-    assert detect_ss7_monolithic(unit.file, high) == []
+    assert detect_ss7_monolithic(view(unit), high) == []
 
 
 # -- detect_all --------------------------------------------------------
@@ -308,6 +315,28 @@ def test_detect_all_is_sorted_and_deterministic():
 def test_detect_all_rejects_unknown_engine():
     with pytest.raises(ValueError):
         detect_all({}, CFG, "regexes")
+
+
+@pytest.mark.parametrize(
+    "engine, module, name",
+    [("ast", ast_engine, "resource_blocks"), ("pattern", pattern_engine, "mask_comments")],
+    ids=["ast", "pattern"],
+)
+def test_detect_all_prepares_each_file_once(monkeypatch, engine, module, name):
+    by_dir: dict[str, list] = {}
+    for p in fixture_corpus_files():
+        rel = p.relative_to(FIXTURES).as_posix()
+        by_dir.setdefault(str(Path(rel).parent), []).append(unit_for(rel, p.read_text()))
+    calls = []
+    original = getattr(module, name)
+
+    def counting(arg):
+        calls.append(arg)
+        return original(arg)
+
+    monkeypatch.setattr(module, name, counting)
+    assert detect_all(by_dir, CFG, engine)
+    assert len(calls) == sum(len(units) for units in by_dir.values())
 
 
 def test_locality_adding_unrelated_file_keeps_other_findings():

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import itertools
+
 from tfsustain.detectors import DetectorConfig, detect_all, unit_for
+from tfsustain.hcl import SourceSpan, tokenize
 from tfsustain.detectors.pattern_engine import (
     mask_comments,
     pattern_ss1,
@@ -9,6 +12,7 @@ from tfsustain.detectors.pattern_engine import (
     pattern_ss5,
     pattern_ss6,
     pattern_ss7,
+    prepare,
 )
 
 from conftest import FIXTURES
@@ -28,28 +32,89 @@ def test_mask_comments_preserves_offsets_and_strings():
     assert "c = 3" in masked
 
 
+def _mask_comments_reference(text: str) -> str:
+    """The character loop that ``mask_comments`` replaced, kept as its oracle."""
+    out = list(text)
+    i = 0
+    n = len(text)
+    in_string = False
+    while i < n:
+        ch = text[i]
+        if ch == "\\" and in_string:
+            i += 2
+            continue
+        if ch == '"':
+            in_string = not in_string
+            i += 1
+            continue
+        if in_string:
+            if ch == "\n":  # unterminated string; stop treating it as one
+                in_string = False
+            i += 1
+            continue
+        if ch == "#" or text[i : i + 2] == "//":
+            while i < n and text[i] != "\n":
+                out[i] = " "
+                i += 1
+            continue
+        if text[i : i + 2] == "/*":
+            while i < n and text[i : i + 2] != "*/":
+                if text[i] != "\n":
+                    out[i] = " "
+                i += 1
+            if i < n:
+                out[i] = out[i + 1] = " "
+                i += 2
+            continue
+        i += 1
+    return "".join(out)
+
+
+def test_mask_comments_matches_reference_loop_exhaustively():
+    alphabet = '" \\\n#/*a'
+    for length in range(7):
+        for chars in itertools.product(alphabet, repeat=length):
+            text = "".join(chars)
+            assert mask_comments(text) == _mask_comments_reference(text), repr(text)
+
+
+def test_mask_comments_star_slash_shares_the_opening_star():
+    # "/*/" is a complete block comment: the close reuses the opener's "*".
+    # The lexer disagrees and reads an unterminated comment; kept as is.
+    assert mask_comments('/*/ x = "a"') == '    x = "a"'
+    assert tokenize('/*/ x = "a"')[0].error == "unterminated block comment"
+
+
+def test_text_view_spans_follow_line_starts():
+    view = prepare("x.tf", "ab\n\ncd")
+    assert view.line_starts == (0, 3, 4)
+    assert view.span(0, 2) == SourceSpan("x.tf", 1, 1, 1, 3)
+    assert view.span(3, 5) == SourceSpan("x.tf", 2, 1, 3, 2)
+    assert view.file_span() == SourceSpan("x.tf", 1, 1, 3, 3)
+
+
 def test_pattern_ss1_matches_size_literal():
     text = (FIXTURES / "samples" / "ss1.tf").read_text()
-    findings = pattern_ss1("ss1.tf", text, CFG)
+    findings = pattern_ss1(prepare("ss1.tf", text), CFG)
     assert len(findings) == 1 and findings[0].engine == "pattern"
     assert findings[0].evidence == "Standard_D16s_v3"
 
 
 def test_pattern_ss2_needs_compute_type_in_file():
     no_compute = 'resource "aws_sns_topic" "t" {\n  count = 9\n}\n'
-    assert pattern_ss2("x.tf", no_compute, CFG) == []
+    assert pattern_ss2(prepare("x.tf", no_compute), CFG) == []
     with_compute = (FIXTURES / "samples" / "ss2.tf").read_text()
-    assert len(pattern_ss2("x.tf", with_compute, CFG)) == 1
+    assert len(pattern_ss2(prepare("x.tf", with_compute), CFG)) == 1
 
 
 def test_pattern_ss2_commented_count_does_not_fire():
     text = 'resource "aws_instance" "a" {\n  # count = 9\n  ami = "x"\n}\n'
-    assert pattern_ss2("x.tf", text, CFG) == []
+    assert pattern_ss2(prepare("x.tf", text), CFG) == []
 
 
 def test_pattern_ss4_missing_retention_is_file_level():
     text = 'resource "aws_cloudwatch_log_group" "g" {\n  name = "g"\n}\n'
-    findings = pattern_ss4("x.tf", text, CFG)
+    findings = pattern_ss4(prepare("x.tf", text), CFG)
     assert len(findings) == 1 and findings[0].evidence == "unset"
 
 
@@ -60,27 +125,27 @@ def test_pattern_ss5_region_literals_from_comments_only_with_flag():
         '  # replica lives in region = "europe-west1"\n'
         "}\n"
     )
-    assert pattern_ss5("x.tf", text, CFG) == []
+    assert pattern_ss5(prepare("x.tf", text), CFG) == []
     scanning = DetectorConfig(ss5_pattern_scan_comments=True)
-    findings = pattern_ss5("x.tf", text, scanning)
+    findings = pattern_ss5(prepare("x.tf", text), scanning)
     assert len(findings) == 1
     assert findings[0].evidence == "us-west1 != europe-west1"
 
 
 def test_pattern_ss6_local_backend():
     text = (FIXTURES / "mutants" / "ss6_local_backend" / "main.tf").read_text()
-    findings = pattern_ss6([("main.tf", text)], CFG)
+    findings = pattern_ss6([prepare("main.tf", text)], CFG)
     assert len(findings) == 1 and findings[0].evidence == "local"
 
 
 def test_pattern_ss6_remote_backend_clean():
     text = (FIXTURES / "samples" / "ss6.tf").read_text()
-    assert pattern_ss6([("ss6.tf", text)], CFG) == []
+    assert pattern_ss6([prepare("ss6.tf", text)], CFG) == []
 
 
 def test_pattern_ss7_counts_resource_declarations():
     text = (FIXTURES / "mutants" / "ss7_extended" / "main.tf").read_text()
-    findings = pattern_ss7("x.tf", text, CFG)
+    findings = pattern_ss7(prepare("x.tf", text), CFG)
     assert len(findings) == 1 and findings[0].evidence == "12"
 
 
@@ -109,5 +174,5 @@ def test_pattern_engine_contained_in_ast_engine_on_fixtures():
 
 def test_pattern_engine_works_on_unparseable_text():
     text = 'resource "aws_instance" %%% {\n  count = 5\n  instance_type = "m5.4xlarge"\n'
-    findings = pattern_ss2("x.tf", text, CFG)
+    findings = pattern_ss2(prepare("x.tf", text), CFG)
     assert len(findings) == 1
