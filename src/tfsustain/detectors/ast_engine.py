@@ -274,56 +274,54 @@ def region_class(block: Block, cfg: DetectorConfig) -> str | None:
 def detect_ss5_cross_region_transfer(
     view: FileView, cfg: DetectorConfig
 ) -> list[SmellFinding]:
-    """Pairs of resources in different regions where one references the other."""
+    """Pairs of resources in different regions where one references the other.
+
+    Resources with a region are indexed by (type, name) address, so each
+    reference is looked up once: the work is linear in resources plus
+    references. A pair is reported once, in resource order, at the earlier
+    resource's first attribute referring to the later one, else at the
+    later resource's first attribute referring to the earlier one.
+    """
     resources = view.resources
-    regions = {id(b): region_class(b, cfg) for b in resources}
-    refs = {id(b): _block_references(b) for b in resources}
-    addresses = {
-        id(b): (resource_type(b), resource_name(b)) for b in resources
-    }
+    regions = [region_class(b, cfg) for b in resources]
+    addresses = [(resource_type(b), resource_name(b)) for b in resources]
+    # A list per address: duplicate addresses are legal input.
+    index: dict[tuple[str, str], list[int]] = {}
+    for i, region in enumerate(regions):
+        if region is not None:
+            index.setdefault(addresses[i], []).append(i)
+
+    # The first attribute of resource i referring to resource j, per (i, j),
+    # for regions that differ (so never i == j).
+    links: dict[tuple[int, int], Attribute] = {}
+    for i, block in enumerate(resources):
+        if regions[i] is None:
+            continue
+        for attr, ref in _block_references(block):
+            segments = ref.segments
+            if segments[:1] == ("data",):
+                segments = segments[1:]
+            for j in index.get(segments[:2], ()):
+                if regions[j] != regions[i]:
+                    links.setdefault((i, j), attr)
 
     findings = []
-    for i, a in enumerate(resources):
-        for b in resources[i + 1 :]:
-            ra, rb = regions[id(a)], regions[id(b)]
-            if ra is None or rb is None or ra == rb:
-                continue
-            link = _cross_reference(a, b, refs, addresses)
-            if link is None:
-                link = _cross_reference(b, a, refs, addresses)
-            if link is None:
-                continue
-            addr_a = ".".join(addresses[id(a)])
-            addr_b = ".".join(addresses[id(b)])
-            findings.append(
-                SmellFinding(
-                    SmellId.SS5,
-                    view.file.path,
-                    link.span,
-                    f"{ra} != {rb}",
-                    "ast",
-                    f"{addr_a} ({ra}) and {addr_b} ({rb}) reference each other "
-                    "across regions",
-                )
+    for i, j in sorted({(min(pair), max(pair)) for pair in links}):
+        link = links[i, j] if (i, j) in links else links[j, i]
+        ra, rb = regions[i], regions[j]
+        addr_a, addr_b = ".".join(addresses[i]), ".".join(addresses[j])
+        findings.append(
+            SmellFinding(
+                SmellId.SS5,
+                view.file.path,
+                link.span,
+                f"{ra} != {rb}",
+                "ast",
+                f"{addr_a} ({ra}) and {addr_b} ({rb}) reference each other "
+                "across regions",
             )
+        )
     return findings
-
-
-def _cross_reference(
-    src: Block,
-    dst: Block,
-    refs: dict[int, list[tuple[Attribute, Reference]]],
-    addresses: dict[int, tuple[str, str]],
-) -> Attribute | None:
-    """The first attribute of src referring to dst, if any."""
-    dst_type, dst_name = addresses[id(dst)]
-    for attr, ref in refs[id(src)]:
-        segments = ref.segments
-        if segments[:1] == ("data",):
-            segments = segments[1:]
-        if len(segments) >= 2 and segments[0] == dst_type and segments[1] == dst_name:
-            return attr
-    return None
 
 
 def _remote_backends(file: ConfigFile) -> list[Block]:

@@ -11,6 +11,7 @@ and scanning continues.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 
@@ -325,7 +326,9 @@ class _Scanner:
 
 def span_text(text: str, span: SourceSpan) -> str:
     """Extract the characters a span covers from the original file text."""
-    lines = text.splitlines(keepends=True)
+    # Lines end only at "\n", as in the lexer; str.splitlines would also
+    # break at "\r", "\x0b", "\x85", "\u2028" and others.
+    lines = re.split(r"(?<=\n)", text)
     if span.start_line == span.end_line:
         line = lines[span.start_line - 1] if span.start_line <= len(lines) else ""
         return line[span.start_col - 1 : span.end_col - 1]

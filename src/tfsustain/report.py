@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import __version__
 from .catalog import SmellId, catalog
-from .scanner import CorpusStats, ScanReport
+from .scanner import CorpusStats, ScanReport, smells_by_path
 
 FORMATS = ("text", "json", "sarif")
 
@@ -86,7 +86,7 @@ def _render_json(report: ScanReport, stats: CorpusStats | None) -> str:
         "config_digest": report.config_digest,
         "per_file_index": {
             path: sorted(s.name for s in smells)
-            for path, smells in sorted(report.per_file_index.items())
+            for path, smells in sorted(smells_by_path(report.findings).items())
         },
     }
     if stats is not None:
@@ -150,6 +150,7 @@ def _render_sarif(report: ScanReport) -> str:
                     }
                 },
                 "results": results,
+                "columnKind": "unicodeCodePoints",
             }
         ],
     }

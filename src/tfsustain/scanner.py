@@ -11,6 +11,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path, PurePosixPath
 
 from .catalog import SmellId
@@ -27,9 +28,25 @@ class ScanReport:
     scanned_files: int
     parse_failures: int
     findings: list[SmellFinding]
-    per_file_index: dict[str, set[SmellId]]
     config_digest: str
     engine: str
+
+    @cached_property
+    def per_file_index(self) -> dict[str, set[SmellId]]:
+        """``smells_by_path(findings)``, derived on first read.
+
+        Kept for callers that read the index off a report, such as the scan
+        benchmark's output checks; the package itself calls the helper.
+        """
+        return smells_by_path(self.findings)
+
+
+def smells_by_path(findings: list[SmellFinding]) -> dict[str, set[SmellId]]:
+    """The smells found in each file that has at least one finding."""
+    index: dict[str, set[SmellId]] = {}
+    for f in findings:
+        index.setdefault(f.path, set()).add(f.smell)
+    return index
 
 
 @dataclass(frozen=True)
@@ -117,15 +134,10 @@ def scan(
     for unit, _ in loaded:
         by_dir.setdefault(str(PurePosixPath(unit.path).parent), []).append(unit)
 
-    findings = detect_all(by_dir, cfg, engine)
-    per_file_index: dict[str, set[SmellId]] = {}
-    for f in findings:
-        per_file_index.setdefault(f.path, set()).add(f.smell)
     return ScanReport(
         scanned_files=len(rels),
         parse_failures=parse_failures,
-        findings=findings,
-        per_file_index=per_file_index,
+        findings=detect_all(by_dir, cfg, engine),
         config_digest=cfg.digest(),
         engine=engine,
     )
@@ -136,10 +148,9 @@ def prevalence(report: ScanReport) -> CorpusStats:
     if report.scanned_files == 0:
         raise ScanError("prevalence is undefined for an empty corpus")
     stats = CorpusStats(scanned_files=report.scanned_files)
+    index = smells_by_path(report.findings)
     for smell in SmellId:
-        affected = sum(
-            1 for smells in report.per_file_index.values() if smell in smells
-        )
+        affected = sum(1 for smells in index.values() if smell in smells)
         stats.per_smell[smell] = SmellPrevalence(
             affected, Fraction(affected, report.scanned_files)
         )

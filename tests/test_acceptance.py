@@ -30,7 +30,7 @@ from tfsustain.harvest import FilterCriteria, HarvestManifest, apply_filters
 from tfsustain.hcl import detokenize, nodes_equal, parse, tokenize
 from tfsustain.report import format_percent, render
 from tfsustain.sampling import sample_stratified
-from tfsustain.scanner import prevalence, scan
+from tfsustain.scanner import prevalence, scan, smells_by_path
 
 from conftest import FIXTURES, fixture_corpus_files
 from stub_server import Scripted, StubApi, search_item
@@ -136,7 +136,7 @@ def test_criterion_3_prevalence_arithmetic(synthetic_corpus):
             expected_files = planted[smell]
             got_files = {
                 path
-                for path, smells in report.per_file_index.items()
+                for path, smells in smells_by_path(report.findings).items()
                 if smell in smells
             }
             assert got_files == expected_files, smell

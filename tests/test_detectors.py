@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tfsustain.catalog import SmellId
 from tfsustain.detectors import (
@@ -25,6 +28,7 @@ from tfsustain.detectors.ast_engine import (
     normalize_region,
     prepare,
 )
+from tfsustain.detectors.findings import SmellFinding
 from tfsustain.hcl import parse, span_text
 
 from conftest import FIXTURES, fixture_corpus_files
@@ -209,6 +213,199 @@ def test_region_normalization():
     assert normalize_region("availability_zone", "us-west-2a") == "us-west-2"
     assert normalize_region("location", "East US") == "eastus"
     assert normalize_region("region", "europe-west1") == "europe-west1"
+
+
+# Frozen copy of the former pair loop: the reference the indexed SS5 check
+# must repeat finding for finding.
+def reference_ss5_pair_loop(view, cfg):
+    resources = view.resources
+    regions = {id(b): ast_engine.region_class(b, cfg) for b in resources}
+    refs = {id(b): ast_engine._block_references(b) for b in resources}
+    addresses = {
+        id(b): (ast_engine.resource_type(b), ast_engine.resource_name(b))
+        for b in resources
+    }
+
+    findings = []
+    for i, a in enumerate(resources):
+        for b in resources[i + 1 :]:
+            ra, rb = regions[id(a)], regions[id(b)]
+            if ra is None or rb is None or ra == rb:
+                continue
+            link = reference_cross_reference(a, b, refs, addresses)
+            if link is None:
+                link = reference_cross_reference(b, a, refs, addresses)
+            if link is None:
+                continue
+            addr_a = ".".join(addresses[id(a)])
+            addr_b = ".".join(addresses[id(b)])
+            findings.append(
+                SmellFinding(
+                    SmellId.SS5,
+                    view.file.path,
+                    link.span,
+                    f"{ra} != {rb}",
+                    "ast",
+                    f"{addr_a} ({ra}) and {addr_b} ({rb}) reference each other "
+                    "across regions",
+                )
+            )
+    return findings
+
+
+def reference_cross_reference(src, dst, refs, addresses):
+    dst_type, dst_name = addresses[id(dst)]
+    for attr, ref in refs[id(src)]:
+        segments = ref.segments
+        if segments[:1] == ("data",):
+            segments = segments[1:]
+        if len(segments) >= 2 and segments[0] == dst_type and segments[1] == dst_name:
+            return attr
+    return None
+
+
+# Few types and names, so addresses repeat and references often hit.
+SS5_TYPES = ("aws_instance", "google_compute_instance")
+SS5_NAMES = ("a", "b", "c")
+# None is a resource without any region attribute; the two us-west1 zones
+# and the two East US spellings normalize to one region each.
+SS5_PLACEMENTS = (
+    None,
+    'region = "us-east-1"',
+    'availability_zone = "us-east-1a"',
+    'zone = "us-west1-a"',
+    'zone = "us-west1-b"',
+    'location = "East US"',
+    'location = "eastus"',
+    "region = var.region",
+)
+# A plain reference, and references nested in a list, a map, a template and
+# nested blocks.
+SS5_SHAPES = (
+    "ref{n} = {ref}",
+    'ref{n} = ["x", [{ref}]]',
+    "ref{n} = {{ k = {{ inner = {ref} }} }}",
+    'ref{n} = "pre-${{{ref}}}-post"',
+    "nested {{\n    deeper {{\n      ref{n} = {ref}\n    }}\n  }}",
+)
+# Resource address, "data." address, and a "data." path too short to match.
+SS5_PREFIXES = ("", "data.")
+
+
+def ss5_reference(target) -> str:
+    rtype, name, prefix, short = target
+    if short:
+        return f"data.{rtype}"
+    return f"{prefix}{rtype}.{name}.id"
+
+
+def ss5_text(specs) -> str:
+    """Render resource specs (type, name, placement, references) as HCL."""
+    blocks = []
+    for rtype, name, placement, refs in specs:
+        lines = [f'resource "{rtype}" "{name}" {{']
+        if placement is not None:
+            lines.append(f"  {placement}")
+        for n, (shape, target) in enumerate(refs):
+            lines.append("  " + shape.format(n=n, ref=ss5_reference(target)))
+        lines.append("}")
+        blocks.append("\n".join(lines) + "\n")
+    return "\n".join(blocks)
+
+
+ss5_targets = st.tuples(
+    st.sampled_from(SS5_TYPES),
+    st.sampled_from(SS5_NAMES),
+    st.sampled_from(SS5_PREFIXES),
+    st.booleans(),
+)
+ss5_specs = st.lists(
+    st.tuples(
+        st.sampled_from(SS5_TYPES),
+        st.sampled_from(SS5_NAMES),
+        st.sampled_from(SS5_PLACEMENTS),
+        st.lists(
+            st.tuples(st.sampled_from(SS5_SHAPES), ss5_targets), max_size=3
+        ),
+    ),
+    max_size=30,
+)
+
+A, B = ("aws_instance", "a"), ("aws_instance", "b")
+SS5_MUTUAL = [
+    (*A, 'region = "us-east-1"', [(SS5_SHAPES[1], (*B, "", False))]),
+    (*B, 'zone = "us-west1-a"', [(SS5_SHAPES[0], (*A, "data.", False))]),
+]
+# a refers to itself and so to its duplicate address in another region.
+SS5_SELF_AND_DUPLICATE = [
+    (*A, 'zone = "us-west1-a"', [(SS5_SHAPES[4], (*A, "", False))]),
+    (*B, None, [(SS5_SHAPES[0], (*A, "", False))]),
+    (*A, 'zone = "us-west1-b"', [(SS5_SHAPES[3], (*B, "", False))]),
+    (*A, 'region = "us-east-1"', []),
+]
+
+
+@given(ss5_specs)
+@example(SS5_MUTUAL)
+@example(SS5_MUTUAL[::-1])
+@example(SS5_SELF_AND_DUPLICATE)
+@settings(max_examples=200, deadline=None)
+def test_ss5_index_matches_pair_loop(specs):
+    file_view = view(unit_for("x.tf", ss5_text(specs)))
+    got = detect_ss5_cross_region_transfer(file_view, CFG)
+    assert got == reference_ss5_pair_loop(file_view, CFG)
+
+
+def test_ss5_examples_reach_every_case():
+    mutual = detect_ss5_cross_region_transfer(
+        view(unit_for("x.tf", ss5_text(SS5_MUTUAL))), CFG
+    )
+    # Reported once, at the earlier resource's attribute.
+    assert [(f.span.start_line, f.evidence) for f in mutual] == [
+        (3, "us-east-1 != us-west1")
+    ]
+    duplicates = detect_ss5_cross_region_transfer(
+        view(unit_for("x.tf", ss5_text(SS5_SELF_AND_DUPLICATE))), CFG
+    )
+    # The first a pairs with the last one only: the middle a shares its
+    # region, and b has none.
+    assert [f.evidence for f in duplicates] == ["us-west1 != us-east-1"]
+
+
+def count_python_calls(fn, *args) -> int:
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def ss5_ring(n: int) -> str:
+    """n zoned instances over three regions, each referring to the next."""
+    zones = ("us-east-1a", "us-west-2b", "eu-west-1c")
+    return "".join(
+        f'resource "aws_instance" "i{k}" {{\n'
+        f'  availability_zone = "{zones[k % 3]}"\n'
+        f"  peer = aws_instance.i{(k + 1) % n}.id\n"
+        "}\n"
+        for k in range(n)
+    )
+
+
+def test_ss5_work_is_linear_in_resources():
+    calls = {}
+    for n in (200, 400):
+        file_view = view(unit_for("x.tf", ss5_ring(n)))
+        calls[n] = count_python_calls(detect_ss5_cross_region_transfer, file_view, CFG)
+    assert calls[400] / calls[200] <= 2.2, calls
 
 
 # -- SS6 ---------------------------------------------------------------

@@ -114,6 +114,24 @@ def test_spans_cover_every_character():
         assert span_text(text, tok.span) == tok.text
 
 
+def test_span_text_breaks_lines_only_at_newline():
+    text = "a = 1\r b = 2\n"
+    assert [span_text(text, t.span) for t in tokenize(text)] == [
+        "a", "=", "1", "b", "=", "2", "\n", "",
+    ]
+
+
+# Every character str.splitlines breaks at, next to HCL punctuation.
+_LINE_BREAKERS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@given(st.text(alphabet=_LINE_BREAKERS + ' ab1=#/*"{}<E$', max_size=120))
+@settings(max_examples=300, deadline=None)
+def test_spans_cover_every_character_on_arbitrary_text(text):
+    for tok in tokenize(text):
+        assert span_text(text, tok.span) == tok.text
+
+
 def test_two_char_operators_stay_whole():
     toks = tokenize("x = a == b && c != d")
     puncts = [t.text for t in toks if t.kind is TokenKind.PUNCT]

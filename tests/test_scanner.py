@@ -7,7 +7,13 @@ import pytest
 
 from tfsustain.catalog import SmellId
 from tfsustain.report import findings_lines, format_percent, render
-from tfsustain.scanner import ScanError, discover_tf_files, prevalence, scan
+from tfsustain.scanner import (
+    ScanError,
+    discover_tf_files,
+    prevalence,
+    scan,
+    smells_by_path,
+)
 
 from conftest import FIXTURES
 from synth import build_corpus
@@ -16,7 +22,7 @@ from synth import build_corpus
 def test_scan_empty_directory(tmp_path):
     report = scan(tmp_path)
     assert report.scanned_files == 0
-    assert report.findings == [] and report.per_file_index == {}
+    assert report.findings == [] and smells_by_path(report.findings) == {}
 
 
 def test_scan_missing_root_raises():
@@ -29,7 +35,9 @@ def test_scan_counts_ss7_files_exactly(tmp_path):
     plan = {SmellId.SS7: 2}
     planted = build_corpus(tmp_path, plan, total=10)
     report = scan(tmp_path)
-    ss7_files = {p for p, smells in report.per_file_index.items() if SmellId.SS7 in smells}
+    ss7_files = {
+        p for p, smells in smells_by_path(report.findings).items() if SmellId.SS7 in smells
+    }
     assert ss7_files == planted[SmellId.SS7]
     stats = prevalence(report)
     assert stats.per_smell[SmellId.SS7].prevalence == Fraction(2, 10)
@@ -110,8 +118,9 @@ def test_multi_smell_file_counts_in_three_numerators_one_denominator(tmp_path):
 def test_prevalence_matches_brute_force_on_fixture_corpus():
     report = scan(FIXTURES)
     stats = prevalence(report)
+    index = smells_by_path(report.findings)
     for smell in SmellId:
-        brute = sum(1 for smells in report.per_file_index.values() if smell in smells)
+        brute = sum(1 for smells in index.values() if smell in smells)
         assert stats.per_smell[smell].files_affected == brute
         assert stats.per_smell[smell].prevalence == Fraction(
             brute, report.scanned_files
@@ -148,6 +157,21 @@ def test_render_sarif_has_each_rule_exactly_once(tmp_path):
     rules = [r["id"] for r in doc["runs"][0]["tool"]["driver"]["rules"]]
     assert rules == ["SS1", "SS2", "SS3", "SS4", "SS5", "SS6", "SS7"]
     assert doc["runs"][0]["results"][0]["ruleId"] == "SS7"
+
+
+def test_render_sarif_columns_count_code_points(tmp_path):
+    # "🚀" is one code point but two UTF-16 code units, SARIF's default unit.
+    (tmp_path / "main.tf").write_text(
+        'resource "aws_instance" "🚀" { instance_type = "m5.24xlarge" }\n',
+        encoding="utf-8",
+    )
+    report = scan(tmp_path)
+    run = json.loads(render(report, None, "sarif"))["runs"][0]
+    assert run["columnKind"] == "unicodeCodePoints"
+    (ss1,) = [r for r in run["results"] if r["ruleId"] == "SS1"]
+    region = ss1["locations"][0]["physicalLocation"]["region"]
+    assert (region["startLine"], region["startColumn"]) == (1, 31)
+    assert region["endColumn"] == 60
 
 
 def test_render_rejects_unknown_format(tmp_path):
