@@ -59,18 +59,69 @@ class Token:
     error: str | None = None
 
 
-# Identifier characters follow HCL: dashes are legal after the first char.
-_ID_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_ID_CONT = _ID_START | set("0123456789-")
-_DIGITS = set("0123456789")
+# One alternative per token kind, tried in order after the trivia (spaces,
+# tabs, a lone "\r", a BOM at offset 0) that becomes the token's ``leading``.
+# Character classes are ASCII on purpose: a Unicode digit is punctuation.
+# Identifiers follow HCL: dashes are legal after the first char. Two-character
+# operators are kept whole so expression capture stays readable.
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<lead> (?: [ \t] | \r(?!\n) | \A\ufeff )* )
+    (?: (?P<NEWLINE> \r?\n )
+      | (?P<COMMENT> (?: \# | // ) (?: [^\r\n] | \r(?!\n) )* | /\*.*?\*/ )
+      | (?P<UNCLOSED_COMMENT> /\*.* )
+      | (?P<STRING> " )
+      | (?P<HEREDOC> <<-? (?P<tag> [A-Za-z0-9_-]* ) )
+      | (?P<NUMBER> [0-9]+ (?: \.[0-9]+ )? (?: [eE][+-]?[0-9]+ )? )
+      | (?P<BOOL> (?: true | false ) (?! [A-Za-z0-9_-] ) )
+      | (?P<IDENTIFIER> [A-Za-z_] [A-Za-z0-9_-]* )
+      | (?P<BLOCK_OPEN> \{ )
+      | (?P<BLOCK_CLOSE> \} )
+      | (?P<ASSIGN> = (?! [=>] ) )
+      | (?P<PUNCT> == | != | <= | >= | && | \|\| | -> | => | . )
+      | (?P<EOF> \Z )
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
-# Two-character operators kept whole so expression capture stays readable.
-_TWO_CHAR_PUNCT = {"==", "!=", "<=", ">=", "&&", "||", "->", "=>"}
+_KINDS = {"UNCLOSED_COMMENT": TokenKind.COMMENT, **TokenKind.__members__}
+
+# What can end a string or change its template depth; an escape skips a char.
+_STRING_STOP_RE = re.compile(r'\\.|[$%]\{|\}|"|\n', re.DOTALL)
 
 
 def tokenize(text: str, file_id: str = "<input>") -> list[Token]:
     """Scan ``text`` into tokens; the last token is always EOF."""
-    return _Scanner(text, file_id).run()
+    tokens: list[Token] = []
+    pos = line_start = 0
+    line = 1
+    while True:
+        m = _TOKEN_RE.match(text, pos)
+        group = m.lastgroup
+        start, end = m.end("lead"), m.end()
+        kind, error = _KINDS[group], None
+        if group == "UNCLOSED_COMMENT":
+            error = "unterminated block comment"
+        elif group == "STRING":
+            end, error = _string_end(text, start)
+        elif group == "HEREDOC":
+            tag = m.group("tag")
+            if tag:
+                end, error = _heredoc_end(text, end, tag)
+            else:
+                # "<<" with no tag: treat the two angle brackets as punctuation.
+                kind = TokenKind.PUNCT
+        start_line, start_col = line, start - line_start + 1
+        newlines = text.count("\n", start, end)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", start, end) + 1
+        span = SourceSpan(file_id, start_line, start_col, line, end - line_start + 1)
+        tokens.append(Token(kind, text[start:end], span, m.group("lead"), error))
+        if group == "EOF":
+            return tokens
+        pos = end
 
 
 def detokenize(tokens: list[Token]) -> str:
@@ -78,250 +129,43 @@ def detokenize(tokens: list[Token]) -> str:
     return "".join(t.leading + t.text for t in tokens)
 
 
-class _Scanner:
-    def __init__(self, text: str, file_id: str) -> None:
-        self.text = text
-        self.file_id = file_id
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.tokens: list[Token] = []
-        self._pending_trivia: list[str] = []
+def _string_end(text: str, start: int) -> tuple[int, str | None]:
+    """End offset and error of the quoted string opening at ``start``.
 
-    def run(self) -> list[Token]:
-        n = len(self.text)
-        while self.pos < n:
-            ch = self.text[self.pos]
-            if ch in " \t" or (ch == "﻿" and self.pos == 0):
-                self._pending_trivia.append(ch)
-                self._advance()
-            elif ch == "\r" and self._peek(1) != "\n":
-                self._pending_trivia.append(ch)
-                self._advance()
-            elif ch == "\n" or ch == "\r":
-                self._scan_newline()
-            elif ch == "#":
-                self._scan_line_comment()
-            elif ch == "/" and self._peek(1) == "/":
-                self._scan_line_comment()
-            elif ch == "/" and self._peek(1) == "*":
-                self._scan_block_comment()
-            elif ch == '"':
-                self._scan_string()
-            elif ch == "<" and self._peek(1) == "<":
-                self._scan_heredoc()
-            elif ch in _DIGITS:
-                self._scan_number()
-            elif ch in _ID_START:
-                self._scan_identifier()
-            elif ch == "{":
-                self._single(TokenKind.BLOCK_OPEN)
-            elif ch == "}":
-                self._single(TokenKind.BLOCK_CLOSE)
-            elif ch == "=" and self._peek(1) not in ("=", ">"):
-                self._single(TokenKind.ASSIGN)
-            else:
-                two = self.text[self.pos : self.pos + 2]
-                if two in _TWO_CHAR_PUNCT:
-                    self._emit_run(TokenKind.PUNCT, 2)
-                else:
-                    self._single(TokenKind.PUNCT)
-        self._emit(TokenKind.EOF, "", self.line, self.col)
-        return self.tokens
+    Template interpolation stays inside: ``${`` / ``%{`` ... ``}`` sequences
+    may nest and may contain quoted strings and newlines of their own, so the
+    terminating quote (or the newline that leaves the string unterminated) is
+    only recognized at nesting depth zero.
+    """
+    depth = 0
+    for m in _STRING_STOP_RE.finditer(text, start + 1):
+        stop = m.group()
+        if stop in ("${", "%{"):
+            depth += 1
+        elif stop == "}" and depth > 0:
+            depth -= 1
+        elif stop == '"' and depth == 0:
+            return m.end(), None
+        elif stop == "\n" and depth == 0:
+            return m.start(), "unterminated string"
+    return len(text), "unterminated string"
 
-    # -- low-level helpers -------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.text[i] if i < len(self.text) else ""
+def _heredoc_end(text: str, pos: int, tag: str) -> tuple[int, str | None]:
+    """End offset and error of the heredoc whose ``<<TAG`` ends at ``pos``.
 
-    def _advance(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
-
-    def _emit(
-        self,
-        kind: TokenKind,
-        text: str,
-        start_line: int,
-        start_col: int,
-        error: str | None = None,
-    ) -> None:
-        span = SourceSpan(self.file_id, start_line, start_col, self.line, self.col)
-        leading = "".join(self._pending_trivia)
-        self._pending_trivia.clear()
-        self.tokens.append(Token(kind, text, span, leading, error))
-
-    def _single(self, kind: TokenKind) -> None:
-        self._emit_run(kind, 1)
-
-    def _emit_run(self, kind: TokenKind, length: int) -> None:
-        line, col = self.line, self.col
-        start = self.pos
-        for _ in range(length):
-            self._advance()
-        self._emit(kind, self.text[start : self.pos], line, col)
-
-    # -- token scanners ----------------------------------------------------
-
-    def _scan_newline(self) -> None:
-        line, col = self.line, self.col
-        start = self.pos
-        if self.text[self.pos] == "\r":
-            self._advance()
-        self._advance()  # the \n
-        self._emit(TokenKind.NEWLINE, self.text[start : self.pos], line, col)
-
-    def _scan_line_comment(self) -> None:
-        line, col = self.line, self.col
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] != "\n":
-            if self.text[self.pos] == "\r" and self._peek(1) == "\n":
-                break
-            self._advance()
-        self._emit(TokenKind.COMMENT, self.text[start : self.pos], line, col)
-
-    def _scan_block_comment(self) -> None:
-        line, col = self.line, self.col
-        start = self.pos
-        self._advance()  # /
-        self._advance()  # *
-        while self.pos < len(self.text):
-            if self.text[self.pos] == "*" and self._peek(1) == "/":
-                self._advance()
-                self._advance()
-                self._emit(TokenKind.COMMENT, self.text[start : self.pos], line, col)
-                return
-            self._advance()
-        self._emit(
-            TokenKind.COMMENT,
-            self.text[start:],
-            line,
-            col,
-            error="unterminated block comment",
-        )
-
-    def _scan_string(self) -> None:
-        """One quoted string token, template interpolation kept inside.
-
-        ``${`` ... ``}`` sequences may nest and may contain quoted strings of
-        their own, so the terminating quote is only recognized at nesting
-        depth zero.
-        """
-        line, col = self.line, self.col
-        start = self.pos
-        self._advance()  # opening quote
-        depth = 0
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "\\":
-                self._advance()
-                if self.pos < len(self.text):
-                    self._advance()
-                continue
-            if ch in ("$", "%") and self._peek(1) == "{":
-                depth += 1
-                self._advance()
-                self._advance()
-                continue
-            if ch == "}" and depth > 0:
-                depth -= 1
-                self._advance()
-                continue
-            if ch == "\n" and depth == 0:
-                self._emit(
-                    TokenKind.STRING,
-                    self.text[start : self.pos],
-                    line,
-                    col,
-                    error="unterminated string",
-                )
-                return
-            if ch == '"' and depth == 0:
-                self._advance()
-                self._emit(TokenKind.STRING, self.text[start : self.pos], line, col)
-                return
-            self._advance()
-        self._emit(
-            TokenKind.STRING,
-            self.text[start:],
-            line,
-            col,
-            error="unterminated string",
-        )
-
-    def _scan_heredoc(self) -> None:
-        line, col = self.line, self.col
-        start = self.pos
-        self._advance()  # <
-        self._advance()  # <
-        if self._peek() == "-":
-            self._advance()
-        tag_start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _ID_CONT:
-            self._advance()
-        tag = self.text[tag_start : self.pos]
-        if not tag:
-            # "<<" with no tag: treat the two angle brackets as punctuation.
-            self._emit(TokenKind.PUNCT, self.text[start : self.pos], line, col)
-            return
-        # Consume the rest of the intro line including its newline.
-        while self.pos < len(self.text):
-            if self._advance() == "\n":
-                break
-        # Body lines until one whose stripped content equals the tag.
-        while self.pos < len(self.text):
-            line_start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                self._advance()
-            content = self.text[line_start : self.pos].strip()
-            if content == tag:
-                self._emit(TokenKind.HEREDOC, self.text[start : self.pos], line, col)
-                return
-            if self.pos < len(self.text):
-                self._advance()  # newline
-        self._emit(
-            TokenKind.HEREDOC,
-            self.text[start:],
-            line,
-            col,
-            error=f"unterminated heredoc (missing {tag!r})",
-        )
-
-    def _scan_number(self) -> None:
-        line, col = self.line, self.col
-        start = self.pos
-        while self._peek() in _DIGITS:
-            self._advance()
-        if self._peek() == "." and self._peek(1) in _DIGITS:
-            self._advance()
-            while self._peek() in _DIGITS:
-                self._advance()
-        if self._peek() in ("e", "E") and (
-            self._peek(1) in _DIGITS
-            or (self._peek(1) in ("+", "-") and self._peek(2) in _DIGITS)
-        ):
-            self._advance()
-            if self._peek() in ("+", "-"):
-                self._advance()
-            while self._peek() in _DIGITS:
-                self._advance()
-        self._emit(TokenKind.NUMBER, self.text[start : self.pos], line, col)
-
-    def _scan_identifier(self) -> None:
-        line, col = self.line, self.col
-        start = self.pos
-        while self._peek() in _ID_CONT:
-            self._advance()
-        word = self.text[start : self.pos]
-        kind = TokenKind.BOOL if word in ("true", "false") else TokenKind.IDENTIFIER
-        self._emit(kind, word, line, col)
+    The body starts after the intro line and ends before the newline of the
+    first line whose stripped content equals the tag.
+    """
+    line_start = text.find("\n", pos) + 1  # 0 when the intro line is the last
+    while 0 < line_start < len(text):
+        line_end = text.find("\n", line_start)
+        if line_end < 0:
+            line_end = len(text)
+        if text[line_start:line_end].strip() == tag:
+            return line_end, None
+        line_start = line_end + 1
+    return len(text), f"unterminated heredoc (missing {tag!r})"
 
 
 def span_text(text: str, span: SourceSpan) -> str:

@@ -254,18 +254,7 @@ class _Parser:
         return self._opaque_capture(ctx)
 
     def _at_terminator(self, ctx: str) -> bool:
-        tok = self._skip(newlines=False)
-        if tok.kind in (TokenKind.NEWLINE, TokenKind.EOF, TokenKind.COMMENT):
-            return True
-        if ctx == "attr":
-            return tok.kind is TokenKind.BLOCK_CLOSE
-        if ctx == "list":
-            return tok.kind is TokenKind.PUNCT and tok.text in (",", "]")
-        if ctx == "map":
-            return tok.kind is TokenKind.BLOCK_CLOSE or (
-                tok.kind is TokenKind.PUNCT and tok.text == ","
-            )
-        return False
+        return _ends_expression(self._skip(newlines=False), ctx)
 
     def _parse_candidate(self, ctx: str) -> ExpressionValue:
         tok = self._skip(newlines=False)
@@ -369,20 +358,8 @@ class _Parser:
         while True:
             tok = self._cur()
             kind = tok.kind
-            if kind is TokenKind.EOF:
+            if kind is TokenKind.EOF or (depth == 0 and _ends_expression(tok, ctx)):
                 break
-            if depth == 0:
-                if kind in (TokenKind.NEWLINE, TokenKind.COMMENT):
-                    break
-                if ctx == "attr" and kind is TokenKind.BLOCK_CLOSE:
-                    break
-                if ctx == "list" and kind is TokenKind.PUNCT and tok.text in (",", "]"):
-                    break
-                if ctx == "map" and (
-                    kind is TokenKind.BLOCK_CLOSE
-                    or (kind is TokenKind.PUNCT and tok.text == ",")
-                ):
-                    break
             if kind is TokenKind.BLOCK_OPEN or (
                 kind is TokenKind.PUNCT and tok.text in ("(", "[")
             ):
@@ -401,6 +378,21 @@ class _Parser:
         return Opaque(text)
 
 
+def _ends_expression(tok: Token, ctx: str) -> bool:
+    """Whether ``tok`` ends an expression in an attr, list or map context."""
+    if tok.kind in (TokenKind.NEWLINE, TokenKind.EOF, TokenKind.COMMENT):
+        return True
+    if ctx == "attr":
+        return tok.kind is TokenKind.BLOCK_CLOSE
+    if ctx == "list":
+        return tok.kind is TokenKind.PUNCT and tok.text in (",", "]")
+    if ctx == "map":
+        return tok.kind is TokenKind.BLOCK_CLOSE or (
+            tok.kind is TokenKind.PUNCT and tok.text == ","
+        )
+    return False
+
+
 # ---------------------------------------------------------------------------
 # Literal decoding
 # ---------------------------------------------------------------------------
@@ -416,14 +408,19 @@ def _number(text: str) -> int | float:
     return int(text)
 
 
-def _string_inner(tok: Token) -> str:
-    """Raw content between the quotes, escapes decoded, no template parsing."""
+def _unquote(tok: Token) -> str:
+    """String token text without its quotes; an unterminated one has no closer."""
     text = tok.text
     if text.startswith('"'):
         text = text[1:]
     if tok.error is None and text.endswith('"'):
         text = text[:-1]
-    return _decode_escapes(text)
+    return text
+
+
+def _string_inner(tok: Token) -> str:
+    """Raw content between the quotes, escapes decoded, no template parsing."""
+    return _decode_escapes(_unquote(tok))
 
 
 def _decode_escapes(raw: str) -> str:
@@ -445,12 +442,7 @@ def _decode_escapes(raw: str) -> str:
 
 def _string_value(tok: Token) -> ExpressionValue:
     """Classify a quoted string as plain literal or template."""
-    text = tok.text
-    if text.startswith('"'):
-        text = text[1:]
-    if tok.error is None and text.endswith('"'):
-        text = text[:-1]
-
+    text = _unquote(tok)
     parts: list[str | Reference | Opaque] = []
     literal: list[str] = []
     i = 0

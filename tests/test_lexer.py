@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -125,11 +126,26 @@ def test_span_text_breaks_lines_only_at_newline():
 _LINE_BREAKERS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-@given(st.text(alphabet=_LINE_BREAKERS + ' ab1=#/*"{}<E$', max_size=120))
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of ``offset``; lines end only at "\\n"."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+@given(
+    st.text(
+        alphabet=_LINE_BREAKERS + ' \t\ufeffab1eE.+-=#/*"{}<$%\\>![](),:\u0663',
+        max_size=120,
+    )
+)
 @settings(max_examples=300, deadline=None)
 def test_spans_cover_every_character_on_arbitrary_text(text):
+    offset = 0
     for tok in tokenize(text):
         assert span_text(text, tok.span) == tok.text
+        offset += len(tok.leading)
+        assert (tok.span.start_line, tok.span.start_col) == _line_col(text, offset)
+        offset += len(tok.text)
+        assert (tok.span.end_line, tok.span.end_col) == _line_col(text, offset)
 
 
 def test_two_char_operators_stay_whole():
@@ -142,3 +158,240 @@ def test_bool_tokens():
     toks = tokenize("on = true\noff = false")
     bools = [t for t in toks if t.kind is TokenKind.BOOL]
     assert [b.text for b in bools] == ["true", "false"]
+
+
+# Every token of each text, as (kind, text, (start_line, start_col, end_line,
+# end_col), leading, error): the lexer's rules at the edges of each token kind.
+_PINNED = [
+    pytest.param(
+        "a\r\r\nb\r",
+        [
+            ("IDENTIFIER", "a", (1, 1, 1, 2), "", None),
+            ("NEWLINE", "\r\n", (1, 3, 2, 1), "\r", None),
+            ("IDENTIFIER", "b", (2, 1, 2, 2), "", None),
+            ("EOF", "", (2, 3, 2, 3), "\r", None),
+        ],
+        id="lone-cr-next-to-crlf",
+    ),
+    pytest.param(
+        "# c\r\n",
+        [
+            ("COMMENT", "# c", (1, 1, 1, 4), "", None),
+            ("NEWLINE", "\r\n", (1, 4, 2, 1), "", None),
+            ("EOF", "", (2, 1, 2, 1), "", None),
+        ],
+        id="hash-comment-crlf",
+    ),
+    pytest.param(
+        "x // c\r",
+        [
+            ("IDENTIFIER", "x", (1, 1, 1, 2), "", None),
+            ("COMMENT", "// c\r", (1, 3, 1, 8), " ", None),
+            ("EOF", "", (1, 8, 1, 8), "", None),
+        ],
+        id="slash-comment-cr-at-eof",
+    ),
+    pytest.param(
+        "/*/ x */",
+        [
+            ("COMMENT", "/*/ x */", (1, 1, 1, 9), "", None),
+            ("EOF", "", (1, 9, 1, 9), "", None),
+        ],
+        id="star-slash-does-not-close",
+    ),
+    pytest.param(
+        "a /* b\nc",
+        [
+            ("IDENTIFIER", "a", (1, 1, 1, 2), "", None),
+            ("COMMENT", "/* b\nc", (1, 3, 2, 2), " ", "unterminated block comment"),
+            ("EOF", "", (2, 2, 2, 2), "", None),
+        ],
+        id="unterminated-block-comment",
+    ),
+    pytest.param(
+        '"a\\"b"',
+        [
+            ("STRING", '"a\\"b"', (1, 1, 1, 7), "", None),
+            ("EOF", "", (1, 7, 1, 7), "", None),
+        ],
+        id="escaped-quote",
+    ),
+    pytest.param(
+        '"${ "}" }"',
+        [
+            ("STRING", '"${ "}"', (1, 1, 1, 8), "", None),
+            ("BLOCK_CLOSE", "}", (1, 9, 1, 10), " ", None),
+            ("STRING", '"', (1, 10, 1, 11), "", "unterminated string"),
+            ("EOF", "", (1, 11, 1, 11), "", None),
+        ],
+        id="quote-inside-template",
+    ),
+    pytest.param(
+        '"${\n}"',
+        [
+            ("STRING", '"${\n}"', (1, 1, 2, 3), "", None),
+            ("EOF", "", (2, 3, 2, 3), "", None),
+        ],
+        id="newline-inside-template",
+    ),
+    pytest.param(
+        '"abc\n',
+        [
+            ("STRING", '"abc', (1, 1, 1, 5), "", "unterminated string"),
+            ("NEWLINE", "\n", (1, 5, 2, 1), "", None),
+            ("EOF", "", (2, 1, 2, 1), "", None),
+        ],
+        id="string-ends-at-newline",
+    ),
+    pytest.param(
+        'x = "\\',
+        [
+            ("IDENTIFIER", "x", (1, 1, 1, 2), "", None),
+            ("ASSIGN", "=", (1, 3, 1, 4), " ", None),
+            ("STRING", '"\\', (1, 5, 1, 7), " ", "unterminated string"),
+            ("EOF", "", (1, 7, 1, 7), "", None),
+        ],
+        id="trailing-backslash",
+    ),
+    pytest.param(
+        "v = <<EOT\nbody\n  EOT  \nx",
+        [
+            ("IDENTIFIER", "v", (1, 1, 1, 2), "", None),
+            ("ASSIGN", "=", (1, 3, 1, 4), " ", None),
+            ("HEREDOC", "<<EOT\nbody\n  EOT  ", (1, 5, 3, 8), " ", None),
+            ("NEWLINE", "\n", (3, 8, 4, 1), "", None),
+            ("IDENTIFIER", "x", (4, 1, 4, 2), "", None),
+            ("EOF", "", (4, 2, 4, 2), "", None),
+        ],
+        id="padded-closing-tag",
+    ),
+    pytest.param(
+        "<<-EOT\n  a\n  EOT\n",
+        [
+            ("HEREDOC", "<<-EOT\n  a\n  EOT", (1, 1, 3, 6), "", None),
+            ("NEWLINE", "\n", (3, 6, 4, 1), "", None),
+            ("EOF", "", (4, 1, 4, 1), "", None),
+        ],
+        id="indented-heredoc",
+    ),
+    pytest.param(
+        "a << b <<-",
+        [
+            ("IDENTIFIER", "a", (1, 1, 1, 2), "", None),
+            ("PUNCT", "<<", (1, 3, 1, 5), " ", None),
+            ("IDENTIFIER", "b", (1, 6, 1, 7), " ", None),
+            ("PUNCT", "<<-", (1, 8, 1, 11), " ", None),
+            ("EOF", "", (1, 11, 1, 11), "", None),
+        ],
+        id="bare-heredoc-openers",
+    ),
+    pytest.param(
+        "<<EOT\nabc\n",
+        [
+            ("HEREDOC", "<<EOT\nabc\n", (1, 1, 3, 1), "", "unterminated heredoc (missing 'EOT')"),
+            ("EOF", "", (3, 1, 3, 1), "", None),
+        ],
+        id="unterminated-heredoc",
+    ),
+    pytest.param(
+        "<<EOT\r\nabc\r\nEOT\r\n",
+        [
+            ("HEREDOC", "<<EOT\r\nabc\r\nEOT\r", (1, 1, 3, 5), "", None),
+            ("NEWLINE", "\n", (3, 5, 4, 1), "", None),
+            ("EOF", "", (4, 1, 4, 1), "", None),
+        ],
+        id="crlf-heredoc",
+    ),
+    pytest.param(
+        "1.5e+3 1. 1e 1.e5",
+        [
+            ("NUMBER", "1.5e+3", (1, 1, 1, 7), "", None),
+            ("NUMBER", "1", (1, 8, 1, 9), " ", None),
+            ("PUNCT", ".", (1, 9, 1, 10), "", None),
+            ("NUMBER", "1", (1, 11, 1, 12), " ", None),
+            ("IDENTIFIER", "e", (1, 12, 1, 13), "", None),
+            ("NUMBER", "1", (1, 14, 1, 15), " ", None),
+            ("PUNCT", ".", (1, 15, 1, 16), "", None),
+            ("IDENTIFIER", "e5", (1, 16, 1, 18), "", None),
+            ("EOF", "", (1, 18, 1, 18), "", None),
+        ],
+        id="number-shapes",
+    ),
+    pytest.param(
+        "x = \u0663",
+        [
+            ("IDENTIFIER", "x", (1, 1, 1, 2), "", None),
+            ("ASSIGN", "=", (1, 3, 1, 4), " ", None),
+            ("PUNCT", "\u0663", (1, 5, 1, 6), " ", None),
+            ("EOF", "", (1, 6, 1, 6), "", None),
+        ],
+        id="non-ascii-digit",
+    ),
+    pytest.param(
+        "a == b => c -> d && e",
+        [
+            ("IDENTIFIER", "a", (1, 1, 1, 2), "", None),
+            ("PUNCT", "==", (1, 3, 1, 5), " ", None),
+            ("IDENTIFIER", "b", (1, 6, 1, 7), " ", None),
+            ("PUNCT", "=>", (1, 8, 1, 10), " ", None),
+            ("IDENTIFIER", "c", (1, 11, 1, 12), " ", None),
+            ("PUNCT", "->", (1, 13, 1, 15), " ", None),
+            ("IDENTIFIER", "d", (1, 16, 1, 17), " ", None),
+            ("PUNCT", "&&", (1, 18, 1, 20), " ", None),
+            ("IDENTIFIER", "e", (1, 21, 1, 22), " ", None),
+            ("EOF", "", (1, 22, 1, 22), "", None),
+        ],
+        id="two-char-operators",
+    ),
+    pytest.param(
+        "a-b",
+        [
+            ("IDENTIFIER", "a-b", (1, 1, 1, 4), "", None),
+            ("EOF", "", (1, 4, 1, 4), "", None),
+        ],
+        id="dashed-identifier",
+    ),
+    pytest.param(
+        "true false truex",
+        [
+            ("BOOL", "true", (1, 1, 1, 5), "", None),
+            ("BOOL", "false", (1, 6, 1, 11), " ", None),
+            ("IDENTIFIER", "truex", (1, 12, 1, 17), " ", None),
+            ("EOF", "", (1, 17, 1, 17), "", None),
+        ],
+        id="bools",
+    ),
+    pytest.param(
+        "\ufeffa\ufeffb",
+        [
+            ("IDENTIFIER", "a", (1, 2, 1, 3), "\ufeff", None),
+            ("PUNCT", "\ufeff", (1, 3, 1, 4), "", None),
+            ("IDENTIFIER", "b", (1, 4, 1, 5), "", None),
+            ("EOF", "", (1, 5, 1, 5), "", None),
+        ],
+        id="bom-at-start-and-middle",
+    ),
+    pytest.param(
+        "a \t",
+        [
+            ("IDENTIFIER", "a", (1, 1, 1, 2), "", None),
+            ("EOF", "", (1, 4, 1, 4), " \t", None),
+        ],
+        id="trailing-trivia",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, expected", _PINNED)
+def test_pinned_tokens_on_edge_cases(text, expected):
+    got = [
+        (
+            t.kind.name,
+            t.text,
+            (t.span.start_line, t.span.start_col, t.span.end_line, t.span.end_col),
+            t.leading,
+            t.error,
+        )
+        for t in tokenize(text)
+    ]
+    assert got == expected
