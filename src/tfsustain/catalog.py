@@ -161,10 +161,6 @@ def catalog() -> list[SmellDescriptor]:
     return list(_CATALOG)
 
 
-def descriptor(smell: SmellId) -> SmellDescriptor:
-    return _CATALOG[int(smell) - 1]
-
-
 def similarity(a: AttributeVector, b: AttributeVector) -> int:
     """1 when all four attributes match, else 0."""
     return 1 if a.as_tuple() == b.as_tuple() else 0

@@ -16,12 +16,11 @@ into the :class:`TextView` that all seven detectors share.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from ..catalog import SmellId
-from ..hcl import SourceSpan
+from ..hcl import SourceSpan, SourceText
 from .ast_engine import normalize_region
 from .config import LOG_GROUP_TYPES, SIZE_ATTRS, DetectorConfig
 from .findings import SmellFinding
@@ -60,31 +59,28 @@ def mask_comments(text: str) -> str:
 
 @dataclass(frozen=True)
 class TextView:
-    """One file as every pattern detector reads it, built once per file.
+    """One file as every pattern detector reads it, built once per file."""
 
-    ``line_starts`` holds the offset of each line's first character.
-    """
-
-    path: str
-    text: str
+    source: SourceText
     masked: str
-    line_starts: tuple[int, ...]
+
+    @property
+    def path(self) -> str:
+        return self.source.path
+
+    @property
+    def text(self) -> str:
+        return self.source.text
 
     def span(self, start: int, end: int) -> SourceSpan:
-        return SourceSpan(self.path, *self._position(start), *self._position(end))
+        return self.source.span(start, end)
 
     def file_span(self) -> SourceSpan:
-        return SourceSpan(self.path, 1, 1, *self._position(len(self.text)))
-
-    def _position(self, offset: int) -> tuple[int, int]:
-        line = bisect_right(self.line_starts, offset)
-        return line, offset - self.line_starts[line - 1] + 1
+        return self.source.span(0, len(self.source.text))
 
 
 def prepare(path: str, text: str) -> TextView:
-    starts = [0]
-    starts.extend(m.end() for m in re.finditer("\n", text))
-    return TextView(path, text, mask_comments(text), tuple(starts))
+    return TextView(SourceText(path, text), mask_comments(text))
 
 
 def _alternation(names: frozenset[str] | set[str]) -> str:

@@ -90,10 +90,6 @@ class RepoRecord:
             "retrieved_at": self.retrieved_at,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "RepoRecord":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class FilterCriteria:

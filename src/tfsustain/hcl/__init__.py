@@ -16,7 +16,7 @@ from .ast import (
     TemplateString,
     nodes_equal,
 )
-from .lexer import SourceSpan, Token, TokenKind, detokenize, span_text, tokenize
+from .lexer import SourceSpan, SourceText, Token, TokenKind, detokenize, span_text, tokenize
 from .parser import find_blocks, get_attribute, get_attribute_node, parse
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "Opaque",
     "Reference",
     "SourceSpan",
+    "SourceText",
     "StringLit",
     "TemplateString",
     "Token",

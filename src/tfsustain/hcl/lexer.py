@@ -6,12 +6,17 @@ follows it, so ``detokenize(tokenize(text)) == text`` holds for arbitrary
 input, including malformed files. Lexing never raises; unterminated strings,
 heredocs, and block comments produce a token carrying an ``error`` message
 and scanning continues.
+
+Tokens are offsets into one shared :class:`SourceText`; line and column are
+computed from its line index only when a span is asked for, so lexing builds
+no :class:`SourceSpan`.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 
 
@@ -49,27 +54,85 @@ class SourceSpan:
             raise ValueError(f"span start after end: {self}")
 
 
-@dataclass(frozen=True)
+class SourceText:
+    """One file's path and text, with the offset of each line's first character.
+
+    Lines end only at ``"\\n"``, as in :func:`span_text`.
+    """
+
+    __slots__ = ("path", "text", "line_starts")
+
+    def __init__(self, path: str, text: str) -> None:
+        self.path = path
+        self.text = text
+        self.line_starts = (0, *(m.end() for m in re.finditer("\n", text)))
+
+    def position(self, offset: int) -> tuple[int, int]:
+        """1-based line and column of ``offset``."""
+        line = bisect_right(self.line_starts, offset)
+        return line, offset - self.line_starts[line - 1] + 1
+
+    def span(self, start: int, end: int) -> SourceSpan:
+        return SourceSpan(self.path, *self.position(start), *self.position(end))
+
+
 class Token:
-    kind: TokenKind
-    text: str
-    span: SourceSpan
-    # Whitespace (and a possible BOM) between the previous token and this one.
-    leading: str = ""
-    error: str | None = None
+    """One token as offsets into its ``source``.
+
+    ``source.text[lead_start:start]`` is the leading trivia (whitespace and
+    a possible BOM) between the previous token and this one, and
+    ``source.text[start:end]``, kept as ``text``, is the token itself.
+    """
+
+    __slots__ = ("kind", "lead_start", "start", "end", "text", "error", "source")
+
+    def __init__(
+        self,
+        kind: TokenKind,
+        lead_start: int,
+        start: int,
+        end: int,
+        text: str,
+        error: str | None,
+        source: SourceText,
+    ) -> None:
+        self.kind = kind
+        self.lead_start = lead_start
+        self.start = start
+        self.end = end
+        self.text = text
+        self.error = error
+        self.source = source
+
+    @property
+    def leading(self) -> str:
+        return self.source.text[self.lead_start : self.start]
+
+    @property
+    def span(self) -> SourceSpan:
+        return self.source.span(self.start, self.end)
+
+    def __repr__(self) -> str:
+        return (
+            f"Token({self.kind.name}, {self.text!r}, {self.start}:{self.end}, "
+            f"error={self.error!r})"
+        )
 
 
 # One alternative per token kind, tried in order after the trivia (spaces,
 # tabs, a lone "\r", a BOM at offset 0) that becomes the token's ``leading``.
 # Character classes are ASCII on purpose: a Unicode digit is punctuation.
 # Identifiers follow HCL: dashes are legal after the first char. Two-character
-# operators are kept whole so expression capture stays readable.
+# operators are kept whole so expression capture stays readable. A string with
+# no escape, "$", "%" or newline ends at its next quote (PLAIN_STRING); any
+# other string ends where ``_string_end`` says.
 _TOKEN_RE = re.compile(
     r"""
     (?P<lead> (?: [ \t] | \r(?!\n) | \A\ufeff )* )
     (?: (?P<NEWLINE> \r?\n )
       | (?P<COMMENT> (?: \# | // ) (?: [^\r\n] | \r(?!\n) )* | /\*.*?\*/ )
       | (?P<UNCLOSED_COMMENT> /\*.* )
+      | (?P<PLAIN_STRING> " [^"\\\n$%]* " )
       | (?P<STRING> " )
       | (?P<HEREDOC> <<-? (?P<tag> [A-Za-z0-9_-]* ) )
       | (?P<NUMBER> [0-9]+ (?: \.[0-9]+ )? (?: [eE][+-]?[0-9]+ )? )
@@ -85,7 +148,11 @@ _TOKEN_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
-_KINDS = {"UNCLOSED_COMMENT": TokenKind.COMMENT, **TokenKind.__members__}
+_KINDS = {
+    "UNCLOSED_COMMENT": TokenKind.COMMENT,
+    "PLAIN_STRING": TokenKind.STRING,
+    **TokenKind.__members__,
+}
 
 # What can end a string or change its template depth; an escape skips a char.
 _STRING_STOP_RE = re.compile(r'\\.|[$%]\{|\}|"|\n', re.DOTALL)
@@ -93,9 +160,9 @@ _STRING_STOP_RE = re.compile(r'\\.|[$%]\{|\}|"|\n', re.DOTALL)
 
 def tokenize(text: str, file_id: str = "<input>") -> list[Token]:
     """Scan ``text`` into tokens; the last token is always EOF."""
+    source = SourceText(file_id, text)
     tokens: list[Token] = []
-    pos = line_start = 0
-    line = 1
+    pos = 0
     while True:
         m = _TOKEN_RE.match(text, pos)
         group = m.lastgroup
@@ -112,13 +179,7 @@ def tokenize(text: str, file_id: str = "<input>") -> list[Token]:
             else:
                 # "<<" with no tag: treat the two angle brackets as punctuation.
                 kind = TokenKind.PUNCT
-        start_line, start_col = line, start - line_start + 1
-        newlines = text.count("\n", start, end)
-        if newlines:
-            line += newlines
-            line_start = text.rindex("\n", start, end) + 1
-        span = SourceSpan(file_id, start_line, start_col, line, end - line_start + 1)
-        tokens.append(Token(kind, text[start:end], span, m.group("lead"), error))
+        tokens.append(Token(kind, pos, start, end, text[start:end], error, source))
         if group == "EOF":
             return tokens
         pos = end

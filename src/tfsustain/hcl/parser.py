@@ -29,7 +29,7 @@ from .ast import (
     StringLit,
     TemplateString,
 )
-from .lexer import SourceSpan, Token, TokenKind, tokenize
+from .lexer import Token, TokenKind, tokenize
 
 # Expected label counts, enforced as warnings only.
 _LABEL_COUNTS = {"resource": 2, "terraform": 0, "backend": 1}
@@ -44,15 +44,14 @@ _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 def parse(text: str, path: str = "<input>") -> ConfigFile:
     """Parse HCL text into a ConfigFile; never raises on bad input."""
     tokens = tokenize(text, path)
-    parser = _Parser(tokens, path)
+    parser = _Parser(tokens)
     body = parser.parse_top()
 
-    eof = tokens[-1]
     cf = ConfigFile(
         path=path,
         body=body,
         diagnostics=parser.diagnostics,
-        span=SourceSpan(path, 1, 1, eof.span.end_line, eof.span.end_col),
+        span=tokens[-1].source.span(0, len(text)),
     )
     for tok in tokens:
         if tok.error:
@@ -103,15 +102,19 @@ def get_attribute_node(block: Block | ConfigFile, name: str) -> Attribute | None
 
 
 class _ParseError(Exception):
-    def __init__(self, message: str, span: SourceSpan) -> None:
+    """A parse failure at ``tok``; its span is built only if it is reported."""
+
+    def __init__(self, message: str, tok: Token) -> None:
         super().__init__(message)
-        self.diagnostic = Diagnostic(message, span, "error")
+        self.tok = tok
+
+    def diagnostic(self) -> Diagnostic:
+        return Diagnostic(self.args[0], self.tok.span, "error")
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], path: str) -> None:
+    def __init__(self, tokens: list[Token]) -> None:
         self.toks = tokens
-        self.path = path
         self.i = 0
         self.diagnostics: list[Diagnostic] = []
 
@@ -135,9 +138,6 @@ class _Parser:
             self.i += 1
         return self.toks[self.i]
 
-    def _prev_span(self) -> SourceSpan:
-        return self.toks[max(0, self.i - 1)].span
-
     # -- top level -------------------------------------------------------
 
     def parse_top(self) -> list[Block | Attribute]:
@@ -153,7 +153,7 @@ class _Parser:
             try:
                 body.append(self._parse_item())
             except _ParseError as err:
-                self.diagnostics.append(err.diagnostic)
+                self.diagnostics.append(err.diagnostic())
                 self._sync()
 
     def _sync(self) -> None:
@@ -179,7 +179,7 @@ class _Parser:
         if head.kind is not TokenKind.IDENTIFIER:
             raise _ParseError(
                 f"expected block or attribute, found {head.kind.value} {head.text!r}",
-                head.span,
+                head,
             )
         self._advance()
         nxt = self._skip(newlines=False)
@@ -187,12 +187,8 @@ class _Parser:
         if nxt.kind is TokenKind.ASSIGN:
             self._advance()
             value = self._parse_expression("attr")
-            end = self._prev_span()
-            return Attribute(
-                head.text,
-                value,
-                _merge_spans(self.path, head.span, end),
-            )
+            end = self.toks[self.i - 1].end
+            return Attribute(head.text, value, head.source.span(head.start, end))
 
         if nxt.kind in (TokenKind.STRING, TokenKind.IDENTIFIER, TokenKind.BLOCK_OPEN):
             labels: list[str] = []
@@ -210,16 +206,16 @@ class _Parser:
             if tok.kind is not TokenKind.BLOCK_OPEN:
                 raise _ParseError(
                     f"expected '{{' to open {head.text!r} block, found {tok.text!r}",
-                    tok.span,
+                    tok,
                 )
             self._advance()
             body = self._parse_block_body(head)
-            end = self._prev_span()
-            return Block(head.text, labels, body, _merge_spans(self.path, head.span, end))
+            end = self.toks[self.i - 1].end
+            return Block(head.text, labels, body, head.source.span(head.start, end))
 
         raise _ParseError(
             f"expected '=' or block labels after {head.text!r}, found {nxt.text!r}",
-            nxt.span,
+            nxt,
         )
 
     def _parse_block_body(self, head: Token) -> list[Block | Attribute]:
@@ -278,14 +274,14 @@ class _Parser:
                 self._advance()
                 value = _number(nxt.text)
                 return NumberLit(-value)
-            raise _ParseError("unsupported expression", tok.span)
+            raise _ParseError("unsupported expression", tok)
         if kind is TokenKind.PUNCT and tok.text == "[":
             return self._parse_list()
         if kind is TokenKind.BLOCK_OPEN:
             return self._parse_map()
         if kind is TokenKind.IDENTIFIER:
             return self._parse_reference()
-        raise _ParseError(f"expected value, found {tok.text!r}", tok.span)
+        raise _ParseError(f"expected value, found {tok.text!r}", tok)
 
     def _parse_list(self) -> ListValue:
         self._advance()  # [
@@ -296,7 +292,7 @@ class _Parser:
                 self._advance()
                 return ListValue(tuple(items))
             if tok.kind is TokenKind.EOF:
-                raise _ParseError("unterminated list", tok.span)
+                raise _ParseError("unterminated list", tok)
             items.append(self._parse_expression("list"))
             tok = self._skip(newlines=True)
             if tok.kind is TokenKind.PUNCT and tok.text == ",":
@@ -311,13 +307,13 @@ class _Parser:
                 self._advance()
                 return MapValue(tuple(entries))
             if tok.kind is TokenKind.EOF:
-                raise _ParseError("unterminated map", tok.span)
+                raise _ParseError("unterminated map", tok)
             if tok.kind is TokenKind.IDENTIFIER:
                 key = tok.text
             elif tok.kind is TokenKind.STRING:
                 key = _string_inner(tok)
             else:
-                raise _ParseError(f"expected map key, found {tok.text!r}", tok.span)
+                raise _ParseError(f"expected map key, found {tok.text!r}", tok)
             self._advance()
             sep = self._skip(newlines=False)
             if sep.kind is TokenKind.ASSIGN or (
@@ -326,7 +322,7 @@ class _Parser:
                 self._advance()
             else:
                 raise _ParseError(
-                    f"expected '=' or ':' after map key, found {sep.text!r}", sep.span
+                    f"expected '=' or ':' after map key, found {sep.text!r}", sep
                 )
             entries.append((key, self._parse_expression("map")))
             tok = self._skip(newlines=True)
@@ -372,10 +368,9 @@ class _Parser:
                     break
             self._advance()
         if self.i == start:
-            raise _ParseError("expected value", self._cur().span)
-        consumed = self.toks[start : self.i]
-        text = consumed[0].text + "".join(t.leading + t.text for t in consumed[1:])
-        return Opaque(text)
+            raise _ParseError("expected value", self._cur())
+        first, last = self.toks[start], self.toks[self.i - 1]
+        return Opaque(first.source.text[first.start : last.end])
 
 
 def _ends_expression(tok: Token, ctx: str) -> bool:
@@ -396,10 +391,6 @@ def _ends_expression(tok: Token, ctx: str) -> bool:
 # ---------------------------------------------------------------------------
 # Literal decoding
 # ---------------------------------------------------------------------------
-
-
-def _merge_spans(path: str, a: SourceSpan, b: SourceSpan) -> SourceSpan:
-    return SourceSpan(path, a.start_line, a.start_col, b.end_line, b.end_col)
 
 
 def _number(text: str) -> int | float:

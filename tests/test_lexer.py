@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfsustain.hcl import TokenKind, detokenize, span_text, tokenize
+from tfsustain.hcl import TokenKind, detokenize, lexer, span_text, tokenize
 
 from conftest import fixture_corpus_files
 
@@ -139,13 +139,39 @@ def _line_col(text: str, offset: int) -> tuple[int, int]:
 )
 @settings(max_examples=300, deadline=None)
 def test_spans_cover_every_character_on_arbitrary_text(text):
-    offset = 0
+    offset = prev_end = 0
     for tok in tokenize(text):
+        assert tok.lead_start == prev_end
+        assert text[tok.lead_start : tok.start] == tok.leading
+        assert text[tok.start : tok.end] == tok.text
+        prev_end = tok.end
         assert span_text(text, tok.span) == tok.text
         offset += len(tok.leading)
         assert (tok.span.start_line, tok.span.start_col) == _line_col(text, offset)
         offset += len(tok.text)
         assert (tok.span.end_line, tok.span.end_col) == _line_col(text, offset)
+
+
+def test_tokenize_builds_no_spans(monkeypatch):
+    built = []
+
+    class CountingSpan(lexer.SourceSpan):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(lexer, "SourceSpan", CountingSpan)
+    text = (
+        '# c\nresource "a" "b" {\n  n = -1.5 // x\n  on = true\n'
+        "  t = [<<EOT\nbody\nEOT\n  ]\n}\n"
+    )
+    toks = tokenize(text)
+    assert {t.kind for t in toks} == set(TokenKind)
+    assert built == []
+    # The counter sees the spans that are built on demand.
+    span = toks[2].span
+    assert (span.start_line, span.start_col, span.end_line, span.end_col) == (2, 1, 2, 9)
+    assert built == [span]
 
 
 def test_two_char_operators_stay_whole():
@@ -242,6 +268,19 @@ _PINNED = [
             ("EOF", "", (2, 1, 2, 1), "", None),
         ],
         id="string-ends-at-newline",
+    ),
+    pytest.param(
+        'x = "a\nb"',
+        [
+            ("IDENTIFIER", "x", (1, 1, 1, 2), "", None),
+            ("ASSIGN", "=", (1, 3, 1, 4), " ", None),
+            ("STRING", '"a', (1, 5, 1, 7), " ", "unterminated string"),
+            ("NEWLINE", "\n", (1, 7, 2, 1), "", None),
+            ("IDENTIFIER", "b", (2, 1, 2, 2), "", None),
+            ("STRING", '"', (2, 2, 2, 3), "", "unterminated string"),
+            ("EOF", "", (2, 3, 2, 3), "", None),
+        ],
+        id="newline-ends-string-before-a-later-quote",
     ),
     pytest.param(
         'x = "\\',

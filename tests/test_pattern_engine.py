@@ -87,7 +87,7 @@ def test_mask_comments_star_slash_shares_the_opening_star():
 
 def test_text_view_spans_follow_line_starts():
     view = prepare("x.tf", "ab\n\ncd")
-    assert view.line_starts == (0, 3, 4)
+    assert view.source.line_starts == (0, 3, 4)
     assert view.span(0, 2) == SourceSpan("x.tf", 1, 1, 1, 3)
     assert view.span(3, 5) == SourceSpan("x.tf", 2, 1, 3, 2)
     assert view.file_span() == SourceSpan("x.tf", 1, 1, 3, 3)
