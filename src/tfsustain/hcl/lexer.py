@@ -123,16 +123,13 @@ class Token:
 # tabs, a lone "\r", a BOM at offset 0) that becomes the token's ``leading``.
 # Character classes are ASCII on purpose: a Unicode digit is punctuation.
 # Identifiers follow HCL: dashes are legal after the first char. Two-character
-# operators are kept whole so expression capture stays readable. A string with
-# no escape, "$", "%" or newline ends at its next quote (PLAIN_STRING); any
-# other string ends where ``_string_end`` says.
+# operators are kept whole so expression capture stays readable.
 _TOKEN_RE = re.compile(
     r"""
     (?P<lead> (?: [ \t] | \r(?!\n) | \A\ufeff )* )
     (?: (?P<NEWLINE> \r?\n )
       | (?P<COMMENT> (?: \# | // ) (?: [^\r\n] | \r(?!\n) )* | /\*.*?\*/ )
       | (?P<UNCLOSED_COMMENT> /\*.* )
-      | (?P<PLAIN_STRING> " [^"\\\n$%]* " )
       | (?P<STRING> " )
       | (?P<HEREDOC> <<-? (?P<tag> [A-Za-z0-9_-]* ) )
       | (?P<NUMBER> [0-9]+ (?: \.[0-9]+ )? (?: [eE][+-]?[0-9]+ )? )
@@ -150,7 +147,6 @@ _TOKEN_RE = re.compile(
 
 _KINDS = {
     "UNCLOSED_COMMENT": TokenKind.COMMENT,
-    "PLAIN_STRING": TokenKind.STRING,
     **TokenKind.__members__,
 }
 

@@ -270,19 +270,6 @@ _PINNED = [
         id="string-ends-at-newline",
     ),
     pytest.param(
-        'x = "a\nb"',
-        [
-            ("IDENTIFIER", "x", (1, 1, 1, 2), "", None),
-            ("ASSIGN", "=", (1, 3, 1, 4), " ", None),
-            ("STRING", '"a', (1, 5, 1, 7), " ", "unterminated string"),
-            ("NEWLINE", "\n", (1, 7, 2, 1), "", None),
-            ("IDENTIFIER", "b", (2, 1, 2, 2), "", None),
-            ("STRING", '"', (2, 2, 2, 3), "", "unterminated string"),
-            ("EOF", "", (2, 3, 2, 3), "", None),
-        ],
-        id="newline-ends-string-before-a-later-quote",
-    ),
-    pytest.param(
         'x = "\\',
         [
             ("IDENTIFIER", "x", (1, 1, 1, 2), "", None),
