@@ -17,6 +17,7 @@ from .catalog import (
     CATALOG_VERSION,
     CatalogError,
     SmellDescriptor,
+    SmellId,
     catalog as builtin_catalog,
     dump_catalog,
     load_catalog,
@@ -162,6 +163,15 @@ def load_config(path: str | None) -> tuple[DetectorConfig, list[SmellDescriptor]
     return cfg, load_catalog(catalog_path)
 
 
+def _load_scan_config(path: str | None) -> tuple[DetectorConfig, list[SmellDescriptor]]:
+    """``load_config`` for lint and scan, whose reports name every smell."""
+    cfg, descriptors = load_config(path)
+    missing = sorted(s.name for s in set(SmellId) - {d.id for d in descriptors})
+    if missing:
+        raise CatalogError(f"catalog has no entry for {', '.join(missing)}")
+    return cfg, descriptors
+
+
 def _write_output(data: bytes, output: str | None) -> None:
     if output is None:
         sys.stdout.write(data.decode("utf-8"))
@@ -170,9 +180,9 @@ def _write_output(data: bytes, output: str | None) -> None:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    cfg, _ = load_config(args.config)
+    cfg, descriptors = _load_scan_config(args.config)
     report = scan(args.path, cfg, args.engine, jobs=args.jobs)
-    lines = findings_lines(report)
+    lines = findings_lines(report, descriptors)
     body = "\n".join(lines) + ("\n" if lines else "")
     summary = (
         f"{report.scanned_files} file(s) scanned, {len(report.findings)} finding(s)"
@@ -184,10 +194,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    cfg, _ = load_config(args.config)
+    cfg, descriptors = _load_scan_config(args.config)
     report = scan(args.root, cfg, args.engine, jobs=args.jobs)
     stats = prevalence(report) if report.scanned_files else None
-    _write_output(render(report, stats, args.format), args.output)
+    _write_output(render(report, stats, args.format, descriptors), args.output)
     if args.verbose and report.parse_failures:
         print(f"note: {report.parse_failures} file(s) failed to parse", file=sys.stderr)
     return 1 if report.findings else 0

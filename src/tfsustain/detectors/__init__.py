@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from ..hcl import ConfigFile
 from . import ast_engine, pattern_engine
 from .config import ConfigError, DetectorConfig, config_from_dict
 from .findings import SmellFinding
@@ -16,42 +15,43 @@ ENGINES = tuple(_ENGINE_MODULES)
 
 @dataclass(frozen=True)
 class ScanUnit:
-    """One Terraform file ready for detection.
+    """One Terraform file's path and decoded text, ready for an engine.
 
-    ``text`` is None when the file could not be read; ``file`` is None when
-    no AST is available. Such units still count toward scan totals.
+    ``text`` is None when the file could not be read; such units still
+    count toward scan totals. Each engine prepares its own view of the text.
     """
 
     path: str
     text: str | None
-    file: ConfigFile | None
 
 
 def unit_for(path: str, text: str) -> ScanUnit:
-    from ..hcl import parse
-
-    return ScanUnit(path, text, parse(text, path))
+    return ScanUnit(path, text)
 
 
 def detect_all(
     units_by_dir: Mapping[str, Sequence[ScanUnit]],
     cfg: DetectorConfig | None = None,
     engine: str = "ast",
+    failed: set[str] | None = None,
 ) -> list[SmellFinding]:
     """Run all seven detectors over directory-grouped files.
 
     Findings come back sorted by (path, position, smell). The remote-state
-    detector runs once per directory; everything else is per-file.
+    detector runs once per directory; everything else is per-file. The AST
+    engine adds each file whose parse reports an error to ``failed``.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; pick one of {ENGINES}")
     module = _ENGINE_MODULES[engine]
     if cfg is None:
         cfg = DetectorConfig()
+    if failed is None:
+        failed = set()
     findings: list[SmellFinding] = []
     for dirname in sorted(units_by_dir):
         units = sorted(units_by_dir[dirname], key=lambda u: u.path)
-        findings.extend(module.detect_directory(units, cfg))
+        findings.extend(module.detect_directory(units, cfg, failed))
     findings.sort(key=lambda f: f.sort_key())
     return findings
 

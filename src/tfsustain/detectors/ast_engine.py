@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
+from .. import hcl
 from ..catalog import SmellId
 from ..hcl import (
     Attribute,
@@ -23,7 +24,6 @@ from ..hcl import (
     MapValue,
     NumberLit,
     Reference,
-    SourceSpan,
     StringLit,
     TemplateString,
     find_blocks,
@@ -62,16 +62,11 @@ class FileView:
     autoscaled: bool
 
 
-def prepare(file: ConfigFile, cfg: DetectorConfig) -> FileView:
+def prepare(unit: ScanUnit, cfg: DetectorConfig) -> FileView:
+    file = hcl.parse(unit.text, unit.path)
     resources = resource_blocks(file)
     autoscaled = any(resource_type(b) in cfg.ss2_autoscaler_types for b in resources)
     return FileView(file, resources, autoscaled)
-
-
-def whole_file_span(file: ConfigFile) -> SourceSpan:
-    if file.span is not None:
-        return file.span
-    return SourceSpan(file.path, 1, 1, 1, 1)
 
 
 def normalize_region(attr_name: str, raw: str) -> str:
@@ -355,7 +350,7 @@ def detect_ss6_local_state(
             SmellFinding(
                 SmellId.SS6,
                 first.path,
-                whole_file_span(first),
+                first.span,
                 "unset",
                 "ast",
                 "no remote state backend is configured in this directory",
@@ -401,7 +396,7 @@ def detect_ss7_monolithic(view: FileView, cfg: DetectorConfig) -> list[SmellFind
         SmellFinding(
             SmellId.SS7,
             view.file.path,
-            whole_file_span(view.file),
+            view.file.span,
             str(count),
             "ast",
             f"{count} resources in a single file (threshold "
@@ -420,9 +415,14 @@ PER_FILE_DETECTORS = (
 )
 
 
-def detect_directory(units: Sequence[ScanUnit], cfg: DetectorConfig) -> list[SmellFinding]:
-    """All seven smells over one directory's parsed files, each prepared once."""
-    views = [prepare(u.file, cfg) for u in units if u.file is not None]
+def detect_directory(
+    units: Sequence[ScanUnit], cfg: DetectorConfig, failed: set[str]
+) -> list[SmellFinding]:
+    """All seven smells over a directory's files, each parsed once; errors go into ``failed``."""
+    views = [prepare(u, cfg) for u in units if u.text is not None]
+    failed.update(
+        v.file.path for v in views if any(d.severity == "error" for d in v.file.diagnostics)
+    )
     findings: list[SmellFinding] = []
     for view in views:
         for detector in PER_FILE_DETECTORS:

@@ -1,10 +1,10 @@
 """Text-pattern smell detectors working on raw file content.
 
-This engine deliberately avoids the parser: each smell is matched by a
-regular expression over the file text, the way a quick corpus study would
-do it. It trades precision for robustness (it works on files the parser
-cannot make sense of) and its findings are labelled ``engine="pattern"`` so
-reports never mix the two methodologies silently.
+This engine deliberately avoids the parser: it never lexes or parses a file,
+and matches each smell by a regular expression over the file text, the way
+a quick corpus study would. It trades precision for robustness (it works on
+files the parser cannot make sense of) and its findings are labelled
+``engine="pattern"`` so reports never mix the two methodologies silently.
 
 Comments are masked out before matching (replaced by spaces, offsets
 preserved) so commented-out code does not trigger findings. The region
@@ -300,8 +300,10 @@ PER_FILE_PATTERNS = (
 )
 
 
-def detect_directory(units: Sequence[ScanUnit], cfg: DetectorConfig) -> list[SmellFinding]:
-    """All seven smells over one directory's readable files, each prepared once."""
+def detect_directory(
+    units: Sequence[ScanUnit], cfg: DetectorConfig, failed: set[str]
+) -> list[SmellFinding]:
+    """All seven smells over one directory's readable files; adds nothing to ``failed``."""
     views = [prepare(u.path, u.text) for u in units if u.text is not None]
     findings: list[SmellFinding] = []
     for view in views:

@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 
 from . import __version__
-from .catalog import SmellId, catalog
+from .catalog import SmellDescriptor, SmellId, catalog
 from .scanner import CorpusStats, ScanReport, smells_by_path
 
 FORMATS = ("text", "json", "sarif")
@@ -22,13 +22,20 @@ _SARIF_SCHEMA = (
 )
 
 
-def render(report: ScanReport, stats: CorpusStats | None, format: str) -> bytes:
+def render(
+    report: ScanReport,
+    stats: CorpusStats | None,
+    format: str,
+    descriptors: list[SmellDescriptor] | None = None,
+) -> bytes:
+    """Render in ``format``; ``descriptors`` (default: the built-in catalog) name smells."""
+    descriptors = descriptors or catalog()
     if format == "text":
-        return _render_text(report, stats).encode("utf-8")
+        return _render_text(report, stats, descriptors).encode("utf-8")
     if format == "json":
         return _render_json(report, stats).encode("utf-8")
     if format == "sarif":
-        return _render_sarif(report).encode("utf-8")
+        return _render_sarif(report, descriptors).encode("utf-8")
     raise ValueError(f"unknown format {format!r}; pick one of {FORMATS}")
 
 
@@ -41,9 +48,11 @@ def format_percent(fraction: Fraction) -> str:
     return f"{q // 100}.{q % 100:02d}"
 
 
-def findings_lines(report: ScanReport) -> list[str]:
+def findings_lines(
+    report: ScanReport, descriptors: list[SmellDescriptor] | None = None
+) -> list[str]:
     """One human-readable line per finding, for lint-style output."""
-    names = {d.id: d.name for d in catalog()}
+    names = {d.id: d.name for d in descriptors or catalog()}
     return [
         f"{f.path}:{f.span.start_line}:{f.span.start_col} "
         f"{f.smell.name} ({names[f.smell]}): {f.message} [{f.evidence}]"
@@ -51,7 +60,9 @@ def findings_lines(report: ScanReport) -> list[str]:
     ]
 
 
-def _render_text(report: ScanReport, stats: CorpusStats | None) -> str:
+def _render_text(
+    report: ScanReport, stats: CorpusStats | None, descriptors: list[SmellDescriptor]
+) -> str:
     lines = [
         f"scanned {report.scanned_files} file(s), "
         f"{report.parse_failures} parse failure(s), "
@@ -64,7 +75,7 @@ def _render_text(report: ScanReport, stats: CorpusStats | None) -> str:
         ordered = sorted(
             stats.per_smell.items(), key=lambda kv: (-kv[1].prevalence, int(kv[0]))
         )
-        names = {d.id: d.name for d in catalog()}
+        names = {d.id: d.name for d in descriptors}
         for smell, entry in ordered:
             lines.append(
                 f"{smell.name:<6} {names[smell]:<30} {entry.files_affected:>7} "
@@ -72,7 +83,7 @@ def _render_text(report: ScanReport, stats: CorpusStats | None) -> str:
             )
     if report.findings:
         lines.append("")
-        lines.extend(findings_lines(report))
+        lines.extend(findings_lines(report, descriptors))
     lines.append("")
     return "\n".join(lines)
 
@@ -102,7 +113,7 @@ def _render_json(report: ScanReport, stats: CorpusStats | None) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
-def _render_sarif(report: ScanReport) -> str:
+def _render_sarif(report: ScanReport, descriptors: list[SmellDescriptor]) -> str:
     rules = [
         {
             "id": d.id.name if isinstance(d.id, SmellId) else str(d.id),
@@ -112,7 +123,7 @@ def _render_sarif(report: ScanReport) -> str:
             "help": {"text": d.remediation},
             "defaultConfiguration": {"level": "warning"},
         }
-        for d in catalog()
+        for d in descriptors
     ]
     rule_index = {rule["id"]: i for i, rule in enumerate(rules)}
     results = [

@@ -1,7 +1,7 @@
 """Corpus scanning: walk directory trees, detect smells, compute prevalence.
 
 Results are deterministic regardless of filesystem enumeration order and of
-how many workers run the parse/detect phase: files are sorted up front,
+how many workers run the read phase: files are sorted up front,
 per-file work is order-independent, and the final merge is single-threaded.
 """
 
@@ -81,26 +81,18 @@ def discover_tf_files(root: Path) -> list[str]:
 
 
 def _read_unit(root: Path, rel: str) -> tuple[ScanUnit, bool]:
-    """Load and parse one file; returns (unit, is_parse_failure)."""
+    """Load one file; returns (unit, is_read_or_decode_failure)."""
     full = root / rel if root.is_dir() else root
     try:
         data = full.read_bytes()
     except OSError:
-        return ScanUnit(rel, None, None), True
+        return ScanUnit(rel, None), True
     if data.startswith(b"\xef\xbb\xbf"):
         data = data[3:]
-    failed = False
     try:
-        text = data.decode("utf-8")
+        return unit_for(rel, data.decode("utf-8")), False
     except UnicodeDecodeError:
-        text = data.decode("utf-8", errors="replace")
-        failed = True
-    unit = unit_for(rel, text)
-    if unit.file is not None and any(
-        d.severity == "error" for d in unit.file.diagnostics
-    ):
-        failed = True
-    return unit, failed
+        return unit_for(rel, data.decode("utf-8", errors="replace")), True
 
 
 def scan(
@@ -109,10 +101,10 @@ def scan(
     engine: str = "ast",
     jobs: int = 1,
 ) -> ScanReport:
-    """Parse and detect every .tf file under root.
+    """Read and detect every .tf file under root.
 
-    Parse failures are counted but never abort the scan; failed files still
-    count toward the prevalence denominator.
+    A file that cannot be read or decoded, or that the engine cannot parse, is
+    one parse failure; it never aborts the scan and counts toward prevalence.
     """
     root = Path(root)
     if not root.exists():
@@ -129,15 +121,16 @@ def scan(
     else:
         loaded = [_read_unit(root, rel) for rel in rels]
 
-    parse_failures = sum(1 for _, failed in loaded if failed)
+    failed = {unit.path for unit, bad in loaded if bad}
     by_dir: dict[str, list[ScanUnit]] = {}
     for unit, _ in loaded:
         by_dir.setdefault(str(PurePosixPath(unit.path).parent), []).append(unit)
+    findings = detect_all(by_dir, cfg, engine, failed)
 
     return ScanReport(
         scanned_files=len(rels),
-        parse_failures=parse_failures,
-        findings=detect_all(by_dir, cfg, engine),
+        parse_failures=len(failed),
+        findings=findings,
         config_digest=cfg.digest(),
         engine=engine,
     )

@@ -204,6 +204,42 @@ def test_load_config_external_catalog(tmp_path):
     assert descriptors == catalog()
 
 
+def _catalog_config(tmp_path, entries):
+    (tmp_path / "catalog.json").write_text(json.dumps(entries))
+    config = tmp_path / "config.json"
+    config.write_text('{"catalog_file": "catalog.json"}')
+    return str(config)
+
+
+def test_scan_and_lint_name_smells_after_configured_catalog(tmp_path, capsys):
+    from tfsustain.catalog import catalog, dump_catalog
+
+    entries = json.loads(dump_catalog(catalog()))
+    for entry in entries:
+        if entry["id"] == "SS1":
+            entry["name"] = "Oversized Machines"
+    config = _catalog_config(tmp_path, entries)
+    target = str(FIXTURES / "samples_extended" / "ss1.tf")
+
+    assert run(["lint", target, "--config", config]) == 1
+    assert "SS1 (Oversized Machines): " in capsys.readouterr().out
+
+    assert run(["scan", target, "--config", config, "--format", "sarif"]) == 1
+    rules = json.loads(capsys.readouterr().out)["runs"][0]["tool"]["driver"]["rules"]
+    ss1 = next(rule for rule in rules if rule["id"] == "SS1")
+    assert ss1["name"] == "OversizedMachines"
+    assert ss1["shortDescription"] == {"text": "Oversized Machines"}
+
+
+def test_scan_rejects_catalog_without_a_reported_smell(tmp_path, capsys):
+    from tfsustain.catalog import catalog, dump_catalog
+
+    entries = [e for e in json.loads(dump_catalog(catalog())) if e["id"] != "SS3"]
+    config = _catalog_config(tmp_path, entries)
+    assert run(["scan", str(FIXTURES / "clean"), "--config", config]) == 2
+    assert "no entry for SS3" in capsys.readouterr().err
+
+
 def test_output_flag_writes_file(tmp_path):
     from tfsustain.catalog import SmellId
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tfsustain import hcl
 from tfsustain.catalog import SmellId
 from tfsustain.detectors import (
     ConfigError,
@@ -29,7 +30,7 @@ from tfsustain.detectors.ast_engine import (
     prepare,
 )
 from tfsustain.detectors.findings import SmellFinding
-from tfsustain.hcl import parse, span_text
+from tfsustain.hcl import span_text
 
 from conftest import FIXTURES, fixture_corpus_files
 
@@ -49,7 +50,7 @@ def load_dir(rel: str):
 
 
 def view(unit, cfg=CFG):
-    return prepare(unit.file, cfg)
+    return prepare(unit, cfg)
 
 
 def smell_names(findings):
@@ -68,7 +69,7 @@ def test_ss1_sample_fixture_fires_once():
 
 
 def test_ss1_empty_file():
-    assert detect_ss1_overprovisioning(prepare(parse(""), CFG), CFG) == []
+    assert detect_ss1_overprovisioning(view(unit_for("x.tf", "")), CFG) == []
 
 
 def test_ss1_suppressed_by_scale_set_in_same_file():
@@ -515,11 +516,24 @@ def test_detect_all_rejects_unknown_engine():
 
 
 @pytest.mark.parametrize(
-    "engine, module, name",
-    [("ast", ast_engine, "resource_blocks"), ("pattern", pattern_engine, "mask_comments")],
+    "engine, module, name, parses_per_file",
+    [
+        ("ast", ast_engine, "resource_blocks", 1),
+        ("pattern", pattern_engine, "mask_comments", 0),
+    ],
     ids=["ast", "pattern"],
 )
-def test_detect_all_prepares_each_file_once(monkeypatch, engine, module, name):
+def test_detect_all_prepares_each_file_once(monkeypatch, engine, module, name, parses_per_file):
+    # Building the units must not parse either: the AST engine parses once
+    # per file, through the module attribute, and the pattern engine never.
+    parses = []
+    original_parse = hcl.parse
+
+    def counting_parse(text, path):
+        parses.append(path)
+        return original_parse(text, path)
+
+    monkeypatch.setattr(hcl, "parse", counting_parse)
     by_dir: dict[str, list] = {}
     for p in fixture_corpus_files():
         rel = p.relative_to(FIXTURES).as_posix()
@@ -533,7 +547,9 @@ def test_detect_all_prepares_each_file_once(monkeypatch, engine, module, name):
 
     monkeypatch.setattr(module, name, counting)
     assert detect_all(by_dir, CFG, engine)
-    assert len(calls) == sum(len(units) for units in by_dir.values())
+    files = sum(len(units) for units in by_dir.values())
+    assert len(calls) == files
+    assert len(parses) == parses_per_file * files
 
 
 def test_locality_adding_unrelated_file_keeps_other_findings():

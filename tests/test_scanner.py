@@ -62,11 +62,16 @@ def test_scan_ignores_symlinked_files(tmp_path):
 def test_scan_counts_unreadable_files_in_denominator(tmp_path):
     good = tmp_path / "good.tf"
     good.write_text('resource "aws_sns_topic" "t" {\n  name = "t"\n}\n')
+    malformed = tmp_path / "malformed.tf"
+    malformed.write_text('resource "aws_sns_topic" "t" {\n  name = "t"\n')
     bad = tmp_path / "bad.tf"
-    bad.write_bytes(b'resource "aws_instance" "x" {\n  ami = \xff\xfe broken\n}\n')
-    report = scan(tmp_path)
-    assert report.scanned_files == 2
-    assert report.parse_failures >= 1
+    bad.write_bytes(b'resource "aws_instance" "x" {\n  ami = \xff\xfe broken\n')
+    # Both unclosed blocks are parse errors, which only the AST engine
+    # looks for; bad.tf fails to decode and to parse, and counts once.
+    for engine, failures in [("ast", 2), ("pattern", 1)]:
+        report = scan(tmp_path, engine=engine)
+        assert report.scanned_files == 3
+        assert report.parse_failures == failures, engine
 
 
 def test_scan_single_file_root(tmp_path):
