@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 # Attribute names that carry an instance size, per provider resource prefix.
 SIZE_ATTRS = ("vm_size", "instance_type", "machine_type")
@@ -119,13 +119,8 @@ class DetectorConfig:
             raise ConfigError("ss4_retention_max_days must be >= 1")
         if self.ss7_max_resources_per_file < 1:
             raise ConfigError("ss7_max_resources_per_file must be >= 1")
-        for name in (
-            "ss2_compute_types",
-            "ss2_autoscaler_types",
-            "ss3_lifecycle_required_types",
-            "ss5_region_attrs",
-        ):
-            if not getattr(self, name):
+        for name, kind in _FIELD_KINDS.items():
+            if kind is frozenset and not getattr(self, name):
                 raise ConfigError(f"{name} must not be empty")
         if not self.ss1_large_sizes or not any(self.ss1_large_sizes.values()):
             raise ConfigError("ss1_large_sizes must list at least one size")
@@ -137,33 +132,22 @@ class DetectorConfig:
         ).hexdigest()
 
     def to_json_dict(self) -> dict:
-        return {
-            "ss1_large_sizes": {
-                k: sorted(v) for k, v in sorted(self.ss1_large_sizes.items())
-            },
-            "ss2_fixed_count_min": self.ss2_fixed_count_min,
-            "ss2_compute_types": sorted(self.ss2_compute_types),
-            "ss2_autoscaler_types": sorted(self.ss2_autoscaler_types),
-            "ss3_lifecycle_required_types": sorted(self.ss3_lifecycle_required_types),
-            "ss4_retention_max_days": self.ss4_retention_max_days,
-            "ss4_flag_missing_retention": self.ss4_flag_missing_retention,
-            "ss5_region_attrs": sorted(self.ss5_region_attrs),
-            "ss5_pattern_scan_comments": self.ss5_pattern_scan_comments,
-            "ss7_max_resources_per_file": self.ss7_max_resources_per_file,
-        }
+        return {f.name: _jsonable(getattr(self, f.name)) for f in fields(self)}
 
 
+def _jsonable(value):
+    """A config value with its sets sorted, so its JSON form is stable."""
+    if isinstance(value, dict):
+        return {k: sorted(v) for k, v in sorted(value.items())}
+    if isinstance(value, frozenset):
+        return sorted(value)
+    return value
+
+
+# Each field's type, read from its default: int, bool, frozenset or dict.
 _FIELD_KINDS = {
-    "ss1_large_sizes": "size_map",
-    "ss2_fixed_count_min": "int",
-    "ss2_compute_types": "str_set",
-    "ss2_autoscaler_types": "str_set",
-    "ss3_lifecycle_required_types": "str_set",
-    "ss4_retention_max_days": "int",
-    "ss4_flag_missing_retention": "bool",
-    "ss5_region_attrs": "str_set",
-    "ss5_pattern_scan_comments": "bool",
-    "ss7_max_resources_per_file": "int",
+    f.name: type(f.default_factory() if f.default is MISSING else f.default)
+    for f in fields(DetectorConfig)
 }
 
 
@@ -177,19 +161,19 @@ def config_from_dict(data: dict, source_text: str | None = None) -> DetectorConf
         if kind is None:
             line, col = _locate_key(source_text, key)
             raise ConfigError(f"unknown config key {key!r}", line, col)
-        if kind == "int":
+        if kind is int:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"{key} must be an integer")
             kwargs[key] = value
-        elif kind == "bool":
+        elif kind is bool:
             if not isinstance(value, bool):
                 raise ConfigError(f"{key} must be a boolean")
             kwargs[key] = value
-        elif kind == "str_set":
+        elif kind is frozenset:
             if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
                 raise ConfigError(f"{key} must be a list of strings")
             kwargs[key] = frozenset(value)
-        else:  # size_map
+        else:  # dict
             if not isinstance(value, dict):
                 raise ConfigError(f"{key} must map provider prefixes to size lists")
             sizes: dict[str, frozenset[str]] = {}

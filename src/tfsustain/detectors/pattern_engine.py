@@ -15,6 +15,7 @@ into the :class:`TextView` that all seven detectors share.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -83,26 +84,31 @@ def prepare(path: str, text: str) -> TextView:
     return TextView(SourceText(path, text), mask_comments(text))
 
 
-def _alternation(names: frozenset[str] | set[str]) -> str:
-    return "|".join(re.escape(name) for name in sorted(names))
+@functools.cache
+def _names_re(template: str, names: frozenset[str]) -> re.Pattern[str]:
+    """``template`` with ``{}`` filled by an alternation of ``names``, built once per set."""
+    return re.compile(template.format("|".join(re.escape(n) for n in sorted(names))))
+
+
+_ANY_NAME = r"\b(?:{})\b"
+_REGION_ATTR = r'\b({})[ \t]*=[ \t]*"([^"\n]+)"'
+_SIZE_RE = re.compile(rf'\b(?:{"|".join(SIZE_ATTRS)})[ \t]*=[ \t]*"([^"\n]+)"')
+_RETENTION_RE = re.compile(r"\b(retention_in_days|retention_days)[ \t]*=[ \t]*(\d+)")
+_LOG_GROUP_RE = _names_re(_ANY_NAME, frozenset(LOG_GROUP_TYPES))
 
 
 def _has_autoscaler_text(masked: str, cfg: DetectorConfig) -> bool:
-    return re.search(rf"\b(?:{_alternation(cfg.ss2_autoscaler_types)})\b", masked) is not None
+    return _names_re(_ANY_NAME, cfg.ss2_autoscaler_types).search(masked) is not None
 
 
 def pattern_ss1(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
     if _has_autoscaler_text(view.masked, cfg):
         return []
-    all_sizes = frozenset().union(*cfg.ss1_large_sizes.values())
     findings = []
-    size_re = re.compile(
-        rf'\b(?:{"|".join(SIZE_ATTRS)})[ \t]*=[ \t]*"([^"\n]+)"'
-    )
-    for m in size_re.finditer(view.masked):
+    for m in _SIZE_RE.finditer(view.masked):
         literal = m.group(1)
         short = literal.rsplit("/", 1)[-1]
-        if literal in all_sizes or short in all_sizes:
+        if any(literal in s or short in s for s in cfg.ss1_large_sizes.values()):
             findings.append(
                 SmellFinding(
                     SmellId.SS1,
@@ -120,7 +126,7 @@ def pattern_ss1(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
 def pattern_ss2(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
     if _has_autoscaler_text(view.masked, cfg):
         return []
-    if not re.search(rf"\b(?:{_alternation(cfg.ss2_compute_types)})\b", view.masked):
+    if not _names_re(_ANY_NAME, cfg.ss2_compute_types).search(view.masked):
         return []
     findings = []
     for m in re.finditer(r"\bcount[ \t]*=[ \t]*(\d+)", view.masked):
@@ -162,10 +168,9 @@ def pattern_ss3(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
 
 
 def pattern_ss4(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
-    retention_re = re.compile(r"\b(retention_in_days|retention_days)[ \t]*=[ \t]*(\d+)")
     findings = []
     saw_retention = False
-    for m in retention_re.finditer(view.masked):
+    for m in _RETENTION_RE.finditer(view.masked):
         saw_retention = True
         days = int(m.group(2))
         if days > cfg.ss4_retention_max_days:
@@ -181,7 +186,7 @@ def pattern_ss4(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
                 )
             )
     if not saw_retention and cfg.ss4_flag_missing_retention:
-        if re.search(rf"\b(?:{_alternation(set(LOG_GROUP_TYPES))})\b", view.masked):
+        if _LOG_GROUP_RE.search(view.masked):
             findings.append(
                 SmellFinding(
                     SmellId.SS4,
@@ -197,11 +202,8 @@ def pattern_ss4(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
 
 def pattern_ss5(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
     scan_text = view.text if cfg.ss5_pattern_scan_comments else view.masked
-    attr_re = re.compile(
-        rf'\b({_alternation(cfg.ss5_region_attrs)})[ \t]*=[ \t]*"([^"\n]+)"'
-    )
     classes: list[str] = []
-    for m in attr_re.finditer(scan_text):
+    for m in _names_re(_REGION_ATTR, cfg.ss5_region_attrs).finditer(scan_text):
         region = normalize_region(m.group(1), m.group(2))
         if region not in classes:
             classes.append(region)

@@ -39,11 +39,18 @@ _REFERENCE_RE = re.compile(
 )
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
+_ESCAPE_RE = re.compile(r"\\.", re.DOTALL)
+# Where a quoted string's literal text stops: an escape, an escaped template
+# marker ($${ or %%{), or the start of an interpolation or directive.
+_TEMPLATE_STOP_RE = re.compile(r"\\.|([$%])\1\{|[$%]\{", re.DOTALL)
 
 
 def parse(text: str, path: str = "<input>") -> ConfigFile:
     """Parse HCL text into a ConfigFile; never raises on bad input."""
     tokens = tokenize(text, path)
+    # Token errors come from every token; the parser never sees a comment.
+    errors = [tok for tok in tokens if tok.error]
+    tokens = [tok for tok in tokens if tok.kind is not TokenKind.COMMENT]
     parser = _Parser(tokens)
     body = parser.parse_top()
 
@@ -53,9 +60,8 @@ def parse(text: str, path: str = "<input>") -> ConfigFile:
         diagnostics=parser.diagnostics,
         span=tokens[-1].source.span(0, len(text)),
     )
-    for tok in tokens:
-        if tok.error:
-            cf.diagnostics.append(Diagnostic(tok.error, tok.span, "error"))
+    for tok in errors:
+        cf.diagnostics.append(Diagnostic(tok.error, tok.span, "error"))
     _check_label_counts(cf.body, cf.diagnostics)
     _check_duplicate_attributes(cf.body, cf.diagnostics)
     return cf
@@ -129,12 +135,9 @@ class _Parser:
             self.i += 1
         return tok
 
-    def _skip(self, newlines: bool) -> Token:
-        """Move past comments (and optionally newlines); return current."""
-        skippable = (
-            (TokenKind.COMMENT, TokenKind.NEWLINE) if newlines else (TokenKind.COMMENT,)
-        )
-        while self.toks[self.i].kind in skippable:
+    def _skip_newlines(self) -> Token:
+        """Move past newlines; return the current token."""
+        while self.toks[self.i].kind is TokenKind.NEWLINE:
             self.i += 1
         return self.toks[self.i]
 
@@ -143,7 +146,7 @@ class _Parser:
     def parse_top(self) -> list[Block | Attribute]:
         body: list[Block | Attribute] = []
         while True:
-            tok = self._skip(newlines=True)
+            tok = self._skip_newlines()
             if tok.kind is TokenKind.EOF:
                 return body
             if tok.kind is TokenKind.BLOCK_CLOSE:
@@ -182,7 +185,7 @@ class _Parser:
                 head,
             )
         self._advance()
-        nxt = self._skip(newlines=False)
+        nxt = self._cur()
 
         if nxt.kind is TokenKind.ASSIGN:
             self._advance()
@@ -193,7 +196,7 @@ class _Parser:
         if nxt.kind in (TokenKind.STRING, TokenKind.IDENTIFIER, TokenKind.BLOCK_OPEN):
             labels: list[str] = []
             while True:
-                tok = self._skip(newlines=False)
+                tok = self._cur()
                 if tok.kind is TokenKind.STRING:
                     labels.append(_string_inner(tok))
                     self._advance()
@@ -202,7 +205,6 @@ class _Parser:
                     self._advance()
                 else:
                     break
-            tok = self._skip(newlines=False)
             if tok.kind is not TokenKind.BLOCK_OPEN:
                 raise _ParseError(
                     f"expected '{{' to open {head.text!r} block, found {tok.text!r}",
@@ -221,7 +223,7 @@ class _Parser:
     def _parse_block_body(self, head: Token) -> list[Block | Attribute]:
         body: list[Block | Attribute] = []
         while True:
-            tok = self._skip(newlines=True)
+            tok = self._skip_newlines()
             if tok.kind is TokenKind.BLOCK_CLOSE:
                 self._advance()
                 return body
@@ -242,18 +244,15 @@ class _Parser:
         start = self.i
         try:
             value = self._parse_candidate(ctx)
-            if self._at_terminator(ctx):
+            if _ends_expression(self._cur(), ctx):
                 return value
         except _ParseError:
             pass
         self.i = start
         return self._opaque_capture(ctx)
 
-    def _at_terminator(self, ctx: str) -> bool:
-        return _ends_expression(self._skip(newlines=False), ctx)
-
     def _parse_candidate(self, ctx: str) -> ExpressionValue:
-        tok = self._skip(newlines=False)
+        tok = self._cur()
         kind = tok.kind
         if kind is TokenKind.STRING:
             self._advance()
@@ -268,7 +267,7 @@ class _Parser:
             self._advance()
             return StringLit(_heredoc_body(tok))
         if kind is TokenKind.PUNCT and tok.text == "-":
-            nxt = self.toks[self.i + 1] if self.i + 1 < len(self.toks) else tok
+            nxt = self.toks[self.i + 1]
             if nxt.kind is TokenKind.NUMBER:
                 self._advance()
                 self._advance()
@@ -287,14 +286,14 @@ class _Parser:
         self._advance()  # [
         items: list[ExpressionValue] = []
         while True:
-            tok = self._skip(newlines=True)
+            tok = self._skip_newlines()
             if tok.kind is TokenKind.PUNCT and tok.text == "]":
                 self._advance()
                 return ListValue(tuple(items))
             if tok.kind is TokenKind.EOF:
                 raise _ParseError("unterminated list", tok)
             items.append(self._parse_expression("list"))
-            tok = self._skip(newlines=True)
+            tok = self._skip_newlines()
             if tok.kind is TokenKind.PUNCT and tok.text == ",":
                 self._advance()
 
@@ -302,7 +301,7 @@ class _Parser:
         self._advance()  # {
         entries: list[tuple[str, ExpressionValue]] = []
         while True:
-            tok = self._skip(newlines=True)
+            tok = self._skip_newlines()
             if tok.kind is TokenKind.BLOCK_CLOSE:
                 self._advance()
                 return MapValue(tuple(entries))
@@ -315,7 +314,7 @@ class _Parser:
             else:
                 raise _ParseError(f"expected map key, found {tok.text!r}", tok)
             self._advance()
-            sep = self._skip(newlines=False)
+            sep = self._cur()
             if sep.kind is TokenKind.ASSIGN or (
                 sep.kind is TokenKind.PUNCT and sep.text == ":"
             ):
@@ -325,7 +324,7 @@ class _Parser:
                     f"expected '=' or ':' after map key, found {sep.text!r}", sep
                 )
             entries.append((key, self._parse_expression("map")))
-            tok = self._skip(newlines=True)
+            tok = self._skip_newlines()
             if tok.kind is TokenKind.PUNCT and tok.text == ",":
                 self._advance()
 
@@ -334,7 +333,7 @@ class _Parser:
         while True:
             tok = self._cur()
             if tok.kind is TokenKind.PUNCT and tok.text == ".":
-                nxt = self.toks[self.i + 1] if self.i + 1 < len(self.toks) else tok
+                nxt = self.toks[self.i + 1]
                 if nxt.kind in (TokenKind.IDENTIFIER, TokenKind.NUMBER, TokenKind.BOOL) or (
                     nxt.kind is TokenKind.PUNCT and nxt.text == "*"
                 ):
@@ -375,7 +374,7 @@ class _Parser:
 
 def _ends_expression(tok: Token, ctx: str) -> bool:
     """Whether ``tok`` ends an expression in an attr, list or map context."""
-    if tok.kind in (TokenKind.NEWLINE, TokenKind.EOF, TokenKind.COMMENT):
+    if tok.kind in (TokenKind.NEWLINE, TokenKind.EOF):
         return True
     if ctx == "attr":
         return tok.kind is TokenKind.BLOCK_CLOSE
@@ -411,61 +410,44 @@ def _unquote(tok: Token) -> str:
 
 def _string_inner(tok: Token) -> str:
     """Raw content between the quotes, escapes decoded, no template parsing."""
-    return _decode_escapes(_unquote(tok))
+    return _ESCAPE_RE.sub(_unescape, _unquote(tok))
 
 
-def _decode_escapes(raw: str) -> str:
-    if "\\" not in raw:
-        return raw
-    out: list[str] = []
-    i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if ch == "\\" and i + 1 < len(raw):
-            esc = raw[i + 1]
-            out.append(_ESCAPES.get(esc, "\\" + esc))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+def _unescape(m: re.Match) -> str:
+    """What a matched backslash escape stands for; an unknown one stays as written."""
+    return _ESCAPES.get(m.group()[1], m.group())
 
 
 def _string_value(tok: Token) -> ExpressionValue:
     """Classify a quoted string as plain literal or template."""
     text = _unquote(tok)
     parts: list[str | Reference | Opaque] = []
-    literal: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\\" and i + 1 < n:
-            literal.append(_ESCAPES.get(text[i + 1], "\\" + text[i + 1]))
-            i += 2
-            continue
-        if ch in ("$", "%") and text[i : i + 2] == ch * 2 and text[i + 2 : i + 3] == "{":
-            literal.append(ch + "{")  # $${ / %%{ escape a template marker
-            i += 3
-            continue
-        if ch in ("$", "%") and text[i + 1 : i + 2] == "{":
-            end = _matching_brace(text, i + 1)
-            content = text[i + 2 : end].strip()
+    literal = ""
+    pos = 0
+    while m := _TEMPLATE_STOP_RE.search(text, pos):
+        literal += text[pos : m.start()]
+        pos = m.end()
+        stop = m.group()
+        if stop[0] == "\\":
+            literal += _unescape(m)
+        elif len(stop) == 3:
+            literal += stop[1:]  # $${ / %%{ escape a template marker
+        else:
+            end = _matching_brace(text, m.start() + 1)
+            content = text[pos:end].strip()
             if literal:
-                parts.append("".join(literal))
-                literal = []
-            if ch == "$" and _REFERENCE_RE.match(content):
+                parts.append(literal)
+                literal = ""
+            if stop[0] == "$" and _REFERENCE_RE.match(content):
                 parts.append(Reference(tuple(content.split("."))))
             else:
                 parts.append(Opaque(content))
-            i = end + 1 if end < n else n
-            continue
-        literal.append(ch)
-        i += 1
+            pos = end + 1
+    literal += text[pos:]
     if not parts:
-        return StringLit("".join(literal))
+        return StringLit(literal)
     if literal:
-        parts.append("".join(literal))
+        parts.append(literal)
     return TemplateString(tuple(parts))
 
 

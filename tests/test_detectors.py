@@ -607,6 +607,47 @@ def test_config_validation():
         config_from_dict({"ss2_fixed_count_min": "two"})
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"ss2_fixed_count_min": True}, "ss2_fixed_count_min must be an integer"),
+        ({"ss4_flag_missing_retention": 1}, "ss4_flag_missing_retention must be a boolean"),
+        ({"ss5_region_attrs": "region"}, "ss5_region_attrs must be a list of strings"),
+        ({"ss1_large_sizes": []}, "ss1_large_sizes must map provider prefixes to size lists"),
+        ({"ss1_large_sizes": {"aws_": [1]}}, "ss1_large_sizes['aws_'] must be a list of strings"),
+        ({"ss1_large_sizes": {"aws_": []}}, "ss1_large_sizes must list at least one size"),
+        ({"ss2_fixed_count_min": 0}, "ss2_fixed_count_min must be >= 1"),
+        ({"ss4_retention_max_days": 0}, "ss4_retention_max_days must be >= 1"),
+        ({"ss3_lifecycle_required_types": []}, "ss3_lifecycle_required_types must not be empty"),
+        ({"ss5_region_attrs": []}, "ss5_region_attrs must not be empty"),
+    ],
+)
+def test_config_error_messages(data, message):
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(data)
+    assert str(err.value) == message
+
+
+def test_config_json_form_and_digest_are_pinned():
+    cfg = DetectorConfig()
+    doc = cfg.to_json_dict()
+    assert list(doc) == [
+        "ss1_large_sizes",
+        "ss2_fixed_count_min",
+        "ss2_compute_types",
+        "ss2_autoscaler_types",
+        "ss3_lifecycle_required_types",
+        "ss4_retention_max_days",
+        "ss4_flag_missing_retention",
+        "ss5_region_attrs",
+        "ss5_pattern_scan_comments",
+        "ss7_max_resources_per_file",
+    ]
+    assert doc["ss5_region_attrs"] == ["availability_zone", "location", "region", "zone"]
+    assert doc["ss1_large_sizes"]["aws_"][:2] == ["c4.4xlarge", "c4.8xlarge"]
+    assert cfg.digest() == "cc91565b61589881801e414e71adb6b3d582d82bded736618c01cd438e63f3b5"
+
+
 def test_config_digest_stable_and_sensitive():
     assert DetectorConfig().digest() == DetectorConfig().digest()
     changed = DetectorConfig(ss7_max_resources_per_file=11)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from tfsustain.hcl import (
     Attribute,
     Block,
@@ -11,6 +13,7 @@ from tfsustain.hcl import (
     NumberLit,
     Opaque,
     Reference,
+    SourceSpan,
     StringLit,
     TemplateString,
     find_blocks,
@@ -220,3 +223,93 @@ def test_unclosed_block_recovers_with_diagnostic():
     cf = parse('resource "a" "b" {\n  x = 1\n')
     assert len(cf.body) == 1
     assert any("not closed" in d.message for d in cf.diagnostics)
+
+
+def _span(start_line, start_col, end_line, end_col):
+    return SourceSpan("<input>", start_line, start_col, end_line, end_col)
+
+
+# A comment is invisible to the parser: it never ends or splits an
+# expression, and an attribute's span ends at its value, not at a comment.
+@pytest.mark.parametrize(
+    "text, body, errors",
+    [
+        pytest.param(
+            'resource "a" "b" {\n  x = 1 + /* c */ 2\n  y = 3\n}\n',
+            [
+                Block(
+                    "resource",
+                    ["a", "b"],
+                    [
+                        Attribute("x", Opaque("1 + /* c */ 2"), _span(2, 3, 2, 20)),
+                        Attribute("y", NumberLit(3), _span(3, 3, 3, 8)),
+                    ],
+                    _span(1, 1, 4, 2),
+                )
+            ],
+            0,
+            id="comment-inside-opaque-keeps-block",
+        ),
+        pytest.param(
+            "x = [f(x) /*c*/ + 1]\n",
+            [Attribute("x", ListValue((Opaque("f(x) /*c*/ + 1"),)), _span(1, 1, 1, 21))],
+            0,
+            id="comment-inside-list-item",
+        ),
+        pytest.param(
+            "x = - /*c*/ 5\n",
+            [Attribute("x", NumberLit(-5), _span(1, 1, 1, 14))],
+            0,
+            id="comment-after-minus",
+        ),
+        pytest.param(
+            "x = a /*c*/ .b\n",
+            [Attribute("x", Reference(("a", "b")), _span(1, 1, 1, 15))],
+            0,
+            id="comment-before-dot",
+        ),
+        pytest.param(
+            'x = "v" # c\ny = f(1) # c\n',
+            [
+                Attribute("x", StringLit("v"), _span(1, 1, 1, 8)),
+                Attribute("y", Opaque("f(1)"), _span(2, 1, 2, 9)),
+            ],
+            0,
+            id="span-ends-at-value",
+        ),
+    ],
+)
+def test_comments_are_invisible_to_the_parser(text, body, errors):
+    cf = parse(text)
+    assert cf.body == body
+    assert sum(d.severity == "error" for d in cf.diagnostics) == errors
+
+
+def test_unterminated_comment_is_still_reported():
+    cf = parse('x = 1 /* open\n')
+    assert cf.body == [Attribute("x", NumberLit(1), _span(1, 1, 1, 6))]
+    assert [d.message for d in cf.diagnostics] == ["unterminated block comment"]
+
+
+@pytest.mark.parametrize(
+    "literal, value",
+    [
+        (r'"a\nb\t\"\\"', StringLit('a\nb\t"\\')),
+        (r'"\q\$"', StringLit("\\q\\$")),
+        ('"cost $${amount} %%{ if }"', StringLit("cost ${amount} %{ if }")),
+        ('"$$$${x}"', StringLit("$$${x}")),
+        ('"a${b.c}\\n${f(1)}%{ if x }"', TemplateString(
+            ("a", Reference(("b", "c")), "\n", Opaque("f(1)"), Opaque("if x"))
+        )),
+        ('"${ a.b }tail"', TemplateString((Reference(("a", "b")), "tail"))),
+        ('"${ a.b "', TemplateString((Opaque('a.b "'),))),  # unterminated
+    ],
+)
+def test_string_escapes_and_templates(literal, value):
+    assert get_attribute(parse(f"v = {literal}\n"), "v") == value
+
+
+def test_label_and_map_key_escapes_are_decoded():
+    cf = parse('b "x\\ty" {\n  m = { "k\\"q" = 1 }\n}\n')
+    assert cf.body[0].labels == ["x\ty"]
+    assert get_attribute(cf.body[0], "m") == MapValue((('k"q', NumberLit(1)),))

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
+
 from tfsustain.detectors import DetectorConfig, detect_all, unit_for
 from tfsustain.hcl import SourceSpan, tokenize
 from tfsustain.detectors.pattern_engine import (
@@ -170,6 +172,21 @@ def test_pattern_engine_contained_in_ast_engine_on_fixtures():
     }
     assert pattern_found <= ast_found
     assert pattern_found  # not vacuous
+
+
+@pytest.mark.parametrize("rel", ["samples", "samples_extended"])
+@pytest.mark.parametrize("smell", ["SS1", "SS2", "SS4"])
+def test_engines_give_equal_attribute_spans_on_samples(rel, smell):
+    """An attribute's span ends at its value, as the pattern match does,
+    so a trailing comment is outside it in both engines."""
+    path = f"{rel}/{smell.lower()}.tf"
+    unit = unit_for(path, (FIXTURES / path).read_text())
+    spans = {
+        engine: [f.span for f in detect_all({rel: [unit]}, CFG, engine) if f.smell.name == smell]
+        for engine in ("ast", "pattern")
+    }
+    assert len(spans["ast"]) == 1
+    assert spans["ast"] == spans["pattern"]
 
 
 def test_pattern_engine_works_on_unparseable_text():
