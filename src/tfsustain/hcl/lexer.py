@@ -15,6 +15,7 @@ no :class:`SourceSpan`.
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -57,7 +58,8 @@ class SourceSpan:
 class SourceText:
     """One file's path and text, with the offset of each line's first character.
 
-    Lines end only at ``"\\n"``, as in :func:`span_text`.
+    Lines end only at ``"\\n"``; ``str.splitlines`` would also break at
+    ``"\\r"``, ``"\\x0b"``, ``"\\x85"``, ``"\\u2028"`` and others.
     """
 
     __slots__ = ("path", "text", "line_starts")
@@ -71,6 +73,10 @@ class SourceText:
         """1-based line and column of ``offset``."""
         line = bisect_right(self.line_starts, offset)
         return line, offset - self.line_starts[line - 1] + 1
+
+    def offset(self, line: int, col: int) -> int:
+        """Offset of 1-based ``line`` and ``col``; the inverse of :meth:`position`."""
+        return self.line_starts[line - 1] + col - 1
 
     def span(self, start: int, end: int) -> SourceSpan:
         return SourceSpan(self.path, *self.position(start), *self.position(end))
@@ -150,8 +156,14 @@ _KINDS = {
     **TokenKind.__members__,
 }
 
-# What can end a string or change its template depth; an escape skips a char.
-_STRING_STOP_RE = re.compile(r'\\.|[$%]\{|\}|"|\n', re.DOTALL)
+# Where a template scan stops, by the innermost open frame. In a quoted
+# template ('"'): an escape, an escaped marker ($${ or %%{), an interpolation
+# or directive opener, the closing quote, a newline. In an interpolation's
+# expression ("{"): a brace, or the quote that opens a nested template.
+_TEMPLATE_STOPS = {
+    '"': re.compile(r'\\.|([$%])\1\{|[$%]\{|"|\n', re.DOTALL),
+    "{": re.compile(r'[{}"]'),
+}
 
 
 def tokenize(text: str, file_id: str = "<input>") -> list[Token]:
@@ -167,7 +179,7 @@ def tokenize(text: str, file_id: str = "<input>") -> list[Token]:
         if group == "UNCLOSED_COMMENT":
             error = "unterminated block comment"
         elif group == "STRING":
-            end, error = _string_end(text, start)
+            end, error, _ = scan_template(text, start)
         elif group == "HEREDOC":
             tag = m.group("tag")
             if tag:
@@ -186,26 +198,48 @@ def detokenize(tokens: list[Token]) -> str:
     return "".join(t.leading + t.text for t in tokens)
 
 
-def _string_end(text: str, start: int) -> tuple[int, str | None]:
-    """End offset and error of the quoted string opening at ``start``.
+def scan_template(
+    text: str, start: int
+) -> tuple[int, str | None, list[tuple[int, int]]]:
+    """End, error and interpolations of the quoted template opening at ``start``.
 
-    Template interpolation stays inside: ``${`` / ``%{`` ... ``}`` sequences
-    may nest and may contain quoted strings and newlines of their own, so the
-    terminating quote (or the newline that leaves the string unterminated) is
-    only recognized at nesting depth zero.
+    This is HCL's quoted-template grammar: ``\\`` escapes one character,
+    ``$${`` and ``%%{`` are a literal ``${`` and ``%{``, and ``${`` or ``%{``
+    opens an interpolation or directive that runs to its matching ``}``. An
+    interpolation may hold braces, newlines and quoted templates of its own; a
+    newline outside every interpolation leaves the template unterminated.
+
+    Each interpolation outside any other is reported as ``(open, close)``: the
+    offset of its ``$`` or ``%`` and of its closing ``}``, or the end of the
+    text when it never closes. Nesting is kept on a list, not on the call
+    stack, so no input is too deep.
     """
-    depth = 0
-    for m in _STRING_STOP_RE.finditer(text, start + 1):
-        stop = m.group()
-        if stop in ("${", "%{"):
-            depth += 1
-        elif stop == "}" and depth > 0:
-            depth -= 1
-        elif stop == '"' and depth == 0:
-            return m.end(), None
-        elif stop == "\n" and depth == 0:
-            return m.start(), "unterminated string"
-    return len(text), "unterminated string"
+    interpolations = []
+    opened = start
+    stack = ['"']  # open frames: '"' a quoted template, "{" an expression brace
+    pos = start + 1
+    while m := _TEMPLATE_STOPS[stack[-1]].search(text, pos):
+        stop, pos = m.group(), m.end()
+        if stop == '"':
+            if stack[-1] == "{":
+                stack.append('"')
+            elif len(stack) == 1:
+                return pos, None, interpolations
+            else:
+                stack.pop()
+        elif stop == "}":
+            stack.pop()
+            if len(stack) == 1:
+                interpolations.append((opened, m.start()))
+        elif stop in ("${", "%{", "{"):
+            if len(stack) == 1:
+                opened = m.start()
+            stack.append("{")
+        elif stop == "\n" and len(stack) == 1:
+            return m.start(), "unterminated string", interpolations
+    if len(stack) > 1:
+        interpolations.append((opened, len(text)))
+    return len(text), "unterminated string", interpolations
 
 
 def _heredoc_end(text: str, pos: int, tag: str) -> tuple[int, str | None]:
@@ -227,14 +261,12 @@ def _heredoc_end(text: str, pos: int, tag: str) -> tuple[int, str | None]:
 
 def span_text(text: str, span: SourceSpan) -> str:
     """Extract the characters a span covers from the original file text."""
-    # Lines end only at "\n", as in the lexer; str.splitlines would also
-    # break at "\r", "\x0b", "\x85", "\u2028" and others.
-    lines = re.split(r"(?<=\n)", text)
-    if span.start_line == span.end_line:
-        line = lines[span.start_line - 1] if span.start_line <= len(lines) else ""
-        return line[span.start_col - 1 : span.end_col - 1]
-    parts = [lines[span.start_line - 1][span.start_col - 1 :]]
-    parts.extend(lines[span.start_line : span.end_line - 1])
-    if span.end_line <= len(lines):
-        parts.append(lines[span.end_line - 1][: span.end_col - 1])
-    return "".join(parts)
+    source = _line_index(text)
+    start = source.offset(span.start_line, span.start_col)
+    return text[start : source.offset(span.end_line, span.end_col)]
+
+
+@functools.lru_cache(maxsize=16)
+def _line_index(text: str) -> SourceText:
+    """One line index per text, reused by repeated :func:`span_text` calls."""
+    return SourceText("", text)

@@ -7,7 +7,9 @@ is preserved as an ``Opaque`` value with its verbatim source text.
 
 Parsing never raises. Malformed input is skipped at roughly top-level-block
 granularity, each skip recorded as a diagnostic, so a corpus scan can chew
-through arbitrarily broken files.
+through arbitrarily broken files. Blocks, lists and maps nest at most
+``_MAX_DEPTH`` deep: a deeper list or map is kept as ``Opaque`` text and a
+deeper block is a parse error, so no input exhausts the call stack.
 """
 
 from __future__ import annotations
@@ -29,20 +31,29 @@ from .ast import (
     StringLit,
     TemplateString,
 )
-from .lexer import Token, TokenKind, tokenize
+from .lexer import Token, TokenKind, scan_template, tokenize
 
 # Expected label counts, enforced as warnings only.
 _LABEL_COUNTS = {"resource": 2, "terraform": 0, "backend": 1}
+
+_MAX_DEPTH = 64
+
+# Token texts that end an expression, per context; "" is EOF. Punctuation is
+# told by its text alone: no other token kind has these texts.
+_ATTR_ENDS = frozenset({"\n", "\r\n", "", "}"})
+_LIST_ENDS = frozenset({"\n", "\r\n", "", ",", "]"})
+_MAP_ENDS = frozenset({"\n", "\r\n", "", ",", "}"})
+_OPENERS = frozenset("([{")
+_CLOSERS = frozenset(")]}")
 
 _REFERENCE_RE = re.compile(
     r"[A-Za-z_][A-Za-z0-9_-]*(?:\.(?:[A-Za-z_][A-Za-z0-9_-]*|\d+|\*))*\Z"
 )
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
-_ESCAPE_RE = re.compile(r"\\.", re.DOTALL)
-# Where a quoted string's literal text stops: an escape, an escaped template
-# marker ($${ or %%{), or the start of an interpolation or directive.
-_TEMPLATE_STOP_RE = re.compile(r"\\.|([$%])\1\{|[$%]\{", re.DOTALL)
+# What a quoted string's literal text escapes: a backslash escape, or a
+# template marker written as $${ or %%{.
+_ESCAPE_RE = re.compile(r"\\.|([$%])\1\{", re.DOTALL)
 
 
 def parse(text: str, path: str = "<input>") -> ConfigFile:
@@ -62,8 +73,6 @@ def parse(text: str, path: str = "<input>") -> ConfigFile:
     )
     for tok in errors:
         cf.diagnostics.append(Diagnostic(tok.error, tok.span, "error"))
-    _check_label_counts(cf.body, cf.diagnostics)
-    _check_duplicate_attributes(cf.body, cf.diagnostics)
     return cf
 
 
@@ -148,14 +157,18 @@ class _Parser:
         while True:
             tok = self._skip_newlines()
             if tok.kind is TokenKind.EOF:
+                self._check_body(body)
                 return body
             if tok.kind is TokenKind.BLOCK_CLOSE:
                 self.diagnostics.append(Diagnostic("unexpected '}'", tok.span, "error"))
                 self._advance()
                 continue
+            before = len(self.diagnostics)
             try:
-                body.append(self._parse_item())
+                body.append(self._parse_item(0))
             except _ParseError as err:
+                # The item is dropped, and with it the warnings on its bodies.
+                del self.diagnostics[before:]
                 self.diagnostics.append(err.diagnostic())
                 self._sync()
 
@@ -177,7 +190,7 @@ class _Parser:
 
     # -- items -------------------------------------------------------------
 
-    def _parse_item(self) -> Block | Attribute:
+    def _parse_item(self, depth: int) -> Block | Attribute:
         head = self._cur()
         if head.kind is not TokenKind.IDENTIFIER:
             raise _ParseError(
@@ -189,7 +202,7 @@ class _Parser:
 
         if nxt.kind is TokenKind.ASSIGN:
             self._advance()
-            value = self._parse_expression("attr")
+            value = self._parse_expression(_ATTR_ENDS, depth)
             end = self.toks[self.i - 1].end
             return Attribute(head.text, value, head.source.span(head.start, end))
 
@@ -210,8 +223,10 @@ class _Parser:
                     f"expected '{{' to open {head.text!r} block, found {tok.text!r}",
                     tok,
                 )
+            if depth == _MAX_DEPTH:
+                raise _ParseError(f"blocks nested deeper than {_MAX_DEPTH}", tok)
             self._advance()
-            body = self._parse_block_body(head)
+            body = self._parse_block_body(head, depth + 1)
             end = self.toks[self.i - 1].end
             return Block(head.text, labels, body, head.source.span(head.start, end))
 
@@ -220,13 +235,13 @@ class _Parser:
             nxt,
         )
 
-    def _parse_block_body(self, head: Token) -> list[Block | Attribute]:
+    def _parse_block_body(self, head: Token, depth: int) -> list[Block | Attribute]:
         body: list[Block | Attribute] = []
         while True:
             tok = self._skip_newlines()
             if tok.kind is TokenKind.BLOCK_CLOSE:
                 self._advance()
-                return body
+                break
             if tok.kind is TokenKind.EOF:
                 self.diagnostics.append(
                     Diagnostic(
@@ -235,74 +250,94 @@ class _Parser:
                         "error",
                     )
                 )
-                return body
-            body.append(self._parse_item())
+                break
+            body.append(self._parse_item(depth))
+        self._check_body(body)
+        return body
+
+    def _check_body(self, body: list[Block | Attribute]) -> None:
+        """Warn on label counts and duplicate attributes of a finished body."""
+        seen: set[str] = set()
+        for item in body:
+            if isinstance(item, Block):
+                expected = _LABEL_COUNTS.get(item.block_type)
+                if expected is None or len(item.labels) == expected:
+                    continue
+                message = (
+                    f"{item.block_type!r} block has {len(item.labels)} label(s), "
+                    f"expected {expected}"
+                )
+            elif item.name in seen:
+                message = f"duplicate attribute {item.name!r} (last value wins)"
+            else:
+                seen.add(item.name)
+                continue
+            self.diagnostics.append(Diagnostic(message, item.span, "warning"))
 
     # -- expressions ---------------------------------------------------
 
-    def _parse_expression(self, ctx: str) -> ExpressionValue:
+    def _parse_expression(self, ends: frozenset[str], depth: int) -> ExpressionValue:
         start = self.i
         try:
-            value = self._parse_candidate(ctx)
-            if _ends_expression(self._cur(), ctx):
+            value = self._parse_candidate(depth)
+            if self._cur().text in ends:
                 return value
         except _ParseError:
             pass
         self.i = start
-        return self._opaque_capture(ctx)
+        return self._opaque_capture(ends)
 
-    def _parse_candidate(self, ctx: str) -> ExpressionValue:
+    def _parse_candidate(self, depth: int) -> ExpressionValue:
         tok = self._cur()
-        kind = tok.kind
+        kind, text = tok.kind, tok.text
         if kind is TokenKind.STRING:
             self._advance()
             return _string_value(tok)
         if kind is TokenKind.NUMBER:
             self._advance()
-            return NumberLit(_number(tok.text))
+            return NumberLit(_number(text))
         if kind is TokenKind.BOOL:
             self._advance()
-            return BoolLit(tok.text == "true")
+            return BoolLit(text == "true")
         if kind is TokenKind.HEREDOC:
             self._advance()
             return StringLit(_heredoc_body(tok))
-        if kind is TokenKind.PUNCT and tok.text == "-":
-            nxt = self.toks[self.i + 1]
-            if nxt.kind is TokenKind.NUMBER:
-                self._advance()
-                self._advance()
-                value = _number(nxt.text)
-                return NumberLit(-value)
-            raise _ParseError("unsupported expression", tok)
-        if kind is TokenKind.PUNCT and tok.text == "[":
-            return self._parse_list()
-        if kind is TokenKind.BLOCK_OPEN:
-            return self._parse_map()
         if kind is TokenKind.IDENTIFIER:
             return self._parse_reference()
-        raise _ParseError(f"expected value, found {tok.text!r}", tok)
+        if text == "-":
+            nxt = self.toks[self.i + 1]
+            if nxt.kind is TokenKind.NUMBER:
+                self.i += 2
+                return NumberLit(-_number(nxt.text))
+            raise _ParseError("unsupported expression", tok)
+        if text in ("[", "{"):
+            if depth == _MAX_DEPTH:
+                raise _ParseError("nested too deep", tok)  # kept as Opaque
+            if text == "[":
+                return self._parse_list(depth + 1)
+            return self._parse_map(depth + 1)
+        raise _ParseError(f"expected value, found {text!r}", tok)
 
-    def _parse_list(self) -> ListValue:
+    def _parse_list(self, depth: int) -> ListValue:
         self._advance()  # [
         items: list[ExpressionValue] = []
         while True:
             tok = self._skip_newlines()
-            if tok.kind is TokenKind.PUNCT and tok.text == "]":
+            if tok.text == "]":
                 self._advance()
                 return ListValue(tuple(items))
             if tok.kind is TokenKind.EOF:
                 raise _ParseError("unterminated list", tok)
-            items.append(self._parse_expression("list"))
-            tok = self._skip_newlines()
-            if tok.kind is TokenKind.PUNCT and tok.text == ",":
+            items.append(self._parse_expression(_LIST_ENDS, depth))
+            if self._skip_newlines().text == ",":
                 self._advance()
 
-    def _parse_map(self) -> MapValue:
+    def _parse_map(self, depth: int) -> MapValue:
         self._advance()  # {
         entries: list[tuple[str, ExpressionValue]] = []
         while True:
             tok = self._skip_newlines()
-            if tok.kind is TokenKind.BLOCK_CLOSE:
+            if tok.text == "}":
                 self._advance()
                 return MapValue(tuple(entries))
             if tok.kind is TokenKind.EOF:
@@ -315,53 +350,39 @@ class _Parser:
                 raise _ParseError(f"expected map key, found {tok.text!r}", tok)
             self._advance()
             sep = self._cur()
-            if sep.kind is TokenKind.ASSIGN or (
-                sep.kind is TokenKind.PUNCT and sep.text == ":"
-            ):
-                self._advance()
-            else:
+            if sep.text not in ("=", ":"):
                 raise _ParseError(
                     f"expected '=' or ':' after map key, found {sep.text!r}", sep
                 )
-            entries.append((key, self._parse_expression("map")))
-            tok = self._skip_newlines()
-            if tok.kind is TokenKind.PUNCT and tok.text == ",":
+            self._advance()
+            entries.append((key, self._parse_expression(_MAP_ENDS, depth)))
+            if self._skip_newlines().text == ",":
                 self._advance()
 
     def _parse_reference(self) -> ExpressionValue:
         segments = [self._advance().text]
-        while True:
-            tok = self._cur()
-            if tok.kind is TokenKind.PUNCT and tok.text == ".":
-                nxt = self.toks[self.i + 1]
-                if nxt.kind in (TokenKind.IDENTIFIER, TokenKind.NUMBER, TokenKind.BOOL) or (
-                    nxt.kind is TokenKind.PUNCT and nxt.text == "*"
-                ):
-                    self._advance()
-                    self._advance()
-                    segments.append(nxt.text)
-                    continue
-            break
+        while self._cur().text == ".":
+            nxt = self.toks[self.i + 1]
+            segment = nxt.kind in (TokenKind.IDENTIFIER, TokenKind.NUMBER, TokenKind.BOOL)
+            if not segment and nxt.text != "*":
+                break
+            self.i += 2
+            segments.append(nxt.text)
         if segments == ["null"]:
             return Opaque("null")
         return Reference(tuple(segments))
 
-    def _opaque_capture(self, ctx: str) -> Opaque:
+    def _opaque_capture(self, ends: frozenset[str]) -> Opaque:
         """Consume one expression verbatim, balancing brackets."""
         start = self.i
         depth = 0
         while True:
             tok = self._cur()
-            kind = tok.kind
-            if kind is TokenKind.EOF or (depth == 0 and _ends_expression(tok, ctx)):
+            if tok.kind is TokenKind.EOF or (depth == 0 and tok.text in ends):
                 break
-            if kind is TokenKind.BLOCK_OPEN or (
-                kind is TokenKind.PUNCT and tok.text in ("(", "[")
-            ):
+            if tok.text in _OPENERS:
                 depth += 1
-            elif kind is TokenKind.BLOCK_CLOSE or (
-                kind is TokenKind.PUNCT and tok.text in (")", "]")
-            ):
+            elif tok.text in _CLOSERS:
                 depth -= 1
                 if depth < 0:
                     break
@@ -370,21 +391,6 @@ class _Parser:
             raise _ParseError("expected value", self._cur())
         first, last = self.toks[start], self.toks[self.i - 1]
         return Opaque(first.source.text[first.start : last.end])
-
-
-def _ends_expression(tok: Token, ctx: str) -> bool:
-    """Whether ``tok`` ends an expression in an attr, list or map context."""
-    if tok.kind in (TokenKind.NEWLINE, TokenKind.EOF):
-        return True
-    if ctx == "attr":
-        return tok.kind is TokenKind.BLOCK_CLOSE
-    if ctx == "list":
-        return tok.kind is TokenKind.PUNCT and tok.text in (",", "]")
-    if ctx == "map":
-        return tok.kind is TokenKind.BLOCK_CLOSE or (
-            tok.kind is TokenKind.PUNCT and tok.text == ","
-        )
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -398,80 +404,45 @@ def _number(text: str) -> int | float:
     return int(text)
 
 
-def _unquote(tok: Token) -> str:
-    """String token text without its quotes; an unterminated one has no closer."""
-    text = tok.text
-    if text.startswith('"'):
-        text = text[1:]
-    if tok.error is None and text.endswith('"'):
-        text = text[:-1]
-    return text
-
-
 def _string_inner(tok: Token) -> str:
-    """Raw content between the quotes, escapes decoded, no template parsing."""
-    return _ESCAPE_RE.sub(_unescape, _unquote(tok))
+    """Literal content between the quotes, escapes decoded, no template parsing."""
+    return _decode(tok.text[1 : len(tok.text) - (tok.error is None)])
+
+
+def _decode(literal: str) -> str:
+    if "\\" not in literal and "{" not in literal:
+        return literal  # nothing to decode, and re.sub would still cost
+    return _ESCAPE_RE.sub(_unescape, literal)
 
 
 def _unescape(m: re.Match) -> str:
-    """What a matched backslash escape stands for; an unknown one stays as written."""
-    return _ESCAPES.get(m.group()[1], m.group())
+    """What an escape stands for; an unknown backslash escape stays as written."""
+    text = m.group()
+    return text[1:] if m.group(1) else _ESCAPES.get(text[1], text)
 
 
 def _string_value(tok: Token) -> ExpressionValue:
     """Classify a quoted string as plain literal or template."""
-    text = _unquote(tok)
+    text = tok.text
+    # Without a "{" there is no interpolation to find.
+    interpolations = scan_template(text, 0)[2] if "{" in text else ()
     parts: list[str | Reference | Opaque] = []
-    literal = ""
-    pos = 0
-    while m := _TEMPLATE_STOP_RE.search(text, pos):
-        literal += text[pos : m.start()]
-        pos = m.end()
-        stop = m.group()
-        if stop[0] == "\\":
-            literal += _unescape(m)
-        elif len(stop) == 3:
-            literal += stop[1:]  # $${ / %%{ escape a template marker
+    pos = 1  # after the opening quote
+    for opened, closed in interpolations:
+        if opened > pos:
+            parts.append(_decode(text[pos:opened]))
+        content = text[opened + 2 : closed].strip()
+        if text[opened] == "$" and _REFERENCE_RE.match(content):
+            parts.append(Reference(tuple(content.split("."))))
         else:
-            end = _matching_brace(text, m.start() + 1)
-            content = text[pos:end].strip()
-            if literal:
-                parts.append(literal)
-                literal = ""
-            if stop[0] == "$" and _REFERENCE_RE.match(content):
-                parts.append(Reference(tuple(content.split("."))))
-            else:
-                parts.append(Opaque(content))
-            pos = end + 1
-    literal += text[pos:]
+            parts.append(Opaque(content))
+        pos = closed + 1
+    literal = _decode(text[pos : len(text) - (tok.error is None)])
     if not parts:
         return StringLit(literal)
     if literal:
         parts.append(literal)
     return TemplateString(tuple(parts))
-
-
-def _matching_brace(text: str, open_idx: int) -> int:
-    """Index of the brace closing ``text[open_idx] == '{'``, quote-aware."""
-    depth = 0
-    in_string = False
-    i = open_idx
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\":
-            i += 2
-            continue
-        if ch == '"':
-            in_string = not in_string
-        elif not in_string:
-            if ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    return i
-        i += 1
-    return len(text)
 
 
 def _heredoc_body(tok: Token) -> str:
@@ -497,42 +468,3 @@ def _dedent_heredoc(body: str) -> str:
         return body
     cut = min(indents)
     return "\n".join(line[cut:] if line.strip() else line for line in lines)
-
-
-# ---------------------------------------------------------------------------
-# Post-parse checks
-# ---------------------------------------------------------------------------
-
-
-def _check_label_counts(body: list, diagnostics: list[Diagnostic]) -> None:
-    for item in body:
-        if not isinstance(item, Block):
-            continue
-        expected = _LABEL_COUNTS.get(item.block_type)
-        if expected is not None and len(item.labels) != expected:
-            diagnostics.append(
-                Diagnostic(
-                    f"{item.block_type!r} block has {len(item.labels)} label(s), "
-                    f"expected {expected}",
-                    item.span,
-                    "warning",
-                )
-            )
-        _check_label_counts(item.body, diagnostics)
-
-
-def _check_duplicate_attributes(body: list, diagnostics: list[Diagnostic]) -> None:
-    seen: dict[str, Attribute] = {}
-    for item in body:
-        if isinstance(item, Attribute):
-            if item.name in seen:
-                diagnostics.append(
-                    Diagnostic(
-                        f"duplicate attribute {item.name!r} (last value wins)",
-                        item.span,
-                        "warning",
-                    )
-                )
-            seen[item.name] = item
-        elif isinstance(item, Block):
-            _check_duplicate_attributes(item.body, diagnostics)

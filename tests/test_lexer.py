@@ -245,9 +245,7 @@ _PINNED = [
     pytest.param(
         '"${ "}" }"',
         [
-            ("STRING", '"${ "}"', (1, 1, 1, 8), "", None),
-            ("BLOCK_CLOSE", "}", (1, 9, 1, 10), " ", None),
-            ("STRING", '"', (1, 10, 1, 11), "", "unterminated string"),
+            ("STRING", '"${ "}" }"', (1, 1, 1, 11), "", None),
             ("EOF", "", (1, 11, 1, 11), "", None),
         ],
         id="quote-inside-template",

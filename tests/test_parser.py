@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfsustain.hcl import (
     Attribute,
@@ -21,6 +23,7 @@ from tfsustain.hcl import (
     nodes_equal,
     parse,
     span_text,
+    tokenize,
 )
 
 from conftest import FIXTURES, fixture_corpus_files
@@ -313,3 +316,165 @@ def test_label_and_map_key_escapes_are_decoded():
     cf = parse('b "x\\ty" {\n  m = { "k\\"q" = 1 }\n}\n')
     assert cf.body[0].labels == ["x\ty"]
     assert get_attribute(cf.body[0], "m") == MapValue((('k"q', NumberLit(1)),))
+
+
+# Quoted templates follow HCL's template grammar: "$${" is a literal "${",
+# and an interpolation may hold braces, newlines and quoted strings.
+@pytest.mark.parametrize(
+    "text, body",
+    [
+        pytest.param(
+            'x = "$${"\ny = 1\n',
+            [
+                Attribute("x", StringLit("${"), _span(1, 1, 1, 10)),
+                Attribute("y", NumberLit(1), _span(2, 1, 2, 6)),
+            ],
+            id="escaped-marker-then-quote",
+        ),
+        pytest.param(
+            'v = "${"}"}x"\n',
+            [Attribute("v", TemplateString((Opaque('"}"'), "x")), _span(1, 1, 1, 14))],
+            id="quote-inside-interpolation",
+        ),
+        pytest.param(
+            'v = "${ {a=1}.a }"\n',
+            [Attribute("v", TemplateString((Opaque("{a=1}.a"),)), _span(1, 1, 1, 19))],
+            id="braces-inside-interpolation",
+        ),
+        pytest.param(
+            'v = "${ {a=1}\n.a }"\n',
+            [Attribute("v", TemplateString((Opaque("{a=1}\n.a"),)), _span(1, 1, 2, 6))],
+            id="newline-after-braces-inside-interpolation",
+        ),
+        pytest.param(
+            'b "a$${x}" {\n  m = { "%%{k}" = 1 }\n}\n',
+            [
+                Block(
+                    "b",
+                    ["a${x}"],
+                    [Attribute("m", MapValue((("%{k}", NumberLit(1)),)), _span(2, 3, 2, 22))],
+                    _span(1, 1, 3, 2),
+                )
+            ],
+            id="escaped-markers-in-label-and-key",
+        ),
+    ],
+)
+def test_template_grammar(text, body):
+    cf = parse(text)
+    assert cf.body == body
+    assert cf.diagnostics == []
+
+
+# A literal piece of a quoted template as written, and what it decodes to.
+_LITERAL_PIECES = {
+    "a": "a",
+    " ": " ",
+    "}": "}",
+    "$x": "$x",
+    "%x": "%x",
+    "\\n": "\n",
+    '\\"': '"',
+    "\\\\": "\\",
+    "\\q": "\\q",
+    "$${": "${",
+    "%%{": "%{",
+}
+
+
+def _template_source(pieces: list) -> str:
+    return '"' + "".join(
+        p if isinstance(p, str) else f"{p[0]}{{{p[1]}}}" for p in pieces
+    ) + '"'
+
+
+def _templates(expressions):
+    """Valid quoted templates, as lists of literal pieces and (marker, expression)."""
+    return st.lists(
+        st.one_of(
+            st.sampled_from(sorted(_LITERAL_PIECES)),
+            st.tuples(st.sampled_from("$%"), expressions),
+        ),
+        max_size=6,
+    )
+
+
+_EXPRESSIONS = st.recursive(
+    st.sampled_from(["a", "a.b", " x ", "1", "f(x)", "\n", "[1, 2]"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map("".join),
+        inner.map(lambda e: "{" + e + "}"),
+        _templates(inner).map(_template_source),
+    ),
+    max_leaves=8,
+)
+
+
+@given(_templates(_EXPRESSIONS))
+@settings(max_examples=300, deadline=None)
+def test_valid_templates_lex_whole_and_split_into_their_parts(pieces):
+    source = _template_source(pieces)
+    tokens = tokenize(source)
+    assert [(t.text, t.error) for t in tokens[:-1]] == [(source, None)]
+
+    expected: list = []
+    for piece in pieces:
+        if isinstance(piece, str):
+            if expected and isinstance(expected[-1], str):
+                expected[-1] += _LITERAL_PIECES[piece]
+            else:
+                expected.append(_LITERAL_PIECES[piece])
+        else:
+            expected.append(("interpolation", piece[1].strip()))
+
+    cf = parse(f"v = {source}\n")
+    assert cf.diagnostics == []
+    value = get_attribute(cf, "v")
+    if not any(isinstance(part, tuple) for part in expected):
+        assert value == StringLit("".join(expected))
+        return
+    got = []
+    for part in value.parts:
+        if isinstance(part, Reference):
+            got.append(("interpolation", ".".join(part.segments)))
+        elif isinstance(part, Opaque):
+            got.append(("interpolation", part.text))
+        else:
+            got.append(part)
+    assert got == expected
+
+
+def test_warnings_inside_a_dropped_block_are_not_reported():
+    cf = parse('outer {\n  inner {\n    x = 1\n    x = 2\n  }\n  @\n}\nresource "a" {\n}\n')
+    assert [(d.message, d.severity) for d in cf.diagnostics] == [
+        ("expected block or attribute, found punctuation '@'", "error"),
+        ("unexpected '}'", "error"),
+        ("'resource' block has 1 label(s), expected 2", "warning"),
+    ]
+
+
+_DEEP = 20_000
+
+
+@pytest.mark.parametrize("opener, closer", [("[", "]"), ("{ a = ", " }")], ids=["list", "map"])
+def test_deep_expression_is_opaque_below_the_depth_limit(opener, closer):
+    cf = parse("x = " + opener * _DEEP + "1" + closer * _DEEP + "\n")
+    assert cf.diagnostics == []
+    value = get_attribute(cf, "x")
+    for _ in range(64):
+        assert isinstance(value, (ListValue, MapValue))
+        value = value.items[0] if isinstance(value, ListValue) else value.entries[0][1]
+    rest = _DEEP - 64
+    assert value == Opaque((opener * rest + "1" + closer * rest).strip())
+
+
+def test_deep_blocks_are_a_parse_error():
+    cf = parse("b {\n" * _DEEP + "}\n" * _DEEP)
+    assert cf.body == []
+    assert cf.diagnostics[0].message == "blocks nested deeper than 64"
+
+
+def test_deep_nested_templates_are_one_unterminated_string():
+    cf = parse('x = ' + '"${' * _DEEP + "\n")
+    assert [d.message for d in cf.diagnostics] == ["unterminated string"]
+    assert isinstance(get_attribute(cf, "x"), TemplateString)

@@ -212,3 +212,28 @@ def test_pattern_engine_scan_works_on_fixture_corpus():
     report = scan(FIXTURES / "samples_extended", engine="pattern")
     assert {f.smell.name for f in report.findings} == {"SS1", "SS2", "SS4", "SS7"}
     assert all(f.engine == "pattern" for f in report.findings)
+
+
+_DEEP = 20_000
+_DEEP_FILES = {
+    "list": ("x = " + "[" * _DEEP + "]" * _DEEP + "\n", 0),
+    "map": ("x = " + "{ a = " * _DEEP + "1" + " }" * _DEEP + "\n", 0),
+    "block": ("b {\n" * _DEEP + "}\n" * _DEEP, 1),
+    "template": ('x = ' + '"${' * _DEEP + "\n", 1),
+}
+
+
+@pytest.mark.parametrize("engine", ["ast", "pattern"])
+@pytest.mark.parametrize("name", sorted(_DEEP_FILES))
+def test_deeply_nested_file_does_not_stop_the_scan(tmp_path, name, engine):
+    text, ast_failures = _DEEP_FILES[name]
+    (tmp_path / "deep").mkdir()
+    (tmp_path / "deep" / "main.tf").write_text(text)
+    (tmp_path / "ok").mkdir()
+    (tmp_path / "ok" / "main.tf").write_text(
+        'resource "aws_instance" "a" {\n  instance_type = "m5.24xlarge"\n}\n'
+    )
+    report = scan(tmp_path, engine=engine)
+    assert report.scanned_files == 2
+    assert report.parse_failures == (ast_failures if engine == "ast" else 0)
+    assert ("ok/main.tf", SmellId.SS1) in {(f.path, f.smell) for f in report.findings}
