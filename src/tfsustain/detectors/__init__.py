@@ -37,9 +37,10 @@ def detect_all(
 ) -> list[SmellFinding]:
     """Run all seven detectors over directory-grouped files.
 
-    Findings come back sorted by (path, position, smell). The remote-state
-    detector runs once per directory; everything else is per-file. The AST
-    engine adds each file whose parse reports an error to ``failed``.
+    Findings come back sorted by (path, position, smell), whatever the order
+    of directories and units. The remote-state detector runs once per
+    directory; everything else is per-file. The AST engine adds each file
+    whose parse reports an error to ``failed``.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; pick one of {ENGINES}")
@@ -49,8 +50,7 @@ def detect_all(
     if failed is None:
         failed = set()
     findings: list[SmellFinding] = []
-    for dirname in sorted(units_by_dir):
-        units = sorted(units_by_dir[dirname], key=lambda u: u.path)
+    for units in units_by_dir.values():
         findings.extend(module.detect_directory(units, cfg, failed))
     findings.sort(key=lambda f: f.sort_key())
     return findings

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .. import hcl
 from ..catalog import SmellId
@@ -24,6 +24,7 @@ from ..hcl import (
     MapValue,
     NumberLit,
     Reference,
+    SourceSpan,
     StringLit,
     TemplateString,
     find_blocks,
@@ -31,7 +32,7 @@ from ..hcl import (
     get_attribute_node,
 )
 from .config import LOG_GROUP_TYPES, REGION_ATTR_ORDER, SIZE_ATTRS, DetectorConfig
-from .findings import SmellFinding
+from .findings import SmellFinding, local_state_findings
 
 if TYPE_CHECKING:
     from . import ScanUnit
@@ -61,9 +62,19 @@ class FileView:
     resources: list[Block]
     autoscaled: bool
 
+    @property
+    def path(self) -> str:
+        return self.file.path
 
-def prepare(unit: ScanUnit, cfg: DetectorConfig) -> FileView:
-    file = hcl.parse(unit.text, unit.path)
+    def file_span(self) -> SourceSpan:
+        return self.file.span
+
+    def span_of(self, node: Block) -> SourceSpan:
+        return node.span
+
+
+def prepare(path: str, text: str, cfg: DetectorConfig) -> FileView:
+    file = hcl.parse(text, path)
     resources = resource_blocks(file)
     autoscaled = any(resource_type(b) in cfg.ss2_autoscaler_types for b in resources)
     return FileView(file, resources, autoscaled)
@@ -319,11 +330,9 @@ def detect_ss5_cross_region_transfer(
     return findings
 
 
-def _remote_backends(file: ConfigFile) -> list[Block]:
-    backends = []
-    for tf_block in find_blocks(file, "terraform"):
-        backends.extend(find_blocks(tf_block, "backend"))
-    return backends
+def _backends(view: FileView) -> Iterator[Block]:
+    for tf_block in find_blocks(view.file, "terraform"):
+        yield from find_blocks(tf_block, "backend")
 
 
 def detect_ss6_local_state(
@@ -331,60 +340,20 @@ def detect_ss6_local_state(
 ) -> list[SmellFinding]:
     """Missing remote state backend, evaluated over one directory.
 
-    Attribution: every file that declares a ``terraform`` block gets a
-    finding; if no file declares one, the lexicographically first file
-    carries a single whole-file finding.
+    An unlabelled ``backend`` block is neither remote nor local.
     """
-    ordered = sorted((v.file for v in views), key=lambda f: f.path)
-    backends_by_file = {f.path: _remote_backends(f) for f in ordered}
-    for backs in backends_by_file.values():
-        for back in backs:
-            if back.labels and back.labels[0] != "local":
-                return []
-
-    findings = []
-    with_terraform = [f for f in ordered if find_blocks(f, "terraform")]
-    if not with_terraform:
-        first = ordered[0]
-        return [
-            SmellFinding(
-                SmellId.SS6,
-                first.path,
-                first.span,
-                "unset",
-                "ast",
-                "no remote state backend is configured in this directory",
-            )
-        ]
-    for f in with_terraform:
-        local = next(
-            (b for b in backends_by_file[f.path] if b.labels and b.labels[0] == "local"),
-            None,
-        )
-        if local is not None:
-            findings.append(
-                SmellFinding(
-                    SmellId.SS6,
-                    f.path,
-                    local.span,
-                    "local",
-                    "ast",
-                    'state is kept in an explicit "local" backend',
-                )
-            )
-        else:
-            tf_block = find_blocks(f, "terraform")[0]
-            findings.append(
-                SmellFinding(
-                    SmellId.SS6,
-                    f.path,
-                    tf_block.span,
-                    "unset",
-                    "ast",
-                    "terraform block configures no remote state backend",
-                )
-            )
-    return findings
+    return local_state_findings(
+        views,
+        "ast",
+        lambda v: (b.labels[0] for b in _backends(v) if b.labels),
+        lambda v: next((b for b in _backends(v) if b.labels[:1] == ["local"]), None),
+        lambda v: next(iter(find_blocks(v.file, "terraform")), None),
+        (
+            "no remote state backend is configured in this directory",
+            'state is kept in an explicit "local" backend',
+            "terraform block configures no remote state backend",
+        ),
+    )
 
 
 def detect_ss7_monolithic(view: FileView, cfg: DetectorConfig) -> list[SmellFinding]:
@@ -419,7 +388,7 @@ def detect_directory(
     units: Sequence[ScanUnit], cfg: DetectorConfig, failed: set[str]
 ) -> list[SmellFinding]:
     """All seven smells over a directory's files, each parsed once; errors go into ``failed``."""
-    views = [prepare(u, cfg) for u in units if u.text is not None]
+    views = [prepare(u.path, u.text, cfg) for u in units if u.text is not None]
     failed.update(
         v.file.path for v in views if any(d.severity == "error" for d in v.file.diagnostics)
     )

@@ -1,8 +1,9 @@
-"""Finding record shared by both detection engines."""
+"""Finding record and the directory-scoped SS6 rule shared by both engines."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from ..catalog import SmellId
 from ..hcl import SourceSpan
@@ -46,3 +47,54 @@ class SmellFinding:
             "engine": self.engine,
             "message": self.message,
         }
+
+
+V = TypeVar("V")
+L = TypeVar("L")
+
+
+def local_state_findings(
+    views: Sequence[V],
+    engine: str,
+    backend_labels: Callable[[V], Iterable[str]],
+    first_local: Callable[[V], L | None],
+    first_terraform: Callable[[V], L | None],
+    messages: tuple[str, str, str],
+) -> list[SmellFinding]:
+    """SS6 over one non-empty directory of file views, one root module.
+
+    A backend label other than ``"local"`` in any file clears the directory.
+    Otherwise every file with a ``terraform`` block gets one finding, at its
+    first ``"local"`` backend, else at that block; if no file has one, the
+    first file by path gets a single whole-file finding. ``messages`` are the
+    texts for those three cases: no terraform block, local, no backend.
+
+    A view has ``path``, ``file_span()`` and ``span_of(location)`` for the
+    locations the two ``first_*`` callables return; spans are built only for
+    reported findings.
+    """
+    ordered = sorted(views, key=lambda v: v.path)
+    for view in ordered:
+        for label in backend_labels(view):
+            if label != "local":
+                return []
+    no_terraform, local_message, no_backend = messages
+    findings = []
+    for view in ordered:
+        terraform = first_terraform(view)
+        if terraform is None:
+            continue
+        local = first_local(view)
+        if local is None:
+            at, evidence, message = terraform, "unset", no_backend
+        else:
+            at, evidence, message = local, "local", local_message
+        findings.append(
+            SmellFinding(SmellId.SS6, view.path, view.span_of(at), evidence, engine, message)
+        )
+    if findings:
+        return findings
+    first = ordered[0]
+    return [
+        SmellFinding(SmellId.SS6, first.path, first.file_span(), "unset", engine, no_terraform)
+    ]

@@ -9,8 +9,9 @@ files the parser cannot make sense of) and its findings are labelled
 Comments are masked out before matching (replaced by spaces, offsets
 preserved) so commented-out code does not trigger findings. The region
 detector can optionally scan comment text too via
-``ss5_pattern_scan_comments``. Each file is masked and line-indexed once,
-into the :class:`TextView` that all seven detectors share.
+``ss5_pattern_scan_comments``. Each file is masked, line-indexed and
+searched for an autoscaler once, into the :class:`TextView` that all seven
+detectors share.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from ..catalog import SmellId
 from ..hcl import SourceSpan, SourceText
 from .ast_engine import normalize_region
 from .config import LOG_GROUP_TYPES, SIZE_ATTRS, DetectorConfig
-from .findings import SmellFinding
+from .findings import SmellFinding, local_state_findings
 
 if TYPE_CHECKING:
     from . import ScanUnit
@@ -64,6 +65,7 @@ class TextView:
 
     source: SourceText
     masked: str
+    autoscaled: bool
 
     @property
     def path(self) -> str:
@@ -76,12 +78,11 @@ class TextView:
     def span(self, start: int, end: int) -> SourceSpan:
         return self.source.span(start, end)
 
+    def span_of(self, m: re.Match) -> SourceSpan:
+        return self.span(m.start(), m.end())
+
     def file_span(self) -> SourceSpan:
         return self.source.span(0, len(self.source.text))
-
-
-def prepare(path: str, text: str) -> TextView:
-    return TextView(SourceText(path, text), mask_comments(text))
 
 
 @functools.cache
@@ -97,12 +98,14 @@ _RETENTION_RE = re.compile(r"\b(retention_in_days|retention_days)[ \t]*=[ \t]*(\
 _LOG_GROUP_RE = _names_re(_ANY_NAME, frozenset(LOG_GROUP_TYPES))
 
 
-def _has_autoscaler_text(masked: str, cfg: DetectorConfig) -> bool:
-    return _names_re(_ANY_NAME, cfg.ss2_autoscaler_types).search(masked) is not None
+def prepare(path: str, text: str, cfg: DetectorConfig) -> TextView:
+    masked = mask_comments(text)
+    autoscaled = _names_re(_ANY_NAME, cfg.ss2_autoscaler_types).search(masked) is not None
+    return TextView(SourceText(path, text), masked, autoscaled)
 
 
 def pattern_ss1(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
-    if _has_autoscaler_text(view.masked, cfg):
+    if view.autoscaled:
         return []
     findings = []
     for m in _SIZE_RE.finditer(view.masked):
@@ -113,7 +116,7 @@ def pattern_ss1(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
                 SmellFinding(
                     SmellId.SS1,
                     view.path,
-                    view.span(m.start(), m.end()),
+                    view.span_of(m),
                     literal,
                     "pattern",
                     f'instance size "{literal}" matches the oversized catalog '
@@ -124,7 +127,7 @@ def pattern_ss1(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
 
 
 def pattern_ss2(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
-    if _has_autoscaler_text(view.masked, cfg):
+    if view.autoscaled:
         return []
     if not _names_re(_ANY_NAME, cfg.ss2_compute_types).search(view.masked):
         return []
@@ -136,7 +139,7 @@ def pattern_ss2(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
                 SmellFinding(
                     SmellId.SS2,
                     view.path,
-                    view.span(m.start(), m.end()),
+                    view.span_of(m),
                     f"count={count}",
                     "pattern",
                     f"fixed count of {count} in a file declaring compute "
@@ -158,7 +161,7 @@ def pattern_ss3(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
                 SmellFinding(
                     SmellId.SS3,
                     view.path,
-                    view.span(m.start(), m.end()),
+                    view.span_of(m),
                     rtype,
                     "pattern",
                     f"{rtype} declared in a file with no lifecycle block",
@@ -178,7 +181,7 @@ def pattern_ss4(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
                 SmellFinding(
                     SmellId.SS4,
                     view.path,
-                    view.span(m.start(), m.end()),
+                    view.span_of(m),
                     str(days),
                     "pattern",
                     f"log retention of {days} days exceeds the configured "
@@ -224,55 +227,20 @@ def pattern_ss5(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
 
 def pattern_ss6(views: list[TextView], cfg: DetectorConfig) -> list[SmellFinding]:
     """Directory-scoped remote-backend check over the directory's files."""
-    ordered = sorted(views, key=lambda v: v.path)
-    for view in ordered:
-        for m in _BACKEND_RE.finditer(view.masked):
-            if m.group(1) != "local":
-                return []
-
-    findings = []
-    with_terraform = [v for v in ordered if _TERRAFORM_BLOCK_RE.search(v.masked)]
-    if not with_terraform:
-        return [
-            SmellFinding(
-                SmellId.SS6,
-                ordered[0].path,
-                ordered[0].file_span(),
-                "unset",
-                "pattern",
-                "no remote state backend token found in this directory",
-            )
-        ]
-    for view in with_terraform:
-        local = next(
-            (m for m in _BACKEND_RE.finditer(view.masked) if m.group(1) == "local"),
-            None,
-        )
-        if local is not None:
-            findings.append(
-                SmellFinding(
-                    SmellId.SS6,
-                    view.path,
-                    view.span(local.start(), local.end()),
-                    "local",
-                    "pattern",
-                    'state is kept in an explicit "local" backend',
-                )
-            )
-        else:
-            m = _TERRAFORM_BLOCK_RE.search(view.masked)
-            assert m is not None
-            findings.append(
-                SmellFinding(
-                    SmellId.SS6,
-                    view.path,
-                    view.span(m.start(), m.end()),
-                    "unset",
-                    "pattern",
-                    "terraform block with no remote state backend token",
-                )
-            )
-    return findings
+    return local_state_findings(
+        views,
+        "pattern",
+        lambda v: (m.group(1) for m in _BACKEND_RE.finditer(v.masked)),
+        lambda v: next(
+            (m for m in _BACKEND_RE.finditer(v.masked) if m.group(1) == "local"), None
+        ),
+        lambda v: _TERRAFORM_BLOCK_RE.search(v.masked),
+        (
+            "no remote state backend token found in this directory",
+            'state is kept in an explicit "local" backend',
+            "terraform block with no remote state backend token",
+        ),
+    )
 
 
 def pattern_ss7(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
@@ -306,7 +274,7 @@ def detect_directory(
     units: Sequence[ScanUnit], cfg: DetectorConfig, failed: set[str]
 ) -> list[SmellFinding]:
     """All seven smells over one directory's readable files; adds nothing to ``failed``."""
-    views = [prepare(u.path, u.text) for u in units if u.text is not None]
+    views = [prepare(u.path, u.text, cfg) for u in units if u.text is not None]
     findings: list[SmellFinding] = []
     for view in views:
         for detector in PER_FILE_PATTERNS:

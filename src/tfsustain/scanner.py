@@ -1,14 +1,13 @@
 """Corpus scanning: walk directory trees, detect smells, compute prevalence.
 
-Results are deterministic regardless of filesystem enumeration order and of
-how many workers run the read phase: files are sorted up front,
-per-file work is order-independent, and the final merge is single-threaded.
+Results are deterministic regardless of filesystem enumeration order: files
+are sorted up front, per-file work is order-independent, and findings are
+sorted once at the end.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -80,11 +79,10 @@ def discover_tf_files(root: Path) -> list[str]:
     )
 
 
-def _read_unit(root: Path, rel: str) -> tuple[ScanUnit, bool]:
-    """Load one file; returns (unit, is_read_or_decode_failure)."""
-    full = root / rel if root.is_dir() else root
+def _read_unit(base: Path, rel: str) -> tuple[ScanUnit, bool]:
+    """Load ``base / rel``; returns (unit, is_read_or_decode_failure)."""
     try:
-        data = full.read_bytes()
+        data = (base / rel).read_bytes()
     except OSError:
         return ScanUnit(rel, None), True
     if data.startswith(b"\xef\xbb\xbf"):
@@ -105,6 +103,7 @@ def scan(
 
     A file that cannot be read or decoded, or that the engine cannot parse, is
     one parse failure; it never aborts the scan and counts toward prevalence.
+    Files are read one after another whatever ``jobs`` is.
     """
     root = Path(root)
     if not root.exists():
@@ -114,13 +113,8 @@ def scan(
     if cfg is None:
         cfg = DetectorConfig()
     rels = discover_tf_files(root)
-
-    if jobs > 1 and len(rels) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            loaded = list(pool.map(lambda rel: _read_unit(root, rel), rels))
-    else:
-        loaded = [_read_unit(root, rel) for rel in rels]
-
+    base = root if root.is_dir() else root.parent
+    loaded = [_read_unit(base, rel) for rel in rels]
     failed = {unit.path for unit, bad in loaded if bad}
     by_dir: dict[str, list[ScanUnit]] = {}
     for unit, _ in loaded:

@@ -110,17 +110,17 @@ def test_criterion_2_samples_fixture_suite():
 
         # compliant forms stay silent
         ss3 = load("samples/ss3.tf")
-        assert detect_ss3_no_lifecycle(prepare(ss3, cfg), cfg) == []
+        assert detect_ss3_no_lifecycle(prepare(ss3.path, ss3.text, cfg), cfg) == []
         ss6 = load("samples/ss6.tf")
-        assert detect_ss6_local_state([prepare(ss6, cfg)], cfg) == []
+        assert detect_ss6_local_state([prepare(ss6.path, ss6.text, cfg)], cfg) == []
 
         # mutated variants each yield exactly one finding of their smell
         no_lifecycle = load("mutants/ss3_no_lifecycle/main.tf")
-        assert [f.smell.name for f in detect_ss3_no_lifecycle(prepare(no_lifecycle, cfg), cfg)] == ["SS3"]
+        assert [f.smell.name for f in detect_ss3_no_lifecycle(prepare(no_lifecycle.path, no_lifecycle.text, cfg), cfg)] == ["SS3"]
         no_backend = load("mutants/ss6_no_backend/main.tf")
-        assert [f.smell.name for f in detect_ss6_local_state([prepare(no_backend, cfg)], cfg)] == ["SS6"]
+        assert [f.smell.name for f in detect_ss6_local_state([prepare(no_backend.path, no_backend.text, cfg)], cfg)] == ["SS6"]
         extended = load("mutants/ss7_extended/main.tf")
-        ss7_findings = detect_ss7_monolithic(prepare(extended, cfg), cfg)
+        ss7_findings = detect_ss7_monolithic(prepare(extended.path, extended.text, cfg), cfg)
         assert [f.smell.name for f in ss7_findings] == ["SS7"]
         assert int(ss7_findings[0].evidence) >= 10
         assert time.perf_counter() - start < 1.0

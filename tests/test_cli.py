@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -247,3 +248,26 @@ def test_output_flag_writes_file(tmp_path):
     build_corpus(tmp_path / "corpus", {SmellId.SS7: 1}, total=2)
     run(["scan", str(tmp_path / "corpus"), "--format", "json", "--output", str(out)])
     assert json.loads(out.read_text())["scanned_files"] == 2
+
+
+# sha256 of the report `tfsustain scan tests/fixtures` writes, per engine and
+# format: output bytes are meant to change only on purpose.
+FIXTURE_REPORT_SHA256 = {
+    ("ast", "json"): "40d032ba625e0c6fd7ae33da1d4b0594674c5055d862da9af7d44bdeb0050ae3",
+    ("ast", "sarif"): "d8a63c17f3b911b2b83e9c997e82b19af77a793f7dd2de2b8c714c181bbc1058",
+    ("pattern", "json"): "ce8863026984e2e5e50ca4edc3b10f637ecd66b6ab9762baea0c7c48ae2babae",
+    ("pattern", "sarif"): "fc8eee49e30e96b1051786dacc38b60a98c7f2b86fcce8f0e0e803f975ff5b15",
+}
+
+
+@pytest.mark.parametrize("engine, fmt", sorted(FIXTURE_REPORT_SHA256))
+def test_scan_fixture_report_bytes_are_pinned(tmp_path, engine, fmt):
+    out = tmp_path / f"report.{fmt}"
+    run(["scan", str(FIXTURES), "--engine", engine, "--format", fmt, "--output", str(out)])
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == FIXTURE_REPORT_SHA256[engine, fmt], (
+        f"the {engine} {fmt} report of tests/fixtures changed (sha256 {digest}). "
+        "If the change is intended, regenerate the digest with `tfsustain scan "
+        f"tests/fixtures --engine {engine} --format {fmt} | sha256sum`, put it in "
+        "FIXTURE_REPORT_SHA256 and name the changed digest in CHANGES.md."
+    )

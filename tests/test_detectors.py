@@ -50,7 +50,7 @@ def load_dir(rel: str):
 
 
 def view(unit, cfg=CFG):
-    return prepare(unit, cfg)
+    return prepare(unit.path, unit.text, cfg)
 
 
 def smell_names(findings):
@@ -444,6 +444,80 @@ def test_ss6_one_remote_backend_covers_whole_directory():
         view(load_unit("mutants/ss6_no_backend/main.tf")),
     ]
     assert detect_ss6_local_state(files, CFG) == []
+
+
+# Each engine's SS6 messages, as (no terraform block in the directory, explicit
+# "local" backend, terraform block without a backend); they are report bytes.
+SS6_MESSAGES = {
+    "ast": (
+        "no remote state backend is configured in this directory",
+        'state is kept in an explicit "local" backend',
+        "terraform block configures no remote state backend",
+    ),
+    "pattern": (
+        "no remote state backend token found in this directory",
+        'state is kept in an explicit "local" backend',
+        "terraform block with no remote state backend token",
+    ),
+}
+NO_TERRAFORM, LOCAL, NO_BACKEND = range(3)
+
+# One directory's files, and the findings as (path, start line, evidence,
+# message) that both engines must give for it.
+SS6_CASES = {
+    "remote_backend_is_clean": (["samples/ss6.tf"], []),
+    "terraform_without_backend": (
+        ["mutants/ss6_no_backend/main.tf"],
+        [("mutants/ss6_no_backend/main.tf", 1, "unset", NO_BACKEND)],
+    ),
+    "explicit_local_backend": (
+        ["mutants/ss6_local_backend/main.tf"],
+        [("mutants/ss6_local_backend/main.tf", 2, "local", LOCAL)],
+    ),
+    "no_terraform_block_flags_first_file_only": (
+        [
+            ("dir/b.tf", 'resource "aws_sns_topic" "t" {\n  name = "t"\n}\n'),
+            ("dir/a.tf", 'resource "aws_sqs_queue" "q" {\n  name = "q"\n}\n'),
+        ],
+        [("dir/a.tf", 1, "unset", NO_TERRAFORM)],
+    ),
+    "one_remote_backend_covers_directory": (
+        ["samples/ss6.tf", "mutants/ss6_no_backend/main.tf"],
+        [],
+    ),
+    "unlabelled_backend_is_neither_remote_nor_local": (
+        [("dir/main.tf", 'resource "aws_sqs_queue" "q" {}\nterraform {\n  backend {}\n}\n')],
+        [("dir/main.tf", 2, "unset", NO_BACKEND)],
+    ),
+    "remote_backend_in_a_later_file_covers_earlier_ones": (
+        [
+            ("dir/a.tf", "terraform {}\n"),
+            ("dir/b.tf", 'terraform {\n  backend "s3" {}\n}\n'),
+        ],
+        [],
+    ),
+}
+
+
+def ss6_findings(engine, units):
+    """One engine's SS6 findings over the units of one directory."""
+    if engine == "ast":
+        return detect_ss6_local_state([view(u) for u in units], CFG)
+    views = [pattern_engine.prepare(u.path, u.text, CFG) for u in units]
+    return pattern_engine.pattern_ss6(views, CFG)
+
+
+@pytest.mark.parametrize("case", SS6_CASES)
+@pytest.mark.parametrize("engine", SS6_MESSAGES)
+def test_ss6_rule_is_the_same_under_both_engines(engine, case):
+    files, expected = SS6_CASES[case]
+    units = [load_unit(f) if isinstance(f, str) else unit_for(*f) for f in files]
+    findings = ss6_findings(engine, units)
+    assert all(f.smell is SmellId.SS6 and f.engine == engine for f in findings)
+    messages = SS6_MESSAGES[engine]
+    assert [(f.path, f.span.start_line, f.evidence, f.message) for f in findings] == [
+        (path, line, evidence, messages[m]) for path, line, evidence, m in expected
+    ]
 
 
 # -- SS7 ---------------------------------------------------------------

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import threading
 from fractions import Fraction
 
 import pytest
 
+from tfsustain import scanner
 from tfsustain.catalog import SmellId
 from tfsustain.report import findings_lines, format_percent, render
 from tfsustain.scanner import (
@@ -48,6 +50,20 @@ def test_scan_twice_is_byte_identical(tmp_path):
     r1 = scan(tmp_path)
     r2 = scan(tmp_path)
     assert render(r1, prevalence(r1), "json") == render(r2, prevalence(r2), "json")
+
+
+def test_scan_reads_every_file_on_the_calling_thread(tmp_path, monkeypatch):
+    build_corpus(tmp_path, {SmellId.SS7: 1}, total=4)
+    read_unit = scanner._read_unit
+    threads = []
+
+    def recording(base, rel):
+        threads.append(threading.current_thread())
+        return read_unit(base, rel)
+
+    monkeypatch.setattr(scanner, "_read_unit", recording)
+    assert scan(tmp_path, jobs=2).scanned_files == 4
+    assert threads == [threading.current_thread()] * 4
 
 
 def test_scan_ignores_symlinked_files(tmp_path):
