@@ -78,9 +78,6 @@ class SimilarityMatrix:
                 if self.entries[i][j] != self.entries[j][i]:
                     raise ValueError("similarity matrix must be symmetric")
 
-    def __getitem__(self, pos: tuple[int, int]) -> int:
-        return self.entries[pos[0]][pos[1]]
-
 
 _CATALOG: tuple[SmellDescriptor, ...] = (
     SmellDescriptor(

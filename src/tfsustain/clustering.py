@@ -62,11 +62,6 @@ class ClusterAssignment:
     def members(self, label: int) -> set[Hashable]:
         return {k for k, v in self.mapping.items() if v == label}
 
-    def as_partition(self) -> frozenset[frozenset[Hashable]]:
-        return frozenset(
-            frozenset(self.members(label)) for label in set(self.mapping.values())
-        )
-
 
 def distance_matrix(sim: SimilarityMatrix) -> Distances:
     """Binary distances d = 1 - s from a similarity matrix."""

@@ -24,7 +24,6 @@ from ..hcl import (
     MapValue,
     NumberLit,
     Reference,
-    SourceSpan,
     StringLit,
     TemplateString,
     find_blocks,
@@ -66,11 +65,12 @@ class FileView:
     def path(self) -> str:
         return self.file.path
 
-    def file_span(self) -> SourceSpan:
-        return self.file.span
-
-    def span_of(self, node: Block) -> SourceSpan:
-        return node.span
+    def finding(
+        self, smell: SmellId, at: Attribute | Block | None, evidence: str, message: str
+    ) -> SmellFinding:
+        """A finding at node ``at`` of this file, or over the whole file when None."""
+        span = (at or self.file).span
+        return SmellFinding(smell, self.file.path, span, evidence, "ast", message)
 
 
 def prepare(path: str, text: str, cfg: DetectorConfig) -> FileView:
@@ -129,12 +129,10 @@ def detect_ss1_overprovisioning(
             short = literal.rsplit("/", 1)[-1]
             if literal in sizes or short in sizes:
                 findings.append(
-                    SmellFinding(
+                    view.finding(
                         SmellId.SS1,
-                        view.file.path,
-                        node.span,
+                        node,
                         literal,
-                        "ast",
                         f'instance size "{literal}" is in the oversized catalog '
                         "and the file configures no autoscaler",
                     )
@@ -158,12 +156,10 @@ def detect_ss2_no_autoscaling(
         count = node.value.value
         if isinstance(count, int) and count >= cfg.ss2_fixed_count_min:
             findings.append(
-                SmellFinding(
+                view.finding(
                     SmellId.SS2,
-                    view.file.path,
-                    node.span,
+                    node,
                     f"count={count}",
-                    "ast",
                     f"{resource_type(block)} keeps a fixed count of {count} "
                     "instances and the file configures no autoscaler",
                 )
@@ -182,16 +178,8 @@ def detect_ss3_no_lifecycle(
             continue
         if find_blocks(block, "lifecycle", recursive=True):
             continue
-        findings.append(
-            SmellFinding(
-                SmellId.SS3,
-                view.file.path,
-                block.span,
-                rtype,
-                "ast",
-                f'{rtype} "{resource_name(block)}" declares no lifecycle block',
-            )
-        )
+        message = f'{rtype} "{resource_name(block)}" declares no lifecycle block'
+        findings.append(view.finding(SmellId.SS3, block, rtype, message))
     return findings
 
 
@@ -209,12 +197,10 @@ def detect_ss4_excessive_logging(
         if node is None:
             if cfg.ss4_flag_missing_retention:
                 findings.append(
-                    SmellFinding(
+                    view.finding(
                         SmellId.SS4,
-                        view.file.path,
-                        block.span,
+                        block,
                         "unset",
-                        "ast",
                         f'{rtype} "{resource_name(block)}" sets no {attr_name}; '
                         "logs are retained forever",
                     )
@@ -225,12 +211,10 @@ def detect_ss4_excessive_logging(
         days = node.value.value
         if days > cfg.ss4_retention_max_days:
             findings.append(
-                SmellFinding(
+                view.finding(
                     SmellId.SS4,
-                    view.file.path,
-                    node.span,
+                    node,
                     str(days),
-                    "ast",
                     f"log retention of {days} days exceeds the configured "
                     f"maximum of {cfg.ss4_retention_max_days}",
                 )
@@ -317,12 +301,10 @@ def detect_ss5_cross_region_transfer(
         ra, rb = regions[i], regions[j]
         addr_a, addr_b = ".".join(addresses[i]), ".".join(addresses[j])
         findings.append(
-            SmellFinding(
+            view.finding(
                 SmellId.SS5,
-                view.file.path,
-                link.span,
+                link,
                 f"{ra} != {rb}",
-                "ast",
                 f"{addr_a} ({ra}) and {addr_b} ({rb}) reference each other "
                 "across regions",
             )
@@ -344,7 +326,6 @@ def detect_ss6_local_state(
     """
     return local_state_findings(
         views,
-        "ast",
         lambda v: (b.labels[0] for b in _backends(v) if b.labels),
         lambda v: next((b for b in _backends(v) if b.labels[:1] == ["local"]), None),
         lambda v: next(iter(find_blocks(v.file, "terraform")), None),
@@ -362,12 +343,10 @@ def detect_ss7_monolithic(view: FileView, cfg: DetectorConfig) -> list[SmellFind
     if count < cfg.ss7_max_resources_per_file:
         return []
     return [
-        SmellFinding(
+        view.finding(
             SmellId.SS7,
-            view.file.path,
-            view.file.span,
+            None,
             str(count),
-            "ast",
             f"{count} resources in a single file (threshold "
             f"{cfg.ss7_max_resources_per_file})",
         )

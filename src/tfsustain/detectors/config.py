@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import MISSING, dataclass, field, fields
+
+from ..hcl import SourceText
 
 # Attribute names that carry an instance size, per provider resource prefix.
 SIZE_ATTRS = ("vm_size", "instance_type", "machine_type")
@@ -188,13 +191,8 @@ def config_from_dict(data: dict, source_text: str | None = None) -> DetectorConf
 
 
 def _locate_key(source_text: str | None, key: str) -> tuple[int | None, int | None]:
-    """Line/column of a key's first occurrence in the raw config text."""
-    if source_text is None:
+    """Line/column of the first ``"key"`` followed by ``:`` in the raw config text."""
+    m = re.search(re.escape(f'"{key}"') + r"\s*:", source_text or "")
+    if m is None:
         return None, None
-    needle = f'"{key}"'
-    idx = source_text.find(needle)
-    if idx < 0:
-        return None, None
-    line = source_text.count("\n", 0, idx) + 1
-    col = idx - (source_text.rfind("\n", 0, idx) + 1) + 1
-    return line, col
+    return SourceText("", source_text).position(m.start())

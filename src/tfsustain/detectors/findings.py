@@ -55,7 +55,6 @@ L = TypeVar("L")
 
 def local_state_findings(
     views: Sequence[V],
-    engine: str,
     backend_labels: Callable[[V], Iterable[str]],
     first_local: Callable[[V], L | None],
     first_terraform: Callable[[V], L | None],
@@ -69,9 +68,9 @@ def local_state_findings(
     first file by path gets a single whole-file finding. ``messages`` are the
     texts for those three cases: no terraform block, local, no backend.
 
-    A view has ``path``, ``file_span()`` and ``span_of(location)`` for the
-    locations the two ``first_*`` callables return; spans are built only for
-    reported findings.
+    A view has ``path`` and ``finding(smell, at, evidence, message)``, where
+    ``at`` is a location the two ``first_*`` callables return, or None for
+    the whole file; spans are built only for reported findings.
     """
     ordered = sorted(views, key=lambda v: v.path)
     for view in ordered:
@@ -89,12 +88,5 @@ def local_state_findings(
             at, evidence, message = terraform, "unset", no_backend
         else:
             at, evidence, message = local, "local", local_message
-        findings.append(
-            SmellFinding(SmellId.SS6, view.path, view.span_of(at), evidence, engine, message)
-        )
-    if findings:
-        return findings
-    first = ordered[0]
-    return [
-        SmellFinding(SmellId.SS6, first.path, first.file_span(), "unset", engine, no_terraform)
-    ]
+        findings.append(view.finding(SmellId.SS6, at, evidence, message))
+    return findings or [ordered[0].finding(SmellId.SS6, None, "unset", no_terraform)]

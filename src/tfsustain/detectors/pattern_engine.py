@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from ..catalog import SmellId
-from ..hcl import SourceSpan, SourceText
+from ..hcl import SourceText
 from .ast_engine import normalize_region
 from .config import LOG_GROUP_TYPES, SIZE_ATTRS, DetectorConfig
 from .findings import SmellFinding, local_state_findings
@@ -75,14 +75,12 @@ class TextView:
     def text(self) -> str:
         return self.source.text
 
-    def span(self, start: int, end: int) -> SourceSpan:
-        return self.source.span(start, end)
-
-    def span_of(self, m: re.Match) -> SourceSpan:
-        return self.span(m.start(), m.end())
-
-    def file_span(self) -> SourceSpan:
-        return self.source.span(0, len(self.source.text))
+    def finding(
+        self, smell: SmellId, at: re.Match | None, evidence: str, message: str
+    ) -> SmellFinding:
+        """A finding at match ``at`` in this file, or over the whole file when None."""
+        span = self.source.span(*(at.span() if at else (0, len(self.text))))
+        return SmellFinding(smell, self.source.path, span, evidence, "pattern", message)
 
 
 @functools.cache
@@ -113,12 +111,10 @@ def pattern_ss1(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
         short = literal.rsplit("/", 1)[-1]
         if any(literal in s or short in s for s in cfg.ss1_large_sizes.values()):
             findings.append(
-                SmellFinding(
+                view.finding(
                     SmellId.SS1,
-                    view.path,
-                    view.span_of(m),
+                    m,
                     literal,
-                    "pattern",
                     f'instance size "{literal}" matches the oversized catalog '
                     "and no autoscaler token appears in the file",
                 )
@@ -136,12 +132,10 @@ def pattern_ss2(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
         count = int(m.group(1))
         if count >= cfg.ss2_fixed_count_min:
             findings.append(
-                SmellFinding(
+                view.finding(
                     SmellId.SS2,
-                    view.path,
-                    view.span_of(m),
+                    m,
                     f"count={count}",
-                    "pattern",
                     f"fixed count of {count} in a file declaring compute "
                     "resources and no autoscaler token",
                 )
@@ -157,16 +151,8 @@ def pattern_ss3(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
     for m in _RESOURCE_DECL_RE.finditer(view.masked):
         rtype = m.group(1)
         if rtype in required:
-            findings.append(
-                SmellFinding(
-                    SmellId.SS3,
-                    view.path,
-                    view.span_of(m),
-                    rtype,
-                    "pattern",
-                    f"{rtype} declared in a file with no lifecycle block",
-                )
-            )
+            message = f"{rtype} declared in a file with no lifecycle block"
+            findings.append(view.finding(SmellId.SS3, m, rtype, message))
     return findings
 
 
@@ -178,28 +164,18 @@ def pattern_ss4(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
         days = int(m.group(2))
         if days > cfg.ss4_retention_max_days:
             findings.append(
-                SmellFinding(
+                view.finding(
                     SmellId.SS4,
-                    view.path,
-                    view.span_of(m),
+                    m,
                     str(days),
-                    "pattern",
                     f"log retention of {days} days exceeds the configured "
                     f"maximum of {cfg.ss4_retention_max_days}",
                 )
             )
     if not saw_retention and cfg.ss4_flag_missing_retention:
         if _LOG_GROUP_RE.search(view.masked):
-            findings.append(
-                SmellFinding(
-                    SmellId.SS4,
-                    view.path,
-                    view.file_span(),
-                    "unset",
-                    "pattern",
-                    "log resources declared but no retention attribute found",
-                )
-            )
+            message = "log resources declared but no retention attribute found"
+            findings.append(view.finding(SmellId.SS4, None, "unset", message))
     return findings
 
 
@@ -213,12 +189,10 @@ def pattern_ss5(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
     if len(classes) < 2:
         return []
     return [
-        SmellFinding(
+        view.finding(
             SmellId.SS5,
-            view.path,
-            view.file_span(),
+            None,
             f"{classes[0]} != {classes[1]}",
-            "pattern",
             f"file places resources in {len(classes)} distinct regions "
             f"({', '.join(classes)})",
         )
@@ -229,7 +203,6 @@ def pattern_ss6(views: list[TextView], cfg: DetectorConfig) -> list[SmellFinding
     """Directory-scoped remote-backend check over the directory's files."""
     return local_state_findings(
         views,
-        "pattern",
         lambda v: (m.group(1) for m in _BACKEND_RE.finditer(v.masked)),
         lambda v: next(
             (m for m in _BACKEND_RE.finditer(v.masked) if m.group(1) == "local"), None
@@ -248,12 +221,10 @@ def pattern_ss7(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
     if count < cfg.ss7_max_resources_per_file:
         return []
     return [
-        SmellFinding(
+        view.finding(
             SmellId.SS7,
-            view.path,
-            view.file_span(),
+            None,
             str(count),
-            "pattern",
             f"{count} resource declarations in a single file (threshold "
             f"{cfg.ss7_max_resources_per_file})",
         )

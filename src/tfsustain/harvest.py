@@ -31,7 +31,7 @@ import base64
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
@@ -79,17 +79,6 @@ class RepoRecord:
     provider_tag: str
     retrieved_at: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "full_name": self.full_name,
-            "stars": self.stars,
-            "is_fork": self.is_fork,
-            "size_kb": self.size_kb,
-            "visibility": self.visibility,
-            "provider_tag": self.provider_tag,
-            "retrieved_at": self.retrieved_at,
-        }
-
 
 @dataclass(frozen=True)
 class FilterCriteria:
@@ -102,15 +91,6 @@ class FilterCriteria:
     # The content filter (tutorials, assignments, deliberately insecure
     # repos) needs human judgment; it only flags, never decides.
     manual_review_content: bool = True
-
-    def to_json_dict(self) -> dict:
-        return {
-            "min_stars": self.min_stars,
-            "exclude_forks": self.exclude_forks,
-            "min_size_kb_exclusive": self.min_size_kb_exclusive,
-            "require_public": self.require_public,
-            "manual_review_content": self.manual_review_content,
-        }
 
 
 def apply_filters(
@@ -355,7 +335,7 @@ class HarvestManifest:
     def record_criteria(self, criteria: FilterCriteria) -> None:
         if self.criteria is None:
             self.criteria = criteria
-            self._append({"kind": "criteria", **criteria.to_json_dict()})
+            self._append({"kind": "criteria", **asdict(criteria)})
 
     def record_repo(
         self,
@@ -366,7 +346,7 @@ class HarvestManifest:
     ) -> None:
         data = {
             "kind": "repo",
-            "record": record.to_json_dict(),
+            "record": asdict(record),
             "decision": decision,
             "reason": reason,
             "manual_review": manual_review,
@@ -389,24 +369,12 @@ class HarvestManifest:
     def file_entry(self, repo: str, path: str) -> FileEntry | None:
         return self._files.get((repo, path))
 
-    def repo_decision(self, full_name: str) -> dict | None:
-        return self._repos.get(full_name)
-
     def manual_review_queue(self) -> list[str]:
         return sorted(
             name
             for name, data in self._repos.items()
             if data.get("manual_review") and data.get("decision") == "kept"
         )
-
-    def totals_per_provider(self) -> dict[str, dict[str, int]]:
-        totals: dict[str, dict[str, int]] = {}
-        for data in self._repos.values():
-            provider = data["record"]["provider_tag"]
-            bucket = totals.setdefault(provider, {"kept": 0, "rejected": 0, "skipped": 0})
-            decision = data["decision"]
-            bucket[decision] = bucket.get(decision, 0) + 1
-        return totals
 
 
 @dataclass
@@ -470,8 +438,7 @@ def harvest_provider(
 
 def criteria_from_file(path: str | Path) -> FilterCriteria:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    allowed = set(FilterCriteria().to_json_dict())
-    unknown = set(data) - allowed
+    unknown = set(data) - {f.name for f in fields(FilterCriteria)}
     if unknown:
         raise HarvestError(f"unknown criteria key(s): {', '.join(sorted(unknown))}")
     return FilterCriteria(**data)

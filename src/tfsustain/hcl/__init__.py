@@ -14,9 +14,8 @@ from .ast import (
     Reference,
     StringLit,
     TemplateString,
-    nodes_equal,
 )
-from .lexer import SourceSpan, SourceText, Token, TokenKind, detokenize, span_text, tokenize
+from .lexer import SourceSpan, SourceText, Token, TokenKind, detokenize, tokenize
 from .parser import find_blocks, get_attribute, get_attribute_node, parse
 
 __all__ = [
@@ -41,8 +40,6 @@ __all__ = [
     "find_blocks",
     "get_attribute",
     "get_attribute_node",
-    "nodes_equal",
     "parse",
-    "span_text",
     "tokenize",
 ]

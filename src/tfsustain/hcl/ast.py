@@ -36,12 +36,6 @@ class ListValue(ExpressionValue):
 class MapValue(ExpressionValue):
     entries: tuple[tuple[str, ExpressionValue], ...]
 
-    def get(self, key: str) -> ExpressionValue | None:
-        for k, v in self.entries:
-            if k == key:
-                return v
-        return None
-
 
 @dataclass(frozen=True)
 class Reference(ExpressionValue):
@@ -100,22 +94,3 @@ class ConfigFile:
     body: list[Block | Attribute] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
     span: SourceSpan | None = None
-
-
-def nodes_equal(a: object, b: object) -> bool:
-    """Structural equality over AST nodes, ignoring source spans."""
-    if isinstance(a, ConfigFile) and isinstance(b, ConfigFile):
-        return _bodies_equal(a.body, b.body)
-    if isinstance(a, Block) and isinstance(b, Block):
-        return (
-            a.block_type == b.block_type
-            and a.labels == b.labels
-            and _bodies_equal(a.body, b.body)
-        )
-    if isinstance(a, Attribute) and isinstance(b, Attribute):
-        return a.name == b.name and a.value == b.value
-    return False
-
-
-def _bodies_equal(a: list, b: list) -> bool:
-    return len(a) == len(b) and all(nodes_equal(x, y) for x, y in zip(a, b))

@@ -15,7 +15,6 @@ no :class:`SourceSpan`.
 from __future__ import annotations
 
 import enum
-import functools
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -73,10 +72,6 @@ class SourceText:
         """1-based line and column of ``offset``."""
         line = bisect_right(self.line_starts, offset)
         return line, offset - self.line_starts[line - 1] + 1
-
-    def offset(self, line: int, col: int) -> int:
-        """Offset of 1-based ``line`` and ``col``; the inverse of :meth:`position`."""
-        return self.line_starts[line - 1] + col - 1
 
     def span(self, start: int, end: int) -> SourceSpan:
         return SourceSpan(self.path, *self.position(start), *self.position(end))
@@ -257,16 +252,3 @@ def _heredoc_end(text: str, pos: int, tag: str) -> tuple[int, str | None]:
             return line_end, None
         line_start = line_end + 1
     return len(text), f"unterminated heredoc (missing {tag!r})"
-
-
-def span_text(text: str, span: SourceSpan) -> str:
-    """Extract the characters a span covers from the original file text."""
-    source = _line_index(text)
-    start = source.offset(span.start_line, span.start_col)
-    return text[start : source.offset(span.end_line, span.end_col)]
-
-
-@functools.lru_cache(maxsize=16)
-def _line_index(text: str) -> SourceText:
-    """One line index per text, reused by repeated :func:`span_text` calls."""
-    return SourceText("", text)

@@ -4,6 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from tfsustain.clustering import ClusterAssignment
+from tfsustain.hcl import Attribute, Block, ConfigFile, SourceSpan
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -15,3 +18,42 @@ def fixtures() -> Path:
 def fixture_corpus_files() -> list[Path]:
     """Every .tf file in the checked-in fixture corpus."""
     return sorted(FIXTURES.rglob("*.tf"))
+
+
+def nodes_equal(a: object, b: object) -> bool:
+    """Structural equality over AST nodes, ignoring source spans."""
+    if isinstance(a, ConfigFile) and isinstance(b, ConfigFile):
+        return _bodies_equal(a.body, b.body)
+    if isinstance(a, Block) and isinstance(b, Block):
+        return (
+            a.block_type == b.block_type
+            and a.labels == b.labels
+            and _bodies_equal(a.body, b.body)
+        )
+    if isinstance(a, Attribute) and isinstance(b, Attribute):
+        return a.name == b.name and a.value == b.value
+    return False
+
+
+def _bodies_equal(a: list, b: list) -> bool:
+    return len(a) == len(b) and all(nodes_equal(x, y) for x, y in zip(a, b))
+
+
+def _offset(text: str, line: int, col: int) -> int:
+    """Offset of 1-based ``line`` and ``col``; lines end only at "\\n"."""
+    start = 0
+    for _ in range(line - 1):
+        start = text.index("\n", start) + 1
+    return start + col - 1
+
+
+def span_text(text: str, span: SourceSpan) -> str:
+    """The characters of ``text`` that ``span`` covers."""
+    start = _offset(text, span.start_line, span.start_col)
+    return text[start : _offset(text, span.end_line, span.end_col)]
+
+
+def partition(assignment: ClusterAssignment) -> frozenset[frozenset]:
+    """The clusters of ``assignment`` as member sets, whatever their labels."""
+    labels = set(assignment.mapping.values())
+    return frozenset(frozenset(assignment.members(label)) for label in labels)

@@ -27,12 +27,12 @@ from tfsustain.detectors.ast_engine import (
     prepare,
 )
 from tfsustain.harvest import FilterCriteria, HarvestManifest, apply_filters
-from tfsustain.hcl import detokenize, nodes_equal, parse, tokenize
+from tfsustain.hcl import detokenize, parse, tokenize
 from tfsustain.report import format_percent, render
 from tfsustain.sampling import sample_stratified
 from tfsustain.scanner import prevalence, scan, smells_by_path
 
-from conftest import FIXTURES, fixture_corpus_files
+from conftest import FIXTURES, fixture_corpus_files, nodes_equal
 from stub_server import Scripted, StubApi, search_item
 from synth import DEFAULT_PLAN, build_corpus
 

@@ -3,11 +3,15 @@ from __future__ import annotations
 from itertools import combinations, product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tfsustain.catalog import (
     AttributeVector,
     CatalogError,
+    SmellDescriptor,
     SmellId,
+    assign_categories,
     catalog,
     dump_catalog,
     load_catalog,
@@ -115,14 +119,35 @@ def test_matrix_permutes_with_catalog_order():
             assert sim.entries[i][j] == PUBLISHED_MATRIX[order[i]][order[j]]
 
 
-def test_catalog_categories_agree_with_clustering():
-    # cross-module consistency: the stored category of each descriptor is
-    # exactly the cluster the clustering module assigns it
-    from tfsustain.clustering import categorize
+@st.composite
+def loaded_catalogs(draw) -> list[SmellDescriptor]:
+    """1-9 smells with random vectors, categorized as ``load_catalog`` does."""
+    names = [s.name for s in SmellId] + ["SS8", "SS9", "X1", "X2"]
+    raw = draw(st.lists(st.sampled_from(names), min_size=1, max_size=9, unique=True))
+    ids = [SmellId[n] if n in SmellId.__members__ else n for n in raw]
+    vectors = [
+        AttributeVector(*draw(st.tuples(*[st.booleans()] * 4))) for _ in ids
+    ]
+    categories = assign_categories(ids, vectors)
+    return [
+        SmellDescriptor(i, str(i), c, v, "s", "r")
+        for i, c, v in zip(ids, categories, vectors)
+    ]
 
-    assignment = categorize(catalog())
-    for d in catalog():
-        assert d.category == assignment.mapping[d.id], d.id
+
+@given(loaded_catalogs())
+@example(catalog())
+@settings(max_examples=200, deadline=None)
+def test_catalog_categories_agree_with_clustering(descriptors):
+    # cross-module consistency: the stored category of each descriptor, built-in
+    # or grouped by equal vectors on load, is exactly the cluster the
+    # clustering module assigns it, under every linkage
+    from tfsustain.clustering import LINKAGES, categorize
+
+    for linkage in LINKAGES:
+        assignment = categorize(descriptors, linkage)
+        for d in descriptors:
+            assert d.category == assignment.mapping[d.id], (linkage, d.id)
 
 
 def test_dump_load_round_trip(tmp_path):

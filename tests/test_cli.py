@@ -185,6 +185,14 @@ def test_load_config_unknown_key_names_key_and_position(tmp_path):
     assert err.value.line == 2
 
 
+def test_unknown_config_key_is_located_at_the_key_not_a_value(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{\n  "ss2_compute_types": ["foo"],\n  "foo": 1\n}')
+    assert run(["lint", str(FIXTURES / "clean"), "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: unknown config key 'foo' (line 3, column 3)\n"
+
+
 def test_load_config_malformed_json_reports_position(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text('{\n  "ss7_max_resources_per_file": \n}')

@@ -22,6 +22,8 @@ from tfsustain.clustering import (
     distance_matrix,
 )
 
+from conftest import partition
+
 PUBLISHED_CATEGORIES = {
     SmellId.SS1: 2,
     SmellId.SS2: 2,
@@ -80,7 +82,7 @@ def test_agglomerate_rejects_bad_input():
 def test_cut_at_half_reproduces_categories():
     dend = agglomerate(canonical_distances(), leaves=[d.id for d in catalog()])
     assignment = cut(dend, 0.5)
-    assert assignment.as_partition() == frozenset(
+    assert partition(assignment) == frozenset(
         {
             frozenset({SmellId.SS1, SmellId.SS2}),
             frozenset({SmellId.SS3, SmellId.SS4, SmellId.SS6, SmellId.SS7}),
@@ -148,11 +150,11 @@ def test_permuted_leaves_cut_to_same_partition():
             tuple(d_base[i][j] for j in order) for i in order
         )
         dend = agglomerate(d_perm, leaves=[base[i].id for i in order])
-        partition = cut(dend, 0.5).as_partition()
-        baseline = cut(
-            agglomerate(d_base, leaves=[x.id for x in base]), 0.5
-        ).as_partition()
-        assert partition == baseline
+        cut_partition = partition(cut(dend, 0.5))
+        baseline = partition(
+            cut(agglomerate(d_base, leaves=[x.id for x in base]), 0.5)
+        )
+        assert cut_partition == baseline
 
 
 def test_dendrogram_json_shape():
@@ -186,7 +188,7 @@ def test_half_cut_equals_vector_equality_classes(vectors):
             distance_matrix(sim), linkage, leaves=[d.id for d in descriptors]
         )
         assignment = cut(dend, 0.5)
-        partitions.add(assignment.as_partition())
+        partitions.add(partition(assignment))
         # merge distances are monotone by construction; cut(0) is singletons
         assert cut(dend, 0).num_clusters == len(vectors)
     # all linkages agree, and the partition equals vector-equality classes

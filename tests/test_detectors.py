@@ -30,9 +30,8 @@ from tfsustain.detectors.ast_engine import (
     prepare,
 )
 from tfsustain.detectors.findings import SmellFinding
-from tfsustain.hcl import span_text
 
-from conftest import FIXTURES, fixture_corpus_files
+from conftest import FIXTURES, fixture_corpus_files, span_text
 
 CFG = DetectorConfig()
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import time
 
 import pytest
@@ -30,6 +31,12 @@ def record(full_name="org/repo", stars=5, fork=False, size=120, public=True):
         provider_tag="aws",
         retrieved_at="2026-01-01T00:00:00+00:00",
     )
+
+
+def manifest_repos(path) -> dict[str, dict]:
+    """The last recorded decision per repository, read from the manifest file."""
+    lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    return {d["record"]["full_name"]: d for d in lines if d["kind"] == "repo"}
 
 
 def make_client(stub: StubApi, **kwargs) -> CodeSearchClient:
@@ -249,9 +256,10 @@ def test_harvest_batch_completes_past_vanished_repo(tmp_path):
     assert summary.kept == 1
     assert summary.skipped == 1
     assert summary.rejected == 1
-    assert manifest.repo_decision("org/gone")["reason"] == "gone"
-    assert manifest.repo_decision("org/fork")["reason"] == "fork"
-    assert manifest.repo_decision("org/good")["decision"] == "kept"
+    decisions = manifest_repos(tmp_path / "manifest.jsonl")
+    assert decisions["org/gone"]["reason"] == "gone"
+    assert decisions["org/fork"]["reason"] == "fork"
+    assert decisions["org/good"]["decision"] == "kept"
 
 
 def test_harvest_records_manual_review_queue(tmp_path):
@@ -294,9 +302,24 @@ def test_harvest_rerun_performs_no_duplicate_fetches(tmp_path):
     assert second.files_unchanged == 2
 
 
-def test_manifest_totals_per_provider(tmp_path):
+
+def test_manifest_criteria_and_repo_lines_are_pinned(tmp_path):
     manifest = HarvestManifest(tmp_path / "manifest.jsonl")
-    manifest.record_repo(record("org/a"), "kept", "passed filters")
-    manifest.record_repo(record("org/b", stars=0), "rejected", "min_stars")
-    totals = manifest.totals_per_provider()
-    assert totals == {"aws": {"kept": 1, "rejected": 1, "skipped": 0}}
+    manifest.record_criteria(
+        FilterCriteria(
+            min_stars=3,
+            exclude_forks=False,
+            min_size_kb_exclusive=5,
+            require_public=True,
+            manual_review_content=False,
+        )
+    )
+    manifest.record_repo(record("org/a", stars=7), "kept", "passed filters")
+    assert (tmp_path / "manifest.jsonl").read_text(encoding="utf-8").splitlines() == [
+        '{"exclude_forks": false, "kind": "criteria", "manual_review_content": false, '
+        '"min_size_kb_exclusive": 5, "min_stars": 3, "require_public": true}',
+        '{"decision": "kept", "kind": "repo", "manual_review": false, "reason": '
+        '"passed filters", "record": {"full_name": "org/a", "is_fork": false, '
+        '"provider_tag": "aws", "retrieved_at": "2026-01-01T00:00:00+00:00", '
+        '"size_kb": 120, "stars": 7, "visibility": "public"}}',
+    ]

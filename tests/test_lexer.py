@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfsustain.hcl import TokenKind, detokenize, lexer, span_text, tokenize
+from tfsustain.hcl import TokenKind, detokenize, lexer, tokenize
 
-from conftest import fixture_corpus_files
+from conftest import fixture_corpus_files, span_text
 
 
 def kinds(text: str) -> list[str]:

@@ -20,13 +20,11 @@ from tfsustain.hcl import (
     TemplateString,
     find_blocks,
     get_attribute,
-    nodes_equal,
     parse,
-    span_text,
     tokenize,
 )
 
-from conftest import FIXTURES, fixture_corpus_files
+from conftest import FIXTURES, fixture_corpus_files, nodes_equal, span_text
 
 SS1_SAMPLE = (FIXTURES / "samples" / "ss1.tf").read_text()
 SS3_SAMPLE = (FIXTURES / "samples" / "ss3.tf").read_text()
@@ -130,7 +128,7 @@ def test_expression_values():
         (NumberLit(1), StringLit("two"), BoolLit(False))
     )
     m = get_attribute(block, "m")
-    assert isinstance(m, MapValue) and m.get("k") == StringLit("v")
+    assert m == MapValue((("k", StringLit("v")), ("n", NumberLit(2))))
     assert get_attribute(block, "r") == Reference(("aws_instance", "app", "id"))
     t = get_attribute(block, "t")
     assert t == TemplateString(

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from tfsustain.catalog import SmellId
 from tfsustain.detectors import DetectorConfig, detect_all, unit_for
 from tfsustain.hcl import SourceSpan, tokenize
 from tfsustain.detectors.pattern_engine import (
@@ -90,9 +91,9 @@ def test_mask_comments_star_slash_shares_the_opening_star():
 def test_text_view_spans_follow_line_starts():
     view = prepare("x.tf", "ab\n\ncd", CFG)
     assert view.source.line_starts == (0, 3, 4)
-    assert view.span(0, 2) == SourceSpan("x.tf", 1, 1, 1, 3)
-    assert view.span(3, 5) == SourceSpan("x.tf", 2, 1, 3, 2)
-    assert view.file_span() == SourceSpan("x.tf", 1, 1, 3, 3)
+    assert view.source.span(0, 2) == SourceSpan("x.tf", 1, 1, 1, 3)
+    assert view.source.span(3, 5) == SourceSpan("x.tf", 2, 1, 3, 2)
+    assert view.finding(SmellId.SS7, None, "1", "").span == SourceSpan("x.tf", 1, 1, 3, 3)
 
 
 def test_pattern_ss1_matches_size_literal():
