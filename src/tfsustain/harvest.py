@@ -437,8 +437,21 @@ def harvest_provider(
 
 
 def criteria_from_file(path: str | Path) -> FilterCriteria:
+    """Criteria from a JSON object whose keys and value types are FilterCriteria's."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    unknown = set(data) - {f.name for f in fields(FilterCriteria)}
+    if not isinstance(data, dict):
+        raise HarvestError(
+            f"criteria file must hold a JSON object, not {type(data).__name__}"
+        )
+    types = {f.name: type(f.default) for f in fields(FilterCriteria)}
+    unknown = set(data) - set(types)
     if unknown:
         raise HarvestError(f"unknown criteria key(s): {', '.join(sorted(unknown))}")
+    for key, value in data.items():
+        # Exact types: a JSON true is a Python int too.
+        if type(value) is not types[key]:
+            raise HarvestError(
+                f"criteria key {key!r} must be {types[key].__name__}, "
+                f"not {type(value).__name__}"
+            )
     return FilterCriteria(**data)

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from typing import Union
 
-from .lexer import SourceSpan
+from .lexer import SourceSpan, SourceText
 
 
 class ExpressionValue:
@@ -66,31 +66,68 @@ class Opaque(ExpressionValue):
     text: str
 
 
+class _SpanFromOffsets:
+    """The ``span`` field of a located node, built when it is first read.
+
+    The parser makes nodes with :meth:`_Located.at`, which gives them
+    ``source``, ``start`` and ``end`` and no span, so a scan builds a
+    :class:`SourceSpan` only for the nodes it reports. A span given to the
+    constructor is kept on the node and wins, as for any non-data descriptor.
+    ``==`` and ``repr`` read ``span`` like any field, so they compare spans by
+    value: two parses of one text compare equal and print the same.
+    """
+
+    def __init__(self, default: object = MISSING) -> None:
+        self.default = default
+
+    def __get__(self, node, owner=None):
+        if node is None:
+            # The dataclass reads the field's default off the class; none means required.
+            if self.default is MISSING:
+                raise AttributeError("span")
+            return self.default
+        span = node.span = node.source.span(node.start, node.end)
+        return span
+
+
+class _Located:
+    """A node with a ``span`` field that the parser leaves to be built on demand."""
+
+    @classmethod
+    def at(cls, source: SourceText, start: int, end: int, **fields: object):
+        """A node over ``source.text[start:end]`` whose span is not built yet."""
+        node = cls.__new__(cls)
+        node.source, node.start, node.end = source, start, end
+        for name, value in fields.items():
+            setattr(node, name, value)
+        return node
+
+
 @dataclass
-class Diagnostic:
+class Diagnostic(_Located):
     message: str
-    span: SourceSpan
+    span: SourceSpan = _SpanFromOffsets()
     severity: str = "error"  # "error" | "warning"
 
 
 @dataclass
-class Attribute:
+class Attribute(_Located):
     name: str
     value: ExpressionValue
-    span: SourceSpan
+    span: SourceSpan = _SpanFromOffsets()
 
 
 @dataclass
-class Block:
+class Block(_Located):
     block_type: str
     labels: list[str]
     body: list[Union["Block", Attribute]]
-    span: SourceSpan
+    span: SourceSpan = _SpanFromOffsets()
 
 
 @dataclass
-class ConfigFile:
+class ConfigFile(_Located):
     path: str
     body: list[Block | Attribute] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    span: SourceSpan | None = None
+    span: SourceSpan | None = _SpanFromOffsets(default=None)

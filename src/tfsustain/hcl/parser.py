@@ -65,15 +65,10 @@ def parse(text: str, path: str = "<input>") -> ConfigFile:
     parser = _Parser(tokens)
     body = parser.parse_top()
 
-    cf = ConfigFile(
-        path=path,
-        body=body,
-        diagnostics=parser.diagnostics,
-        span=tokens[-1].source.span(0, len(text)),
+    parser.diagnostics.extend(_diagnostic(tok.error, tok) for tok in errors)
+    return ConfigFile.at(
+        tokens[-1].source, 0, len(text), path=path, body=body, diagnostics=parser.diagnostics
     )
-    for tok in errors:
-        cf.diagnostics.append(Diagnostic(tok.error, tok.span, "error"))
-    return cf
 
 
 def find_blocks(
@@ -116,15 +111,22 @@ def get_attribute_node(block: Block | ConfigFile, name: str) -> Attribute | None
 # ---------------------------------------------------------------------------
 
 
+def _diagnostic(
+    message: str, at: Token | Attribute | Block, severity: str = "error"
+) -> Diagnostic:
+    """A diagnostic over ``at``, a token or a parsed node, with its span unbuilt."""
+    return Diagnostic.at(at.source, at.start, at.end, message=message, severity=severity)
+
+
 class _ParseError(Exception):
-    """A parse failure at ``tok``; its span is built only if it is reported."""
+    """A parse failure at ``tok``."""
 
     def __init__(self, message: str, tok: Token) -> None:
         super().__init__(message)
         self.tok = tok
 
     def diagnostic(self) -> Diagnostic:
-        return Diagnostic(self.args[0], self.tok.span, "error")
+        return _diagnostic(self.args[0], self.tok)
 
 
 class _Parser:
@@ -160,7 +162,7 @@ class _Parser:
                 self._check_body(body)
                 return body
             if tok.kind is TokenKind.BLOCK_CLOSE:
-                self.diagnostics.append(Diagnostic("unexpected '}'", tok.span, "error"))
+                self.diagnostics.append(_diagnostic("unexpected '}'", tok))
                 self._advance()
                 continue
             before = len(self.diagnostics)
@@ -204,7 +206,7 @@ class _Parser:
             self._advance()
             value = self._parse_expression(_ATTR_ENDS, depth)
             end = self.toks[self.i - 1].end
-            return Attribute(head.text, value, head.source.span(head.start, end))
+            return Attribute.at(head.source, head.start, end, name=head.text, value=value)
 
         if nxt.kind in (TokenKind.STRING, TokenKind.IDENTIFIER, TokenKind.BLOCK_OPEN):
             labels: list[str] = []
@@ -228,7 +230,9 @@ class _Parser:
             self._advance()
             body = self._parse_block_body(head, depth + 1)
             end = self.toks[self.i - 1].end
-            return Block(head.text, labels, body, head.source.span(head.start, end))
+            return Block.at(
+                head.source, head.start, end, block_type=head.text, labels=labels, body=body
+            )
 
         raise _ParseError(
             f"expected '=' or block labels after {head.text!r}, found {nxt.text!r}",
@@ -244,11 +248,7 @@ class _Parser:
                 break
             if tok.kind is TokenKind.EOF:
                 self.diagnostics.append(
-                    Diagnostic(
-                        f"block {head.text!r} not closed before end of file",
-                        head.span,
-                        "error",
-                    )
+                    _diagnostic(f"block {head.text!r} not closed before end of file", head)
                 )
                 break
             body.append(self._parse_item(depth))
@@ -272,7 +272,7 @@ class _Parser:
             else:
                 seen.add(item.name)
                 continue
-            self.diagnostics.append(Diagnostic(message, item.span, "warning"))
+            self.diagnostics.append(_diagnostic(message, item, "warning"))
 
     # -- expressions ---------------------------------------------------
 

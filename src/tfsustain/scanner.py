@@ -11,7 +11,8 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from pathlib import Path, PurePosixPath
+from pathlib import Path
+from typing import Iterator
 
 from .catalog import SmellId
 from .detectors import DetectorConfig, ScanUnit, detect_all, unit_for
@@ -60,29 +61,46 @@ class CorpusStats:
     per_smell: dict[SmellId, SmellPrevalence] = field(default_factory=dict)
 
 
-def _walk_tf_files(root: Path):
-    """Raw .tf enumeration in filesystem order; symlinks are not followed."""
-    for dirpath, dirnames, filenames in os.walk(root, followlinks=False):
-        dirnames[:] = [d for d in dirnames if not (Path(dirpath) / d).is_symlink()]
-        for name in filenames:
-            full = Path(dirpath) / name
-            if name.endswith(".tf") and not full.is_symlink():
-                yield full
+def _walk_tf_files(root: Path) -> Iterator[str]:
+    """Relative POSIX paths of the .tf files under root, in file-system order.
+
+    Symlinked files and directories are skipped, a directory is never a file
+    whatever its name, and a directory that cannot be listed is ignored. The
+    walk keeps its own stack of directories, so no tree is too deep, and a
+    directory entry answers ``is_symlink`` and ``is_dir`` without a ``stat``
+    where the file system reports entry types (PEP 471).
+    """
+    stack = [("", os.fspath(root))]  # (relative prefix, path) of directories to list
+    while stack:
+        prefix, path = stack.pop()
+        dirs, files = [], []
+        try:
+            with os.scandir(path) as entries:
+                for entry in entries:
+                    if entry.is_symlink():
+                        continue
+                    if entry.is_dir():
+                        dirs.append((prefix + entry.name + "/", entry.path))
+                    elif entry.name.endswith(".tf"):
+                        files.append(prefix + entry.name)
+        except OSError:
+            continue  # a directory that fails part way yields nothing, as in os.walk
+        stack += dirs
+        yield from files
 
 
 def discover_tf_files(root: Path) -> list[str]:
     """Sorted relative POSIX paths of all .tf files under root."""
     if root.is_file():
         return [root.name] if root.name.endswith(".tf") else []
-    return sorted(
-        str(PurePosixPath(p.relative_to(root))) for p in _walk_tf_files(root)
-    )
+    return sorted(_walk_tf_files(root))
 
 
 def _read_unit(base: Path, rel: str) -> tuple[ScanUnit, bool]:
     """Load ``base / rel``; returns (unit, is_read_or_decode_failure)."""
     try:
-        data = (base / rel).read_bytes()
+        with open(os.path.join(base, rel), "rb") as f:
+            data = f.read()
     except OSError:
         return ScanUnit(rel, None), True
     if data.startswith(b"\xef\xbb\xbf"):
@@ -118,7 +136,7 @@ def scan(
     failed = {unit.path for unit, bad in loaded if bad}
     by_dir: dict[str, list[ScanUnit]] = {}
     for unit, _ in loaded:
-        by_dir.setdefault(str(PurePosixPath(unit.path).parent), []).append(unit)
+        by_dir.setdefault(unit.path.rpartition("/")[0] or ".", []).append(unit)
     findings = detect_all(by_dir, cfg, engine, failed)
 
     return ScanReport(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
-from pathlib import Path
+import os
+from pathlib import Path, PurePosixPath
 
 import pytest
 
@@ -18,6 +19,19 @@ def fixtures() -> Path:
 def fixture_corpus_files() -> list[Path]:
     """Every .tf file in the checked-in fixture corpus."""
     return sorted(FIXTURES.rglob("*.tf"))
+
+
+def walk_tf_files(root: Path) -> list[str]:
+    """Reference discovery by ``os.walk``: sorted relative POSIX paths of the
+    .tf files under ``root``, symlinked files and directories skipped."""
+    found = []
+    for dirpath, dirnames, filenames in os.walk(root, followlinks=False):
+        dirnames[:] = [d for d in dirnames if not (Path(dirpath) / d).is_symlink()]
+        for name in filenames:
+            full = Path(dirpath) / name
+            if name.endswith(".tf") and not full.is_symlink():
+                found.append(str(PurePosixPath(full.relative_to(root))))
+    return sorted(found)
 
 
 def nodes_equal(a: object, b: object) -> bool:

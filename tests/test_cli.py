@@ -279,3 +279,17 @@ def test_scan_fixture_report_bytes_are_pinned(tmp_path, engine, fmt):
         f"tests/fixtures --engine {engine} --format {fmt} | sha256sum`, put it in "
         "FIXTURE_REPORT_SHA256 and name the changed digest in CHANGES.md."
     )
+
+
+@pytest.mark.parametrize(
+    "criteria, message",
+    [("[]", "must hold a JSON object"), ('{"min_stars": "3"}', "'min_stars' must be int")],
+)
+def test_harvest_rejects_a_malformed_criteria_file(tmp_path, capsys, criteria, message):
+    path = tmp_path / "criteria.json"
+    path.write_text(criteria)
+    argv = ["harvest", "--provider", "aws", "--dest", str(tmp_path / "out"),
+            "--criteria", str(path), "--dry-run"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

@@ -16,6 +16,7 @@ from tfsustain.hcl import (
     Opaque,
     Reference,
     SourceSpan,
+    SourceText,
     StringLit,
     TemplateString,
     find_blocks,
@@ -476,3 +477,42 @@ def test_deep_nested_templates_are_one_unterminated_string():
     cf = parse('x = ' + '"${' * _DEEP + "\n")
     assert [d.message for d in cf.diagnostics] == ["unterminated string"]
     assert isinstance(get_attribute(cf, "x"), TemplateString)
+
+
+def _located_nodes(cf):
+    """The file, its diagnostics, and every attribute and block, nested ones too."""
+    yield cf
+    yield from cf.diagnostics
+    stack = list(cf.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Block):
+            stack.extend(node.body)
+
+
+def _fixture_id(path):
+    return f"{path.parent.name}/{path.name}"
+
+
+@pytest.mark.parametrize("path", fixture_corpus_files(), ids=_fixture_id)
+def test_two_parses_of_one_text_compare_and_print_the_same(path):
+    text = path.read_text(encoding="utf-8")
+    first, second = parse(text, "f.tf"), parse(text, "f.tf")
+    assert first.body and first.span is not None
+    # The spans are built by the comparison itself, never shared between parses.
+    assert first == second
+    assert repr(parse(text, "f.tf")) == repr(parse(text, "f.tf"))
+    assert first.body != parse(text, "g.tf").body  # each span names its file
+
+
+@pytest.mark.parametrize("path", fixture_corpus_files(), ids=_fixture_id)
+def test_spans_built_on_demand_equal_spans_built_eagerly(path):
+    text = path.read_text(encoding="utf-8")
+    eager = SourceText(str(path), text)
+    for node in _located_nodes(parse(text, str(path))):
+        assert node.span == eager.span(node.start, node.end), node
+        if isinstance(node, Attribute):
+            assert text[node.start : node.end].startswith(node.name)
+        elif isinstance(node, Block):
+            assert text[node.start : node.end].startswith(node.block_type)

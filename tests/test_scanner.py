@@ -17,7 +17,7 @@ from tfsustain.scanner import (
     smells_by_path,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, walk_tf_files
 from synth import build_corpus
 
 
@@ -73,6 +73,54 @@ def test_scan_ignores_symlinked_files(tmp_path):
     (tmp_path / "link.tf").symlink_to(real / "main.tf")
     (tmp_path / "linkdir").symlink_to(real)
     assert discover_tf_files(tmp_path) == ["real/main.tf"]
+
+
+def test_discovery_matches_an_os_walk_reference(tmp_path):
+    real = tmp_path / "real"
+    real.mkdir()
+    (real / "main.tf").write_text("")
+    (tmp_path / "link.tf").symlink_to(real / "main.tf")
+    (tmp_path / "linkdir").symlink_to(real)
+    (tmp_path / "broken.tf").symlink_to(tmp_path / "missing.tf")
+    (tmp_path / "mod.tf").mkdir()  # a directory, never a file
+    (tmp_path / "mod.tf" / "main.tf").write_text("")
+    for name in ("top.tf", "main.TF", "x.tf.json", "vars.tfvars"):
+        (tmp_path / name).write_text("")
+    (tmp_path / ".hidden").mkdir()
+    (tmp_path / ".hidden" / "h.tf").write_text("")
+    for d in ("a", "a-b"):  # "-" sorts before "/", so a-b/x.tf comes first
+        (tmp_path / d).mkdir()
+        (tmp_path / d / "x.tf").write_text("")
+    expected = [
+        ".hidden/h.tf", "a-b/x.tf", "a/x.tf", "mod.tf/main.tf", "real/main.tf", "top.tf"
+    ]
+    assert walk_tf_files(tmp_path) == expected
+    assert discover_tf_files(tmp_path) == expected
+
+
+_TREE_DEPTH = 1_100  # deeper than the default recursion limit of 1,000
+
+
+@pytest.mark.parametrize("engine", ["ast", "pattern"])
+def test_deep_directory_tree_does_not_stop_the_scan(tmp_path, engine):
+    dirs = [tmp_path / "d"]
+    for _ in range(_TREE_DEPTH - 1):
+        dirs.append(dirs[-1] / "d")
+    for d in dirs:
+        d.mkdir()
+    deep = dirs[-1] / "main.tf"
+    deep.write_text('resource "aws_instance" "a" {\n  instance_type = "m5.24xlarge"\n}\n')
+    (tmp_path / "top.tf").write_text('resource "aws_sns_topic" "t" {\n  name = "t"\n}\n')
+    try:
+        report = scan(tmp_path, engine=engine)
+        deep_rel = "d/" * _TREE_DEPTH + "main.tf"
+        assert report.scanned_files == 2
+        assert (deep_rel, SmellId.SS1) in {(f.path, f.smell) for f in report.findings}
+    finally:
+        # Remove the tree bottom-up here: a recursive rmtree would hit the limit.
+        deep.unlink()
+        for d in reversed(dirs):
+            d.rmdir()
 
 
 def test_scan_counts_unreadable_files_in_denominator(tmp_path):
