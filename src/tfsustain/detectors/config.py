@@ -190,9 +190,25 @@ def config_from_dict(data: dict, source_text: str | None = None) -> DetectorConf
     return DetectorConfig(**kwargs)
 
 
+# A JSON string, with the ":" after it when it is an object key; an opening
+# bracket; a closing bracket.
+_JSON_PART_RE = re.compile(r'("(?:[^"\\]|\\.)*")(\s*:)?|([{\[])|[}\]]')
+
+
 def _locate_key(source_text: str | None, key: str) -> tuple[int | None, int | None]:
-    """Line/column of the first ``"key"`` followed by ``:`` in the raw config text."""
-    m = re.search(re.escape(f'"{key}"') + r"\s*:", source_text or "")
-    if m is None:
-        return None, None
-    return SourceText("", source_text).position(m.start())
+    """Line/column of ``"key":`` among the top-level keys of the raw config text.
+
+    A key of the same name in a nested object, or the same text inside a
+    string, is not it.
+    """
+    text = source_text or ""
+    depth = 0
+    for m in _JSON_PART_RE.finditer(text):
+        string, colon, opener = m.groups()
+        if opener:
+            depth += 1
+        elif string is None:
+            depth -= 1
+        elif colon and depth == 1 and string == f'"{key}"':
+            return SourceText("", text).position(m.start())
+    return None, None

@@ -15,7 +15,7 @@ from .ast import (
     StringLit,
     TemplateString,
 )
-from .lexer import SourceSpan, SourceText, Token, TokenKind, detokenize, tokenize
+from .lexer import SourceSpan, SourceText, Token, TokenKind, Tokens, detokenize, tokenize
 from .parser import find_blocks, get_attribute, get_attribute_node, parse
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "TemplateString",
     "Token",
     "TokenKind",
+    "Tokens",
     "detokenize",
     "find_blocks",
     "get_attribute",

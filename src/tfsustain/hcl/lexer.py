@@ -7,9 +7,11 @@ input, including malformed files. Lexing never raises; unterminated strings,
 heredocs, and block comments produce a token carrying an ``error`` message
 and scanning continues.
 
-Tokens are offsets into one shared :class:`SourceText`; line and column are
-computed from its line index only when a span is asked for, so lexing builds
-no :class:`SourceSpan`.
+:func:`tokenize` fills parallel lists of kinds and of start and end offsets
+into one shared :class:`SourceText`, with the errors keyed by start offset,
+and builds no object per token: a :class:`Token` view is made only when one
+is indexed or iterated. Line and column are computed from the line index only
+when a span is asked for, so lexing builds no :class:`SourceSpan`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from __future__ import annotations
 import enum
 import re
 from bisect import bisect_right
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class TokenKind(enum.Enum):
@@ -57,16 +61,19 @@ class SourceSpan:
 class SourceText:
     """One file's path and text, with the offset of each line's first character.
 
-    Lines end only at ``"\\n"``; ``str.splitlines`` would also break at
-    ``"\\r"``, ``"\\x0b"``, ``"\\x85"``, ``"\\u2028"`` and others.
+    The line index is built on the first :meth:`position` call, so a file
+    whose spans are never read never builds it. Lines end only at ``"\\n"``;
+    ``str.splitlines`` would also break at ``"\\r"``, ``"\\x0b"``, ``"\\x85"``,
+    ``"\\u2028"`` and others.
     """
-
-    __slots__ = ("path", "text", "line_starts")
 
     def __init__(self, path: str, text: str) -> None:
         self.path = path
         self.text = text
-        self.line_starts = (0, *(m.end() for m in re.finditer("\n", text)))
+
+    @cached_property
+    def line_starts(self) -> tuple[int, ...]:
+        return (0, *(m.end() for m in re.finditer("\n", self.text)))
 
     def position(self, offset: int) -> tuple[int, int]:
         """1-based line and column of ``offset``."""
@@ -77,33 +84,22 @@ class SourceText:
         return SourceSpan(self.path, *self.position(start), *self.position(end))
 
 
+@dataclass(slots=True, eq=False, repr=False)
 class Token:
-    """One token as offsets into its ``source``.
+    """A view of one token of a :class:`Tokens` sequence, built when it is read.
 
     ``source.text[lead_start:start]`` is the leading trivia (whitespace and
     a possible BOM) between the previous token and this one, and
     ``source.text[start:end]``, kept as ``text``, is the token itself.
     """
 
-    __slots__ = ("kind", "lead_start", "start", "end", "text", "error", "source")
-
-    def __init__(
-        self,
-        kind: TokenKind,
-        lead_start: int,
-        start: int,
-        end: int,
-        text: str,
-        error: str | None,
-        source: SourceText,
-    ) -> None:
-        self.kind = kind
-        self.lead_start = lead_start
-        self.start = start
-        self.end = end
-        self.text = text
-        self.error = error
-        self.source = source
+    kind: TokenKind
+    lead_start: int
+    start: int
+    end: int
+    text: str
+    error: str | None
+    source: SourceText
 
     @property
     def leading(self) -> str:
@@ -120,18 +116,65 @@ class Token:
         )
 
 
+@dataclass(slots=True, eq=False)
+class Tokens(Sequence[Token]):
+    """The tokens of one text as parallel lists; the last token is always EOF.
+
+    Token ``i`` has kind ``kinds[i]`` and text ``source.text[starts[i]:ends[i]]``,
+    and its leading trivia starts where token ``i - 1`` ends. ``errors`` maps
+    the start offset of each token that carries an error to its message; no
+    two tokens start at one offset, since only EOF is empty. Indexing, slicing
+    and iteration build :class:`Token` views; the parser reads the lists.
+    """
+
+    source: SourceText
+    kinds: list[TokenKind]
+    starts: list[int]
+    ends: list[int]
+    errors: dict[int, str]
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, index: int | slice) -> Token | list[Token]:
+        n = len(self.kinds)
+        if isinstance(index, slice):
+            return [self._token(i) for i in range(*index.indices(n))]
+        if not -n <= index < n:
+            raise IndexError("token index out of range")
+        return self._token(index % n)
+
+    def __iter__(self) -> Iterator[Token]:
+        return map(self._token, range(len(self.kinds)))
+
+    def _token(self, i: int) -> Token:
+        start, end = self.starts[i], self.ends[i]
+        return Token(
+            self.kinds[i],
+            self.ends[i - 1] if i else 0,
+            start,
+            end,
+            self.source.text[start:end],
+            self.errors.get(start),
+            self.source,
+        )
+
+
 # One alternative per token kind, tried in order after the trivia (spaces,
 # tabs, a lone "\r", a BOM at offset 0) that becomes the token's ``leading``.
 # Character classes are ASCII on purpose: a Unicode digit is punctuation.
 # Identifiers follow HCL: dashes are legal after the first char. Two-character
-# operators are kept whole so expression capture stays readable.
+# operators are kept whole so expression capture stays readable. STRING is a
+# whole quoted string with nothing scan_template would stop at but escapes;
+# any other quote is a TEMPLATE, read to its end by scan_template.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<lead> (?: [ \t] | \r(?!\n) | \A\ufeff )* )
+    (?: [ \t] | \r(?!\n) | \A\ufeff )*
     (?: (?P<NEWLINE> \r?\n )
       | (?P<COMMENT> (?: \# | // ) (?: [^\r\n] | \r(?!\n) )* | /\*.*?\*/ )
       | (?P<UNCLOSED_COMMENT> /\*.* )
-      | (?P<STRING> " )
+      | (?P<STRING> " [^"\\\n$%]* (?: (?: \\. | [$%](?!\{) ) [^"\\\n$%]* )* " )
+      | (?P<TEMPLATE> " )
       | (?P<HEREDOC> <<-? (?P<tag> [A-Za-z0-9_-]* ) )
       | (?P<NUMBER> [0-9]+ (?: \.[0-9]+ )? (?: [eE][+-]?[0-9]+ )? )
       | (?P<BOOL> (?: true | false ) (?! [A-Za-z0-9_-] ) )
@@ -146,10 +189,12 @@ _TOKEN_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
-_KINDS = {
-    "UNCLOSED_COMMENT": TokenKind.COMMENT,
-    **TokenKind.__members__,
-}
+# The token kind of each group, by group number; None for the groups whose
+# kind, error or end the regex alone does not settle.
+_GROUP_KINDS = [None] * (_TOKEN_RE.groups + 1)
+for _name, _index in _TOKEN_RE.groupindex.items():
+    if _name in TokenKind.__members__ and _name not in ("HEREDOC", "EOF"):
+        _GROUP_KINDS[_index] = TokenKind[_name]
 
 # Where a template scan stops, by the innermost open frame. In a quoted
 # template ('"'): an escape, an escaped marker ($${ or %%{), an interpolation
@@ -161,34 +206,53 @@ _TEMPLATE_STOPS = {
 }
 
 
-def tokenize(text: str, file_id: str = "<input>") -> list[Token]:
+def tokenize(text: str, file_id: str = "<input>") -> Tokens:
     """Scan ``text`` into tokens; the last token is always EOF."""
-    source = SourceText(file_id, text)
-    tokens: list[Token] = []
+    kinds: list[TokenKind] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    errors: dict[int, str] = {}
+    tokens = Tokens(SourceText(file_id, text), kinds, starts, ends, errors)
+    add_kind, add_start, add_end = kinds.append, starts.append, ends.append
     pos = 0
     while True:
-        m = _TOKEN_RE.match(text, pos)
-        group = m.lastgroup
-        start, end = m.end("lead"), m.end()
-        kind, error = _KINDS[group], None
-        if group == "UNCLOSED_COMMENT":
-            error = "unterminated block comment"
-        elif group == "STRING":
-            end, error, _ = scan_template(text, start)
-        elif group == "HEREDOC":
-            tag = m.group("tag")
-            if tag:
-                end, error = _heredoc_end(text, end, tag)
+        for m in _TOKEN_RE.finditer(text, pos):
+            index = m.lastindex
+            start, end = m.span(index)
+            kind = _GROUP_KINDS[index]
+            if kind is not None:
+                add_kind(kind)
+                add_start(start)
+                add_end(end)
+                continue
+            group, error = m.lastgroup, None
+            if group == "EOF":
+                kind = TokenKind.EOF
+            elif group == "UNCLOSED_COMMENT":
+                kind, error = TokenKind.COMMENT, "unterminated block comment"
+            elif group == "TEMPLATE":
+                kind = TokenKind.STRING
+                end, error, _ = scan_template(text, start)
+            elif m.group("tag"):
+                kind = TokenKind.HEREDOC
+                end, error = _heredoc_end(text, end, m.group("tag"))
             else:
                 # "<<" with no tag: treat the two angle brackets as punctuation.
                 kind = TokenKind.PUNCT
-        tokens.append(Token(kind, pos, start, end, text[start:end], error, source))
-        if group == "EOF":
-            return tokens
-        pos = end
+            add_kind(kind)
+            add_start(start)
+            add_end(end)
+            if error:
+                errors[start] = error
+            if group == "EOF":
+                return tokens
+            if end != m.end():
+                # The token ends past the regex match: the scan resumes there.
+                pos = end
+                break
 
 
-def detokenize(tokens: list[Token]) -> str:
+def detokenize(tokens: Iterable[Token]) -> str:
     """Reassemble the exact source text from a token stream."""
     return "".join(t.leading + t.text for t in tokens)
 

@@ -15,6 +15,8 @@ deeper block is a parse error, so no input exhausts the call stack.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
+from itertools import compress
 
 from .ast import (
     Attribute,
@@ -31,12 +33,25 @@ from .ast import (
     StringLit,
     TemplateString,
 )
-from .lexer import Token, TokenKind, scan_template, tokenize
+from .lexer import SourceText, TokenKind, scan_template, tokenize
 
 # Expected label counts, enforced as warnings only.
 _LABEL_COUNTS = {"resource": 2, "terraform": 0, "backend": 1}
 
 _MAX_DEPTH = 64
+
+# The kinds as module globals: on Python 3.11 a member read off the enum class
+# costs about ten global reads, and the parser tests a kind at almost every token.
+ASSIGN, BLOCK_OPEN, BLOCK_CLOSE, BOOL, COMMENT, EOF = (
+    TokenKind.ASSIGN, TokenKind.BLOCK_OPEN, TokenKind.BLOCK_CLOSE, TokenKind.BOOL,
+    TokenKind.COMMENT, TokenKind.EOF,
+)
+HEREDOC, IDENTIFIER, NEWLINE, NUMBER, STRING = (
+    TokenKind.HEREDOC, TokenKind.IDENTIFIER, TokenKind.NEWLINE, TokenKind.NUMBER,
+    TokenKind.STRING,
+)
+_LABEL_START = (STRING, IDENTIFIER, BLOCK_OPEN)  # what may follow a block type
+_SEGMENT_KINDS = (IDENTIFIER, NUMBER, BOOL)  # what may follow a '.' in a reference
 
 # Token texts that end an expression, per context; "" is EOF. Punctuation is
 # told by its text alone: no other token kind has these texts.
@@ -59,15 +74,19 @@ _ESCAPE_RE = re.compile(r"\\.|([$%])\1\{", re.DOTALL)
 def parse(text: str, path: str = "<input>") -> ConfigFile:
     """Parse HCL text into a ConfigFile; never raises on bad input."""
     tokens = tokenize(text, path)
-    # Token errors come from every token; the parser never sees a comment.
-    errors = [tok for tok in tokens if tok.error]
-    tokens = [tok for tok in tokens if tok.kind is not TokenKind.COMMENT]
-    parser = _Parser(tokens)
+    source, kinds, starts, ends = tokens.source, tokens.kinds, tokens.starts, tokens.ends
+    if COMMENT in kinds:
+        # The parser never sees a comment; an unterminated one is still reported.
+        keep = [kind is not COMMENT for kind in kinds]
+        kinds, starts, ends = (list(compress(column, keep)) for column in (kinds, starts, ends))
+    parser = _Parser(source, kinds, starts, ends, tokens.errors)
     body = parser.parse_top()
 
-    parser.diagnostics.extend(_diagnostic(tok.error, tok) for tok in errors)
+    for start, message in tokens.errors.items():
+        end = tokens.ends[bisect_left(tokens.starts, start)]
+        parser.diagnostics.append(Diagnostic.at(source, start, end, message=message))
     return ConfigFile.at(
-        tokens[-1].source, 0, len(text), path=path, body=body, diagnostics=parser.diagnostics
+        source, 0, len(text), path=path, body=body, diagnostics=parser.diagnostics
     )
 
 
@@ -111,59 +130,62 @@ def get_attribute_node(block: Block | ConfigFile, name: str) -> Attribute | None
 # ---------------------------------------------------------------------------
 
 
-def _diagnostic(
-    message: str, at: Token | Attribute | Block, severity: str = "error"
-) -> Diagnostic:
-    """A diagnostic over ``at``, a token or a parsed node, with its span unbuilt."""
-    return Diagnostic.at(at.source, at.start, at.end, message=message, severity=severity)
-
-
 class _ParseError(Exception):
-    """A parse failure at ``tok``."""
+    """A parse failure at token ``at``."""
 
-    def __init__(self, message: str, tok: Token) -> None:
+    def __init__(self, message: str, at: int) -> None:
         super().__init__(message)
-        self.tok = tok
-
-    def diagnostic(self) -> Diagnostic:
-        return _diagnostic(self.args[0], self.tok)
+        self.at = at
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]) -> None:
-        self.toks = tokens
+    """Parses by index over the parallel token lists of one text, comments removed.
+
+    Token ``i`` has kind ``kinds[i]`` and text ``text[starts[i]:ends[i]]``;
+    the last token is EOF, and the cursor ``i`` never moves past it.
+    """
+
+    def __init__(
+        self,
+        source: SourceText,
+        kinds: list[TokenKind],
+        starts: list[int],
+        ends: list[int],
+        errors: dict[int, str],
+    ) -> None:
+        self.source = source
+        self.text = source.text
+        self.kinds, self.starts, self.ends = kinds, starts, ends
+        self.errors = errors
         self.i = 0
         self.diagnostics: list[Diagnostic] = []
 
-    # -- token cursor --------------------------------------------------
+    def _text(self, i: int) -> str:
+        return self.text[self.starts[i] : self.ends[i]]
 
-    def _cur(self) -> Token:
-        return self.toks[self.i]
+    def _error(self, message: str, i: int) -> Diagnostic:
+        return Diagnostic.at(self.source, self.starts[i], self.ends[i], message=message)
 
-    def _advance(self) -> Token:
-        tok = self.toks[self.i]
-        if tok.kind is not TokenKind.EOF:
-            self.i += 1
-        return tok
-
-    def _skip_newlines(self) -> Token:
-        """Move past newlines; return the current token."""
-        while self.toks[self.i].kind is TokenKind.NEWLINE:
-            self.i += 1
-        return self.toks[self.i]
+    def _skip_newlines(self) -> TokenKind:
+        """Move past newlines; return the current token's kind."""
+        kinds, i = self.kinds, self.i
+        while kinds[i] is NEWLINE:
+            i += 1
+        self.i = i
+        return kinds[i]
 
     # -- top level -------------------------------------------------------
 
     def parse_top(self) -> list[Block | Attribute]:
         body: list[Block | Attribute] = []
         while True:
-            tok = self._skip_newlines()
-            if tok.kind is TokenKind.EOF:
+            kind = self._skip_newlines()
+            if kind is EOF:
                 self._check_body(body)
                 return body
-            if tok.kind is TokenKind.BLOCK_CLOSE:
-                self.diagnostics.append(_diagnostic("unexpected '}'", tok))
-                self._advance()
+            if kind is BLOCK_CLOSE:
+                self.diagnostics.append(self._error("unexpected '}'", self.i))
+                self.i += 1
                 continue
             before = len(self.diagnostics)
             try:
@@ -171,84 +193,82 @@ class _Parser:
             except _ParseError as err:
                 # The item is dropped, and with it the warnings on its bodies.
                 del self.diagnostics[before:]
-                self.diagnostics.append(err.diagnostic())
+                self.diagnostics.append(self._error(err.args[0], err.at))
                 self._sync()
 
     def _sync(self) -> None:
         """Skip to the next plausible top-level item after a parse error."""
+        kinds, i = self.kinds, self.i
         depth = 0
-        while True:
-            tok = self._cur()
-            if tok.kind is TokenKind.EOF:
-                return
-            if tok.kind is TokenKind.NEWLINE and depth <= 0:
-                self._advance()
-                return
-            if tok.kind is TokenKind.BLOCK_OPEN:
+        while (kind := kinds[i]) is not EOF:
+            i += 1
+            if kind is NEWLINE and depth <= 0:
+                break
+            if kind is BLOCK_OPEN:
                 depth += 1
-            elif tok.kind is TokenKind.BLOCK_CLOSE:
+            elif kind is BLOCK_CLOSE:
                 depth -= 1
-            self._advance()
+        self.i = i
 
     # -- items -------------------------------------------------------------
 
     def _parse_item(self, depth: int) -> Block | Attribute:
-        head = self._cur()
-        if head.kind is not TokenKind.IDENTIFIER:
+        kinds, head = self.kinds, self.i
+        if kinds[head] is not IDENTIFIER:
             raise _ParseError(
-                f"expected block or attribute, found {head.kind.value} {head.text!r}",
+                f"expected block or attribute, found {kinds[head].value} "
+                f"{self._text(head)!r}",
                 head,
             )
-        self._advance()
-        nxt = self._cur()
+        name = self._text(head)
+        self.i = i = head + 1
+        kind = kinds[i]
 
-        if nxt.kind is TokenKind.ASSIGN:
-            self._advance()
+        if kind is ASSIGN:
+            self.i = i + 1
             value = self._parse_expression(_ATTR_ENDS, depth)
-            end = self.toks[self.i - 1].end
-            return Attribute.at(head.source, head.start, end, name=head.text, value=value)
+            end = self.ends[self.i - 1]
+            return Attribute.at(self.source, self.starts[head], end, name=name, value=value)
 
-        if nxt.kind in (TokenKind.STRING, TokenKind.IDENTIFIER, TokenKind.BLOCK_OPEN):
+        if kind in _LABEL_START:
             labels: list[str] = []
             while True:
-                tok = self._cur()
-                if tok.kind is TokenKind.STRING:
-                    labels.append(_string_inner(tok))
-                    self._advance()
-                elif tok.kind is TokenKind.IDENTIFIER:
-                    labels.append(tok.text)
-                    self._advance()
+                kind = kinds[i]
+                if kind is STRING:
+                    labels.append(_string_inner(self._text(i), self.errors.get(self.starts[i])))
+                elif kind is IDENTIFIER:
+                    labels.append(self._text(i))
                 else:
                     break
-            if tok.kind is not TokenKind.BLOCK_OPEN:
+                i += 1
+            self.i = i
+            if kind is not BLOCK_OPEN:
                 raise _ParseError(
-                    f"expected '{{' to open {head.text!r} block, found {tok.text!r}",
-                    tok,
+                    f"expected '{{' to open {name!r} block, found {self._text(i)!r}", i
                 )
             if depth == _MAX_DEPTH:
-                raise _ParseError(f"blocks nested deeper than {_MAX_DEPTH}", tok)
-            self._advance()
+                raise _ParseError(f"blocks nested deeper than {_MAX_DEPTH}", i)
+            self.i = i + 1
             body = self._parse_block_body(head, depth + 1)
-            end = self.toks[self.i - 1].end
+            end = self.ends[self.i - 1]
             return Block.at(
-                head.source, head.start, end, block_type=head.text, labels=labels, body=body
+                self.source, self.starts[head], end, block_type=name, labels=labels, body=body
             )
 
         raise _ParseError(
-            f"expected '=' or block labels after {head.text!r}, found {nxt.text!r}",
-            nxt,
+            f"expected '=' or block labels after {name!r}, found {self._text(i)!r}", i
         )
 
-    def _parse_block_body(self, head: Token, depth: int) -> list[Block | Attribute]:
+    def _parse_block_body(self, head: int, depth: int) -> list[Block | Attribute]:
         body: list[Block | Attribute] = []
         while True:
-            tok = self._skip_newlines()
-            if tok.kind is TokenKind.BLOCK_CLOSE:
-                self._advance()
+            kind = self._skip_newlines()
+            if kind is BLOCK_CLOSE:
+                self.i += 1
                 break
-            if tok.kind is TokenKind.EOF:
+            if kind is EOF:
                 self.diagnostics.append(
-                    _diagnostic(f"block {head.text!r} not closed before end of file", head)
+                    self._error(f"block {self._text(head)!r} not closed before end of file", head)
                 )
                 break
             body.append(self._parse_item(depth))
@@ -272,7 +292,9 @@ class _Parser:
             else:
                 seen.add(item.name)
                 continue
-            self.diagnostics.append(_diagnostic(message, item, "warning"))
+            self.diagnostics.append(
+                Diagnostic.at(item.source, item.start, item.end, message=message, severity="warning")
+            )
 
     # -- expressions ---------------------------------------------------
 
@@ -280,7 +302,7 @@ class _Parser:
         start = self.i
         try:
             value = self._parse_candidate(depth)
-            if self._cur().text in ends:
+            if self._text(self.i) in ends:
                 return value
         except _ParseError:
             pass
@@ -288,109 +310,115 @@ class _Parser:
         return self._opaque_capture(ends)
 
     def _parse_candidate(self, depth: int) -> ExpressionValue:
-        tok = self._cur()
-        kind, text = tok.kind, tok.text
-        if kind is TokenKind.STRING:
-            self._advance()
-            return _string_value(tok)
-        if kind is TokenKind.NUMBER:
-            self._advance()
+        i = self.i
+        kind, text = self.kinds[i], self._text(i)
+        if kind is STRING:
+            self.i = i + 1
+            return _string_value(text, self.errors.get(self.starts[i]))
+        if kind is NUMBER:
+            self.i = i + 1
             return NumberLit(_number(text))
-        if kind is TokenKind.BOOL:
-            self._advance()
+        if kind is BOOL:
+            self.i = i + 1
             return BoolLit(text == "true")
-        if kind is TokenKind.HEREDOC:
-            self._advance()
-            return StringLit(_heredoc_body(tok))
-        if kind is TokenKind.IDENTIFIER:
+        if kind is HEREDOC:
+            self.i = i + 1
+            return StringLit(_heredoc_body(text, self.errors.get(self.starts[i])))
+        if kind is IDENTIFIER:
             return self._parse_reference()
         if text == "-":
-            nxt = self.toks[self.i + 1]
-            if nxt.kind is TokenKind.NUMBER:
-                self.i += 2
-                return NumberLit(-_number(nxt.text))
-            raise _ParseError("unsupported expression", tok)
+            if self.kinds[i + 1] is NUMBER:
+                self.i = i + 2
+                return NumberLit(-_number(self._text(i + 1)))
+            raise _ParseError("unsupported expression", i)
         if text in ("[", "{"):
             if depth == _MAX_DEPTH:
-                raise _ParseError("nested too deep", tok)  # kept as Opaque
+                raise _ParseError("nested too deep", i)  # kept as Opaque
             if text == "[":
                 return self._parse_list(depth + 1)
             return self._parse_map(depth + 1)
-        raise _ParseError(f"expected value, found {text!r}", tok)
+        raise _ParseError(f"expected value, found {text!r}", i)
 
     def _parse_list(self, depth: int) -> ListValue:
-        self._advance()  # [
+        self.i += 1  # [
         items: list[ExpressionValue] = []
         while True:
-            tok = self._skip_newlines()
-            if tok.text == "]":
-                self._advance()
+            kind = self._skip_newlines()
+            if self._text(self.i) == "]":
+                self.i += 1
                 return ListValue(tuple(items))
-            if tok.kind is TokenKind.EOF:
-                raise _ParseError("unterminated list", tok)
+            if kind is EOF:
+                raise _ParseError("unterminated list", self.i)
             items.append(self._parse_expression(_LIST_ENDS, depth))
-            if self._skip_newlines().text == ",":
-                self._advance()
+            self._skip_newlines()
+            if self._text(self.i) == ",":
+                self.i += 1
 
     def _parse_map(self, depth: int) -> MapValue:
-        self._advance()  # {
+        self.i += 1  # {
         entries: list[tuple[str, ExpressionValue]] = []
         while True:
-            tok = self._skip_newlines()
-            if tok.text == "}":
-                self._advance()
+            kind = self._skip_newlines()
+            i = self.i
+            text = self._text(i)
+            if text == "}":
+                self.i = i + 1
                 return MapValue(tuple(entries))
-            if tok.kind is TokenKind.EOF:
-                raise _ParseError("unterminated map", tok)
-            if tok.kind is TokenKind.IDENTIFIER:
-                key = tok.text
-            elif tok.kind is TokenKind.STRING:
-                key = _string_inner(tok)
+            if kind is EOF:
+                raise _ParseError("unterminated map", i)
+            if kind is IDENTIFIER:
+                key = text
+            elif kind is STRING:
+                key = _string_inner(text, self.errors.get(self.starts[i]))
             else:
-                raise _ParseError(f"expected map key, found {tok.text!r}", tok)
-            self._advance()
-            sep = self._cur()
-            if sep.text not in ("=", ":"):
-                raise _ParseError(
-                    f"expected '=' or ':' after map key, found {sep.text!r}", sep
-                )
-            self._advance()
+                raise _ParseError(f"expected map key, found {text!r}", i)
+            self.i = i = i + 1
+            sep = self._text(i)
+            if sep not in ("=", ":"):
+                raise _ParseError(f"expected '=' or ':' after map key, found {sep!r}", i)
+            self.i = i + 1
             entries.append((key, self._parse_expression(_MAP_ENDS, depth)))
-            if self._skip_newlines().text == ",":
-                self._advance()
+            self._skip_newlines()
+            if self._text(self.i) == ",":
+                self.i += 1
 
     def _parse_reference(self) -> ExpressionValue:
-        segments = [self._advance().text]
-        while self._cur().text == ".":
-            nxt = self.toks[self.i + 1]
-            segment = nxt.kind in (TokenKind.IDENTIFIER, TokenKind.NUMBER, TokenKind.BOOL)
-            if not segment and nxt.text != "*":
+        i = self.i
+        segments = [self._text(i)]
+        i += 1
+        while self._text(i) == ".":
+            segment = self._text(i + 1)
+            if (
+                self.kinds[i + 1] not in _SEGMENT_KINDS
+                and segment != "*"
+            ):
                 break
-            self.i += 2
-            segments.append(nxt.text)
+            i += 2
+            segments.append(segment)
+        self.i = i
         if segments == ["null"]:
             return Opaque("null")
         return Reference(tuple(segments))
 
     def _opaque_capture(self, ends: frozenset[str]) -> Opaque:
         """Consume one expression verbatim, balancing brackets."""
-        start = self.i
-        depth = 0
-        while True:
-            tok = self._cur()
-            if tok.kind is TokenKind.EOF or (depth == 0 and tok.text in ends):
+        kinds, start = self.kinds, self.i
+        i, depth = start, 0
+        while kinds[i] is not EOF:
+            text = self._text(i)
+            if depth == 0 and text in ends:
                 break
-            if tok.text in _OPENERS:
+            if text in _OPENERS:
                 depth += 1
-            elif tok.text in _CLOSERS:
+            elif text in _CLOSERS:
                 depth -= 1
                 if depth < 0:
                     break
-            self._advance()
-        if self.i == start:
-            raise _ParseError("expected value", self._cur())
-        first, last = self.toks[start], self.toks[self.i - 1]
-        return Opaque(first.source.text[first.start : last.end])
+            i += 1
+        self.i = i
+        if i == start:
+            raise _ParseError("expected value", i)
+        return Opaque(self.text[self.starts[start] : self.ends[i - 1]])
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +432,9 @@ def _number(text: str) -> int | float:
     return int(text)
 
 
-def _string_inner(tok: Token) -> str:
+def _string_inner(text: str, error: str | None) -> str:
     """Literal content between the quotes, escapes decoded, no template parsing."""
-    return _decode(tok.text[1 : len(tok.text) - (tok.error is None)])
+    return _decode(text[1 : len(text) - (error is None)])
 
 
 def _decode(literal: str) -> str:
@@ -421,9 +449,8 @@ def _unescape(m: re.Match) -> str:
     return text[1:] if m.group(1) else _ESCAPES.get(text[1], text)
 
 
-def _string_value(tok: Token) -> ExpressionValue:
+def _string_value(text: str, error: str | None) -> ExpressionValue:
     """Classify a quoted string as plain literal or template."""
-    text = tok.text
     # Without a "{" there is no interpolation to find.
     interpolations = scan_template(text, 0)[2] if "{" in text else ()
     parts: list[str | Reference | Opaque] = []
@@ -437,7 +464,7 @@ def _string_value(tok: Token) -> ExpressionValue:
         else:
             parts.append(Opaque(content))
         pos = closed + 1
-    literal = _decode(text[pos : len(text) - (tok.error is None)])
+    literal = _decode(text[pos : len(text) - (error is None)])
     if not parts:
         return StringLit(literal)
     if literal:
@@ -445,13 +472,12 @@ def _string_value(tok: Token) -> ExpressionValue:
     return TemplateString(tuple(parts))
 
 
-def _heredoc_body(tok: Token) -> str:
-    text = tok.text
+def _heredoc_body(text: str, error: str | None) -> str:
     nl = text.find("\n")
     if nl < 0:
         return ""
     body = text[nl + 1 :]
-    if tok.error is None:
+    if error is None:
         last_nl = body.rfind("\n")
         body = body[: last_nl + 1] if last_nl >= 0 else ""
     if text.startswith("<<-"):

@@ -193,6 +193,14 @@ def test_unknown_config_key_is_located_at_the_key_not_a_value(tmp_path, capsys):
     assert err == "error: unknown config key 'foo' (line 3, column 3)\n"
 
 
+def test_unknown_config_key_is_located_at_top_level_not_a_nested_key(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{\n  "ss1_large_sizes": {"foo": ["x"]},\n  "foo": 1\n}\n')
+    assert run(["lint", str(FIXTURES / "clean"), "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: unknown config key 'foo' (line 3, column 3)\n"
+
+
 def test_load_config_malformed_json_reports_position(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text('{\n  "ss7_max_resources_per_file": \n}')

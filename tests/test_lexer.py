@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfsustain.hcl import TokenKind, detokenize, lexer, tokenize
+from tfsustain.hcl import TokenKind, detokenize, lexer, parse, tokenize
 
 from conftest import fixture_corpus_files, span_text
 
@@ -172,6 +172,46 @@ def test_tokenize_builds_no_spans(monkeypatch):
     span = toks[2].span
     assert (span.start_line, span.start_col, span.end_line, span.end_col) == (2, 1, 2, 9)
     assert built == [span]
+
+
+def test_parse_builds_no_line_index_until_a_span_is_read():
+    # A label-count and a duplicate-attribute warning, an unterminated string.
+    text = '# c\nresource "a" {\n  n = 1\n  n = 2\n}\nx = "open\n'
+    cf = parse(text, "f.tf")
+    assert len(cf.diagnostics) == 3
+    assert "line_starts" not in vars(cf.source)
+    span = cf.diagnostics[-1].span
+    assert (span.start_line, span.start_col, span.end_line, span.end_col) == (6, 5, 6, 10)
+    assert vars(cf.source)["line_starts"] == (0, 4, 19, 27, 35, 37, 47)
+
+
+def _fields(tok):
+    return (tok.kind, tok.lead_start, tok.start, tok.end, tok.text, tok.error, tok.leading)
+
+
+@given(
+    st.text(alphabet=' \t\r\n\ufeffaE1.-=#/*"{}<$%\\![],:', max_size=120),
+    st.integers(-130, 130),
+    st.integers(-130, 130),
+)
+@settings(max_examples=300, deadline=None)
+def test_token_views_agree_however_they_are_read(text, a, b):
+    toks = tokenize(text)
+    n = len(toks)
+    seen = [_fields(t) for t in toks]
+    assert len(seen) == n and seen[-1][0] is TokenKind.EOF
+    assert [_fields(toks[i]) for i in range(n)] == seen
+    assert [_fields(toks[i - n]) for i in range(n)] == seen
+    assert _fields(toks[-1]) == seen[-1]
+    assert [_fields(t) for t in toks[a:b]] == seen[a:b]
+    with pytest.raises(IndexError):
+        toks[n]
+    with pytest.raises(IndexError):
+        toks[-n - 1]
+    prev_end = 0
+    for tok in toks:
+        assert tok.lead_start == prev_end and tok.source is toks.source
+        prev_end = tok.end
 
 
 def test_two_char_operators_stay_whole():

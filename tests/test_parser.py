@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -516,3 +517,42 @@ def test_spans_built_on_demand_equal_spans_built_eagerly(path):
             assert text[node.start : node.end].startswith(node.name)
         elif isinstance(node, Block):
             assert text[node.start : node.end].startswith(node.block_type)
+
+
+# sha256 of repr(parse(text, rel)) for each fixture, read as bytes so CRLF
+# stays: any change to a node, a value, a span or a diagnostic shows here.
+_PARSE_SHA256 = {
+    "clean/main.tf": "eba15f3ccf4a35a9f7d69392e07f5fdac00ad9b1cec73464abfc32d2f72c56a8",
+    "hcl/bom.tf": "8138caa1d2212a890b09f7388d044ff1856572275a56acf68f64aa920beef394",
+    "hcl/crlf.tf": "ba206a9348fc5ef695836a360beb00ec32415813339b8666eab1900a2bd4166b",
+    "hcl/malformed.tf": "b2141553378abcd86abb4615ae05f00f1805bbd8c52933dd9511fe07cb8bd442",
+    "hcl/variety.tf": "eb1f4692ad518eaaada1d7258ed791e6781f153cdcfb4a9bbf7ea60967479db2",
+    "mutants/ss3_no_lifecycle/main.tf": "18e71917510da7d284dc0abfad443b17ea053296e39ed6241190df873f8086b0",
+    "mutants/ss6_local_backend/main.tf": "3ecb7fde77db09f75c780268f09f1e567269d8f43093becb645549f01418352c",
+    "mutants/ss6_no_backend/main.tf": "18312f48d70033466d663db14a018f2bf366dc39682fa79db302250e73a7bb73",
+    "mutants/ss7_extended/main.tf": "3ec82fed419764d86aece80c4711bb676c500718c90845ad6d3d38861f36b36b",
+    "samples/ss1.tf": "8231b8fd2487d90a5309f1d52667168f84ea2bb007244b09334a068fe1ed5905",
+    "samples/ss2.tf": "bb7ad658028f7fbeffb058305fae9933d1b3ad7787396a07d1b59bbd6c8e85b5",
+    "samples/ss3.tf": "2120354dc0615683caccd4a86e8049a91221dd9cc12cd30201e80329a60d5363",
+    "samples/ss4.tf": "d7e70c028114672823b57a520b58386c2cb5eab1a2f1665afb90dfe3ec54d029",
+    "samples/ss5.tf": "32294b9e99cc48956456aef558d240893e18e9cc15a30148289596fbe091a0fd",
+    "samples/ss6.tf": "211cbe9cbe076fdc83db2d544e8d220fdb84114c90759fd3364cd678f21a426f",
+    "samples/ss7.tf": "55afe29a0f1b7c84df0b84a7e37bbe7788bc088c3a3c11e629442092f23f66a8",
+    "samples_extended/ss1.tf": "db9060ac61937b99308a0b46716fedd7f3228dfffcf15286a2e91fad0be75dd2",
+    "samples_extended/ss2.tf": "03305d19d772ec18f2b10f8d4ad30c2c6f58b468a74d845966c4edba4ed5908b",
+    "samples_extended/ss3.tf": "67832493a63ae05c1afc12ad1fb6ff59816a1c5a432d841d047467e79bf1718d",
+    "samples_extended/ss4.tf": "b7ef16cd8ddf130edcabeba9310b77f82730571e5d4290cd6dbe5cabeab831e5",
+    "samples_extended/ss5.tf": "5f90ed3cb466299f1adf4ad3cf9e1d187e6372ccc5170764b5d65367eee3a158",
+    "samples_extended/ss6.tf": "b950c4cec79ed8022895c4a61e4304c61bbc48a180b01610e63dda9052b94806",
+    "samples_extended/ss7.tf": "605f97a6ab0e3e1d8cfae7f56830eecbb4367a7ea179d0aae1deea9d9e1aecaf",
+    "smelly/main.tf": "9141cd3537d3785706739382a48306919a127b1d9f5066fda6af363117b6f5e5",
+}
+
+
+def test_parse_of_every_fixture_matches_its_pinned_sha256():
+    got = {}
+    for path in fixture_corpus_files():
+        rel = path.relative_to(FIXTURES).as_posix()
+        text = path.read_bytes().decode("utf-8")
+        got[rel] = hashlib.sha256(repr(parse(text, rel)).encode()).hexdigest()
+    assert got == _PARSE_SHA256
