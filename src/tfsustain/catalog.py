@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 CATALOG_VERSION = "1.0"
@@ -42,14 +42,6 @@ class AttributeVector:
     resource_context: bool
     code_dependency: bool
     inherent_badness: bool
-
-    def as_tuple(self) -> tuple[bool, bool, bool, bool]:
-        return (
-            self.runtime_dependency,
-            self.resource_context,
-            self.code_dependency,
-            self.inherent_badness,
-        )
 
 
 @dataclass(frozen=True)
@@ -160,7 +152,7 @@ def catalog() -> list[SmellDescriptor]:
 
 def similarity(a: AttributeVector, b: AttributeVector) -> int:
     """1 when all four attributes match, else 0."""
-    return 1 if a.as_tuple() == b.as_tuple() else 0
+    return 1 if a == b else 0
 
 
 def similarity_matrix(descriptors: list[SmellDescriptor]) -> SimilarityMatrix:
@@ -245,7 +237,7 @@ def dump_catalog(descriptors: list[SmellDescriptor]) -> str:
             {
                 "id": str(d.id),
                 "name": d.name,
-                "attributes": list(d.attributes.as_tuple()),
+                "attributes": list(astuple(d.attributes)),
                 "summary": d.summary,
                 "remediation": d.remediation,
             }
@@ -270,12 +262,12 @@ def assign_categories(
     Groups are ordered by first appearance and labelled by
     :func:`anchor_labels`.
     """
-    groups: dict[tuple[bool, ...], list[int]] = {}
+    groups: dict[AttributeVector, list[int]] = {}
     for i, vec in enumerate(vectors):
-        groups.setdefault(vec.as_tuple(), []).append(i)
+        groups.setdefault(vec, []).append(i)
     labels = anchor_labels([{str(ids[i]) for i in members} for members in groups.values()])
     label_of = dict(zip(groups, labels))
-    return [label_of[vec.as_tuple()] for vec in vectors]
+    return [label_of[vec] for vec in vectors]
 
 
 def anchor_labels(groups: list[set[str]]) -> list[int]:

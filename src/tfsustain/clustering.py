@@ -46,13 +46,6 @@ class Dendrogram:
             if cur.distance < prev.distance:
                 raise ValueError("merge distances must be non-decreasing")
 
-    def node_leaves(self) -> list[frozenset[int]]:
-        """Leaf index set of every node, leaves first, then merge order."""
-        sets: list[frozenset[int]] = [frozenset([i]) for i in range(len(self.leaves))]
-        for merge in self.merges:
-            sets.append(sets[merge.left] | sets[merge.right])
-        return sets
-
 
 @dataclass(frozen=True)
 class ClusterAssignment:
@@ -125,34 +118,21 @@ def _linkage_distance(
 
 
 def cut(dendrogram: Dendrogram, threshold: float) -> ClusterAssignment:
-    """Clusters = connected components of merges below the threshold.
+    """Clusters = the nodes left after replaying the merges below the threshold.
 
-    Labels are contiguous from 1, ordered by each cluster's smallest leaf
-    index.
+    Merge distances never decrease, so those merges are a prefix. Labels are
+    contiguous from 1, ordered by each cluster's smallest leaf index.
     """
-    n = len(dendrogram.leaves)
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    node_sets = dendrogram.node_leaves()
+    members = [[i] for i in range(len(dendrogram.leaves))]  # leaf indices per node
     for merge in dendrogram.merges:
-        if merge.distance < threshold:
-            ra = find(min(node_sets[merge.left]))
-            rb = find(min(node_sets[merge.right]))
-            parent[ra] = rb
-
-    roots: dict[int, list[int]] = {}
-    for i in range(n):
-        roots.setdefault(find(i), []).append(i)
-    clusters = sorted(roots.values(), key=min)
+        if merge.distance >= threshold:
+            break
+        members.append(members[merge.left] + members[merge.right])
+        members[merge.left] = members[merge.right] = []
+    clusters = sorted(sorted(leaves) for leaves in members if leaves)
     mapping: dict[Hashable, int] = {}
-    for label, members in enumerate(clusters, 1):
-        for idx in members:
+    for label, leaves in enumerate(clusters, 1):
+        for idx in leaves:
             mapping[dendrogram.leaves[idx]] = label
     return ClusterAssignment(mapping, len(clusters))
 

@@ -17,12 +17,11 @@ ENGINES = tuple(_ENGINE_MODULES)
 class ScanUnit:
     """One Terraform file's path and decoded text, ready for an engine.
 
-    ``text`` is None when the file could not be read; such units still
-    count toward scan totals. Each engine prepares its own view of the text.
+    Each engine prepares its own view of the text.
     """
 
     path: str
-    text: str | None
+    text: str
 
 
 def unit_for(path: str, text: str) -> ScanUnit:

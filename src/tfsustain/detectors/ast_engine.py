@@ -367,7 +367,7 @@ def detect_directory(
     units: Sequence[ScanUnit], cfg: DetectorConfig, failed: set[str]
 ) -> list[SmellFinding]:
     """All seven smells over a directory's files, each parsed once; errors go into ``failed``."""
-    views = [prepare(u.path, u.text, cfg) for u in units if u.text is not None]
+    views = [prepare(u.path, u.text, cfg) for u in units]
     failed.update(
         v.file.path for v in views if any(d.severity == "error" for d in v.file.diagnostics)
     )

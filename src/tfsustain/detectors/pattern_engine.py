@@ -245,7 +245,7 @@ def detect_directory(
     units: Sequence[ScanUnit], cfg: DetectorConfig, failed: set[str]
 ) -> list[SmellFinding]:
     """All seven smells over one directory's readable files; adds nothing to ``failed``."""
-    views = [prepare(u.path, u.text, cfg) for u in units if u.text is not None]
+    views = [prepare(u.path, u.text, cfg) for u in units]
     findings: list[SmellFinding] = []
     for view in views:
         for detector in PER_FILE_PATTERNS:

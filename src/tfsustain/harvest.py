@@ -231,7 +231,7 @@ class CodeSearchClient:
             for item in items:
                 repo = item.get("repository", {})
                 full_name = repo.get("full_name")
-                if not full_name or full_name in records:
+                if not _is_owner_name(full_name) or full_name in records:
                     continue
                 records[full_name] = RepoRecord(
                     full_name=full_name,
@@ -253,19 +253,23 @@ class CodeSearchClient:
         dest: str | Path,
         manifest: "HarvestManifest | None" = None,
     ) -> list[FileEntry]:
-        """Materialize every .tf file of a repository under dest.
+        """Materialize every .tf file of a repository under ``dest/owner/name``.
 
         Idempotent: when the manifest already records a file with the same
         git blob sha and the bytes on disk still hash to the recorded
-        digest, no content request is made.
+        digest, no content request is made. A repository name that is not
+        ``owner/name`` and a tree path that would leave its directory are
+        skipped without a request.
         """
+        if not _is_owner_name(record.full_name):
+            return []
         dest = Path(dest)
         tree = self._get(f"/repos/{record.full_name}/git/trees/HEAD", {"recursive": "1"})
         entries: list[FileEntry] = []
         for node in tree.get("tree", []):
-            if node.get("type") != "blob" or not node.get("path", "").endswith(".tf"):
+            rel = node.get("path", "")
+            if node.get("type") != "blob" or not rel.endswith(".tf") or not _is_relative(rel):
                 continue
-            rel = node["path"]
             git_sha = node.get("sha", "")
             target = dest / record.full_name / rel
             known = manifest.file_entry(record.full_name, rel) if manifest else None
@@ -305,27 +309,29 @@ class HarvestManifest:
 
     def _load(self) -> None:
         with self.path.open(encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
+            for number, line in enumerate(fh, 1):
+                if not line.strip():
                     continue
-                data = json.loads(line)
-                kind = data.get("kind")
-                if kind == "criteria":
-                    self.criteria = FilterCriteria(
-                        **{k: v for k, v in data.items() if k != "kind"}
-                    )
-                elif kind == "repo":
-                    self._repos[data["record"]["full_name"]] = data
-                elif kind == "file":
-                    entry = FileEntry(
-                        data["repo"],
-                        data["path"],
-                        data["git_sha"],
-                        data["sha256"],
-                        downloaded=False,
-                    )
-                    self._files[(entry.repo, entry.path)] = entry
+                try:
+                    self._load_line(json.loads(line))
+                except KeyError as err:
+                    raise HarvestError(f"{self.path} line {number}: missing key {err}") from err
+                except (HarvestError, TypeError, ValueError) as err:
+                    raise HarvestError(f"{self.path} line {number}: {err}") from err
+
+    def _load_line(self, data: object) -> None:
+        if not isinstance(data, dict):
+            raise HarvestError(f"expected a JSON object, not {type(data).__name__}")
+        kind = data.get("kind")
+        if kind == "criteria":
+            self.criteria = _checked_criteria({k: v for k, v in data.items() if k != "kind"})
+        elif kind == "repo":
+            self._repos[data["record"]["full_name"]] = data
+        elif kind == "file":
+            entry = FileEntry(
+                data["repo"], data["path"], data["git_sha"], data["sha256"], downloaded=False
+            )
+            self._files[(entry.repo, entry.path)] = entry
 
     def _append(self, data: dict) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -437,12 +443,17 @@ def harvest_provider(
 
 
 def criteria_from_file(path: str | Path) -> FilterCriteria:
-    """Criteria from a JSON object whose keys and value types are FilterCriteria's."""
+    """Criteria from a JSON file holding one object; see :func:`_checked_criteria`."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise HarvestError(
             f"criteria file must hold a JSON object, not {type(data).__name__}"
         )
+    return _checked_criteria(data)
+
+
+def _checked_criteria(data: dict) -> FilterCriteria:
+    """Criteria from a JSON object whose keys and value types are FilterCriteria's."""
     types = {f.name: type(f.default) for f in fields(FilterCriteria)}
     unknown = set(data) - set(types)
     if unknown:
@@ -455,3 +466,16 @@ def criteria_from_file(path: str | Path) -> FilterCriteria:
                 f"not {type(value).__name__}"
             )
     return FilterCriteria(**data)
+
+
+def _is_relative(path: str) -> bool:
+    """True when ``path`` stays below the directory it is joined to.
+
+    An absolute path, or one with an empty, ``.`` or ``..`` segment, does not.
+    """
+    return all(part not in ("", ".", "..") for part in path.split("/"))
+
+
+def _is_owner_name(full_name: object) -> bool:
+    """True for a repository name of the form ``owner/name``."""
+    return isinstance(full_name, str) and full_name.count("/") == 1 and _is_relative(full_name)

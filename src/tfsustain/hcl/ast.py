@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from .lexer import SourceSpan, SourceText
@@ -77,15 +77,10 @@ class _SpanFromOffsets:
     value: two parses of one text compare equal and print the same.
     """
 
-    def __init__(self, default: object = MISSING) -> None:
-        self.default = default
-
     def __get__(self, node, owner=None):
         if node is None:
-            # The dataclass reads the field's default off the class; none means required.
-            if self.default is MISSING:
-                raise AttributeError("span")
-            return self.default
+            # The dataclass reads the field's default off the class: there is none.
+            raise AttributeError("span")
         span = node.span = node.source.span(node.start, node.end)
         return span
 
@@ -128,6 +123,6 @@ class Block(_Located):
 @dataclass
 class ConfigFile(_Located):
     path: str
-    body: list[Block | Attribute] = field(default_factory=list)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-    span: SourceSpan | None = _SpanFromOffsets(default=None)
+    body: list[Block | Attribute]
+    diagnostics: list[Diagnostic]
+    span: SourceSpan = _SpanFromOffsets()

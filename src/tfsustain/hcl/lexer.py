@@ -9,9 +9,10 @@ and scanning continues.
 
 :func:`tokenize` fills parallel lists of kinds and of start and end offsets
 into one shared :class:`SourceText`, with the errors keyed by start offset,
-and builds no object per token: a :class:`Token` view is made only when one
-is indexed or iterated. Line and column are computed from the line index only
-when a span is asked for, so lexing builds no :class:`SourceSpan`.
+and builds no object per token: the :class:`Token` views are made only when
+the sequence is first indexed or iterated. Line and column are computed from
+the line index only when a span is asked for, so lexing builds no
+:class:`SourceSpan`.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ class Token:
         )
 
 
-@dataclass(slots=True, eq=False)
+@dataclass(eq=False)
 class Tokens(Sequence[Token]):
     """The tokens of one text as parallel lists; the last token is always EOF.
 
@@ -124,7 +125,8 @@ class Tokens(Sequence[Token]):
     and its leading trivia starts where token ``i - 1`` ends. ``errors`` maps
     the start offset of each token that carries an error to its message; no
     two tokens start at one offset, since only EOF is empty. Indexing, slicing
-    and iteration build :class:`Token` views; the parser reads the lists.
+    and iteration read a list of :class:`Token` views built on first use; the
+    parser reads the parallel lists.
     """
 
     source: SourceText
@@ -137,27 +139,20 @@ class Tokens(Sequence[Token]):
         return len(self.kinds)
 
     def __getitem__(self, index: int | slice) -> Token | list[Token]:
-        n = len(self.kinds)
-        if isinstance(index, slice):
-            return [self._token(i) for i in range(*index.indices(n))]
-        if not -n <= index < n:
-            raise IndexError("token index out of range")
-        return self._token(index % n)
+        return self._views[index]
 
     def __iter__(self) -> Iterator[Token]:
-        return map(self._token, range(len(self.kinds)))
+        return iter(self._views)
 
-    def _token(self, i: int) -> Token:
-        start, end = self.starts[i], self.ends[i]
-        return Token(
-            self.kinds[i],
-            self.ends[i - 1] if i else 0,
-            start,
-            end,
-            self.source.text[start:end],
-            self.errors.get(start),
-            self.source,
-        )
+    @cached_property
+    def _views(self) -> list[Token]:
+        text, errors = self.source.text, self.errors
+        return [
+            Token(kind, lead_start, start, end, text[start:end], errors.get(start), self.source)
+            for kind, lead_start, start, end in zip(
+                self.kinds, [0, *self.ends], self.starts, self.ends
+            )
+        ]
 
 
 # One alternative per token kind, tried in order after the trivia (spaces,

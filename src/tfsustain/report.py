@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 
 from . import __version__
-from .catalog import SmellDescriptor, SmellId, catalog
+from .catalog import SmellDescriptor, catalog
 from .scanner import CorpusStats, ScanReport, smells_by_path
 
 FORMATS = ("text", "json", "sarif")
@@ -116,7 +116,7 @@ def _render_json(report: ScanReport, stats: CorpusStats | None) -> str:
 def _render_sarif(report: ScanReport, descriptors: list[SmellDescriptor]) -> str:
     rules = [
         {
-            "id": d.id.name if isinstance(d.id, SmellId) else str(d.id),
+            "id": str(d.id),
             "name": d.name.replace(" ", ""),
             "shortDescription": {"text": d.name},
             "fullDescription": {"text": d.summary},

@@ -64,11 +64,12 @@ class CorpusStats:
 def _walk_tf_files(root: Path) -> Iterator[str]:
     """Relative POSIX paths of the .tf files under root, in file-system order.
 
-    Symlinked files and directories are skipped, a directory is never a file
-    whatever its name, and a directory that cannot be listed is ignored. The
-    walk keeps its own stack of directories, so no tree is too deep, and a
-    directory entry answers ``is_symlink`` and ``is_dir`` without a ``stat``
-    where the file system reports entry types (PEP 471).
+    Symlinked files and directories are skipped, only regular files are
+    listed (a directory or FIFO is never a file whatever its name), and a
+    directory that cannot be listed is ignored. The walk keeps its own stack
+    of directories, so no tree is too deep, and a directory entry answers
+    ``is_symlink``, ``is_dir`` and ``is_file`` without a ``stat`` where the
+    file system reports entry types (PEP 471).
     """
     stack = [("", os.fspath(root))]  # (relative prefix, path) of directories to list
     while stack:
@@ -81,7 +82,7 @@ def _walk_tf_files(root: Path) -> Iterator[str]:
                         continue
                     if entry.is_dir():
                         dirs.append((prefix + entry.name + "/", entry.path))
-                    elif entry.name.endswith(".tf"):
+                    elif entry.name.endswith(".tf") and entry.is_file():
                         files.append(prefix + entry.name)
         except OSError:
             continue  # a directory that fails part way yields nothing, as in os.walk
@@ -96,13 +97,13 @@ def discover_tf_files(root: Path) -> list[str]:
     return sorted(_walk_tf_files(root))
 
 
-def _read_unit(base: Path, rel: str) -> tuple[ScanUnit, bool]:
-    """Load ``base / rel``; returns (unit, is_read_or_decode_failure)."""
+def _read_unit(base: Path, rel: str) -> tuple[ScanUnit | None, bool]:
+    """Load ``base / rel``; returns (unit or None, is_read_or_decode_failure)."""
     try:
         with open(os.path.join(base, rel), "rb") as f:
             data = f.read()
     except OSError:
-        return ScanUnit(rel, None), True
+        return None, True
     if data.startswith(b"\xef\xbb\xbf"):
         data = data[3:]
     try:
@@ -132,11 +133,14 @@ def scan(
         cfg = DetectorConfig()
     rels = discover_tf_files(root)
     base = root if root.is_dir() else root.parent
-    loaded = [_read_unit(base, rel) for rel in rels]
-    failed = {unit.path for unit, bad in loaded if bad}
+    failed: set[str] = set()
     by_dir: dict[str, list[ScanUnit]] = {}
-    for unit, _ in loaded:
-        by_dir.setdefault(unit.path.rpartition("/")[0] or ".", []).append(unit)
+    for rel in rels:
+        unit, bad = _read_unit(base, rel)
+        if bad:
+            failed.add(rel)
+        if unit is not None:
+            by_dir.setdefault(rel.rpartition("/")[0] or ".", []).append(unit)
     findings = detect_all(by_dir, cfg, engine, failed)
 
     return ScanReport(

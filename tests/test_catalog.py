@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import astuple
 from itertools import combinations, product
 
 import pytest
@@ -74,7 +75,7 @@ def test_catalog_names_and_categories():
 
 def test_attribute_vectors_match_published_table():
     for d in catalog():
-        assert d.attributes.as_tuple() == PUBLISHED_VECTORS[d.id], d.id
+        assert astuple(d.attributes) == PUBLISHED_VECTORS[d.id], d.id
 
 
 def test_similarity_examples():

@@ -301,3 +301,24 @@ def test_harvest_rejects_a_malformed_criteria_file(tmp_path, capsys, criteria, m
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (['{"kind": "criteria", "bogus": 1}'], "line 1: unknown criteria key(s): bogus"),
+        (['{"kind": "criteria", "min_stars": "3"}'], "line 1: criteria key 'min_stars' must be int"),
+        (['{"kind": "criteria"}', "", '{"kind": "repo"}'], "line 3: missing key 'record'"),
+        (['{"kind": "file", "repo": "o/r"}'], "line 1: missing key 'path'"),
+        (["[]"], "line 1: expected a JSON object, not list"),
+        (["{"], "line 1: "),
+    ],
+)
+def test_harvest_rejects_a_malformed_manifest(tmp_path, capsys, lines, message):
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("\n".join(lines) + "\n")
+    argv = ["harvest", "--provider", "aws", "--dest", str(tmp_path / "out"),
+            "--manifest", str(manifest), "--dry-run"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest} ") and message in err

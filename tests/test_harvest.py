@@ -323,3 +323,40 @@ def test_manifest_criteria_and_repo_lines_are_pinned(tmp_path):
         '"provider_tag": "aws", "retrieved_at": "2026-01-01T00:00:00+00:00", '
         '"size_kb": 120, "stars": 7, "visibility": "public"}}',
     ]
+
+
+def test_fetch_skips_tree_paths_that_leave_the_repository_directory(tmp_path):
+    dest = tmp_path / "base" / "dest"
+    # Each would land outside dest/org/repo but inside tmp_path if it were written.
+    absolute = (tmp_path / "abs" / "x.tf").as_posix()
+    unsafe = [absolute, "../../../up.tf", "a/../../b.tf", "a//b.tf", "./c.tf", "d/./e.tf"]
+    with StubApi() as stub:
+        stub.add_repo_tree("org/repo", {"ok.tf": b"# ok\n", **{p: b"# no\n" for p in unsafe}})
+        manifest = HarvestManifest(tmp_path / "manifest.jsonl")
+        entries = make_client(stub).fetch_tf_files(record(), dest, manifest)
+    assert [e.path for e in entries] == ["ok.tf"]
+    contents = [path for path, _ in stub.requests if "/contents/" in path]
+    assert contents == ["/repos/org/repo/contents/ok.tf"]
+    written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file())
+    assert written == ["base/dest/org/repo/ok.tf", "manifest.jsonl"]
+    assert manifest.file_entry("org/repo", "ok.tf") is not None
+    assert all(manifest.file_entry("org/repo", p) is None for p in unsafe)
+
+
+def test_search_skips_repository_names_that_are_not_owner_slash_name(tmp_path):
+    names = ["org/good", "../evil", "org/a/b", "solo", "/abs", "org/..", "org/"]
+    with StubApi() as stub:
+        stub.add_search_pages([[search_item(name) for name in names]])
+        stub.add_repo_tree("org/good", {"main.tf": b"# ok\n"})
+        manifest = HarvestManifest(tmp_path / "manifest.jsonl")
+        summary = harvest_provider(make_client(stub), "aws", tmp_path / "dest", manifest)
+    assert (summary.kept, summary.rejected, summary.skipped) == (1, 0, 0)
+    assert [path for path, _ in stub.requests if path.startswith("/repos/")] == [
+        "/repos/org/good/git/trees/HEAD",
+        "/repos/org/good/contents/main.tf",
+    ]
+    assert list(manifest_repos(tmp_path / "manifest.jsonl")) == ["org/good"]
+    with StubApi() as stub:
+        client = make_client(stub)
+        assert client.fetch_tf_files(record("../evil"), tmp_path / "dest") == []
+    assert client.requests_made == 0 and stub.requests == []

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import threading
 from fractions import Fraction
 
@@ -136,6 +137,42 @@ def test_scan_counts_unreadable_files_in_denominator(tmp_path):
         report = scan(tmp_path, engine=engine)
         assert report.scanned_files == 3
         assert report.parse_failures == failures, engine
+
+
+@pytest.mark.parametrize("engine", ["ast", "pattern"])
+def test_file_gone_between_discovery_and_read_is_a_failure_with_no_finding(
+    tmp_path, monkeypatch, engine
+):
+    smelly = (
+        'terraform {\n  backend "local" {}\n}\n'
+        'resource "aws_instance" "a" {\n  instance_type = "m5.24xlarge"\n}\n'
+    )
+    (tmp_path / "main.tf").write_text(smelly)
+    (tmp_path / "ghost").mkdir()
+    gone = tmp_path / "ghost" / "gone.tf"
+    gone.write_text(smelly)
+    discover = scanner.discover_tf_files
+
+    def discover_then_delete(root):
+        rels = discover(root)
+        gone.unlink()
+        return rels
+
+    monkeypatch.setattr(scanner, "discover_tf_files", discover_then_delete)
+    report = scan(tmp_path, engine=engine)
+    assert report.scanned_files == 2
+    assert report.parse_failures == 1
+    assert {f.path for f in report.findings} == {"main.tf"}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_discovery_skips_a_fifo_and_scan_returns(tmp_path):
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "main.tf").write_text('resource "aws_sns_topic" "t" {\n  name = "t"\n}\n')
+    os.mkfifo(tmp_path / "d" / "pipe.tf")  # opening it for reading would block
+    assert discover_tf_files(tmp_path) == ["d/main.tf"]
+    report = scan(tmp_path)
+    assert report.scanned_files == 1 and report.parse_failures == 0
 
 
 def test_scan_single_file_root(tmp_path):
