@@ -1,17 +1,17 @@
 """Structural smell detectors working on parsed configuration files.
 
 All seven detectors are pure functions of (file view, config). A view holds
-the AST plus what every detector needs from it, its resource blocks and
-whether one of them is an autoscaler, derived once per file. Findings for a
-file depend only on that file's content except for the remote-state check,
-which is scoped to a directory of files (one root module).
+the AST plus every answer the detectors ask of it, derived once per file:
+its resources with their attributes, its backends, and whether a resource is
+an autoscaler. Findings for a file depend only on that file's content except
+for the remote-state check, which is scoped to a directory of files (one root module).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .. import hcl
 from ..catalog import SmellId
@@ -26,9 +26,8 @@ from ..hcl import (
     Reference,
     StringLit,
     TemplateString,
+    attributes,
     find_blocks,
-    get_attribute,
-    get_attribute_node,
 )
 from .config import LOG_GROUP_TYPES, REGION_ATTR_ORDER, SIZE_ATTRS, DetectorConfig
 from .findings import SmellFinding, local_state_findings
@@ -45,12 +44,14 @@ def resource_blocks(file: ConfigFile) -> list[Block]:
     return [b for b in find_blocks(file, "resource") if b.labels]
 
 
-def resource_type(block: Block) -> str:
-    return block.labels[0]
+@dataclass(frozen=True)
+class Resource:
+    """One resource block, its labels, and its attributes by name (the last assignment wins)."""
 
-
-def resource_name(block: Block) -> str:
-    return block.labels[1] if len(block.labels) > 1 else ""
+    block: Block
+    type: str
+    name: str
+    attributes: dict[str, Attribute]
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,9 @@ class FileView:
     """One parsed file as every AST detector reads it, built once per file."""
 
     file: ConfigFile
-    resources: list[Block]
+    resources: list[Resource]
+    backends: list[tuple[str, Block]]  # labelled, in the top-level terraform blocks
+    terraform: Block | None  # the first top-level terraform block
     autoscaled: bool
 
     @property
@@ -75,9 +78,14 @@ class FileView:
 
 def prepare(path: str, text: str, cfg: DetectorConfig) -> FileView:
     file = hcl.parse(text, path)
-    resources = resource_blocks(file)
-    autoscaled = any(resource_type(b) in cfg.ss2_autoscaler_types for b in resources)
-    return FileView(file, resources, autoscaled)
+    resources = [
+        Resource(b, b.labels[0], b.labels[1] if len(b.labels) > 1 else "", attributes(b))
+        for b in resource_blocks(file)
+    ]
+    tf_blocks = find_blocks(file, "terraform")
+    backends = [(b.labels[0], b) for t in tf_blocks for b in find_blocks(t, "backend") if b.labels]
+    autoscaled = any(r.type in cfg.ss2_autoscaler_types for r in resources)
+    return FileView(file, resources, backends, tf_blocks[0] if tf_blocks else None, autoscaled)
 
 
 def normalize_region(attr_name: str, raw: str) -> str:
@@ -98,8 +106,8 @@ def normalize_region(attr_name: str, raw: str) -> str:
     return value
 
 
-def _string_literal(value: ExpressionValue | None) -> str | None:
-    return value.value if isinstance(value, StringLit) else None
+def _string_literal(node: Attribute | None) -> str | None:
+    return node.value.value if node is not None and isinstance(node.value, StringLit) else None
 
 
 def detect_ss1_overprovisioning(
@@ -109,20 +117,17 @@ def detect_ss1_overprovisioning(
     if view.autoscaled:
         return []
     findings = []
-    for block in view.resources:
-        rtype = resource_type(block)
+    for r in view.resources:
         sizes = None
         for prefix, names in cfg.ss1_large_sizes.items():
-            if rtype.startswith(prefix):
+            if r.type.startswith(prefix):
                 sizes = names
                 break
         if sizes is None:
             continue
         for attr_name in SIZE_ATTRS:
-            node = get_attribute_node(block, attr_name)
-            if node is None:
-                continue
-            literal = _string_literal(node.value)
+            node = r.attributes.get(attr_name)
+            literal = _string_literal(node)
             if literal is None:
                 continue
             # GCP machine types may be full self-link URLs; compare the tail.
@@ -147,10 +152,10 @@ def detect_ss2_no_autoscaling(
     if view.autoscaled:
         return []
     findings = []
-    for block in view.resources:
-        if resource_type(block) not in cfg.ss2_compute_types:
+    for r in view.resources:
+        if r.type not in cfg.ss2_compute_types:
             continue
-        node = get_attribute_node(block, "count")
+        node = r.attributes.get("count")
         if node is None or not isinstance(node.value, NumberLit):
             continue
         count = node.value.value
@@ -160,11 +165,19 @@ def detect_ss2_no_autoscaling(
                     SmellId.SS2,
                     node,
                     f"count={count}",
-                    f"{resource_type(block)} keeps a fixed count of {count} "
+                    f"{r.type} keeps a fixed count of {count} "
                     "instances and the file configures no autoscaler",
                 )
             )
     return findings
+
+
+def _has_lifecycle(body: list[Block | Attribute]) -> bool:
+    """Whether a ``lifecycle`` block nests anywhere in ``body``; blocks nest at most 64 deep."""
+    return any(
+        isinstance(b, Block) and (b.block_type == "lifecycle" or _has_lifecycle(b.body))
+        for b in body
+    )
 
 
 def detect_ss3_no_lifecycle(
@@ -172,14 +185,11 @@ def detect_ss3_no_lifecycle(
 ) -> list[SmellFinding]:
     """Lifecycle-sensitive resources missing a lifecycle block."""
     findings = []
-    for block in view.resources:
-        rtype = resource_type(block)
-        if rtype not in cfg.ss3_lifecycle_required_types:
+    for r in view.resources:
+        if r.type not in cfg.ss3_lifecycle_required_types or _has_lifecycle(r.block.body):
             continue
-        if find_blocks(block, "lifecycle", recursive=True):
-            continue
-        message = f'{rtype} "{resource_name(block)}" declares no lifecycle block'
-        findings.append(view.finding(SmellId.SS3, block, rtype, message))
+        message = f'{r.type} "{r.name}" declares no lifecycle block'
+        findings.append(view.finding(SmellId.SS3, r.block, r.type, message))
     return findings
 
 
@@ -188,20 +198,19 @@ def detect_ss4_excessive_logging(
 ) -> list[SmellFinding]:
     """Log groups retained too long, or with no retention policy at all."""
     findings = []
-    for block in view.resources:
-        rtype = resource_type(block)
-        attr_name = LOG_GROUP_TYPES.get(rtype)
+    for r in view.resources:
+        attr_name = LOG_GROUP_TYPES.get(r.type)
         if attr_name is None:
             continue
-        node = get_attribute_node(block, attr_name)
+        node = r.attributes.get(attr_name)
         if node is None:
             if cfg.ss4_flag_missing_retention:
                 findings.append(
                     view.finding(
                         SmellId.SS4,
-                        block,
+                        r.block,
                         "unset",
-                        f'{rtype} "{resource_name(block)}" sets no {attr_name}; '
+                        f'{r.type} "{r.name}" sets no {attr_name}; '
                         "logs are retained forever",
                     )
                 )
@@ -250,12 +259,12 @@ def _block_references(block: Block) -> list[tuple[Attribute, Reference]]:
     return out
 
 
-def region_class(block: Block, cfg: DetectorConfig) -> str | None:
+def region_class(resource: Resource, cfg: DetectorConfig) -> str | None:
     """Normalized region of a resource, or None when not a string literal."""
     for attr_name in REGION_ATTR_ORDER:
         if attr_name not in cfg.ss5_region_attrs:
             continue
-        literal = _string_literal(get_attribute(block, attr_name))
+        literal = _string_literal(resource.attributes.get(attr_name))
         if literal is not None:
             return normalize_region(attr_name, literal)
     return None
@@ -273,8 +282,8 @@ def detect_ss5_cross_region_transfer(
     later resource's first attribute referring to the earlier one.
     """
     resources = view.resources
-    regions = [region_class(b, cfg) for b in resources]
-    addresses = [(resource_type(b), resource_name(b)) for b in resources]
+    regions = [region_class(r, cfg) for r in resources]
+    addresses = [(r.type, r.name) for r in resources]
     # A list per address: duplicate addresses are legal input.
     index: dict[tuple[str, str], list[int]] = {}
     for i, region in enumerate(regions):
@@ -284,10 +293,10 @@ def detect_ss5_cross_region_transfer(
     # The first attribute of resource i referring to resource j, per (i, j),
     # for regions that differ (so never i == j).
     links: dict[tuple[int, int], Attribute] = {}
-    for i, block in enumerate(resources):
+    for i, r in enumerate(resources):
         if regions[i] is None:
             continue
-        for attr, ref in _block_references(block):
+        for attr, ref in _block_references(r.block):
             segments = ref.segments
             if segments[:1] == ("data",):
                 segments = segments[1:]
@@ -312,11 +321,6 @@ def detect_ss5_cross_region_transfer(
     return findings
 
 
-def _backends(view: FileView) -> Iterator[Block]:
-    for tf_block in find_blocks(view.file, "terraform"):
-        yield from find_blocks(tf_block, "backend")
-
-
 def detect_ss6_local_state(
     views: list[FileView], cfg: DetectorConfig
 ) -> list[SmellFinding]:
@@ -326,9 +330,6 @@ def detect_ss6_local_state(
     """
     return local_state_findings(
         views,
-        lambda v: (b.labels[0] for b in _backends(v) if b.labels),
-        lambda v: next((b for b in _backends(v) if b.labels[:1] == ["local"]), None),
-        lambda v: next(iter(find_blocks(v.file, "terraform")), None),
         (
             "no remote state backend is configured in this directory",
             'state is kept in an explicit "local" backend',

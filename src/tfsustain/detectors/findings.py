@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Sequence
 
 from ..catalog import SmellId
 from ..hcl import SourceSpan
@@ -49,44 +49,33 @@ class SmellFinding:
         }
 
 
-V = TypeVar("V")
-L = TypeVar("L")
-
-
-def local_state_findings(
-    views: Sequence[V],
-    backend_labels: Callable[[V], Iterable[str]],
-    first_local: Callable[[V], L | None],
-    first_terraform: Callable[[V], L | None],
-    messages: tuple[str, str, str],
-) -> list[SmellFinding]:
+def local_state_findings(views: Sequence, messages: tuple[str, str, str]) -> list[SmellFinding]:
     """SS6 over one non-empty directory of file views, one root module.
 
     A backend label other than ``"local"`` in any file clears the directory.
     Otherwise every file with a ``terraform`` block gets one finding, at its
-    first ``"local"`` backend, else at that block; if no file has one, the
-    first file by path gets a single whole-file finding. ``messages`` are the
-    texts for those three cases: no terraform block, local, no backend.
+    first backend (so a ``"local"`` one), else at that block; if no file has
+    one, the first file by path gets a single whole-file finding.
+    ``messages`` are the texts for those three cases: no terraform block,
+    local, no backend.
 
-    A view has ``path`` and ``finding(smell, at, evidence, message)``, where
-    ``at`` is a location the two ``first_*`` callables return, or None for
-    the whole file; spans are built only for reported findings.
+    A view has ``path``, ``backends`` (its labelled backends as (label,
+    location) pairs), ``terraform`` (the location of its first ``terraform``
+    block, or None) and ``finding(smell, at, evidence, message)``, where
+    ``at`` is one of those locations, or None for the whole file; spans are
+    built only for reported findings.
     """
     ordered = sorted(views, key=lambda v: v.path)
-    for view in ordered:
-        for label in backend_labels(view):
-            if label != "local":
-                return []
+    if any(label != "local" for view in ordered for label, _ in view.backends):
+        return []
     no_terraform, local_message, no_backend = messages
     findings = []
     for view in ordered:
-        terraform = first_terraform(view)
-        if terraform is None:
+        if view.terraform is None:
             continue
-        local = first_local(view)
-        if local is None:
-            at, evidence, message = terraform, "unset", no_backend
+        if view.backends:
+            at, evidence, message = view.backends[0][1], "local", local_message
         else:
-            at, evidence, message = local, "local", local_message
+            at, evidence, message = view.terraform, "unset", no_backend
         findings.append(view.finding(SmellId.SS6, at, evidence, message))
     return findings or [ordered[0].finding(SmellId.SS6, None, "unset", no_terraform)]

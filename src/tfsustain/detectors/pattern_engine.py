@@ -10,8 +10,8 @@ Comments are masked out before matching (replaced by spaces, offsets
 preserved) so commented-out code does not trigger findings. The region
 detector can optionally scan comment text too via
 ``ss5_pattern_scan_comments``. Each file is masked, line-indexed and
-searched for an autoscaler once, into the :class:`TextView` that all seven
-detectors share.
+searched for an autoscaler and backends once, into the :class:`TextView`
+that all seven detectors share.
 """
 
 from __future__ import annotations
@@ -65,6 +65,8 @@ class TextView:
 
     source: SourceText
     masked: str
+    backends: list[tuple[str, re.Match]]
+    terraform: re.Match | None
     autoscaled: bool
 
     @property
@@ -98,8 +100,10 @@ _LOG_GROUP_RE = _names_re(_ANY_NAME, frozenset(LOG_GROUP_TYPES))
 
 def prepare(path: str, text: str, cfg: DetectorConfig) -> TextView:
     masked = mask_comments(text)
+    backends = [(m.group(1), m) for m in _BACKEND_RE.finditer(masked)]
+    terraform = _TERRAFORM_BLOCK_RE.search(masked)
     autoscaled = _names_re(_ANY_NAME, cfg.ss2_autoscaler_types).search(masked) is not None
-    return TextView(SourceText(path, text), masked, autoscaled)
+    return TextView(SourceText(path, text), masked, backends, terraform, autoscaled)
 
 
 def pattern_ss1(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
@@ -203,11 +207,6 @@ def pattern_ss6(views: list[TextView], cfg: DetectorConfig) -> list[SmellFinding
     """Directory-scoped remote-backend check over the directory's files."""
     return local_state_findings(
         views,
-        lambda v: (m.group(1) for m in _BACKEND_RE.finditer(v.masked)),
-        lambda v: next(
-            (m for m in _BACKEND_RE.finditer(v.masked) if m.group(1) == "local"), None
-        ),
-        lambda v: _TERRAFORM_BLOCK_RE.search(v.masked),
         (
             "no remote state backend token found in this directory",
             'state is kept in an explicit "local" backend',

@@ -16,6 +16,10 @@ Wire format expected from the API:
 * ``GET /repos/{full_name}/contents/{path}`` ->
   ``{"content": base64, "encoding": "base64"}``
 
+A response of another shape (not an object, or a listed field of another
+JSON type) is a ``HarvestError``. A search item, repository or tree entry of
+another shape is skipped without a request.
+
 Rate limiting follows the usual header convention: a 403/429 with
 ``X-RateLimit-Remaining: 0`` (or a ``Retry-After``) makes the client sleep
 until the advertised reset and retry, up to a bounded number of attempts.
@@ -152,7 +156,8 @@ class CodeSearchClient:
 
     # -- transport ---------------------------------------------------------
 
-    def _get(self, path: str, params: dict | None = None) -> dict:
+    def _get(self, path: str, params: dict | None = None, shape: dict | None = None) -> dict:
+        """The JSON object at ``path``, whose ``shape`` fields have those types."""
         headers = {"Accept": "application/vnd.github+json"}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
@@ -169,7 +174,10 @@ class CodeSearchClient:
                 continue
             self.requests_made += 1
             if resp.status_code == 200:
-                return resp.json()
+                data = resp.json()
+                if not _has_shape(data, shape or {}):
+                    raise HarvestError(f"{path} returned JSON of an unexpected shape")
+                return data
             if resp.status_code == 401:
                 raise AuthError("credentials rejected (401)")
             if resp.status_code == 404:
@@ -223,21 +231,24 @@ class CodeSearchClient:
             data = self._get(
                 "/search/code",
                 {"q": query, "per_page": self.per_page, "page": page},
+                {"items": list, "total_count": int},
             )
             items = data.get("items", [])
             if total is None:
-                total = int(data.get("total_count", len(items)))
+                total = data.get("total_count", len(items))
             seen_items += len(items)
             for item in items:
-                repo = item.get("repository", {})
+                repo = item.get("repository") if isinstance(item, dict) else None
+                if not _has_shape(repo, _REPO_SHAPE):
+                    continue
                 full_name = repo.get("full_name")
                 if not _is_owner_name(full_name) or full_name in records:
                     continue
                 records[full_name] = RepoRecord(
                     full_name=full_name,
-                    stars=int(repo.get("stargazers_count", 0)),
-                    is_fork=bool(repo.get("fork", False)),
-                    size_kb=int(repo.get("size", 0)),
+                    stars=repo.get("stargazers_count", 0),
+                    is_fork=repo.get("fork", False),
+                    size_kb=repo.get("size", 0),
                     visibility="public" if not repo.get("private", False) else "other",
                     provider_tag=provider_tag,
                     retrieved_at=datetime.now(timezone.utc).isoformat(),
@@ -264,9 +275,13 @@ class CodeSearchClient:
         if not _is_owner_name(record.full_name):
             return []
         dest = Path(dest)
-        tree = self._get(f"/repos/{record.full_name}/git/trees/HEAD", {"recursive": "1"})
+        tree = self._get(
+            f"/repos/{record.full_name}/git/trees/HEAD", {"recursive": "1"}, {"tree": list}
+        )
         entries: list[FileEntry] = []
         for node in tree.get("tree", []):
+            if not _has_shape(node, _TREE_ENTRY_SHAPE):
+                continue
             rel = node.get("path", "")
             if node.get("type") != "blob" or not rel.endswith(".tf") or not _is_relative(rel):
                 continue
@@ -280,7 +295,9 @@ class CodeSearchClient:
                         FileEntry(record.full_name, rel, git_sha, known.sha256, False)
                     )
                     continue
-            blob = self._get(f"/repos/{record.full_name}/contents/{rel}")
+            blob = self._get(
+                f"/repos/{record.full_name}/contents/{rel}", shape={"content": str}
+            )
             content = base64.b64decode(blob.get("content", ""))
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_bytes(content)
@@ -466,6 +483,22 @@ def _checked_criteria(data: dict) -> FilterCriteria:
                 f"not {type(value).__name__}"
             )
     return FilterCriteria(**data)
+
+
+_REPO_SHAPE = {
+    "full_name": str, "stargazers_count": int, "size": int, "fork": bool, "private": bool
+}
+_TREE_ENTRY_SHAPE = {"path": str, "sha": str, "type": str}
+
+
+def _has_shape(data: object, shape: dict[str, type]) -> bool:
+    """True for a JSON object whose ``shape`` fields, where present, have exactly those types.
+
+    Exact types: a JSON true is a Python int too.
+    """
+    return isinstance(data, dict) and all(
+        key not in data or type(data[key]) is t for key, t in shape.items()
+    )
 
 
 def _is_relative(path: str) -> bool:

@@ -16,7 +16,7 @@ from .ast import (
     TemplateString,
 )
 from .lexer import SourceSpan, SourceText, Token, TokenKind, Tokens, detokenize, tokenize
-from .parser import find_blocks, get_attribute, get_attribute_node, parse
+from .parser import attributes, find_blocks, parse
 
 __all__ = [
     "Attribute",
@@ -37,10 +37,9 @@ __all__ = [
     "Token",
     "TokenKind",
     "Tokens",
+    "attributes",
     "detokenize",
     "find_blocks",
-    "get_attribute",
-    "get_attribute_node",
     "parse",
     "tokenize",
 ]

@@ -90,39 +90,14 @@ def parse(text: str, path: str = "<input>") -> ConfigFile:
     )
 
 
-def find_blocks(
-    node: ConfigFile | Block, block_type: str, recursive: bool = False
-) -> list[Block]:
-    """Blocks of the given type in source order.
-
-    Nested bodies are searched only when ``recursive`` is set.
-    """
-    out: list[Block] = []
-
-    def visit(body: list) -> None:
-        for item in body:
-            if isinstance(item, Block):
-                if item.block_type == block_type:
-                    out.append(item)
-                if recursive:
-                    visit(item.body)
-
-    visit(node.body)
-    return out
+def find_blocks(node: ConfigFile | Block, block_type: str) -> list[Block]:
+    """The direct child blocks of the given type, in source order."""
+    return [b for b in node.body if isinstance(b, Block) and b.block_type == block_type]
 
 
-def get_attribute(block: Block | ConfigFile, name: str) -> ExpressionValue | None:
-    """Value of the named attribute; the last assignment wins on duplicates."""
-    node = get_attribute_node(block, name)
-    return node.value if node is not None else None
-
-
-def get_attribute_node(block: Block | ConfigFile, name: str) -> Attribute | None:
-    found = None
-    for item in block.body:
-        if isinstance(item, Attribute) and item.name == name:
-            found = item
-    return found
+def attributes(node: ConfigFile | Block) -> dict[str, Attribute]:
+    """The direct attributes by name; the last assignment wins on duplicates."""
+    return {a.name: a for a in node.body if isinstance(a, Attribute)}
 
 
 # ---------------------------------------------------------------------------

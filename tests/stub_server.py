@@ -15,7 +15,7 @@ from urllib.parse import parse_qs, urlparse
 
 
 class Scripted:
-    def __init__(self, status: int, body: dict | None = None, headers: dict | None = None):
+    def __init__(self, status: int, body: object = None, headers: dict | None = None):
         self.status = status
         self.body = body if body is not None else {}
         self.headers = headers or {}

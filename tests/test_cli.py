@@ -9,7 +9,7 @@ from tfsustain.cli import load_config, run
 from tfsustain.detectors import ConfigError, DetectorConfig
 
 from conftest import FIXTURES
-from stub_server import StubApi, search_item
+from stub_server import Scripted, StubApi, search_item
 from synth import build_corpus
 
 
@@ -148,6 +148,16 @@ def test_harvest_subcommand_against_stub(tmp_path, capsys):
     assert "kept 1" in out
     assert (tmp_path / "dest" / "org/good/main.tf").exists()
     assert (tmp_path / "dest" / "manifest.jsonl").exists()
+
+
+def test_harvest_exits_2_on_a_response_that_is_not_an_object(tmp_path, capsys):
+    with StubApi() as stub:
+        stub.route("/search/code", Scripted(200, ["not", "an", "object"]))
+        argv = ["harvest", "--provider", "aws", "--dest", str(tmp_path / "dest"),
+                "--base-url", stub.base_url, "--token", "stub"]
+        assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "/search/code" in err
 
 
 # -- load_config ---------------------------------------------------------

@@ -138,6 +138,23 @@ def test_ss3_type_outside_required_set_is_clean():
     assert detect_ss3_no_lifecycle(view(unit_for("x.tf", text)), CFG) == []
 
 
+def test_ss3_lifecycle_nested_in_a_dynamic_block_counts():
+    text = (
+        'resource "aws_ebs_volume" "v" {\n'
+        '  dynamic "x" {\n'
+        "    content {\n"
+        "      lifecycle {\n"
+        "        prevent_destroy = true\n"
+        "      }\n"
+        "    }\n"
+        "  }\n"
+        "}\n"
+    )
+    assert detect_ss3_no_lifecycle(view(unit_for("x.tf", text)), CFG) == []
+    without = text.replace("lifecycle", "other")
+    assert smell_names(detect_ss3_no_lifecycle(view(unit_for("x.tf", without)), CFG)) == ["SS3"]
+
+
 # -- SS4 ---------------------------------------------------------------
 
 
@@ -162,6 +179,60 @@ def test_ss4_missing_retention_flag_can_be_disabled():
     cfg = DetectorConfig(ss4_flag_missing_retention=False)
     text = 'resource "aws_cloudwatch_log_group" "g" {\n  name = "g"\n}\n'
     assert detect_ss4_excessive_logging(view(unit_for("x.tf", text), cfg), cfg) == []
+
+
+# -- an attribute assigned twice ---------------------------------------
+
+# One resource assigns the attribute a detector reads twice, on lines 2 and 3.
+# Each case is (detector, template, clean value, smelly value, the finding as
+# (line, evidence) when the smelly value comes last). SS5 reports at the
+# referring attribute on line 7, with the region of a's last zone.
+LAST_ASSIGNMENT_CASES = {
+    "ss1": (
+        detect_ss1_overprovisioning,
+        'resource "aws_instance" "i" {\n  instance_type = "{}"\n  instance_type = "{}"\n}\n',
+        "t3.micro",
+        "m5.4xlarge",
+        (3, "m5.4xlarge"),
+    ),
+    "ss2": (
+        detect_ss2_no_autoscaling,
+        'resource "aws_instance" "i" {\n  count = {}\n  count = {}\n}\n',
+        "1",
+        "4",
+        (3, "count=4"),
+    ),
+    "ss4": (
+        detect_ss4_excessive_logging,
+        'resource "aws_cloudwatch_log_group" "g" {\n'
+        "  retention_in_days = {}\n  retention_in_days = {}\n}\n",
+        "30",
+        "3650",
+        (3, "3650"),
+    ),
+    "ss5": (
+        detect_ss5_cross_region_transfer,
+        'resource "aws_instance" "a" {\n'
+        '  availability_zone = "{}"\n  availability_zone = "{}"\n}\n'
+        'resource "aws_instance" "b" {\n'
+        '  availability_zone = "us-east-1b"\n  peer = aws_instance.a.id\n}\n',
+        "us-east-1a",
+        "eu-west-1a",
+        (7, "eu-west-1 != us-east-1"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", LAST_ASSIGNMENT_CASES)
+def test_the_last_of_two_assignments_decides(case):
+    detector, template, clean, smelly, finding = LAST_ASSIGNMENT_CASES[case]
+
+    def found(first, last):
+        text = template.replace("{}", first, 1).replace("{}", last, 1)
+        return [(f.span.start_line, f.evidence) for f in detector(view(unit_for("x.tf", text)), CFG)]
+
+    assert found(clean, smelly) == [finding]
+    assert found(smelly, clean) == []
 
 
 # -- SS5 ---------------------------------------------------------------
@@ -220,11 +291,8 @@ def test_region_normalization():
 def reference_ss5_pair_loop(view, cfg):
     resources = view.resources
     regions = {id(b): ast_engine.region_class(b, cfg) for b in resources}
-    refs = {id(b): ast_engine._block_references(b) for b in resources}
-    addresses = {
-        id(b): (ast_engine.resource_type(b), ast_engine.resource_name(b))
-        for b in resources
-    }
+    refs = {id(b): ast_engine._block_references(b.block) for b in resources}
+    addresses = {id(b): (b.type, b.name) for b in resources}
 
     findings = []
     for i, a in enumerate(resources):
@@ -400,11 +468,32 @@ def ss5_ring(n: int) -> str:
     )
 
 
-def test_ss5_work_is_linear_in_resources():
+# Files whose detection work could grow faster than their size: one text per n.
+LINEAR_FAMILIES = {
+    "ss5_ring": ss5_ring,
+    "distinct_attributes": lambda n: 'resource "aws_instance" "i" {\n'
+    + "".join(f"  a{k} = {k}\n" for k in range(n))
+    + "}\n",
+    "one_attribute_assigned_n_times": lambda n: 'resource "aws_instance" "i" {\n'
+    + '  instance_type = "m5.4xlarge"\n' * n
+    + "}\n",
+    "dynamic_blocks_without_lifecycle": lambda n: 'resource "aws_ebs_volume" "v" {\n'
+    + '  dynamic "x" {\n    content {\n      size = 1\n    }\n  }\n' * n
+    + "}\n",
+    "terraform_blocks_with_local_backends": lambda n: (
+        'terraform {\n  backend "local" {}\n}\n' * n
+    ),
+}
+
+
+@pytest.mark.parametrize("family", LINEAR_FAMILIES)
+@pytest.mark.parametrize("engine", ["ast", "pattern"])
+def test_detection_work_is_linear(engine, family):
+    # Python-level calls, not time: no clock in Tier-1.
     calls = {}
     for n in (200, 400):
-        file_view = view(unit_for("x.tf", ss5_ring(n)))
-        calls[n] = count_python_calls(detect_ss5_cross_region_transfer, file_view, CFG)
+        by_dir = {"d": [unit_for("d/x.tf", LINEAR_FAMILIES[family](n))]}
+        calls[n] = count_python_calls(detect_all, by_dir, CFG, engine)
     assert calls[400] / calls[200] <= 2.2, calls
 
 

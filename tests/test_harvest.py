@@ -9,6 +9,7 @@ from tfsustain.harvest import (
     AuthError,
     CodeSearchClient,
     FilterCriteria,
+    HarvestError,
     HarvestManifest,
     NetworkError,
     RateLimitError,
@@ -360,3 +361,64 @@ def test_search_skips_repository_names_that_are_not_owner_slash_name(tmp_path):
         client = make_client(stub)
         assert client.fetch_tf_files(record("../evil"), tmp_path / "dest") == []
     assert client.requests_made == 0 and stub.requests == []
+
+
+def test_fetch_skips_tree_entries_of_another_shape(tmp_path):
+    odd = [
+        {"path": 5, "type": "blob", "sha": "s"},
+        "x.tf",
+        ["y.tf"],
+        {"path": "a.tf", "type": "blob", "sha": 7},
+        {"path": "b.tf", "type": ["blob"], "sha": "s"},
+    ]
+    with StubApi() as stub:
+        stub.add_repo_tree("org/repo", {"ok.tf": b"# ok\n", "a.tf": b"#\n", "b.tf": b"#\n"})
+        good = {"path": "ok.tf", "type": "blob", "sha": "sha-ok.tf"}
+        stub.route("/repos/org/repo/git/trees/HEAD", Scripted(200, {"tree": [*odd, good]}))
+        entries = make_client(stub).fetch_tf_files(record(), tmp_path / "dest")
+    assert [e.path for e in entries] == ["ok.tf"]
+    assert [path for path, _ in stub.requests if "/contents/" in path] == [
+        "/repos/org/repo/contents/ok.tf"
+    ]
+
+
+def test_search_skips_items_of_another_shape(tmp_path):
+    items = [
+        5,
+        {"repository": "org/x"},
+        {"repository": {"full_name": 7, "stargazers_count": 5, "size": 120}},
+        search_item("org/stars", stars="5"),
+        search_item("org/bool", stars=True),
+        search_item("org/size", size=1.5),
+        search_item("org/fork", fork="false"),
+        search_item("org/private", private=0),
+        search_item("org/good"),
+    ]
+    with StubApi() as stub:
+        stub.add_search_pages([items])
+        records = make_client(stub).search_repos("aws", "q")
+    assert [r.full_name for r in records] == ["org/good"]
+    assert [path for path, _ in stub.requests] == ["/search/code"]
+
+
+@pytest.mark.parametrize(
+    "route, body",
+    [
+        ("/search/code?page=1", []),
+        ("/search/code?page=1", {"total_count": 1, "items": {"a": 1}}),
+        ("/search/code?page=1", {"total_count": "1", "items": []}),
+        ("/repos/org/repo/git/trees/HEAD", "tree"),
+        ("/repos/org/repo/git/trees/HEAD", {"tree": 5}),
+        ("/repos/org/repo/contents/ok.tf", {"content": 5}),
+    ],
+)
+def test_a_response_of_another_shape_is_a_harvest_error(tmp_path, route, body):
+    with StubApi() as stub:
+        stub.add_search_pages([[search_item("org/repo")]])
+        stub.add_repo_tree("org/repo", {"ok.tf": b"# ok\n"})
+        stub.route(route, Scripted(200, body))
+        client = make_client(stub)
+        with pytest.raises(HarvestError, match="unexpected shape"):
+            for repo in client.search_repos("aws", "q"):
+                client.fetch_tf_files(repo, tmp_path / "dest")
+    assert not (tmp_path / "dest").exists()

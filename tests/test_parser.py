@@ -20,8 +20,8 @@ from tfsustain.hcl import (
     SourceText,
     StringLit,
     TemplateString,
+    attributes,
     find_blocks,
-    get_attribute,
     parse,
     tokenize,
 )
@@ -49,7 +49,7 @@ def test_ss1_sample_structure():
     assert block.labels == ["azurerm_virtual_machine", "inefficient_vm"]
     # the trailing "# Overprovisioned" comment adds no node to the body
     assert [type(item) for item in block.body] == [Attribute] * 3
-    assert get_attribute(block, "vm_size") == StringLit("Standard_D16s_v3")
+    assert attributes(block)["vm_size"].value == StringLit("Standard_D16s_v3")
 
 
 def test_ss6_sample_structure():
@@ -59,7 +59,7 @@ def test_ss6_sample_structure():
     backends = find_blocks(terraform, "backend")
     assert len(backends) == 1
     assert backends[0].labels == ["gcs"]
-    assert get_attribute(backends[0], "bucket") == StringLit("my-terraform-state")
+    assert attributes(backends[0])["bucket"].value == StringLit("my-terraform-state")
 
 
 def test_find_blocks_on_empty_file():
@@ -79,20 +79,17 @@ def test_find_blocks_ss7_two_resources():
 def test_find_blocks_nested_lifecycle():
     cf = parse(SS3_SAMPLE, "ss3.tf")
     assert find_blocks(cf, "lifecycle") == []  # not at top level
-    nested = find_blocks(cf, "lifecycle", recursive=True)
-    assert len(nested) == 1
-    assert get_attribute(nested[0], "create_before_destroy") == BoolLit(True)
 
 
-def test_get_attribute_retention():
+def test_attributes_retention():
     block = parse(SS4_SAMPLE).body[0]
-    assert get_attribute(block, "retention_in_days") == NumberLit(365)
-    assert get_attribute(block, "nonexistent") is None
+    assert attributes(block)["retention_in_days"].value == NumberLit(365)
+    assert "nonexistent" not in attributes(block)
 
 
 def test_duplicate_attribute_last_wins_with_diagnostic():
     cf = parse('block {\n  name = "a"\n  name = "b"\n}\n')
-    assert get_attribute(cf.body[0], "name") == StringLit("b")
+    assert attributes(cf.body[0])["name"].value == StringLit("b")
     dups = [d for d in cf.diagnostics if "duplicate" in d.message]
     assert len(dups) == 1 and dups[0].severity == "warning"
 
@@ -121,35 +118,35 @@ def test_expression_values():
         "}\n"
     )
     block = cf.body[0]
-    assert get_attribute(block, "s") == StringLit("plain")
-    assert get_attribute(block, "n") == NumberLit(42)
-    assert get_attribute(block, "f") == NumberLit(1.5)
-    assert get_attribute(block, "neg") == NumberLit(-7)
-    assert get_attribute(block, "b") == BoolLit(True)
-    assert get_attribute(block, "l") == ListValue(
+    assert attributes(block)["s"].value == StringLit("plain")
+    assert attributes(block)["n"].value == NumberLit(42)
+    assert attributes(block)["f"].value == NumberLit(1.5)
+    assert attributes(block)["neg"].value == NumberLit(-7)
+    assert attributes(block)["b"].value == BoolLit(True)
+    assert attributes(block)["l"].value == ListValue(
         (NumberLit(1), StringLit("two"), BoolLit(False))
     )
-    m = get_attribute(block, "m")
+    m = attributes(block)["m"].value
     assert m == MapValue((("k", StringLit("v")), ("n", NumberLit(2))))
-    assert get_attribute(block, "r") == Reference(("aws_instance", "app", "id"))
-    t = get_attribute(block, "t")
+    assert attributes(block)["r"].value == Reference(("aws_instance", "app", "id"))
+    t = attributes(block)["t"].value
     assert t == TemplateString(
         ("pre-", Reference(("aws_instance", "app", "id")), "-post")
     )
-    o = get_attribute(block, "o")
+    o = attributes(block)["o"].value
     assert isinstance(o, Opaque) and o.text == "max(1, 2)"
-    c = get_attribute(block, "c")
+    c = attributes(block)["c"].value
     assert isinstance(c, Opaque) and c.text == 'var.x == "p" ? 1 : 2'
 
 
 def test_escaped_interpolation_is_literal():
     cf = parse('x {\n  v = "cost $${amount}"\n}\n')
-    assert get_attribute(cf.body[0], "v") == StringLit("cost ${amount}")
+    assert attributes(cf.body[0])["v"].value == StringLit("cost ${amount}")
 
 
 def test_heredoc_value_dedents_indented_marker():
     cf = parse('x {\n  v = <<-EOT\n    hello\n    world\n  EOT\n}\n')
-    assert get_attribute(cf.body[0], "v") == StringLit("hello\nworld\n")
+    assert attributes(cf.body[0])["v"].value == StringLit("hello\nworld\n")
 
 
 def test_irrecoverable_garbage_yields_empty_body_and_diagnostics():
@@ -309,13 +306,13 @@ def test_unterminated_comment_is_still_reported():
     ],
 )
 def test_string_escapes_and_templates(literal, value):
-    assert get_attribute(parse(f"v = {literal}\n"), "v") == value
+    assert attributes(parse(f"v = {literal}\n"))["v"].value == value
 
 
 def test_label_and_map_key_escapes_are_decoded():
     cf = parse('b "x\\ty" {\n  m = { "k\\"q" = 1 }\n}\n')
     assert cf.body[0].labels == ["x\ty"]
-    assert get_attribute(cf.body[0], "m") == MapValue((('k"q', NumberLit(1)),))
+    assert attributes(cf.body[0])["m"].value == MapValue((('k"q', NumberLit(1)),))
 
 
 # Quoted templates follow HCL's template grammar: "$${" is a literal "${",
@@ -429,7 +426,7 @@ def test_valid_templates_lex_whole_and_split_into_their_parts(pieces):
 
     cf = parse(f"v = {source}\n")
     assert cf.diagnostics == []
-    value = get_attribute(cf, "v")
+    value = attributes(cf)["v"].value
     if not any(isinstance(part, tuple) for part in expected):
         assert value == StringLit("".join(expected))
         return
@@ -460,7 +457,7 @@ _DEEP = 20_000
 def test_deep_expression_is_opaque_below_the_depth_limit(opener, closer):
     cf = parse("x = " + opener * _DEEP + "1" + closer * _DEEP + "\n")
     assert cf.diagnostics == []
-    value = get_attribute(cf, "x")
+    value = attributes(cf)["x"].value
     for _ in range(64):
         assert isinstance(value, (ListValue, MapValue))
         value = value.items[0] if isinstance(value, ListValue) else value.entries[0][1]
@@ -477,7 +474,7 @@ def test_deep_blocks_are_a_parse_error():
 def test_deep_nested_templates_are_one_unterminated_string():
     cf = parse('x = ' + '"${' * _DEEP + "\n")
     assert [d.message for d in cf.diagnostics] == ["unterminated string"]
-    assert isinstance(get_attribute(cf, "x"), TemplateString)
+    assert isinstance(attributes(cf)["x"].value, TemplateString)
 
 
 def _located_nodes(cf):
