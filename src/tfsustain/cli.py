@@ -130,7 +130,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _common_scan_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--engine", choices=ENGINES, default="ast")
     cmd.add_argument("--config", default=None, help="detector config JSON")
-    cmd.add_argument("--jobs", type=int, default=1)
+    cmd.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help="scan on up to N processes, at most one per CPU and per directory; "
+        "the output does not depend on N (default: 1, one process)",
+    )
     cmd.add_argument("--output", default=None, help="write the report to a file")
     cmd.add_argument("-v", "--verbose", action="store_true")
 

@@ -117,19 +117,17 @@ def detect_ss1_overprovisioning(
     if view.autoscaled:
         return []
     findings = []
+    prefixes = tuple(cfg.ss1_large_sizes)
     for r in view.resources:
-        sizes = None
-        for prefix, names in cfg.ss1_large_sizes.items():
-            if r.type.startswith(prefix):
-                sizes = names
-                break
-        if sizes is None:
+        if not r.type.startswith(prefixes):
             continue
         for attr_name in SIZE_ATTRS:
             node = r.attributes.get(attr_name)
             literal = _string_literal(node)
             if literal is None:
                 continue
+            # The first prefix the type starts with picks the catalog.
+            sizes = next(s for p, s in cfg.ss1_large_sizes.items() if r.type.startswith(p))
             # GCP machine types may be full self-link URLs; compare the tail.
             short = literal.rsplit("/", 1)[-1]
             if literal in sizes or short in sizes:

@@ -1,16 +1,20 @@
 """Corpus scanning: walk directory trees, detect smells, compute prevalence.
 
-Results are deterministic regardless of filesystem enumeration order: files
-are sorted up front, per-file work is order-independent, and findings are
-sorted once at the end.
+Results are deterministic regardless of filesystem enumeration order and of
+the number of processes: files are sorted up front, per-directory work is
+order-independent, and findings are sorted once at the end. A scan reads,
+detects and drops one directory at a time; with ``jobs`` above 1 the
+directories are split into contiguous shares, one per process.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterator
 
@@ -112,17 +116,63 @@ def _read_unit(base: Path, rel: str) -> tuple[ScanUnit | None, bool]:
         return unit_for(rel, data.decode("utf-8", errors="replace")), True
 
 
+def _shares(
+    dirs: list[tuple[str, list[str]]], n: int
+) -> list[list[tuple[str, list[str]]]]:
+    """Cut ``dirs`` into ``n`` contiguous, non-empty shares of about equal file count.
+
+    Share k ends at the directory boundary nearest to ``k / n`` of the
+    files; ``n`` is at most the number of directories.
+    """
+    done = list(accumulate((len(rels) for _, rels in dirs), initial=0))
+    cuts = [0]
+    for k in range(1, n):
+        target = done[-1] * k / n
+        cut = bisect_left(done, target)
+        if target - done[cut - 1] < done[cut] - target:
+            cut -= 1
+        cuts.append(min(max(cut, cuts[-1] + 1), len(dirs) - (n - k)))
+    cuts.append(len(dirs))
+    return [dirs[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _scan_share(
+    base: Path, share: list[tuple[str, list[str]]], cfg: DetectorConfig, engine: str
+) -> tuple[list[SmellFinding], set[str]]:
+    """Read and detect one directory at a time; (findings, failed paths).
+
+    A directory's texts are dropped before the next one is read.
+    """
+    findings: list[SmellFinding] = []
+    failed: set[str] = set()
+    for directory, rels in share:
+        units = []
+        for rel in rels:
+            unit, bad = _read_unit(base, rel)
+            if bad:
+                failed.add(rel)
+            if unit is not None:
+                units.append(unit)
+        findings += detect_all({directory: units}, cfg, engine, failed)
+    return findings, failed
+
+
 def scan(
     root: str | Path,
     cfg: DetectorConfig | None = None,
     engine: str = "ast",
     jobs: int = 1,
 ) -> ScanReport:
-    """Read and detect every .tf file under root.
+    """Read and detect every .tf file under root, on up to ``jobs`` processes.
 
     A file that cannot be read or decoded, or that the engine cannot parse, is
     one parse failure; it never aborts the scan and counts toward prevalence.
-    Files are read one after another whatever ``jobs`` is.
+
+    The directories are cut into ``min(jobs, os.cpu_count(), directories)``
+    contiguous shares of about equal file count. The calling process scans
+    the first share and a process pool, closed before this returns, the
+    others; with one share there is no pool. The shares' findings are sorted
+    once, so the report never depends on ``jobs``.
     """
     root = Path(root)
     if not root.exists():
@@ -133,15 +183,28 @@ def scan(
         cfg = DetectorConfig()
     rels = discover_tf_files(root)
     base = root if root.is_dir() else root.parent
-    failed: set[str] = set()
-    by_dir: dict[str, list[ScanUnit]] = {}
+    by_dir: dict[str, list[str]] = {}
     for rel in rels:
-        unit, bad = _read_unit(base, rel)
-        if bad:
-            failed.add(rel)
-        if unit is not None:
-            by_dir.setdefault(rel.rpartition("/")[0] or ".", []).append(unit)
-    findings = detect_all(by_dir, cfg, engine, failed)
+        by_dir.setdefault(rel.rpartition("/")[0] or ".", []).append(rel)
+    dirs = list(by_dir.items())
+    n = min(jobs, os.cpu_count() or 1, len(dirs))
+    if n > 1:
+        # Imported here: the pool's modules would add to every one-job scan's memory.
+        from concurrent.futures import ProcessPoolExecutor
+
+        shares = _shares(dirs, n)
+        with ProcessPoolExecutor(n - 1) as pool:
+            futures = [
+                pool.submit(_scan_share, base, share, cfg, engine) for share in shares[1:]
+            ]
+            findings, failed = _scan_share(base, shares[0], cfg, engine)
+            for future in futures:
+                more, bad = future.result()
+                findings += more
+                failed |= bad
+    else:
+        findings, failed = _scan_share(base, dirs, cfg, engine)
+    findings.sort(key=SmellFinding.sort_key)
 
     return ScanReport(
         scanned_files=len(rels),

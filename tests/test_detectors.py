@@ -91,6 +91,18 @@ def test_ss1_gcp_machine_type_self_link_matches_tail():
     assert len(findings) == 1
 
 
+def test_ss1_first_matching_prefix_picks_the_catalog():
+    cfg = config_from_dict({"ss1_large_sizes": {"aws_": ["big"], "aws_x": ["huge"]}})
+    text = "".join(
+        f'resource "{rtype}" "r{i}" {{\n  instance_type = "{size}"\n}}\n'
+        for i, (rtype, size) in enumerate(
+            [("aws_xl", "big"), ("aws_xl", "huge"), ("gcp_vm", "big"), ("aws", "big")]
+        )
+    )
+    findings = detect_ss1_overprovisioning(view(unit_for("x.tf", text), cfg), cfg)
+    assert [(f.span.start_line, f.evidence) for f in findings] == [(2, "big")]
+
+
 # -- SS2 ---------------------------------------------------------------
 
 

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import multiprocessing
 import os
-import threading
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from tfsustain import scanner
 from tfsustain.catalog import SmellId
+from tfsustain.detectors import ENGINES
 from tfsustain.report import findings_lines, format_percent, render
 from tfsustain.scanner import (
     ScanError,
@@ -53,18 +59,184 @@ def test_scan_twice_is_byte_identical(tmp_path):
     assert render(r1, prevalence(r1), "json") == render(r2, prevalence(r2), "json")
 
 
-def test_scan_reads_every_file_on_the_calling_thread(tmp_path, monkeypatch):
-    build_corpus(tmp_path, {SmellId.SS7: 1}, total=4)
+def _tree(root, files_per_dir):
+    """One directory per count, named a, b, c, ..., holding that many smelly files."""
+    for name, count in zip("abcdefgh", files_per_dir):
+        (root / name).mkdir()
+        for i in range(count):
+            (root / name / f"f{i}.tf").write_text(
+                f'resource "aws_instance" "{name}{i}" {{\n  instance_type = "m5.24xlarge"\n}}\n'
+            )
+
+
+def _report_bytes(report) -> tuple[int, bytes, bytes]:
+    stats = prevalence(report) if report.scanned_files else None
+    return report.parse_failures, render(report, stats, "json"), render(report, stats, "sarif")
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for a second share")
+def test_scan_with_two_jobs_reads_one_directory_aligned_share_in_the_calling_process(
+    tmp_path, monkeypatch
+):
+    _tree(tmp_path, [2, 2, 2])
+    rels = discover_tf_files(tmp_path)
+    one_job = _report_bytes(scan(tmp_path, jobs=1))
     read_unit = scanner._read_unit
-    threads = []
+    read = []
 
     def recording(base, rel):
-        threads.append(threading.current_thread())
+        read.append(rel)
         return read_unit(base, rel)
 
     monkeypatch.setattr(scanner, "_read_unit", recording)
-    assert scan(tmp_path, jobs=2).scanned_files == 4
-    assert threads == [threading.current_thread()] * 4
+    two_jobs = _report_bytes(scan(tmp_path, jobs=2))
+    # The other share is read in a worker process, where this list is a copy.
+    assert 0 < len(read) < len(rels)
+    assert read == rels[: len(read)]
+    assert read[-1].split("/")[0] != rels[len(read)].split("/")[0]
+    assert two_jobs == one_job
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_findings_are_in_path_order_when_a_directory_straddles_its_subdirectory(tmp_path, jobs):
+    # "a/b/x.tf" sorts between a's two files, so the directories' findings interleave.
+    rels = ["a/a.tf", "a/b/x.tf", "a/c.tf"]
+    for rel in rels:
+        (tmp_path / rel).parent.mkdir(exist_ok=True)
+        (tmp_path / rel).write_text(
+            'resource "aws_instance" "x" {\n  instance_type = "m5.24xlarge"\n}\n'
+        )
+    report = scan(tmp_path, jobs=jobs)
+    assert [f.path for f in report.findings if f.smell == SmellId.SS1] == rels
+    assert multiprocessing.active_children() == []
+
+
+def test_shares_are_contiguous_non_empty_and_balanced_by_file_count():
+    sizes = [5, 1, 1, 3, 1, 1, 4]
+    dirs = [(f"d{i}", [f"d{i}/{j}.tf" for j in range(size)]) for i, size in enumerate(sizes)]
+    for n in range(1, len(dirs) + 1):
+        shares = scanner._shares(dirs, n)
+        assert len(shares) == n and all(shares)
+        assert [d for share in shares for d in share] == dirs
+    assert [sum(len(rels) for _, rels in share) for share in scanner._shares(dirs, 2)] == [7, 9]
+    assert [[d for d, _ in share] for share in scanner._shares(dirs, 3)] == [
+        ["d0"], ["d1", "d2", "d3", "d4"], ["d5", "d6"]
+    ]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_fixture_reports_do_not_depend_on_jobs(engine):
+    """BOM, CRLF and malformed files give the same bytes on one, two and three processes."""
+    reports = {}
+    for jobs in (1, 2, 3):
+        reports[jobs] = _report_bytes(scan(FIXTURES, engine=engine, jobs=jobs))
+        assert multiprocessing.active_children() == []
+    assert reports[2] == reports[1]
+    assert reports[3] == reports[1]
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for a second share")
+def test_spawned_workers_give_the_same_report(monkeypatch):
+    """Where the default start method is spawn, a worker starts from a fresh import."""
+    one_job = _report_bytes(scan(FIXTURES, jobs=1))
+    spawn = multiprocessing.get_context("spawn")
+    pool = concurrent.futures.ProcessPoolExecutor
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", lambda n: pool(n, mp_context=spawn)
+    )
+    assert _report_bytes(scan(FIXTURES, jobs=2)) == one_job
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_file_gone_in_a_workers_share_is_a_parse_failure(tmp_path, monkeypatch, engine, jobs):
+    shutil.copytree(FIXTURES, tmp_path / "fixtures")
+    # The last directory in path order is in the last share, a worker's when jobs > 1.
+    gone = tmp_path / "zz" / "gone.tf"
+    gone.parent.mkdir()
+    gone.write_text('resource "aws_instance" "a" {\n  instance_type = "m5.24xlarge"\n}\n')
+    fixtures = scan(FIXTURES, engine=engine)
+    discover = scanner.discover_tf_files
+
+    def discover_then_delete(root):
+        rels = discover(root)
+        gone.unlink()
+        return rels
+
+    monkeypatch.setattr(scanner, "discover_tf_files", discover_then_delete)
+    report = scan(tmp_path, engine=engine, jobs=jobs)
+    assert report.scanned_files == fixtures.scanned_files + 1
+    assert report.parse_failures == fixtures.parse_failures + 1
+    assert "zz/gone.tf" not in {f.path for f in report.findings}
+    assert multiprocessing.active_children() == []
+
+
+class _InlineExecutor:
+    """Stands in for ``ProcessPoolExecutor``: records its size, runs submissions inline."""
+
+    def __init__(self, max_workers, built):
+        built.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def _record_executors(monkeypatch) -> list[int]:
+    built: list[int] = []
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", lambda n: _InlineExecutor(n, built)
+    )
+    return built
+
+
+@pytest.mark.parametrize("cpus", [None, 2, 8])
+def test_many_jobs_ask_for_one_worker_per_cpu_or_directory_past_the_first(
+    tmp_path, monkeypatch, cpus
+):
+    _tree(tmp_path, [1, 2, 1])
+    one_job = _report_bytes(scan(tmp_path, jobs=1))
+    if cpus is not None:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    built = _record_executors(monkeypatch)
+    report = scan(tmp_path, jobs=10**6)
+    n = min(os.cpu_count() or 1, 3)
+    assert built == ([n - 1] if n > 1 else [])
+    assert _report_bytes(report) == one_job
+
+
+@pytest.mark.parametrize("cpus", [1, None])
+def test_one_cpu_builds_no_executor(tmp_path, monkeypatch, cpus):
+    _tree(tmp_path, [1, 1, 1])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    built = _record_executors(monkeypatch)
+    assert scan(tmp_path, jobs=4).scanned_files == 3
+    assert built == []
+
+
+def test_one_job_scan_does_not_import_the_process_pool():
+    code = (
+        "import sys\n"
+        "from tfsustain.scanner import scan\n"
+        "assert scan(sys.argv[1], jobs=1).scanned_files\n"
+        "print('concurrent.futures.process' in sys.modules)\n"
+    )
+    src = str(Path(scanner.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(FIXTURES)],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_scan_ignores_symlinked_files(tmp_path):
