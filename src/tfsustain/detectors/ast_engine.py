@@ -280,6 +280,8 @@ def detect_ss5_cross_region_transfer(
     later resource's first attribute referring to the earlier one.
     """
     resources = view.resources
+    if len(resources) < 2:
+        return []  # no pair to form
     regions = [region_class(r, cfg) for r in resources]
     addresses = [(r.type, r.name) for r in resources]
     # A list per address: duplicate addresses are legal input.

@@ -3,12 +3,17 @@
 The JSON form is canonical: fixed key order, compact separators, exact
 prevalence fractions kept as numerator/denominator next to the rounded
 percentage, so two scans of the same tree serialize byte-identically.
+
+The SARIF form is exactly ``json.dumps(document, indent=2)``: ASCII only, with
+a 2-space indent. Its results are filled into a per-finding template, and
+``tests/test_scanner.py`` pins that the bytes keep that form.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode
 
 from . import __version__
 from .catalog import SmellDescriptor, catalog
@@ -113,7 +118,43 @@ def _render_json(report: ScanReport, stats: CorpusStats | None) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
+# One SARIF result exactly as ``json.dumps(..., indent=2)`` lays it out at its
+# depth in the document: strings are filled in JSON-encoded, integers by %d.
+_SARIF_RESULT = """\
+        {
+          "ruleId": %s,
+          "ruleIndex": %d,
+          "level": "warning",
+          "message": {
+            "text": %s
+          },
+          "locations": [
+            {
+              "physicalLocation": {
+                "artifactLocation": {
+                  "uri": %s
+                },
+                "region": {
+                  "startLine": %d,
+                  "startColumn": %d,
+                  "endLine": %d,
+                  "endColumn": %d
+                }
+              }
+            }
+          ]
+        }"""
+_SARIF_NO_RESULTS = '\n      "results": [],\n'
+
+
 def _render_sarif(report: ScanReport, descriptors: list[SmellDescriptor]) -> str:
+    """``json.dumps(document, indent=2)``, with the results filled from a template.
+
+    The indented ``json.dumps`` runs the pure-Python encoder, so it only lays
+    out the fixed part of the document, and each finding is one
+    ``_SARIF_RESULT`` whose strings go through the same C string encoder that
+    ``json.dumps`` uses for ``ensure_ascii=True``.
+    """
     rules = [
         {
             "id": str(d.id),
@@ -124,29 +165,6 @@ def _render_sarif(report: ScanReport, descriptors: list[SmellDescriptor]) -> str
             "defaultConfiguration": {"level": "warning"},
         }
         for d in descriptors
-    ]
-    rule_index = {rule["id"]: i for i, rule in enumerate(rules)}
-    results = [
-        {
-            "ruleId": f.smell.name,
-            "ruleIndex": rule_index[f.smell.name],
-            "level": "warning",
-            "message": {"text": f.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": f.path},
-                        "region": {
-                            "startLine": f.span.start_line,
-                            "startColumn": f.span.start_col,
-                            "endLine": f.span.end_line,
-                            "endColumn": f.span.end_col,
-                        },
-                    }
-                }
-            ],
-        }
-        for f in report.findings
     ]
     doc = {
         "$schema": _SARIF_SCHEMA,
@@ -160,9 +178,33 @@ def _render_sarif(report: ScanReport, descriptors: list[SmellDescriptor]) -> str
                         "rules": rules,
                     }
                 },
-                "results": results,
+                "results": [],
                 "columnKind": "unicodeCodePoints",
             }
         ],
     }
-    return json.dumps(doc, indent=2)
+    skeleton = json.dumps(doc, indent=2)
+    if not report.findings:
+        return skeleton
+    rule_ids = {rule["id"]: (_encode(rule["id"]), i) for i, rule in enumerate(rules)}
+    results = []
+    for f in report.findings:
+        rule_id, rule_index = rule_ids[f.smell.name]
+        span = f.span
+        results.append(
+            _SARIF_RESULT
+            % (
+                rule_id,
+                rule_index,
+                _encode(f.message),
+                _encode(f.path),
+                span.start_line,
+                span.start_col,
+                span.end_line,
+                span.end_col,
+            )
+        )
+    # An encoded string holds no raw newline, so only the results key matches.
+    head, _, tail = skeleton.partition(_SARIF_NO_RESULTS)
+    joined = ",\n".join(results)
+    return f'{head}\n      "results": [\n{joined}\n      ],\n{tail}'

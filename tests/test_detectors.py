@@ -452,6 +452,15 @@ def test_ss5_examples_reach_every_case():
     assert [f.evidence for f in duplicates] == ["us-west1 != us-east-1"]
 
 
+def test_ss5_asks_no_region_of_a_lone_resource(monkeypatch):
+    def region_class(resource, cfg):
+        raise AssertionError("one resource forms no pair")
+
+    monkeypatch.setattr(ast_engine, "region_class", region_class)
+    lone = view(unit_for("x.tf", ss5_text(SS5_MUTUAL[:1])))
+    assert detect_ss5_cross_region_transfer(lone, CFG) == []
+
+
 def count_python_calls(fn, *args) -> int:
     calls = 0
 

@@ -11,13 +11,18 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfsustain import scanner
 from tfsustain.catalog import SmellId
 from tfsustain.detectors import ENGINES
+from tfsustain.detectors.findings import SmellFinding
+from tfsustain.hcl import SourceSpan
 from tfsustain.report import findings_lines, format_percent, render
 from tfsustain.scanner import (
     ScanError,
+    ScanReport,
     discover_tf_files,
     prevalence,
     scan,
@@ -450,6 +455,87 @@ def test_render_sarif_columns_count_code_points(tmp_path):
     region = ss1["locations"][0]["physicalLocation"]["region"]
     assert (region["startLine"], region["startColumn"]) == (1, 31)
     assert region["endColumn"] == 60
+
+
+def _assert_sarif_is_indented_json(out: bytes) -> None:
+    """SARIF bytes are exactly ``json.dumps(document, indent=2)`` of what they hold."""
+    assert out == json.dumps(json.loads(out), indent=2).encode()
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_render_sarif_of_fixtures_is_indented_json(engine):
+    report = scan(FIXTURES, engine=engine)
+    assert report.findings
+    _assert_sarif_is_indented_json(render(report, prevalence(report), "sarif"))
+
+
+def test_render_sarif_of_empty_report_is_indented_json(tmp_path):
+    out = render(scan(tmp_path), None, "sarif")
+    _assert_sarif_is_indented_json(out)
+    assert b'\n      "results": [],\n' in out
+
+
+# Paths decoded with surrogateescape carry lone surrogates; JSON escapes
+# quotes, backslashes and control characters, and ASCII output escapes the rest.
+_AWKWARD_TEXT = st.text(
+    st.one_of(
+        st.characters(exclude_categories=()),
+        st.sampled_from('ä"\\\x01\x1f\x7f\n\udcff\ud800🚀\u2028'),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@st.composite
+def _findings(draw) -> SmellFinding:
+    start = draw(st.tuples(st.integers(1, 10**6), st.integers(1, 10**6)))
+    end = draw(st.tuples(st.integers(1, 10**6), st.integers(1, 10**6)))
+    start, end = sorted([start, end])
+    path = draw(_AWKWARD_TEXT)
+    return SmellFinding(
+        smell=draw(st.sampled_from(list(SmellId))),
+        path=path,
+        span=SourceSpan(path, *start, *end),
+        evidence=draw(_AWKWARD_TEXT),
+        engine=draw(st.sampled_from(ENGINES)),
+        message=draw(_AWKWARD_TEXT),
+    )
+
+
+@given(st.lists(_findings(), max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_render_sarif_of_any_finding_text_is_indented_json(findings):
+    report = ScanReport(len(findings), 0, findings, "digest", "ast")
+    out = render(report, None, "sarif")
+    _assert_sarif_is_indented_json(out)
+    assert out.isascii()
+    doc = json.loads(out)
+    rule_ids = [rule["id"] for rule in doc["runs"][0]["tool"]["driver"]["rules"]]
+    # Through JSON and back: a high then a low lone surrogate decode as one character.
+    expected = [
+        {
+            "ruleId": f.smell.name,
+            "ruleIndex": rule_ids.index(f.smell.name),
+            "level": "warning",
+            "message": {"text": f.message},
+            "locations": [
+                {
+                    "physicalLocation": {
+                        "artifactLocation": {"uri": f.path},
+                        "region": {
+                            "startLine": f.span.start_line,
+                            "startColumn": f.span.start_col,
+                            "endLine": f.span.end_line,
+                            "endColumn": f.span.end_col,
+                        },
+                    }
+                }
+            ],
+        }
+        for f in findings
+    ]
+    assert doc["runs"][0]["results"] == json.loads(json.dumps(expected))
 
 
 def test_render_rejects_unknown_format(tmp_path):
