@@ -367,11 +367,9 @@ PER_FILE_DETECTORS = (
 def detect_directory(
     units: Sequence[ScanUnit], cfg: DetectorConfig, failed: set[str]
 ) -> list[SmellFinding]:
-    """All seven smells over a directory's files, each parsed once; errors go into ``failed``."""
+    """All seven smells over a directory's files, each parsed once; diagnosed files go into ``failed``."""
     views = [prepare(u.path, u.text, cfg) for u in units]
-    failed.update(
-        v.file.path for v in views if any(d.severity == "error" for d in v.file.diagnostics)
-    )
+    failed.update(v.file.path for v in views if v.file.diagnostics)
     findings: list[SmellFinding] = []
     for view in views:
         for detector in PER_FILE_DETECTORS:

@@ -102,7 +102,7 @@ class _Located:
 class Diagnostic(_Located):
     message: str
     span: SourceSpan = _SpanFromOffsets()
-    severity: str = "error"  # "error" | "warning"
+    severity: str = "error"  # always "error"; the perfbench tracer reads it (ROADMAP item 2(d))
 
 
 @dataclass

@@ -35,9 +35,6 @@ from .ast import (
 )
 from .lexer import SourceText, TokenKind, scan_template, tokenize
 
-# Expected label counts, enforced as warnings only.
-_LABEL_COUNTS = {"resource": 2, "terraform": 0, "backend": 1}
-
 _MAX_DEPTH = 64
 
 # The kinds as module globals: on Python 3.11 a member read off the enum class
@@ -156,18 +153,14 @@ class _Parser:
         while True:
             kind = self._skip_newlines()
             if kind is EOF:
-                self._check_body(body)
                 return body
             if kind is BLOCK_CLOSE:
                 self.diagnostics.append(self._error("unexpected '}'", self.i))
                 self.i += 1
                 continue
-            before = len(self.diagnostics)
             try:
                 body.append(self._parse_item(0))
             except _ParseError as err:
-                # The item is dropped, and with it the warnings on its bodies.
-                del self.diagnostics[before:]
                 self.diagnostics.append(self._error(err.args[0], err.at))
                 self._sync()
 
@@ -240,36 +233,13 @@ class _Parser:
             kind = self._skip_newlines()
             if kind is BLOCK_CLOSE:
                 self.i += 1
-                break
+                return body
             if kind is EOF:
                 self.diagnostics.append(
                     self._error(f"block {self._text(head)!r} not closed before end of file", head)
                 )
-                break
+                return body
             body.append(self._parse_item(depth))
-        self._check_body(body)
-        return body
-
-    def _check_body(self, body: list[Block | Attribute]) -> None:
-        """Warn on label counts and duplicate attributes of a finished body."""
-        seen: set[str] = set()
-        for item in body:
-            if isinstance(item, Block):
-                expected = _LABEL_COUNTS.get(item.block_type)
-                if expected is None or len(item.labels) == expected:
-                    continue
-                message = (
-                    f"{item.block_type!r} block has {len(item.labels)} label(s), "
-                    f"expected {expected}"
-                )
-            elif item.name in seen:
-                message = f"duplicate attribute {item.name!r} (last value wins)"
-            else:
-                seen.add(item.name)
-                continue
-            self.diagnostics.append(
-                Diagnostic.at(item.source, item.start, item.end, message=message, severity="warning")
-            )
 
     # -- expressions ---------------------------------------------------
 

@@ -504,13 +504,28 @@ LINEAR_FAMILIES = {
     "terraform_blocks_with_local_backends": lambda n: (
         'terraform {\n  backend "local" {}\n}\n' * n
     ),
+    # The lexer's and the parser's worst shapes: unclosed strings, heredocs,
+    # block comments and brackets, `/*/` soups and deep nesting.
+    "unclosed_strings": lambda n: 'x = "open\n' * n,
+    "unclosed_heredoc": lambda n: "x = <<EOT\n" + "line\n" * n,
+    "unclosed_block_comment": lambda n: "/*\n" + "x = 1\n" * n,
+    "star_slash_soup": lambda n: "/*/ x = 1\n" * n,
+    # An unclosed list swallows the rest of the file as Opaque; this pins its
+    # cost, not its output.
+    "unclosed_list": lambda n: "x = [1,\n" + "y = 2\n" * n,
+    "unclosed_blocks": lambda n: 'resource "a" "b" {\n' * n,
+    "deep_list_opener": lambda n: "x = " + "[" * n + "\n",
+    "one_label_resources": lambda n: 'resource "aws_instance" {\n}\n' * n,
 }
 
 
 @pytest.mark.parametrize("family", LINEAR_FAMILIES)
 @pytest.mark.parametrize("engine", ["ast", "pattern"])
 def test_detection_work_is_linear(engine, family):
-    # Python-level calls, not time: no clock in Tier-1.
+    # Python-level calls, not time: no clock in Tier-1. Regexes run in C, so
+    # call counts cannot see a regex backtracking. The first call warms up
+    # the engine's caches, which would otherwise count in the first n.
+    detect_all({"d": [unit_for("d/x.tf", LINEAR_FAMILIES[family](2))]}, CFG, engine)
     calls = {}
     for n in (200, 400):
         by_dir = {"d": [unit_for("d/x.tf", LINEAR_FAMILIES[family](n))]}

@@ -175,10 +175,11 @@ def test_tokenize_builds_no_spans(monkeypatch):
 
 
 def test_parse_builds_no_line_index_until_a_span_is_read():
-    # A label-count and a duplicate-attribute warning, an unterminated string.
+    # One diagnostic, the unterminated string; the one-label resource and the
+    # duplicate attribute are not diagnosed.
     text = '# c\nresource "a" {\n  n = 1\n  n = 2\n}\nx = "open\n'
     cf = parse(text, "f.tf")
-    assert len(cf.diagnostics) == 3
+    assert len(cf.diagnostics) == 1
     assert "line_starts" not in vars(cf.source)
     span = cf.diagnostics[-1].span
     assert (span.start_line, span.start_col, span.end_line, span.end_col) == (6, 5, 6, 10)

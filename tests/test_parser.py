@@ -87,18 +87,19 @@ def test_attributes_retention():
     assert "nonexistent" not in attributes(block)
 
 
-def test_duplicate_attribute_last_wins_with_diagnostic():
+def test_duplicate_attribute_last_wins_without_diagnostic():
     cf = parse('block {\n  name = "a"\n  name = "b"\n}\n')
     assert attributes(cf.body[0])["name"].value == StringLit("b")
-    dups = [d for d in cf.diagnostics if "duplicate" in d.message]
-    assert len(dups) == 1 and dups[0].severity == "warning"
+    assert cf.diagnostics == []
 
 
 def test_label_count_diagnostics():
     cf = parse('resource "only_type" {\n}\nterraform "extra" {\n}\n')
-    warnings = [d.message for d in cf.diagnostics if d.severity == "warning"]
-    assert any("'resource' block has 1 label(s), expected 2" in m for m in warnings)
-    assert any("'terraform' block has 1 label(s), expected 0" in m for m in warnings)
+    assert [(b.block_type, b.labels) for b in cf.body] == [
+        ("resource", ["only_type"]),
+        ("terraform", ["extra"]),
+    ]
+    assert cf.diagnostics == []
 
 
 def test_expression_values():
@@ -216,7 +217,7 @@ def test_crlf_file_parses_with_correct_structure():
     text = (FIXTURES / "hcl" / "crlf.tf").read_bytes().decode("utf-8")
     cf = parse(text, "crlf.tf")
     assert [b.block_type for b in cf.body] == ["terraform", "resource"]
-    assert not [d for d in cf.diagnostics if d.severity == "error"]
+    assert cf.diagnostics == []
 
 
 def test_unclosed_block_recovers_with_diagnostic():
@@ -282,7 +283,7 @@ def _span(start_line, start_col, end_line, end_col):
 def test_comments_are_invisible_to_the_parser(text, body, errors):
     cf = parse(text)
     assert cf.body == body
-    assert sum(d.severity == "error" for d in cf.diagnostics) == errors
+    assert len(cf.diagnostics) == errors
 
 
 def test_unterminated_comment_is_still_reported():
@@ -441,12 +442,11 @@ def test_valid_templates_lex_whole_and_split_into_their_parts(pieces):
     assert got == expected
 
 
-def test_warnings_inside_a_dropped_block_are_not_reported():
+def test_a_dropped_block_reports_only_its_errors():
     cf = parse('outer {\n  inner {\n    x = 1\n    x = 2\n  }\n  @\n}\nresource "a" {\n}\n')
     assert [(d.message, d.severity) for d in cf.diagnostics] == [
         ("expected block or attribute, found punctuation '@'", "error"),
         ("unexpected '}'", "error"),
-        ("'resource' block has 1 label(s), expected 2", "warning"),
     ]
 
 

@@ -308,11 +308,18 @@ def test_scan_counts_unreadable_files_in_denominator(tmp_path):
     malformed.write_text('resource "aws_sns_topic" "t" {\n  name = "t"\n')
     bad = tmp_path / "bad.tf"
     bad.write_bytes(b'resource "aws_instance" "x" {\n  ami = \xff\xfe broken\n')
+    odd = tmp_path / "odd.tf"
+    odd.write_text(
+        'resource "aws_sns_topic" {\n  name = "a"\n  name = "b"\n}\n'
+        'terraform "extra" {\n}\n'
+    )
     # Both unclosed blocks are parse errors, which only the AST engine
     # looks for; bad.tf fails to decode and to parse, and counts once.
+    # odd.tf's one-label resource, labelled terraform block and duplicated
+    # attribute are not parse errors.
     for engine, failures in [("ast", 2), ("pattern", 1)]:
         report = scan(tmp_path, engine=engine)
-        assert report.scanned_files == 3
+        assert report.scanned_files == 4
         assert report.parse_failures == failures, engine
 
 
