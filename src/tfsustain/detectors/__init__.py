@@ -1,9 +1,9 @@
-"""Smell detection engines and the combined per-corpus runner."""
+"""Smell detection engines and a runner that takes one directory per call."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import ast_engine, pattern_engine
 from .config import ConfigError, DetectorConfig, config_from_dict
@@ -29,30 +29,15 @@ def unit_for(path: str, text: str) -> ScanUnit:
 
 
 def detect_all(
-    units_by_dir: Mapping[str, Sequence[ScanUnit]],
-    cfg: DetectorConfig | None = None,
-    engine: str = "ast",
-    failed: set[str] | None = None,
+    units: Sequence[ScanUnit], cfg: DetectorConfig, engine: str, failed: set[str]
 ) -> list[SmellFinding]:
-    """Run all seven detectors over directory-grouped files.
+    """Run all seven detectors over one directory's files, one root module.
 
-    Findings come back sorted by (path, position, smell), whatever the order
-    of directories and units. The remote-state detector runs once per
-    directory; everything else is per-file. The AST engine adds each file
-    whose parse reports an error to ``failed``.
+    The remote-state detector runs once over the directory; everything else
+    is per-file. The AST engine adds each file whose parse reports an error
+    to ``failed``. Findings come back in no set order; ``scan`` sorts them.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; pick one of {ENGINES}")
-    module = _ENGINE_MODULES[engine]
-    if cfg is None:
-        cfg = DetectorConfig()
-    if failed is None:
-        failed = set()
-    findings: list[SmellFinding] = []
-    for units in units_by_dir.values():
-        findings.extend(module.detect_directory(units, cfg, failed))
-    findings.sort(key=lambda f: f.sort_key())
-    return findings
+    return _ENGINE_MODULES[engine].detect_directory(units, cfg, failed)
 
 
 __all__ = [

@@ -44,6 +44,7 @@ import requests
 
 DEFAULT_BASE_URL = "https://api.github.com"
 TOKEN_ENV_VAR = "TFSUSTAIN_GITHUB_TOKEN"
+PER_PAGE = 100  # the largest page the search API serves
 
 # Search tokens per provider; the query is configuration, not logic.
 PROVIDER_QUERIES = {
@@ -143,7 +144,6 @@ class CodeSearchClient:
         sleeper: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.time,
         max_retries: int = 5,
-        per_page: int = 100,
     ) -> None:
         self.base_url = base_url.rstrip("/")
         self.token = token
@@ -151,7 +151,6 @@ class CodeSearchClient:
         self.sleeper = sleeper
         self.clock = clock
         self.max_retries = max_retries
-        self.per_page = per_page
         self.requests_made = 0
 
     # -- transport ---------------------------------------------------------
@@ -230,7 +229,7 @@ class CodeSearchClient:
         while True:
             data = self._get(
                 "/search/code",
-                {"q": query, "per_page": self.per_page, "page": page},
+                {"q": query, "per_page": PER_PAGE, "page": page},
                 {"items": list, "total_count": int},
             )
             items = data.get("items", [])

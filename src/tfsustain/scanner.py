@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .catalog import SmellId
-from .detectors import DetectorConfig, ScanUnit, detect_all, unit_for
+from .detectors import ENGINES, DetectorConfig, ScanUnit, detect_all, unit_for
 from .detectors.findings import SmellFinding
 
 
@@ -116,15 +116,13 @@ def _read_unit(base: Path, rel: str) -> tuple[ScanUnit | None, bool]:
         return unit_for(rel, data.decode("utf-8", errors="replace")), True
 
 
-def _shares(
-    dirs: list[tuple[str, list[str]]], n: int
-) -> list[list[tuple[str, list[str]]]]:
+def _shares(dirs: list[list[str]], n: int) -> list[list[list[str]]]:
     """Cut ``dirs`` into ``n`` contiguous, non-empty shares of about equal file count.
 
     Share k ends at the directory boundary nearest to ``k / n`` of the
     files; ``n`` is at most the number of directories.
     """
-    done = list(accumulate((len(rels) for _, rels in dirs), initial=0))
+    done = list(accumulate(map(len, dirs), initial=0))
     cuts = [0]
     for k in range(1, n):
         target = done[-1] * k / n
@@ -137,7 +135,7 @@ def _shares(
 
 
 def _scan_share(
-    base: Path, share: list[tuple[str, list[str]]], cfg: DetectorConfig, engine: str
+    base: Path, share: list[list[str]], cfg: DetectorConfig, engine: str
 ) -> tuple[list[SmellFinding], set[str]]:
     """Read and detect one directory at a time; (findings, failed paths).
 
@@ -145,7 +143,7 @@ def _scan_share(
     """
     findings: list[SmellFinding] = []
     failed: set[str] = set()
-    for directory, rels in share:
+    for rels in share:
         units = []
         for rel in rels:
             unit, bad = _read_unit(base, rel)
@@ -153,7 +151,7 @@ def _scan_share(
                 failed.add(rel)
             if unit is not None:
                 units.append(unit)
-        findings += detect_all({directory: units}, cfg, engine, failed)
+        findings += detect_all(units, cfg, engine, failed)
     return findings, failed
 
 
@@ -179,6 +177,8 @@ def scan(
         raise ScanError(f"scan root does not exist: {root}")
     if jobs < 1:
         raise ScanError(f"jobs must be at least 1, got {jobs}")
+    if engine not in ENGINES:
+        raise ScanError(f"unknown engine {engine!r}; pick one of {ENGINES}")
     if cfg is None:
         cfg = DetectorConfig()
     rels = discover_tf_files(root)
@@ -186,7 +186,7 @@ def scan(
     by_dir: dict[str, list[str]] = {}
     for rel in rels:
         by_dir.setdefault(rel.rpartition("/")[0] or ".", []).append(rel)
-    dirs = list(by_dir.items())
+    dirs = list(by_dir.values())
     n = min(jobs, os.cpu_count() or 1, len(dirs))
     if n > 1:
         # Imported here: the pool's modules would add to every one-job scan's memory.

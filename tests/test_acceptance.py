@@ -97,7 +97,7 @@ def test_criterion_2_samples_fixture_suite():
             return unit_for(rel, (FIXTURES / rel).read_text())
 
         units = [load(f"samples/ss{i}.tf") for i in range(1, 8)]
-        findings = detect_all({"samples": units}, cfg, "ast")
+        findings = detect_all(units, cfg, "ast", set())
         found = {(Path(f.path).name, f.smell.name) for f in findings}
         assert found == {("ss1.tf", "SS1"), ("ss2.tf", "SS2"), ("ss4.tf", "SS4")}
         for name, smell in [("ss1", "SS1"), ("ss2", "SS2"), ("ss4", "SS4")]:

@@ -276,6 +276,26 @@ def test_output_flag_writes_file(tmp_path):
     assert json.loads(out.read_text())["scanned_files"] == 2
 
 
+@pytest.mark.parametrize("command", ["lint", "scan"])
+@pytest.mark.parametrize(
+    "tree, engine, note",
+    [
+        ("hcl", "ast", "note: 1 file(s) failed to parse\n"),
+        ("hcl", "pattern", ""),  # the pattern engine never parses
+        ("clean", "ast", ""),
+    ],
+)
+def test_verbose_notes_parse_failures_on_stderr_only(capsys, command, tree, engine, note):
+    argv = [command, str(FIXTURES / tree), "--engine", engine]
+    code = run(argv)
+    quiet = capsys.readouterr()
+    assert run(argv + ["-v"]) == code
+    verbose = capsys.readouterr()
+    assert quiet.err == ""
+    assert verbose.err == note
+    assert verbose.out == quiet.out
+
+
 # sha256 of the report `tfsustain scan tests/fixtures` writes, per engine and
 # format: output bytes are meant to change only on purpose.
 FIXTURE_REPORT_SHA256 = {

@@ -525,11 +525,11 @@ def test_detection_work_is_linear(engine, family):
     # Python-level calls, not time: no clock in Tier-1. Regexes run in C, so
     # call counts cannot see a regex backtracking. The first call warms up
     # the engine's caches, which would otherwise count in the first n.
-    detect_all({"d": [unit_for("d/x.tf", LINEAR_FAMILIES[family](2))]}, CFG, engine)
+    detect_all([unit_for("d/x.tf", LINEAR_FAMILIES[family](2))], CFG, engine, set())
     calls = {}
     for n in (200, 400):
-        by_dir = {"d": [unit_for("d/x.tf", LINEAR_FAMILIES[family](n))]}
-        calls[n] = count_python_calls(detect_all, by_dir, CFG, engine)
+        units = [unit_for("d/x.tf", LINEAR_FAMILIES[family](n))]
+        calls[n] = count_python_calls(detect_all, units, CFG, engine, set())
     assert calls[400] / calls[200] <= 2.2, calls
 
 
@@ -683,12 +683,12 @@ def test_ss7_threshold_config_sensitivity():
 
 
 def test_detect_all_empty():
-    assert detect_all({}, CFG, "ast") == []
+    assert detect_all([], CFG, "ast", set()) == []
 
 
 def test_detect_all_on_extended_samples_directory():
     units = load_dir("samples_extended")
-    findings = detect_all({"samples_extended": units}, CFG, "ast")
+    findings = detect_all(units, CFG, "ast", set())
     by_smell = {(Path(f.path).name, f.smell.name) for f in findings}
     assert by_smell == {
         ("ss1.tf", "SS1"),
@@ -698,19 +698,12 @@ def test_detect_all_on_extended_samples_directory():
     }
 
 
-def test_detect_all_is_sorted_and_deterministic():
-    units = load_dir("samples_extended") + load_dir("smelly")
-    grouped = {"samples_extended": units[:-1], "smelly": units[-1:]}
-    first = detect_all(grouped, CFG, "ast")
-    second = detect_all(grouped, CFG, "ast")
-    assert first == second
-    keys = [f.sort_key() for f in first]
-    assert keys == sorted(keys)
-
-
-def test_detect_all_rejects_unknown_engine():
-    with pytest.raises(ValueError):
-        detect_all({}, CFG, "regexes")
+def test_detect_all_is_deterministic():
+    # Order within a directory is left to the engine; `scan` sorts findings.
+    for rel in ("samples_extended", "smelly"):
+        units = load_dir(rel)
+        first = detect_all(units, CFG, "ast", set())
+        assert first and first == detect_all(units, CFG, "ast", set())
 
 
 @pytest.mark.parametrize(
@@ -744,7 +737,7 @@ def test_detect_all_prepares_each_file_once(monkeypatch, engine, module, name, p
         return original(arg)
 
     monkeypatch.setattr(module, name, counting)
-    assert detect_all(by_dir, CFG, engine)
+    assert [f for units in by_dir.values() for f in detect_all(units, CFG, engine, set())]
     files = sum(len(units) for units in by_dir.values())
     assert len(calls) == files
     assert len(parses) == parses_per_file * files
@@ -752,11 +745,11 @@ def test_detect_all_prepares_each_file_once(monkeypatch, engine, module, name, p
 
 def test_locality_adding_unrelated_file_keeps_other_findings():
     smelly = load_unit("smelly/main.tf")
-    alone = detect_all({"smelly": [smelly]}, CFG, "ast")
+    alone = detect_all([smelly], CFG, "ast", set())
     unrelated = unit_for(
         "smelly/other.tf", 'resource "aws_sns_topic" "t" {\n  name = "t"\n}\n'
     )
-    together = detect_all({"smelly": [smelly, unrelated]}, CFG, "ast")
+    together = detect_all([smelly, unrelated], CFG, "ast", set())
     per_file = [f for f in together if f.smell is not SmellId.SS6]
     assert per_file == [f for f in alone if f.smell is not SmellId.SS6]
 
@@ -770,7 +763,7 @@ def test_span_validity_on_fixture_findings():
             text = p.read_text()
             sources[path] = text
             units.append(unit_for(path, text))
-    findings = detect_all({"all": units}, CFG, "ast")
+    findings = detect_all(units, CFG, "ast", set())
     assert findings
     sentinel = {"unset"}
     for f in findings:

@@ -105,6 +105,9 @@ def test_search_drains_all_pages():
         records = client.search_repos("azure", "azurerm_")
     assert len(records) == 137
     assert all(r.provider_tag == "azure" for r in records)
+    searches = [params for path, params in stub.requests if path == "/search/code"]
+    assert [params["page"] for params in searches] == ["1", "2"]
+    assert all(params["per_page"] == "100" for params in searches)
 
 
 def test_search_deduplicates_across_pages():

@@ -12,10 +12,12 @@ from pathlib import PurePosixPath
 
 import pytest
 
-from tfsustain.detectors import ENGINES, detect_all, unit_for
+from tfsustain.detectors import ENGINES, DetectorConfig, detect_all, unit_for
 from tfsustain.hcl import TokenKind, tokenize
 
 from conftest import FIXTURES, fixture_corpus_files
+
+CFG = DetectorConfig()
 
 
 def _fixture_texts() -> dict[str, str]:
@@ -29,7 +31,11 @@ def _findings(texts: dict[str, str], engine: str) -> Counter:
     by_dir: dict[str, list] = {}
     for path, text in texts.items():
         by_dir.setdefault(str(PurePosixPath(path).parent), []).append(unit_for(path, text))
-    return Counter((f.path, f.smell.name, f.evidence) for f in detect_all(by_dir, engine=engine))
+    return Counter(
+        (f.path, f.smell.name, f.evidence)
+        for units in by_dir.values()
+        for f in detect_all(units, CFG, engine, set())
+    )
 
 
 def _insert_comments(text: str, rng: random.Random) -> str:

@@ -154,21 +154,20 @@ def test_pattern_ss7_counts_resource_declarations():
 
 def test_pattern_engine_contained_in_ast_engine_on_fixtures():
     """On the curated fixtures the text patterns never out-claim the AST."""
-    units = []
-    for rel in ["samples", "samples_extended", "clean", "smelly"]:
-        for p in sorted((FIXTURES / rel).glob("*.tf")):
-            units.append((rel, unit_for(f"{rel}/{p.name}", p.read_text())))
-    grouped: dict[str, list] = {}
-    for rel, unit in units:
-        grouped.setdefault(rel, []).append(unit)
+    dirs = [
+        [unit_for(f"{rel}/{p.name}", p.read_text()) for p in sorted((FIXTURES / rel).glob("*.tf"))]
+        for rel in ["samples", "samples_extended", "clean", "smelly"]
+    ]
     ast_found = {
         (f.path, f.smell.name)
-        for f in detect_all(grouped, CFG, "ast")
+        for units in dirs
+        for f in detect_all(units, CFG, "ast", set())
         if f.smell.name in ("SS1", "SS2", "SS4", "SS7")
     }
     pattern_found = {
         (f.path, f.smell.name)
-        for f in detect_all(grouped, CFG, "pattern")
+        for units in dirs
+        for f in detect_all(units, CFG, "pattern", set())
         if f.smell.name in ("SS1", "SS2", "SS4", "SS7")
     }
     assert pattern_found <= ast_found
@@ -183,7 +182,7 @@ def test_engines_give_equal_attribute_spans_on_samples(rel, smell):
     path = f"{rel}/{smell.lower()}.tf"
     unit = unit_for(path, (FIXTURES / path).read_text())
     spans = {
-        engine: [f.span for f in detect_all({rel: [unit]}, CFG, engine) if f.smell.name == smell]
+        engine: [f.span for f in detect_all([unit], CFG, engine, set()) if f.smell.name == smell]
         for engine in ("ast", "pattern")
     }
     assert len(spans["ast"]) == 1

@@ -44,6 +44,16 @@ def test_scan_missing_root_raises():
         scan("/nonexistent/path/for/sure")
 
 
+@pytest.mark.parametrize("tree", ["empty", "fixtures"])
+def test_scan_rejects_an_unknown_engine_before_discovery(tmp_path, monkeypatch, tree):
+    def no_discovery(root):
+        raise AssertionError("discovery ran")
+
+    monkeypatch.setattr(scanner, "discover_tf_files", no_discovery)
+    with pytest.raises(ScanError, match="unknown engine 'regexes'"):
+        scan(tmp_path if tree == "empty" else FIXTURES, engine="regexes")
+
+
 def test_scan_counts_ss7_files_exactly(tmp_path):
     # 10 files, 2 of which exceed the monolith threshold
     plan = {SmellId.SS7: 2}
@@ -119,15 +129,13 @@ def test_findings_are_in_path_order_when_a_directory_straddles_its_subdirectory(
 
 def test_shares_are_contiguous_non_empty_and_balanced_by_file_count():
     sizes = [5, 1, 1, 3, 1, 1, 4]
-    dirs = [(f"d{i}", [f"d{i}/{j}.tf" for j in range(size)]) for i, size in enumerate(sizes)]
+    dirs = [[f"d{i}/{j}.tf" for j in range(size)] for i, size in enumerate(sizes)]
     for n in range(1, len(dirs) + 1):
         shares = scanner._shares(dirs, n)
         assert len(shares) == n and all(shares)
         assert [d for share in shares for d in share] == dirs
-    assert [sum(len(rels) for _, rels in share) for share in scanner._shares(dirs, 2)] == [7, 9]
-    assert [[d for d, _ in share] for share in scanner._shares(dirs, 3)] == [
-        ["d0"], ["d1", "d2", "d3", "d4"], ["d5", "d6"]
-    ]
+    assert [sum(map(len, share)) for share in scanner._shares(dirs, 2)] == [7, 9]
+    assert scanner._shares(dirs, 3) == [dirs[:1], dirs[1:5], dirs[5:]]
 
 
 @pytest.mark.parametrize("engine", ENGINES)
