@@ -1,4 +1,9 @@
-"""AST node types for parsed Terraform configuration files."""
+"""AST node types for parsed Terraform configuration files.
+
+Every node class has ``__slots__`` and no ``__dict__``, so a node is smaller
+and gives the collector no dict to track: a large file makes a node for every
+attribute, block and value.
+"""
 
 from __future__ import annotations
 
@@ -11,33 +16,35 @@ from .lexer import SourceSpan, SourceText
 class ExpressionValue:
     """Base class for attribute values."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class StringLit(ExpressionValue):
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumberLit(ExpressionValue):
     value: int | float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolLit(ExpressionValue):
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ListValue(ExpressionValue):
     items: tuple[ExpressionValue, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MapValue(ExpressionValue):
     entries: tuple[tuple[str, ExpressionValue], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reference(ExpressionValue):
     """Dotted path such as ``aws_instance.app.id``; at least one segment."""
 
@@ -48,7 +55,7 @@ class Reference(ExpressionValue):
             raise ValueError("reference needs at least one segment")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TemplateString(ExpressionValue):
     """Quoted string mixing literal text with interpolated expressions.
 
@@ -59,70 +66,122 @@ class TemplateString(ExpressionValue):
     parts: tuple[Union[str, Reference, "Opaque"], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Opaque(ExpressionValue):
     """Unparsed expression, verbatim source text preserved."""
 
     text: str
 
 
-class _SpanFromOffsets:
-    """The ``span`` field of a located node, built when it is first read.
+class _Located:
+    """A node over ``source.text[start:end]`` whose ``span`` field is built on demand.
 
-    The parser makes nodes with :meth:`_Located.at`, which gives them
-    ``source``, ``start`` and ``end`` and no span, so a scan builds a
-    :class:`SourceSpan` only for the nodes it reports. A span given to the
-    constructor is kept on the node and wins, as for any non-data descriptor.
-    ``==`` and ``repr`` read ``span`` like any field, so they compare spans by
-    value: two parses of one text compare equal and print the same.
+    The parser makes nodes with each class's ``at``, which sets ``source``,
+    ``start``, ``end`` and the fields, and leaves the ``span`` slot unset.
     """
 
-    def __get__(self, node, owner=None):
-        if node is None:
-            # The dataclass reads the field's default off the class: there is none.
-            raise AttributeError("span")
-        span = node.span = node.source.span(node.start, node.end)
-        return span
+    __slots__ = ("source", "start", "end")
 
 
-class _Located:
-    """A node with a ``span`` field that the parser leaves to be built on demand."""
+def _lazy_span(cls):
+    """Make the ``span`` slot of a located dataclass build its value on first read.
+
+    A node made by ``at`` leaves the slot unset, so a scan builds a
+    :class:`SourceSpan` only for the nodes it reports. Reading an unset
+    ``span`` builds ``source.span(start, end)`` and keeps it in the slot; a
+    span given to the constructor is kept and wins. ``==`` and ``repr`` read
+    ``span`` like any field, so they compare spans by value: two parses of one
+    text compare equal and print the same.
+    """
+    get, put = cls.span.__get__, cls.span.__set__  # the slot's member descriptor
+
+    def span(node: _Located) -> SourceSpan:
+        try:
+            return get(node)
+        except AttributeError:
+            value = node.source.span(node.start, node.end)
+            put(node, value)
+            return value
+
+    cls.span = property(span, put)
+    return cls
+
+
+@_lazy_span
+@dataclass(slots=True)
+class Diagnostic(_Located):
+    message: str
+    span: SourceSpan
+    severity: str = "error"  # always "error"; the perfbench tracer reads it (ROADMAP item 2(d))
 
     @classmethod
-    def at(cls, source: SourceText, start: int, end: int, **fields: object):
-        """A node over ``source.text[start:end]`` whose span is not built yet."""
+    def at(cls, source: SourceText, start: int, end: int, message: str) -> Diagnostic:
         node = cls.__new__(cls)
         node.source, node.start, node.end = source, start, end
-        for name, value in fields.items():
-            setattr(node, name, value)
+        node.message, node.severity = message, "error"
         return node
 
 
-@dataclass
-class Diagnostic(_Located):
-    message: str
-    span: SourceSpan = _SpanFromOffsets()
-    severity: str = "error"  # always "error"; the perfbench tracer reads it (ROADMAP item 2(d))
-
-
-@dataclass
+@_lazy_span
+@dataclass(slots=True)
 class Attribute(_Located):
     name: str
     value: ExpressionValue
-    span: SourceSpan = _SpanFromOffsets()
+    span: SourceSpan
+
+    @classmethod
+    def at(
+        cls, source: SourceText, start: int, end: int, name: str, value: ExpressionValue
+    ) -> Attribute:
+        node = cls.__new__(cls)
+        node.source, node.start, node.end = source, start, end
+        node.name, node.value = name, value
+        return node
 
 
-@dataclass
+@_lazy_span
+@dataclass(slots=True)
 class Block(_Located):
     block_type: str
     labels: list[str]
     body: list[Union["Block", Attribute]]
-    span: SourceSpan = _SpanFromOffsets()
+    span: SourceSpan
+
+    @classmethod
+    def at(
+        cls,
+        source: SourceText,
+        start: int,
+        end: int,
+        block_type: str,
+        labels: list[str],
+        body: list[Block | Attribute],
+    ) -> Block:
+        node = cls.__new__(cls)
+        node.source, node.start, node.end = source, start, end
+        node.block_type, node.labels, node.body = block_type, labels, body
+        return node
 
 
-@dataclass
+@_lazy_span
+@dataclass(slots=True)
 class ConfigFile(_Located):
     path: str
     body: list[Block | Attribute]
     diagnostics: list[Diagnostic]
-    span: SourceSpan = _SpanFromOffsets()
+    span: SourceSpan
+
+    @classmethod
+    def at(
+        cls,
+        source: SourceText,
+        start: int,
+        end: int,
+        path: str,
+        body: list[Block | Attribute],
+        diagnostics: list[Diagnostic],
+    ) -> ConfigFile:
+        node = cls.__new__(cls)
+        node.source, node.start, node.end = source, start, end
+        node.path, node.body, node.diagnostics = path, body, diagnostics
+        return node

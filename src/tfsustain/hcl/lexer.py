@@ -7,18 +7,19 @@ input, including malformed files. Lexing never raises; unterminated strings,
 heredocs, and block comments produce a token carrying an ``error`` message
 and scanning continues.
 
-:func:`tokenize` fills parallel lists of kinds and of start and end offsets
-into one shared :class:`SourceText`, with the errors keyed by start offset,
-and builds no object per token: the :class:`Token` views are made only when
-the sequence is first indexed or iterated. Line and column are computed from
-the line index only when a span is asked for, so lexing builds no
-:class:`SourceSpan`.
+:func:`tokenize` fills a list of kinds and arrays of start and end offsets
+into one shared :class:`SourceText`, with the errors and the template
+interpolations keyed by start offset, and builds no object per token: the
+:class:`Token` views are made only when the sequence is first indexed or
+iterated. Line and column are computed from the line index only when a span
+is asked for, so lexing builds no :class:`SourceSpan`.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+from array import array
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -62,10 +63,10 @@ class SourceSpan:
 class SourceText:
     """One file's path and text, with the offset of each line's first character.
 
-    The line index is built on the first :meth:`position` call, so a file
-    whose spans are never read never builds it. Lines end only at ``"\\n"``;
-    ``str.splitlines`` would also break at ``"\\r"``, ``"\\x0b"``, ``"\\x85"``,
-    ``"\\u2028"`` and others.
+    The line index, an ``array("q")``, is built on the first :meth:`position`
+    call, so a file whose spans are never read never builds it. Lines end
+    only at ``"\\n"``; ``str.splitlines`` would also break at ``"\\r"``,
+    ``"\\x0b"``, ``"\\x85"``, ``"\\u2028"`` and others.
     """
 
     def __init__(self, path: str, text: str) -> None:
@@ -73,8 +74,10 @@ class SourceText:
         self.text = text
 
     @cached_property
-    def line_starts(self) -> tuple[int, ...]:
-        return (0, *(m.end() for m in re.finditer("\n", self.text)))
+    def line_starts(self) -> array:
+        starts = array("q", [0])
+        starts.extend(m.end() for m in re.finditer("\n", self.text))
+        return starts
 
     def position(self, offset: int) -> tuple[int, int]:
         """1-based line and column of ``offset``."""
@@ -119,21 +122,25 @@ class Token:
 
 @dataclass(eq=False)
 class Tokens(Sequence[Token]):
-    """The tokens of one text as parallel lists; the last token is always EOF.
+    """The tokens of one text as parallel columns; the last token is always EOF.
 
     Token ``i`` has kind ``kinds[i]`` and text ``source.text[starts[i]:ends[i]]``,
-    and its leading trivia starts where token ``i - 1`` ends. ``errors`` maps
-    the start offset of each token that carries an error to its message; no
-    two tokens start at one offset, since only EOF is empty. Indexing, slicing
-    and iteration read a list of :class:`Token` views built on first use; the
-    parser reads the parallel lists.
+    and its leading trivia starts where token ``i - 1`` ends. ``starts`` and
+    ``ends`` are ``array("q")``, eight bytes a token. ``errors`` maps the start
+    offset of each token that carries an error to its message; no two tokens
+    start at one offset, since only EOF is empty. ``interpolations`` maps the
+    start offset of each quoted template that has interpolations or
+    directives to their ``(open, close)`` offsets, as :func:`scan_template`
+    reports them. Indexing, slicing and iteration read a list of
+    :class:`Token` views built on first use; the parser reads the columns.
     """
 
     source: SourceText
     kinds: list[TokenKind]
-    starts: list[int]
-    ends: list[int]
+    starts: array
+    ends: array
     errors: dict[int, str]
+    interpolations: dict[int, list[tuple[int, int]]]
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -204,10 +211,10 @@ _TEMPLATE_STOPS = {
 def tokenize(text: str, file_id: str = "<input>") -> Tokens:
     """Scan ``text`` into tokens; the last token is always EOF."""
     kinds: list[TokenKind] = []
-    starts: list[int] = []
-    ends: list[int] = []
+    starts, ends = array("q"), array("q")
     errors: dict[int, str] = {}
-    tokens = Tokens(SourceText(file_id, text), kinds, starts, ends, errors)
+    interpolations: dict[int, list[tuple[int, int]]] = {}
+    tokens = Tokens(SourceText(file_id, text), kinds, starts, ends, errors, interpolations)
     add_kind, add_start, add_end = kinds.append, starts.append, ends.append
     pos = 0
     while True:
@@ -227,7 +234,9 @@ def tokenize(text: str, file_id: str = "<input>") -> Tokens:
                 kind, error = TokenKind.COMMENT, "unterminated block comment"
             elif group == "TEMPLATE":
                 kind = TokenKind.STRING
-                end, error, _ = scan_template(text, start)
+                end, error, opened = scan_template(text, start)
+                if opened:
+                    interpolations[start] = opened
             elif m.group("tag"):
                 kind = TokenKind.HEREDOC
                 end, error = _heredoc_end(text, end, m.group("tag"))

@@ -15,8 +15,9 @@ deeper block is a parse error, so no input exhausts the call stack.
 from __future__ import annotations
 
 import re
+from array import array
 from bisect import bisect_left
-from itertools import compress
+from collections.abc import Sequence
 
 from .ast import (
     Attribute,
@@ -33,7 +34,7 @@ from .ast import (
     StringLit,
     TemplateString,
 )
-from .lexer import SourceText, TokenKind, scan_template, tokenize
+from .lexer import SourceText, TokenKind, tokenize
 
 _MAX_DEPTH = 64
 
@@ -43,9 +44,9 @@ ASSIGN, BLOCK_OPEN, BLOCK_CLOSE, BOOL, COMMENT, EOF = (
     TokenKind.ASSIGN, TokenKind.BLOCK_OPEN, TokenKind.BLOCK_CLOSE, TokenKind.BOOL,
     TokenKind.COMMENT, TokenKind.EOF,
 )
-HEREDOC, IDENTIFIER, NEWLINE, NUMBER, STRING = (
+HEREDOC, IDENTIFIER, NEWLINE, NUMBER, PUNCT, STRING = (
     TokenKind.HEREDOC, TokenKind.IDENTIFIER, TokenKind.NEWLINE, TokenKind.NUMBER,
-    TokenKind.STRING,
+    TokenKind.PUNCT, TokenKind.STRING,
 )
 _LABEL_START = (STRING, IDENTIFIER, BLOCK_OPEN)  # what may follow a block type
 _SEGMENT_KINDS = (IDENTIFIER, NUMBER, BOOL)  # what may follow a '.' in a reference
@@ -72,19 +73,39 @@ def parse(text: str, path: str = "<input>") -> ConfigFile:
     """Parse HCL text into a ConfigFile; never raises on bad input."""
     tokens = tokenize(text, path)
     source, kinds, starts, ends = tokens.source, tokens.kinds, tokens.starts, tokens.ends
+    errors, interpolations = tokens.errors, tokens.interpolations
+    # Lexer errors, an unterminated comment's too, are located on the full stream.
+    lexer_diagnostics = [
+        Diagnostic.at(source, start, ends[bisect_left(starts, start)], message)
+        for start, message in errors.items()
+    ]
     if COMMENT in kinds:
-        # The parser never sees a comment; an unterminated one is still reported.
-        keep = [kind is not COMMENT for kind in kinds]
-        kinds, starts, ends = (list(compress(column, keep)) for column in (kinds, starts, ends))
-    parser = _Parser(source, kinds, starts, ends, tokens.errors)
+        # The parser never sees a comment.
+        kinds, starts, ends = _without_comments(kinds, starts, ends)
+    # Only the parser's columns live on while the tree is built.
+    del tokens
+    parser = _Parser(source, kinds, starts, ends, errors, interpolations)
     body = parser.parse_top()
+    diagnostics = parser.diagnostics + lexer_diagnostics
+    return ConfigFile.at(source, 0, len(text), path, body, diagnostics)
 
-    for start, message in tokens.errors.items():
-        end = tokens.ends[bisect_left(tokens.starts, start)]
-        parser.diagnostics.append(Diagnostic.at(source, start, end, message=message))
-    return ConfigFile.at(
-        source, 0, len(text), path=path, body=body, diagnostics=parser.diagnostics
-    )
+
+def _without_comments(
+    kinds: list[TokenKind], starts: array, ends: array
+) -> tuple[list[TokenKind], array, array]:
+    """The token columns with the comments cut out, copied a run at a time."""
+    kept_kinds, kept_starts, kept_ends = [], array("q"), array("q")
+    i = 0
+    for _ in range(kinds.count(COMMENT)):
+        j = kinds.index(COMMENT, i)
+        kept_kinds += kinds[i:j]
+        kept_starts += starts[i:j]
+        kept_ends += ends[i:j]
+        i = j + 1
+    kept_kinds += kinds[i:]
+    kept_starts += starts[i:]
+    kept_ends += ends[i:]
+    return kept_kinds, kept_starts, kept_ends
 
 
 def find_blocks(node: ConfigFile | Block, block_type: str) -> list[Block]:
@@ -111,32 +132,37 @@ class _ParseError(Exception):
 
 
 class _Parser:
-    """Parses by index over the parallel token lists of one text, comments removed.
+    """Parses by index over the parallel token columns of one text, comments removed.
 
     Token ``i`` has kind ``kinds[i]`` and text ``text[starts[i]:ends[i]]``;
     the last token is EOF, and the cursor ``i`` never moves past it.
+    ``errors`` and ``interpolations`` are the lexer's, keyed by start offset.
     """
 
     def __init__(
         self,
         source: SourceText,
         kinds: list[TokenKind],
-        starts: list[int],
-        ends: list[int],
+        starts: array,
+        ends: array,
         errors: dict[int, str],
+        interpolations: dict[int, list[tuple[int, int]]],
     ) -> None:
         self.source = source
         self.text = source.text
         self.kinds, self.starts, self.ends = kinds, starts, ends
-        self.errors = errors
+        self.errors, self.interpolations = errors, interpolations
         self.i = 0
         self.diagnostics: list[Diagnostic] = []
+        # One string per distinct name, label and reference segment: a large
+        # file repeats a few hundred of them thousands of times.
+        self.names: dict[str, str] = {}
 
     def _text(self, i: int) -> str:
         return self.text[self.starts[i] : self.ends[i]]
 
     def _error(self, message: str, i: int) -> Diagnostic:
-        return Diagnostic.at(self.source, self.starts[i], self.ends[i], message=message)
+        return Diagnostic.at(self.source, self.starts[i], self.ends[i], message)
 
     def _skip_newlines(self) -> TokenKind:
         """Move past newlines; return the current token's kind."""
@@ -188,7 +214,9 @@ class _Parser:
                 f"{self._text(head)!r}",
                 head,
             )
-        name = self._text(head)
+        start = self.starts[head]
+        name = self.text[start : self.ends[head]]
+        name = self.names.setdefault(name, name)
         self.i = i = head + 1
         kind = kinds[i]
 
@@ -196,16 +224,18 @@ class _Parser:
             self.i = i + 1
             value = self._parse_expression(_ATTR_ENDS, depth)
             end = self.ends[self.i - 1]
-            return Attribute.at(self.source, self.starts[head], end, name=name, value=value)
+            return Attribute.at(self.source, start, end, name, value)
 
         if kind in _LABEL_START:
             labels: list[str] = []
             while True:
                 kind = kinds[i]
                 if kind is STRING:
-                    labels.append(_string_inner(self._text(i), self.errors.get(self.starts[i])))
+                    label = _string_inner(self._text(i), self.errors.get(self.starts[i]))
+                    labels.append(self.names.setdefault(label, label))
                 elif kind is IDENTIFIER:
-                    labels.append(self._text(i))
+                    label = self._text(i)
+                    labels.append(self.names.setdefault(label, label))
                 else:
                     break
                 i += 1
@@ -219,9 +249,7 @@ class _Parser:
             self.i = i + 1
             body = self._parse_block_body(head, depth + 1)
             end = self.ends[self.i - 1]
-            return Block.at(
-                self.source, self.starts[head], end, block_type=name, labels=labels, body=body
-            )
+            return Block.at(self.source, start, end, name, labels, body)
 
         raise _ParseError(
             f"expected '=' or block labels after {name!r}, found {self._text(i)!r}", i
@@ -247,7 +275,8 @@ class _Parser:
         start = self.i
         try:
             value = self._parse_candidate(depth)
-            if self._text(self.i) in ends:
+            # A newline ends every expression, and needs no text read.
+            if self.kinds[self.i] is NEWLINE or self._text(self.i) in ends:
                 return value
         except _ParseError:
             pass
@@ -256,10 +285,15 @@ class _Parser:
 
     def _parse_candidate(self, depth: int) -> ExpressionValue:
         i = self.i
-        kind, text = self.kinds[i], self._text(i)
+        kind = self.kinds[i]
         if kind is STRING:
             self.i = i + 1
-            return _string_value(text, self.errors.get(self.starts[i]))
+            start = self.starts[i]
+            return _string_value(
+                self.text, start, self.ends[i], self.errors.get(start),
+                self.interpolations.get(start, ()),
+            )
+        text = self._text(i)
         if kind is NUMBER:
             self.i = i + 1
             return NumberLit(_number(text))
@@ -289,14 +323,13 @@ class _Parser:
         items: list[ExpressionValue] = []
         while True:
             kind = self._skip_newlines()
-            if self._text(self.i) == "]":
+            if kind is PUNCT and self._text(self.i) == "]":
                 self.i += 1
                 return ListValue(tuple(items))
             if kind is EOF:
                 raise _ParseError("unterminated list", self.i)
             items.append(self._parse_expression(_LIST_ENDS, depth))
-            self._skip_newlines()
-            if self._text(self.i) == ",":
+            if self._skip_newlines() is PUNCT and self._text(self.i) == ",":
                 self.i += 1
 
     def _parse_map(self, depth: int) -> MapValue:
@@ -305,12 +338,12 @@ class _Parser:
         while True:
             kind = self._skip_newlines()
             i = self.i
-            text = self._text(i)
-            if text == "}":
+            if kind is BLOCK_CLOSE:
                 self.i = i + 1
                 return MapValue(tuple(entries))
             if kind is EOF:
                 raise _ParseError("unterminated map", i)
+            text = self._text(i)
             if kind is IDENTIFIER:
                 key = text
             elif kind is STRING:
@@ -323,15 +356,15 @@ class _Parser:
                 raise _ParseError(f"expected '=' or ':' after map key, found {sep!r}", i)
             self.i = i + 1
             entries.append((key, self._parse_expression(_MAP_ENDS, depth)))
-            self._skip_newlines()
-            if self._text(self.i) == ",":
+            if self._skip_newlines() is PUNCT and self._text(self.i) == ",":
                 self.i += 1
 
     def _parse_reference(self) -> ExpressionValue:
         i = self.i
-        segments = [self._text(i)]
+        segment = self._text(i)
+        segments = [self.names.setdefault(segment, segment)]
         i += 1
-        while self._text(i) == ".":
+        while self.kinds[i] is PUNCT and self._text(i) == ".":
             segment = self._text(i + 1)
             if (
                 self.kinds[i + 1] not in _SEGMENT_KINDS
@@ -339,7 +372,7 @@ class _Parser:
             ):
                 break
             i += 2
-            segments.append(segment)
+            segments.append(self.names.setdefault(segment, segment))
         self.i = i
         if segments == ["null"]:
             return Opaque("null")
@@ -394,12 +427,20 @@ def _unescape(m: re.Match) -> str:
     return text[1:] if m.group(1) else _ESCAPES.get(text[1], text)
 
 
-def _string_value(text: str, error: str | None) -> ExpressionValue:
-    """Classify a quoted string as plain literal or template."""
-    # Without a "{" there is no interpolation to find.
-    interpolations = scan_template(text, 0)[2] if "{" in text else ()
+def _string_value(
+    text: str,
+    start: int,
+    end: int,
+    error: str | None,
+    interpolations: Sequence[tuple[int, int]],
+) -> ExpressionValue:
+    """Classify the quoted string ``text[start:end]`` as plain literal or template.
+
+    ``interpolations`` are the lexer's ``(open, close)`` offsets of the
+    string's interpolations and directives, in ``text``.
+    """
     parts: list[str | Reference | Opaque] = []
-    pos = 1  # after the opening quote
+    pos = start + 1  # after the opening quote
     for opened, closed in interpolations:
         if opened > pos:
             parts.append(_decode(text[pos:opened]))
@@ -409,7 +450,7 @@ def _string_value(text: str, error: str | None) -> ExpressionValue:
         else:
             parts.append(Opaque(content))
         pos = closed + 1
-    literal = _decode(text[pos : len(text) - (error is None)])
+    literal = _decode(text[pos : end - (error is None)])
     if not parts:
         return StringLit(literal)
     if literal:

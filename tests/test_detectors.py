@@ -516,6 +516,12 @@ LINEAR_FAMILIES = {
     "unclosed_blocks": lambda n: 'resource "a" "b" {\n' * n,
     "deep_list_opener": lambda n: "x = " + "[" * n + "\n",
     "one_label_resources": lambda n: 'resource "aws_instance" {\n}\n' * n,
+    # Quoted templates: many interpolations and directives in one string,
+    # "${"${… chains and $${ runs. The lexer scans each template once and the
+    # parser reads its interpolations from the lexer.
+    "interpolations_in_one_string": lambda n: 'x = "' + "${a.b}-%{ c }" * n + '"\n',
+    "nested_template_chain": lambda n: 'x = "' + '${"' * n + "a" + '"}' * n + '"\n',
+    "escaped_marker_runs": lambda n: 'x = "' + "$${" * n + '"\n',
 }
 
 

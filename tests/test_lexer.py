@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -183,7 +185,7 @@ def test_parse_builds_no_line_index_until_a_span_is_read():
     assert "line_starts" not in vars(cf.source)
     span = cf.diagnostics[-1].span
     assert (span.start_line, span.start_col, span.end_line, span.end_col) == (6, 5, 6, 10)
-    assert vars(cf.source)["line_starts"] == (0, 4, 19, 27, 35, 37, 47)
+    assert vars(cf.source)["line_starts"] == array("q", [0, 4, 19, 27, 35, 37, 47])
 
 
 def _fields(tok):
@@ -460,3 +462,26 @@ def test_pinned_tokens_on_edge_cases(text, expected):
         for t in tokenize(text)
     ]
     assert got == expected
+
+
+def test_tokens_keep_offsets_in_arrays_and_read_as_a_sequence():
+    text = 'a = "x${b}" # c\n/* d */ e = [1]\n'
+    toks = tokenize(text)
+    for column in (toks.starts, toks.ends):
+        assert isinstance(column, array) and column.typecode == "q"
+    n = len(toks)
+    assert n == len(toks.kinds) == len(toks.starts) == len(toks.ends)
+    assert [t.text for t in toks] == [text[s:e] for s, e in zip(toks.starts, toks.ends)]
+    assert [toks[i].start for i in range(n)] == list(toks.starts)
+    assert [t.end for t in toks[2:5]] == list(toks.ends[2:5])
+    assert toks[-1].kind is TokenKind.EOF and toks[-1].start == len(text)
+    assert detokenize(toks) == text
+    assert detokenize(toks[:4]) + detokenize(toks[4:]) == text
+
+
+def test_tokens_keep_template_interpolations_by_start_offset():
+    text = 'x = "a${b}c%{d}e"\ny = "plain"\nz = "$${no}"\nw = "${open\n'
+    toks = tokenize(text)
+    assert toks.interpolations == {4: [(6, 9), (11, 14)], 47: [(48, len(text))]}
+    assert toks.errors == {47: "unterminated string"}
+

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
+import tracemalloc
+from array import array
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +15,8 @@ from tfsustain.hcl import (
     Attribute,
     Block,
     BoolLit,
+    ConfigFile,
+    Diagnostic,
     ListValue,
     MapValue,
     NumberLit,
@@ -20,9 +26,12 @@ from tfsustain.hcl import (
     SourceText,
     StringLit,
     TemplateString,
+    TokenKind,
     attributes,
     find_blocks,
+    lexer,
     parse,
+    parser,
     tokenize,
 )
 
@@ -284,6 +293,17 @@ def test_comments_are_invisible_to_the_parser(text, body, errors):
     cf = parse(text)
     assert cf.body == body
     assert len(cf.diagnostics) == errors
+
+
+@given(st.text(alphabet=' \n#/*x="{}', max_size=80))
+@settings(max_examples=300, deadline=None)
+def test_comment_free_columns_keep_every_other_token_in_order(text):
+    toks = tokenize(text)
+    keep = [kind is not TokenKind.COMMENT for kind in toks.kinds]
+    kinds, starts, ends = parser._without_comments(toks.kinds, toks.starts, toks.ends)
+    assert kinds == list(compress(toks.kinds, keep))
+    assert starts == array("q", compress(toks.starts, keep))
+    assert ends == array("q", compress(toks.ends, keep))
 
 
 def test_unterminated_comment_is_still_reported():
@@ -553,3 +573,143 @@ def test_parse_of_every_fixture_matches_its_pinned_sha256():
         text = path.read_bytes().decode("utf-8")
         got[rel] = hashlib.sha256(repr(parse(text, rel)).encode()).hexdigest()
     assert got == _PARSE_SHA256
+
+
+# -- representation ------------------------------------------------------
+
+
+def _all_nodes(cf):
+    """Every node reachable from ``cf``, located or value; spans are not read."""
+    stack = [cf]
+    while stack:
+        node = stack.pop()
+        if dataclasses.is_dataclass(node):
+            yield node
+            stack.extend(
+                getattr(node, f.name) for f in dataclasses.fields(node) if f.name != "span"
+            )
+        elif isinstance(node, (list, tuple)):
+            stack.extend(node)
+
+
+def test_no_node_of_a_parsed_fixture_has_a_dict():
+    types = set()
+    for path in fixture_corpus_files():
+        for node in _all_nodes(parse(path.read_text(encoding="utf-8"), str(path))):
+            assert not hasattr(node, "__dict__"), node
+            types.add(type(node))
+    assert {ConfigFile, Diagnostic, Attribute, Block, StringLit, NumberLit, BoolLit,
+            ListValue, MapValue, Reference, TemplateString, Opaque} <= types
+
+
+def test_diagnostic_at_defaults_to_error_severity():
+    source = SourceText("f.tf", "x = @")
+    assert Diagnostic.at(source, 4, 5, message="m").severity == "error"
+    assert [d.severity for d in parse('x = "open\n}\n').diagnostics] == ["error", "error"]
+
+
+class _CountingSource(SourceText):
+    def __init__(self, path, text):
+        super().__init__(path, text)
+        self.spans = 0
+
+    def span(self, start, end):
+        self.spans += 1
+        return super().span(start, end)
+
+
+def test_lazy_span_is_the_source_span_built_once():
+    source = _CountingSource("<input>", 'a = 1\nb = "x"\n')
+    node = Attribute.at(source, 6, 13, name="b", value=StringLit("x"))
+    assert source.spans == 0
+    span = node.span
+    assert span == SourceText("<input>", source.text).span(6, 13) == _span(2, 1, 2, 8)
+    assert node.span is span and source.spans == 1
+    assert node == Attribute("b", StringLit("x"), span)
+    assert repr(node) == repr(Attribute("b", StringLit("x"), span))
+
+
+def test_a_span_given_to_the_constructor_wins():
+    given_span = _span(9, 9, 9, 10)
+    node = Attribute("a", NumberLit(1), given_span)
+    assert node.span is given_span
+    located = Attribute.at(_CountingSource("f.tf", "a = 1\n"), 0, 5, name="a", value=NumberLit(1))
+    located.span = given_span
+    assert located.span is given_span and located.source.spans == 0
+
+
+def test_a_parse_keeps_one_string_per_distinct_name():
+    text = "".join(
+        f'resource "aws_instance" "r{k}" {{\n  peer = aws_instance.r0.id\n}}\n' for k in range(3)
+    )
+    blocks = parse(text).body
+    for strings in (
+        [b.block_type for b in blocks],
+        [b.labels[0] for b in blocks],
+        [b.body[0].name for b in blocks],
+        [b.body[0].value.segments[0] for b in blocks],
+        [b.body[0].value.segments[2] for b in blocks],
+    ):
+        assert len({id(string) for string in strings}) == 1, strings
+
+
+def test_templates_are_scanned_once(monkeypatch):
+    calls = []
+    scan_template = lexer.scan_template
+
+    def counting(text, start):
+        calls.append(start)
+        return scan_template(text, start)
+
+    monkeypatch.setattr(lexer, "scan_template", counting)
+    # A parser that scanned a template again would call its own import.
+    monkeypatch.setattr(parser, "scan_template", counting, raising=False)
+    cf = parse('a = "${x.y}-%{ z }"\nb = "$${x}"\n')
+    assert calls == [4, 24]
+    assert attributes(cf)["a"].value == TemplateString(
+        (Reference(("x", "y")), "-", Opaque("z"))
+    )
+    assert attributes(cf)["b"].value == StringLit("${x}")
+
+
+# -- memory ----------------------------------------------------------------
+
+
+def _resources(n: int) -> str:
+    """n commented resources with templates, a map and a reference each."""
+    return "".join(
+        f"# instance {k}\n"
+        f'resource "aws_instance" "i{k}" {{\n'
+        f'  ami           = "ami-{k:08d}"\n'
+        f'  instance_type = "m5.large" // fixed\n'
+        f'  tags = {{\n    Name = "${{var.env}}-{k}"\n  }}\n'
+        f"  depends_on = [aws_instance.i{(k + 1) % n}]\n"
+        "}\n"
+        for k in range(n)
+    )
+
+
+def _parse_peak(text: str) -> int:
+    tracemalloc.start()
+    try:
+        parse(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Peak traced bytes of one parse per source byte of _resources(n). Python
+# 3.11 measures 15.1; the parser that kept int offsets, a second set of token
+# columns beside the first and nodes with a __dict__ measured 33.2.
+_PARSE_PEAK_PER_BYTE = 22
+
+
+def test_parse_peak_memory_is_linear_and_bounded():
+    # Memory, not time: no clock in Tier-1. The warm-up parse fills the
+    # regex and enum caches, which would otherwise count in the first n.
+    parse(_resources(2))
+    texts = {n: _resources(n) for n in (500, 1000)}
+    peaks = {n: _parse_peak(text) for n, text in texts.items()}
+    assert peaks[1000] / peaks[500] <= 2.2, peaks
+    per_byte = {n: peaks[n] / len(texts[n]) for n in texts}
+    assert max(per_byte.values()) < _PARSE_PEAK_PER_BYTE, per_byte

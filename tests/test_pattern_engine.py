@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from array import array
 
 import pytest
 
@@ -90,7 +91,7 @@ def test_mask_comments_star_slash_shares_the_opening_star():
 
 def test_text_view_spans_follow_line_starts():
     view = prepare("x.tf", "ab\n\ncd", CFG)
-    assert view.source.line_starts == (0, 3, 4)
+    assert view.source.line_starts == array("q", [0, 3, 4])
     assert view.source.span(0, 2) == SourceSpan("x.tf", 1, 1, 1, 3)
     assert view.source.span(3, 5) == SourceSpan("x.tf", 2, 1, 3, 2)
     assert view.finding(SmellId.SS7, None, "1", "").span == SourceSpan("x.tf", 1, 1, 3, 3)
