@@ -10,7 +10,8 @@ remediation applies:
 
 Two smells count as similar (score 1) exactly when all four attributes
 match; otherwise the score is 0. The resulting 7x7 binary similarity matrix
-drives the category clustering.
+drives the category clustering, whose cut at 0.5 is exactly the grouping of
+equal vectors that :func:`assign_categories` labels.
 """
 
 from __future__ import annotations
@@ -145,6 +146,11 @@ _CATALOG: tuple[SmellDescriptor, ...] = (
 )
 
 
+# The smell that anchors each published category, in label order, and the
+# category's name.
+CATEGORY_ANCHORS = {"SS3": "General", "SS1": "Demand", "SS5": "Application"}
+
+
 def catalog() -> list[SmellDescriptor]:
     """The built-in smell catalog, ordered SS1..SS7."""
     return list(_CATALOG)
@@ -259,36 +265,18 @@ def assign_categories(
 ) -> list[int]:
     """Category per smell: equal vectors share a category.
 
-    Groups are ordered by first appearance and labelled by
-    :func:`anchor_labels`.
-    """
-    groups: dict[AttributeVector, list[int]] = {}
-    for i, vec in enumerate(vectors):
-        groups.setdefault(vec, []).append(i)
-    labels = anchor_labels([{str(ids[i]) for i in members} for members in groups.values()])
-    label_of = dict(zip(groups, labels))
-    return [label_of[vec] for vec in vectors]
-
-
-def anchor_labels(groups: list[set[str]]) -> list[int]:
-    """Category label per group of smell ids, in the order given.
-
     The group holding SS3 is 1 (General), SS1's is 2 (Demand), SS5's is 3
-    (Application); other groups are numbered from 4 in order. The labels are
-    then compressed to run contiguously from 1, so a missing anchor leaves no
-    gap.
+    (Application); other groups follow in order of first appearance. Labels
+    run from 1 with no gap, so a missing anchor shifts the later groups down.
     """
-    provisional = []
-    next_extra = 4
-    for names in groups:
-        if "SS3" in names:
-            provisional.append(1)
-        elif "SS1" in names:
-            provisional.append(2)
-        elif "SS5" in names:
-            provisional.append(3)
-        else:
-            provisional.append(next_extra)
-            next_extra += 1
-    compress = {old: new for new, old in enumerate(sorted(set(provisional)), 1)}
-    return [compress[label] for label in provisional]
+    groups: dict[AttributeVector, set[str]] = {}
+    for i, vec in zip(ids, vectors):
+        groups.setdefault(vec, set()).add(str(i))
+    rank = {anchor: k for k, anchor in enumerate(CATEGORY_ANCHORS)}
+    # The sort is stable: groups without an anchor keep their first-appearance order.
+    order = sorted(
+        groups,
+        key=lambda vec: min((rank[i] for i in groups[vec] if i in rank), default=len(rank)),
+    )
+    label_of = {vec: label for label, vec in enumerate(order, 1)}
+    return [label_of[vec] for vec in vectors]

@@ -15,6 +15,7 @@ from pathlib import Path
 from . import __version__
 from .catalog import (
     CATALOG_VERSION,
+    CATEGORY_ANCHORS,
     CatalogError,
     SmellDescriptor,
     SmellId,
@@ -23,7 +24,7 @@ from .catalog import (
     load_catalog,
     similarity_matrix,
 )
-from .clustering import LINKAGES, agglomerate, categorize, dendrogram_to_json_dict, distance_matrix
+from .clustering import LINKAGES, agglomerate, dendrogram_to_json_dict, distance_matrix
 from .detectors import ENGINES, ConfigError, DetectorConfig, config_from_dict
 from .harvest import (
     TOKEN_ENV_VAR,
@@ -212,25 +213,26 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     _, descriptors = load_config(args.config)
-    assignment = categorize(descriptors, args.linkage)
+    members: dict[int, list[str]] = {}
+    for d in descriptors:
+        members.setdefault(d.category, []).append(str(d.id))
+    categories = {label: sorted(members[label]) for label in sorted(members)}
     if args.format == "json":
         sim = similarity_matrix(descriptors)
         dend = agglomerate(
             distance_matrix(sim), args.linkage, leaves=[d.id for d in descriptors]
         )
         doc = dendrogram_to_json_dict(dend)
-        doc["categories"] = {
-            str(label): sorted(str(m) for m in assignment.members(label))
-            for label in sorted(set(assignment.mapping.values()))
-        }
+        doc["categories"] = {str(label): ids for label, ids in categories.items()}
         _write_output((json.dumps(doc, indent=2) + "\n").encode("utf-8"), args.output)
         return 0
-    names = {1: "General", 2: "Demand", 3: "Application"}
     lines = []
-    for label in sorted(set(assignment.mapping.values())):
-        members = ", ".join(sorted(str(m) for m in assignment.members(label)))
-        title = names.get(label, f"Category {label}")
-        lines.append(f"Category {label} ({title}): {members}")
+    for label, ids in categories.items():
+        title = next(
+            (name for anchor, name in CATEGORY_ANCHORS.items() if anchor in ids),
+            f"Category {label}",
+        )
+        lines.append(f"Category {label} ({title}): {', '.join(ids)}")
     _write_output(("\n".join(lines) + "\n").encode("utf-8"), args.output)
     return 0
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Hashable, Sequence
 
-from .catalog import SimilarityMatrix, SmellDescriptor, anchor_labels, similarity_matrix
+from .catalog import SimilarityMatrix
 
 Distances = tuple[tuple[float, ...], ...]
 
@@ -135,29 +135,6 @@ def cut(dendrogram: Dendrogram, threshold: float) -> ClusterAssignment:
         for idx in leaves:
             mapping[dendrogram.leaves[idx]] = label
     return ClusterAssignment(mapping, len(clusters))
-
-
-def categorize(
-    descriptors: list[SmellDescriptor], linkage: str = "average"
-) -> ClusterAssignment:
-    """Cluster a catalog and relabel clusters to the published categories.
-
-    The similarity of the attribute vectors is turned into binary distances,
-    clustered, and cut at 0.5. Clusters, ordered by smallest member, are
-    relabelled by :func:`~tfsustain.catalog.anchor_labels`: SS3's cluster
-    becomes category 1 (General), SS1's 2 (Demand), SS5's 3 (Application).
-    """
-    sim = similarity_matrix(descriptors)
-    dend = agglomerate(distance_matrix(sim), linkage, leaves=[d.id for d in descriptors])
-    raw = cut(dend, 0.5)
-
-    order = {d.id: i for i, d in enumerate(descriptors)}
-    labels = anchor_labels(
-        [{str(m) for m in raw.members(label)} for label in range(1, raw.num_clusters + 1)]
-    )
-    mapping = {member: labels[label - 1] for member, label in raw.mapping.items()}
-    ordered = dict(sorted(mapping.items(), key=lambda kv: order[kv[0]]))
-    return ClusterAssignment(ordered, raw.num_clusters)
 
 
 def dendrogram_to_json_dict(dendrogram: Dendrogram) -> dict:

@@ -4,17 +4,15 @@ Results are deterministic regardless of filesystem enumeration order and of
 the number of processes: files are sorted up front, per-directory work is
 order-independent, and findings are sorted once at the end. A scan reads,
 detects and drops one directory at a time; with ``jobs`` above 1 the
-directories are split into contiguous shares, one per process.
+directories are dealt out by stride, one share per process.
 """
 
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 from pathlib import Path
 from typing import Iterator
 
@@ -116,24 +114,6 @@ def _read_unit(base: Path, rel: str) -> tuple[ScanUnit | None, bool]:
         return unit_for(rel, data.decode("utf-8", errors="replace")), True
 
 
-def _shares(dirs: list[list[str]], n: int) -> list[list[list[str]]]:
-    """Cut ``dirs`` into ``n`` contiguous, non-empty shares of about equal file count.
-
-    Share k ends at the directory boundary nearest to ``k / n`` of the
-    files; ``n`` is at most the number of directories.
-    """
-    done = list(accumulate(map(len, dirs), initial=0))
-    cuts = [0]
-    for k in range(1, n):
-        target = done[-1] * k / n
-        cut = bisect_left(done, target)
-        if target - done[cut - 1] < done[cut] - target:
-            cut -= 1
-        cuts.append(min(max(cut, cuts[-1] + 1), len(dirs) - (n - k)))
-    cuts.append(len(dirs))
-    return [dirs[a:b] for a, b in zip(cuts, cuts[1:])]
-
-
 def _scan_share(
     base: Path, share: list[list[str]], cfg: DetectorConfig, engine: str
 ) -> tuple[list[SmellFinding], set[str]]:
@@ -166,11 +146,12 @@ def scan(
     A file that cannot be read or decoded, or that the engine cannot parse, is
     one parse failure; it never aborts the scan and counts toward prevalence.
 
-    The directories are cut into ``min(jobs, os.cpu_count(), directories)``
-    contiguous shares of about equal file count. The calling process scans
-    the first share and a process pool, closed before this returns, the
-    others; with one share there is no pool. The shares' findings are sorted
-    once, so the report never depends on ``jobs``.
+    The directories, in path order, are dealt by stride into
+    ``n = min(jobs, os.cpu_count(), directories)`` shares: share k holds
+    directories k, k + n, k + 2n and so on. The calling process scans share 0
+    and a process pool, closed before this returns, the others; with one
+    share there is no pool. The shares' findings are sorted once, so the
+    report never depends on ``jobs``.
     """
     root = Path(root)
     if not root.exists():
@@ -192,7 +173,7 @@ def scan(
         # Imported here: the pool's modules would add to every one-job scan's memory.
         from concurrent.futures import ProcessPoolExecutor
 
-        shares = _shares(dirs, n)
+        shares = [dirs[k::n] for k in range(n)]
         with ProcessPoolExecutor(n - 1) as pool:
             futures = [
                 pool.submit(_scan_share, base, share, cfg, engine) for share in shares[1:]

@@ -5,7 +5,8 @@ from pathlib import Path, PurePosixPath
 
 import pytest
 
-from tfsustain.clustering import ClusterAssignment
+from tfsustain.catalog import SmellDescriptor, similarity_matrix
+from tfsustain.clustering import ClusterAssignment, agglomerate, cut, distance_matrix
 from tfsustain.hcl import Attribute, Block, ConfigFile, SourceSpan
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -71,3 +72,18 @@ def partition(assignment: ClusterAssignment) -> frozenset[frozenset]:
     """The clusters of ``assignment`` as member sets, whatever their labels."""
     labels = set(assignment.mapping.values())
     return frozenset(frozenset(assignment.members(label)) for label in labels)
+
+
+def half_cut(descriptors: list[SmellDescriptor], linkage: str) -> ClusterAssignment:
+    """The catalog clustered under ``linkage`` and cut at 0.5."""
+    sim = similarity_matrix(descriptors)
+    dend = agglomerate(distance_matrix(sim), linkage, leaves=[d.id for d in descriptors])
+    return cut(dend, 0.5)
+
+
+def category_partition(descriptors: list[SmellDescriptor]) -> frozenset[frozenset]:
+    """The smell ids grouped by their stored category."""
+    groups: dict[int, set] = {}
+    for d in descriptors:
+        groups.setdefault(d.category, set()).add(d.id)
+    return frozenset(frozenset(ids) for ids in groups.values())

@@ -17,8 +17,8 @@ from pathlib import Path
 import pytest
 
 import tfsustain.scanner as scanner_mod
-from tfsustain.catalog import SmellId, catalog, similarity_matrix
-from tfsustain.clustering import LINKAGES, categorize
+from tfsustain.catalog import SmellId, assign_categories, catalog, similarity_matrix
+from tfsustain.clustering import LINKAGES
 from tfsustain.detectors import DetectorConfig, detect_all, unit_for
 from tfsustain.detectors.ast_engine import (
     detect_ss3_no_lifecycle,
@@ -32,7 +32,14 @@ from tfsustain.report import format_percent, render
 from tfsustain.sampling import sample_stratified
 from tfsustain.scanner import prevalence, scan, smells_by_path
 
-from conftest import FIXTURES, fixture_corpus_files, nodes_equal
+from conftest import (
+    FIXTURES,
+    category_partition,
+    fixture_corpus_files,
+    half_cut,
+    nodes_equal,
+    partition,
+)
 from stub_server import Scripted, StubApi, search_item
 from synth import DEFAULT_PLAN, build_corpus
 
@@ -82,9 +89,12 @@ def test_criterion_1_taxonomy_reproduction():
             for j in range(7):
                 if i != j:
                     assert sim.entries[i][j] == PUBLISHED_MATRIX[i][j], (i, j)
+        cat = catalog()
+        derived = assign_categories([d.id for d in cat], [d.attributes for d in cat])
+        assert derived == [PUBLISHED_CATEGORIES[d.id] for d in cat]
+        assert {d.id: d.category for d in cat} == PUBLISHED_CATEGORIES
         for linkage in LINKAGES:
-            assignment = categorize(catalog(), linkage)
-            assert assignment.mapping == PUBLISHED_CATEGORIES, linkage
+            assert partition(half_cut(cat, linkage)) == category_partition(cat), linkage
         assert time.perf_counter() - start < 1.0
 
 

@@ -20,6 +20,8 @@ from tfsustain.catalog import (
     similarity_matrix,
 )
 
+from conftest import category_partition, half_cut, partition
+
 # 7x7 binary similarity between the smells, frozen from the published matrix.
 PUBLISHED_MATRIX = (
     (1, 1, 0, 0, 0, 0, 0),
@@ -140,15 +142,16 @@ def loaded_catalogs(draw) -> list[SmellDescriptor]:
 @example(catalog())
 @settings(max_examples=200, deadline=None)
 def test_catalog_categories_agree_with_clustering(descriptors):
-    # cross-module consistency: the stored category of each descriptor, built-in
-    # or grouped by equal vectors on load, is exactly the cluster the
-    # clustering module assigns it, under every linkage
-    from tfsustain.clustering import LINKAGES, categorize
+    # cross-module consistency: the stored categories, built-in or grouped by
+    # equal vectors on load, are exactly the clusters the clustering module
+    # cuts at 0.5, under every linkage, and carry the labels the grouping gives
+    from tfsustain.clustering import LINKAGES
 
+    ids = [d.id for d in descriptors]
+    vectors = [d.attributes for d in descriptors]
+    assert [d.category for d in descriptors] == assign_categories(ids, vectors)
     for linkage in LINKAGES:
-        assignment = categorize(descriptors, linkage)
-        for d in descriptors:
-            assert d.category == assignment.mapping[d.id], (linkage, d.id)
+        assert partition(half_cut(descriptors, linkage)) == category_partition(descriptors), linkage
 
 
 def test_dump_load_round_trip(tmp_path):

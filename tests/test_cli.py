@@ -116,6 +116,60 @@ def test_cluster_json_output(capsys):
     assert doc["categories"]["3"] == ["SS5"]
 
 
+# No SS3: the groups hold SS1 and SS2, SS5, and two smells outside the paper.
+NO_SS3_CATALOG = [
+    ("SS1", [True, True, False, False]),
+    ("X1", [False, False, False, True]),
+    ("SS5", [False, False, True, False]),
+    ("SS2", [True, True, False, False]),
+    ("X2", [True, False, True, False]),
+]
+
+
+def _no_ss3_config(tmp_path) -> str:
+    entries = [
+        {"id": i, "name": i.lower(), "attributes": a, "summary": "s", "remediation": "r"}
+        for i, a in NO_SS3_CATALOG
+    ]
+    (tmp_path / "catalog.json").write_text(json.dumps(entries))
+    config = tmp_path / "config.json"
+    config.write_text('{"catalog_file": "catalog.json"}')
+    return str(config)
+
+
+@pytest.mark.parametrize(
+    "custom, linkage, fmt, digest",
+    [
+        (False, "single", "text", "0e3de4ed9c99f3bb5e670ad7c0ba88cdb652213bbd7b248d961354159e886d7f"),
+        (False, "complete", "text", "0e3de4ed9c99f3bb5e670ad7c0ba88cdb652213bbd7b248d961354159e886d7f"),
+        (False, "average", "text", "0e3de4ed9c99f3bb5e670ad7c0ba88cdb652213bbd7b248d961354159e886d7f"),
+        (False, "single", "json", "1251c792103244cd34778ae6124bc08aeb7393141dc15028570c8defeba53954"),
+        (False, "complete", "json", "1251c792103244cd34778ae6124bc08aeb7393141dc15028570c8defeba53954"),
+        (False, "average", "json", "f6343f96adc44a02e979e306835d3e8284e58c2a6c08a130da8890dfdcaeac41"),
+        (True, "single", "json", "8e67e3f57614b0fa24e92b4f0040377d70b74dee619697b11ce26a38dd4940b3"),
+        (True, "complete", "json", "8e67e3f57614b0fa24e92b4f0040377d70b74dee619697b11ce26a38dd4940b3"),
+        (True, "average", "json", "1042f89237870b84516c4c56d006f9caa24e88001526864e1ec9a5eb74e9f9b7"),
+    ],
+)
+def test_cluster_output_digest(tmp_path, capsys, custom, linkage, fmt, digest):
+    argv = ["cluster", "--linkage", linkage, "--format", fmt]
+    if custom:
+        argv += ["--config", _no_ss3_config(tmp_path)]
+    assert run(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_cluster_names_a_category_by_its_anchor_smell(tmp_path, capsys):
+    # Without SS3 the labels shift down, but each name follows its anchor.
+    assert run(["cluster", "--config", _no_ss3_config(tmp_path)]) == 0
+    assert capsys.readouterr().out == (
+        "Category 1 (Demand): SS1, SS2\n"
+        "Category 2 (Application): SS5\n"
+        "Category 3 (Category 3): X1\n"
+        "Category 4 (Category 4): X2\n"
+    )
+
+
 def test_sample_subcommand(tmp_path, capsys):
     manifest = {f"org/r{i}": [f"f{j}.tf" for j in range(6)] for i in range(5)}
     path = tmp_path / "manifest.json"

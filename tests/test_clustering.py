@@ -10,19 +10,19 @@ from tfsustain.catalog import (
     AttributeVector,
     SmellDescriptor,
     SmellId,
+    assign_categories,
     catalog,
     similarity_matrix,
 )
 from tfsustain.clustering import (
     LINKAGES,
     agglomerate,
-    categorize,
     cut,
     dendrogram_to_json_dict,
     distance_matrix,
 )
 
-from conftest import partition
+from conftest import category_partition, half_cut, partition
 
 PUBLISHED_CATEGORIES = {
     SmellId.SS1: 2,
@@ -33,6 +33,15 @@ PUBLISHED_CATEGORIES = {
     SmellId.SS6: 1,
     SmellId.SS7: 1,
 }
+
+
+def loaded(ids: list, vectors: list[AttributeVector]) -> list[SmellDescriptor]:
+    """Descriptors categorized as ``load_catalog`` categorizes them."""
+    categories = assign_categories(ids, vectors)
+    return [
+        SmellDescriptor(i, str(i), c, v, "s", "r")
+        for i, c, v in zip(ids, categories, vectors)
+    ]
 
 
 def canonical_distances():
@@ -98,48 +107,51 @@ def test_cut_extremes():
 
 
 def test_categorize_matches_published_categories_for_all_linkages():
+    cat = catalog()
+    assert {d.id: d.category for d in cat} == PUBLISHED_CATEGORIES
     for linkage in LINKAGES:
-        assignment = categorize(catalog(), linkage)
-        assert assignment.mapping == PUBLISHED_CATEGORIES, linkage
+        assert partition(half_cut(cat, linkage)) == category_partition(cat), linkage
 
 
 def test_categorize_single_smell_catalog():
-    assignment = categorize([catalog()[0]])
-    assert assignment.mapping == {SmellId.SS1: 1}
-    assert assignment.num_clusters == 1
+    one = loaded([SmellId.SS1], [catalog()[0].attributes])
+    assert one[0].category == 1
+    for linkage in LINKAGES:
+        assignment = half_cut(one, linkage)
+        assert assignment.mapping == {SmellId.SS1: 1}
+        assert assignment.num_clusters == 1
 
 
 def test_categorize_identical_vectors_single_cluster():
     vec = AttributeVector(False, False, False, True)
-    flattened = [
-        SmellDescriptor(d.id, d.name, 1, vec, d.summary, d.remediation)
-        for d in catalog()
-    ]
-    assignment = categorize(flattened)
-    assert assignment.num_clusters == 1
-    assert set(assignment.mapping.values()) == {1}
+    flattened = loaded([d.id for d in catalog()], [vec] * 7)
+    assert {d.category for d in flattened} == {1}
+    for linkage in LINKAGES:
+        assignment = half_cut(flattened, linkage)
+        assert assignment.num_clusters == 1
+        assert set(assignment.mapping.values()) == {1}
 
 
 def test_cluster_assignment_labels_contiguous():
     # catalog without any anchor smell still labels from 1
     vec_a = AttributeVector(True, True, False, False)
     vec_b = AttributeVector(False, False, False, True)
-    descriptors = [
-        SmellDescriptor("X1", "a", 0, vec_a, "s", "r"),
-        SmellDescriptor("X2", "b", 0, vec_b, "s", "r"),
-    ]
-    assignment = categorize(descriptors)
-    assert sorted(set(assignment.mapping.values())) == [1, 2]
+    descriptors = loaded(["X1", "X2"], [vec_a, vec_b])
+    assert [d.category for d in descriptors] == [1, 2]
+    for linkage in LINKAGES:
+        assignment = half_cut(descriptors, linkage)
+        assert partition(assignment) == category_partition(descriptors)
+        assert sorted(set(assignment.mapping.values())) == [1, 2]
 
 
 def test_permutation_invariance_of_categories():
     base = catalog()
     for order in list(permutations(range(7)))[::720]:  # a spread of orders
         permuted = [base[i] for i in order]
-        assignment = categorize(permuted)
-        assert assignment.mapping == {
-            base[i].id: PUBLISHED_CATEGORIES[base[i].id] for i in order
-        }
+        reloaded = loaded([d.id for d in permuted], [d.attributes for d in permuted])
+        assert {d.id: d.category for d in reloaded} == PUBLISHED_CATEGORIES
+        for linkage in LINKAGES:
+            assert partition(half_cut(permuted, linkage)) == category_partition(base)
 
 
 def test_permuted_leaves_cut_to_same_partition():

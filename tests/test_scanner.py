@@ -93,8 +93,9 @@ def _report_bytes(report) -> tuple[int, bytes, bytes]:
 def test_scan_with_two_jobs_reads_one_directory_aligned_share_in_the_calling_process(
     tmp_path, monkeypatch
 ):
-    _tree(tmp_path, [2, 2, 2])
+    _tree(tmp_path, [2, 1, 2, 3])
     rels = discover_tf_files(tmp_path)
+    dirs = sorted({rel.split("/")[0] for rel in rels})
     one_job = _report_bytes(scan(tmp_path, jobs=1))
     read_unit = scanner._read_unit
     read = []
@@ -105,10 +106,8 @@ def test_scan_with_two_jobs_reads_one_directory_aligned_share_in_the_calling_pro
 
     monkeypatch.setattr(scanner, "_read_unit", recording)
     two_jobs = _report_bytes(scan(tmp_path, jobs=2))
-    # The other share is read in a worker process, where this list is a copy.
-    assert 0 < len(read) < len(rels)
-    assert read == rels[: len(read)]
-    assert read[-1].split("/")[0] != rels[len(read)].split("/")[0]
+    # The odd directories are read in a worker process, where this list is a copy.
+    assert read == [rel for rel in rels if rel.split("/")[0] in dirs[::2]]
     assert two_jobs == one_job
     assert multiprocessing.active_children() == []
 
@@ -125,17 +124,6 @@ def test_findings_are_in_path_order_when_a_directory_straddles_its_subdirectory(
     report = scan(tmp_path, jobs=jobs)
     assert [f.path for f in report.findings if f.smell == SmellId.SS1] == rels
     assert multiprocessing.active_children() == []
-
-
-def test_shares_are_contiguous_non_empty_and_balanced_by_file_count():
-    sizes = [5, 1, 1, 3, 1, 1, 4]
-    dirs = [[f"d{i}/{j}.tf" for j in range(size)] for i, size in enumerate(sizes)]
-    for n in range(1, len(dirs) + 1):
-        shares = scanner._shares(dirs, n)
-        assert len(shares) == n and all(shares)
-        assert [d for share in shares for d in share] == dirs
-    assert [sum(map(len, share)) for share in scanner._shares(dirs, 2)] == [7, 9]
-    assert scanner._shares(dirs, 3) == [dirs[:1], dirs[1:5], dirs[5:]]
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -166,8 +154,9 @@ def test_spawned_workers_give_the_same_report(monkeypatch):
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_file_gone_in_a_workers_share_is_a_parse_failure(tmp_path, monkeypatch, engine, jobs):
     shutil.copytree(FIXTURES, tmp_path / "fixtures")
-    # The last directory in path order is in the last share, a worker's when jobs > 1.
-    gone = tmp_path / "zz" / "gone.tf"
+    # "fixtures/d" is the second directory in path order, after "fixtures/clean",
+    # so the stride puts it in share 1, a worker's when jobs > 1.
+    gone = tmp_path / "fixtures" / "d" / "gone.tf"
     gone.parent.mkdir()
     gone.write_text('resource "aws_instance" "a" {\n  instance_type = "m5.24xlarge"\n}\n')
     fixtures = scan(FIXTURES, engine=engine)
@@ -182,7 +171,7 @@ def test_file_gone_in_a_workers_share_is_a_parse_failure(tmp_path, monkeypatch, 
     report = scan(tmp_path, engine=engine, jobs=jobs)
     assert report.scanned_files == fixtures.scanned_files + 1
     assert report.parse_failures == fixtures.parse_failures + 1
-    assert "zz/gone.tf" not in {f.path for f in report.findings}
+    assert "fixtures/d/gone.tf" not in {f.path for f in report.findings}
     assert multiprocessing.active_children() == []
 
 
