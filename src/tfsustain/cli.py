@@ -92,7 +92,13 @@ def build_parser() -> argparse.ArgumentParser:
     scan_cmd.set_defaults(handler=_cmd_scan)
 
     cluster = sub.add_parser("cluster", help="cluster the smell catalog into categories")
-    cluster.add_argument("--linkage", choices=LINKAGES, default="average")
+    cluster.add_argument(
+        "--linkage",
+        choices=LINKAGES,
+        default="average",
+        help="linkage of the dendrogram that --format json writes; the categories "
+        "come from the catalog whatever the linkage",
+    )
     cluster.add_argument("--format", choices=("text", "json"), default="text")
     cluster.add_argument("--config", default=None)
     cluster.add_argument("--output", default=None)

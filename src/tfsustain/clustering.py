@@ -109,11 +109,12 @@ def agglomerate(
 def _linkage_distance(
     a: tuple[int, ...], b: tuple[int, ...], distances: Sequence[Sequence[float]], linkage: str
 ) -> float:
+    """The distance between clusters ``a`` and ``b``, a ``float`` under every linkage."""
     cross = [distances[i][j] for i in a for j in b]
     if linkage == "single":
-        return min(cross)
+        return float(min(cross))
     if linkage == "complete":
-        return max(cross)
+        return float(max(cross))
     return sum(cross) / len(cross)
 
 

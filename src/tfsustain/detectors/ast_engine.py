@@ -44,7 +44,7 @@ def resource_blocks(file: ConfigFile) -> list[Block]:
     return [b for b in find_blocks(file, "resource") if b.labels]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Resource:
     """One resource block, its labels, and its attributes by name (the last assignment wins)."""
 
@@ -54,7 +54,7 @@ class Resource:
     attributes: dict[str, Attribute]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FileView:
     """One parsed file as every AST detector reads it, built once per file."""
 
@@ -84,7 +84,7 @@ def prepare(path: str, text: str, cfg: DetectorConfig) -> FileView:
     ]
     tf_blocks = find_blocks(file, "terraform")
     backends = [(b.labels[0], b) for t in tf_blocks for b in find_blocks(t, "backend") if b.labels]
-    autoscaled = any(r.type in cfg.ss2_autoscaler_types for r in resources)
+    autoscaled = not cfg.ss2_autoscaler_types.isdisjoint([r.type for r in resources])
     return FileView(file, resources, backends, tf_blocks[0] if tf_blocks else None, autoscaled)
 
 
@@ -369,7 +369,9 @@ def detect_directory(
 ) -> list[SmellFinding]:
     """All seven smells over a directory's files, each parsed once; diagnosed files go into ``failed``."""
     views = [prepare(u.path, u.text, cfg) for u in units]
-    failed.update(v.file.path for v in views if v.file.diagnostics)
+    for view in views:
+        if view.file.diagnostics:
+            failed.add(view.file.path)
     findings: list[SmellFinding] = []
     for view in views:
         for detector in PER_FILE_DETECTORS:

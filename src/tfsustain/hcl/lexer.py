@@ -60,6 +60,9 @@ class SourceSpan:
             raise ValueError(f"span start after end: {self}")
 
 
+_NEWLINE_RE = re.compile("\n")
+
+
 class SourceText:
     """One file's path and text, with the offset of each line's first character.
 
@@ -76,7 +79,7 @@ class SourceText:
     @cached_property
     def line_starts(self) -> array:
         starts = array("q", [0])
-        starts.extend(m.end() for m in re.finditer("\n", self.text))
+        starts.extend(map(re.Match.end, _NEWLINE_RE.finditer(self.text)))
         return starts
 
     def position(self, offset: int) -> tuple[int, int]:
@@ -164,6 +167,11 @@ class Tokens(Sequence[Token]):
 
 # One alternative per token kind, tried in order after the trivia (spaces,
 # tabs, a lone "\r", a BOM at offset 0) that becomes the token's ``leading``.
+# The order is by how often a kind occurs in Terraform, so the common tokens
+# fail the fewest alternatives first. Alternatives that can start at the same
+# character keep their relative order: COMMENT before UNCLOSED_COMMENT,
+# STRING before TEMPLATE, BOOL before IDENTIFIER, every other kind before
+# PUNCT, and EOF last.
 # Character classes are ASCII on purpose: a Unicode digit is punctuation.
 # Identifiers follow HCL: dashes are legal after the first char. Two-character
 # operators are kept whole so expression capture stays readable. STRING is a
@@ -173,17 +181,17 @@ _TOKEN_RE = re.compile(
     r"""
     (?: [ \t] | \r(?!\n) | \A\ufeff )*
     (?: (?P<NEWLINE> \r?\n )
+      | (?P<BOOL> (?: true | false ) (?! [A-Za-z0-9_-] ) )
+      | (?P<IDENTIFIER> [A-Za-z_] [A-Za-z0-9_-]* )
+      | (?P<STRING> " [^"\\\n$%]* (?: (?: \\. | [$%](?!\{) ) [^"\\\n$%]* )* " )
+      | (?P<ASSIGN> = (?! [=>] ) )
+      | (?P<BLOCK_OPEN> \{ )
+      | (?P<BLOCK_CLOSE> \} )
       | (?P<COMMENT> (?: \# | // ) (?: [^\r\n] | \r(?!\n) )* | /\*.*?\*/ )
       | (?P<UNCLOSED_COMMENT> /\*.* )
-      | (?P<STRING> " [^"\\\n$%]* (?: (?: \\. | [$%](?!\{) ) [^"\\\n$%]* )* " )
       | (?P<TEMPLATE> " )
       | (?P<HEREDOC> <<-? (?P<tag> [A-Za-z0-9_-]* ) )
       | (?P<NUMBER> [0-9]+ (?: \.[0-9]+ )? (?: [eE][+-]?[0-9]+ )? )
-      | (?P<BOOL> (?: true | false ) (?! [A-Za-z0-9_-] ) )
-      | (?P<IDENTIFIER> [A-Za-z_] [A-Za-z0-9_-]* )
-      | (?P<BLOCK_OPEN> \{ )
-      | (?P<BLOCK_CLOSE> \} )
-      | (?P<ASSIGN> = (?! [=>] ) )
       | (?P<PUNCT> == | != | <= | >= | && | \|\| | -> | => | . )
       | (?P<EOF> \Z )
     )

@@ -78,7 +78,7 @@ def parse(text: str, path: str = "<input>") -> ConfigFile:
     lexer_diagnostics = [
         Diagnostic.at(source, start, ends[bisect_left(starts, start)], message)
         for start, message in errors.items()
-    ]
+    ] if errors else []
     if COMMENT in kinds:
         # The parser never sees a comment.
         kinds, starts, ends = _without_comments(kinds, starts, ends)
@@ -175,14 +175,18 @@ class _Parser:
     # -- top level -------------------------------------------------------
 
     def parse_top(self) -> list[Block | Attribute]:
-        body: list[Block | Attribute] = []
+        kinds, body = self.kinds, []
         while True:
-            kind = self._skip_newlines()
+            i = self.i
+            while kinds[i] is NEWLINE:
+                i += 1
+            self.i = i
+            kind = kinds[i]
             if kind is EOF:
                 return body
             if kind is BLOCK_CLOSE:
-                self.diagnostics.append(self._error("unexpected '}'", self.i))
-                self.i += 1
+                self.diagnostics.append(self._error("unexpected '}'", i))
+                self.i = i + 1
                 continue
             try:
                 body.append(self._parse_item(0))
@@ -227,17 +231,18 @@ class _Parser:
             return Attribute.at(self.source, start, end, name, value)
 
         if kind in _LABEL_START:
+            text, starts, ends, errors = self.text, self.starts, self.ends, self.errors
             labels: list[str] = []
             while True:
                 kind = kinds[i]
                 if kind is STRING:
-                    label = _string_inner(self._text(i), self.errors.get(self.starts[i]))
-                    labels.append(self.names.setdefault(label, label))
+                    at = starts[i]
+                    label = _decode(text, at + 1, ends[i] - (at not in errors))
                 elif kind is IDENTIFIER:
-                    label = self._text(i)
-                    labels.append(self.names.setdefault(label, label))
+                    label = text[starts[i] : ends[i]]
                 else:
                     break
+                labels.append(self.names.setdefault(label, label))
                 i += 1
             self.i = i
             if kind is not BLOCK_OPEN:
@@ -256,12 +261,16 @@ class _Parser:
         )
 
     def _parse_block_body(self, head: int, depth: int) -> list[Block | Attribute]:
-        body: list[Block | Attribute] = []
+        kinds, body = self.kinds, []
         while True:
-            kind = self._skip_newlines()
+            i = self.i
+            while kinds[i] is NEWLINE:
+                i += 1
+            kind = kinds[i]
             if kind is BLOCK_CLOSE:
-                self.i += 1
+                self.i = i + 1
                 return body
+            self.i = i
             if kind is EOF:
                 self.diagnostics.append(
                     self._error(f"block {self._text(head)!r} not closed before end of file", head)
@@ -272,51 +281,48 @@ class _Parser:
     # -- expressions ---------------------------------------------------
 
     def _parse_expression(self, ends: frozenset[str], depth: int) -> ExpressionValue:
-        start = self.i
+        """The value at the cursor, or its text as ``Opaque`` if it is none the parser reads.
+
+        A value must be followed by a newline or by a token whose text is in
+        ``ends``. A one-token literal or a reference, the common values, is
+        read here with no call beyond its node's.
+        """
+        kinds, text, start = self.kinds, self.text, self.i
+        kind, at, end = kinds[start], self.starts[start], self.ends[start]
+        i = start + 1  # the token after a one-token value
         try:
-            value = self._parse_candidate(depth)
+            if kind is STRING:
+                opened = self.interpolations.get(at)
+                if opened:
+                    value = _string_value(text, at, end, self.errors.get(at), opened)
+                else:
+                    value = StringLit(_decode(text, at + 1, end - (at not in self.errors)))
+            elif kind is IDENTIFIER:
+                value = self._parse_reference()
+                i = self.i
+            elif kind is NUMBER:
+                value = NumberLit(_number(text[at:end]))
+            elif kind is BOOL:
+                value = BoolLit(text[at:end] == "true")
+            elif kind is HEREDOC:
+                value = StringLit(_heredoc_body(text[at:end], self.errors.get(at)))
+            elif text[at:end] == "-" and kinds[i] is NUMBER:
+                value = NumberLit(-_number(self._text(i)))
+                i += 1
+            elif (kind is BLOCK_OPEN or text[at:end] == "[") and depth < _MAX_DEPTH:
+                # A list or map nested deeper is kept as Opaque.
+                value = (self._parse_map if kind is BLOCK_OPEN else self._parse_list)(depth + 1)
+                i = self.i
+            else:
+                raise _ParseError("expected value", start)
             # A newline ends every expression, and needs no text read.
-            if self.kinds[self.i] is NEWLINE or self._text(self.i) in ends:
+            if kinds[i] is NEWLINE or text[self.starts[i] : self.ends[i]] in ends:
+                self.i = i
                 return value
         except _ParseError:
             pass
         self.i = start
         return self._opaque_capture(ends)
-
-    def _parse_candidate(self, depth: int) -> ExpressionValue:
-        i = self.i
-        kind = self.kinds[i]
-        if kind is STRING:
-            self.i = i + 1
-            start = self.starts[i]
-            return _string_value(
-                self.text, start, self.ends[i], self.errors.get(start),
-                self.interpolations.get(start, ()),
-            )
-        text = self._text(i)
-        if kind is NUMBER:
-            self.i = i + 1
-            return NumberLit(_number(text))
-        if kind is BOOL:
-            self.i = i + 1
-            return BoolLit(text == "true")
-        if kind is HEREDOC:
-            self.i = i + 1
-            return StringLit(_heredoc_body(text, self.errors.get(self.starts[i])))
-        if kind is IDENTIFIER:
-            return self._parse_reference()
-        if text == "-":
-            if self.kinds[i + 1] is NUMBER:
-                self.i = i + 2
-                return NumberLit(-_number(self._text(i + 1)))
-            raise _ParseError("unsupported expression", i)
-        if text in ("[", "{"):
-            if depth == _MAX_DEPTH:
-                raise _ParseError("nested too deep", i)  # kept as Opaque
-            if text == "[":
-                return self._parse_list(depth + 1)
-            return self._parse_map(depth + 1)
-        raise _ParseError(f"expected value, found {text!r}", i)
 
     def _parse_list(self, depth: int) -> ListValue:
         self.i += 1  # [
@@ -343,13 +349,13 @@ class _Parser:
                 return MapValue(tuple(entries))
             if kind is EOF:
                 raise _ParseError("unterminated map", i)
-            text = self._text(i)
+            at, end = self.starts[i], self.ends[i]
             if kind is IDENTIFIER:
-                key = text
+                key = self.text[at:end]
             elif kind is STRING:
-                key = _string_inner(text, self.errors.get(self.starts[i]))
+                key = _decode(self.text, at + 1, end - (at not in self.errors))
             else:
-                raise _ParseError(f"expected map key, found {text!r}", i)
+                raise _ParseError(f"expected map key, found {self.text[at:end]!r}", i)
             self.i = i = i + 1
             sep = self._text(i)
             if sep not in ("=", ":"):
@@ -360,19 +366,17 @@ class _Parser:
                 self.i += 1
 
     def _parse_reference(self) -> ExpressionValue:
+        kinds, text, starts, ends, names = self.kinds, self.text, self.starts, self.ends, self.names
         i = self.i
-        segment = self._text(i)
-        segments = [self.names.setdefault(segment, segment)]
+        segment = text[starts[i] : ends[i]]
+        segments = [names.setdefault(segment, segment)]
         i += 1
-        while self.kinds[i] is PUNCT and self._text(i) == ".":
-            segment = self._text(i + 1)
-            if (
-                self.kinds[i + 1] not in _SEGMENT_KINDS
-                and segment != "*"
-            ):
+        while kinds[i] is PUNCT and text[starts[i] : ends[i]] == ".":
+            segment = text[starts[i + 1] : ends[i + 1]]
+            if kinds[i + 1] not in _SEGMENT_KINDS and segment != "*":
                 break
             i += 2
-            segments.append(self.names.setdefault(segment, segment))
+            segments.append(names.setdefault(segment, segment))
         self.i = i
         if segments == ["null"]:
             return Opaque("null")
@@ -410,12 +414,13 @@ def _number(text: str) -> int | float:
     return int(text)
 
 
-def _string_inner(text: str, error: str | None) -> str:
-    """Literal content between the quotes, escapes decoded, no template parsing."""
-    return _decode(text[1 : len(text) - (error is None)])
+def _decode(text: str, start: int, end: int) -> str:
+    """The literal text ``text[start:end]`` with its escapes decoded.
 
-
-def _decode(literal: str) -> str:
+    A quoted string's content runs from after its opening quote to before its
+    closing one, which an unterminated string lacks.
+    """
+    literal = text[start:end]
     if "\\" not in literal and "{" not in literal:
         return literal  # nothing to decode, and re.sub would still cost
     return _ESCAPE_RE.sub(_unescape, literal)
@@ -433,8 +438,8 @@ def _string_value(
     end: int,
     error: str | None,
     interpolations: Sequence[tuple[int, int]],
-) -> ExpressionValue:
-    """Classify the quoted string ``text[start:end]`` as plain literal or template.
+) -> TemplateString:
+    """The quoted template ``text[start:end]``, which has interpolations or directives.
 
     ``interpolations`` are the lexer's ``(open, close)`` offsets of the
     string's interpolations and directives, in ``text``.
@@ -443,16 +448,14 @@ def _string_value(
     pos = start + 1  # after the opening quote
     for opened, closed in interpolations:
         if opened > pos:
-            parts.append(_decode(text[pos:opened]))
+            parts.append(_decode(text, pos, opened))
         content = text[opened + 2 : closed].strip()
         if text[opened] == "$" and _REFERENCE_RE.match(content):
             parts.append(Reference(tuple(content.split("."))))
         else:
             parts.append(Opaque(content))
         pos = closed + 1
-    literal = _decode(text[pos : end - (error is None)])
-    if not parts:
-        return StringLit(literal)
+    literal = _decode(text, pos, end - (error is None))
     if literal:
         parts.append(literal)
     return TemplateString(tuple(parts))

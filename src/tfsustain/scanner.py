@@ -2,9 +2,10 @@
 
 Results are deterministic regardless of filesystem enumeration order and of
 the number of processes: files are sorted up front, per-directory work is
-order-independent, and findings are sorted once at the end. A scan reads,
-detects and drops one directory at a time; with ``jobs`` above 1 the
-directories are dealt out by stride, one share per process.
+order-independent, and findings are sorted once at the end. A scan reads a
+batch of whole directories, at least ``BATCH_FILES`` files, then detects and
+drops them; with ``jobs`` above 1 the directories are dealt out by stride,
+one share per process.
 """
 
 from __future__ import annotations
@@ -19,6 +20,13 @@ from typing import Iterator
 from .catalog import SmellId
 from .detectors import ENGINES, DetectorConfig, ScanUnit, detect_all, unit_for
 from .detectors.findings import SmellFinding
+
+
+# A scan reads at least this many files, in whole directories, before it
+# detects them: reading files back to back costs less than reading each
+# directory between two detections, and the texts held stay bounded by one
+# batch plus one directory whatever the corpus size.
+BATCH_FILES = 64
 
 
 class ScanError(Exception):
@@ -99,11 +107,14 @@ def discover_tf_files(root: Path) -> list[str]:
     return sorted(_walk_tf_files(root))
 
 
-def _read_unit(base: Path, rel: str) -> tuple[ScanUnit | None, bool]:
-    """Load ``base / rel``; returns (unit or None, is_read_or_decode_failure)."""
+def _read_unit(base: str, rel: str) -> tuple[ScanUnit | None, bool]:
+    """Load ``base / rel``; returns (unit or None, is_read_or_decode_failure).
+
+    The file is read whole with no buffer object in between.
+    """
     try:
-        with open(os.path.join(base, rel), "rb") as f:
-            data = f.read()
+        with open(os.path.join(base, rel), "rb", buffering=0) as f:
+            data = f.readall()
     except OSError:
         return None, True
     if data.startswith(b"\xef\xbb\xbf"):
@@ -115,15 +126,18 @@ def _read_unit(base: Path, rel: str) -> tuple[ScanUnit | None, bool]:
 
 
 def _scan_share(
-    base: Path, share: list[list[str]], cfg: DetectorConfig, engine: str
+    base: str, share: list[list[str]], cfg: DetectorConfig, engine: str
 ) -> tuple[list[SmellFinding], set[str]]:
-    """Read and detect one directory at a time; (findings, failed paths).
+    """Read a batch of directories, then detect each; (findings, failed paths).
 
-    A directory's texts are dropped before the next one is read.
+    A batch is whole directories holding at least ``BATCH_FILES`` files, or
+    what is left of the share. Its texts are dropped before the next batch is read.
     """
     findings: list[SmellFinding] = []
     failed: set[str] = set()
-    for rels in share:
+    batch: list[list[ScanUnit]] = []
+    held = 0
+    for k, rels in enumerate(share, 1):
         units = []
         for rel in rels:
             unit, bad = _read_unit(base, rel)
@@ -131,7 +145,12 @@ def _scan_share(
                 failed.add(rel)
             if unit is not None:
                 units.append(unit)
-        findings += detect_all(units, cfg, engine, failed)
+        batch.append(units)
+        held += len(rels)
+        if held >= BATCH_FILES or k == len(share):
+            for units in batch:
+                findings += detect_all(units, cfg, engine, failed)
+            batch, held = [], 0
     return findings, failed
 
 
@@ -163,7 +182,7 @@ def scan(
     if cfg is None:
         cfg = DetectorConfig()
     rels = discover_tf_files(root)
-    base = root if root.is_dir() else root.parent
+    base = os.fspath(root if root.is_dir() else root.parent)
     by_dir: dict[str, list[str]] = {}
     for rel in rels:
         by_dir.setdefault(rel.rpartition("/")[0] or ".", []).append(rel)

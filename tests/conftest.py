@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path, PurePosixPath
 
 import pytest
@@ -20,6 +21,27 @@ def fixtures() -> Path:
 def fixture_corpus_files() -> list[Path]:
     """Every .tf file in the checked-in fixture corpus."""
     return sorted(FIXTURES.rglob("*.tf"))
+
+
+def count_python_calls(fn, *args) -> int:
+    """How many Python-level calls ``fn(*args)`` makes, itself included.
+
+    A generator or coroutine counts once per resumption. Calls into C are
+    not counted, so a regex's own work does not show.
+    """
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 def walk_tf_files(root: Path) -> list[str]:

@@ -143,11 +143,11 @@ def _no_ss3_config(tmp_path) -> str:
         (False, "single", "text", "0e3de4ed9c99f3bb5e670ad7c0ba88cdb652213bbd7b248d961354159e886d7f"),
         (False, "complete", "text", "0e3de4ed9c99f3bb5e670ad7c0ba88cdb652213bbd7b248d961354159e886d7f"),
         (False, "average", "text", "0e3de4ed9c99f3bb5e670ad7c0ba88cdb652213bbd7b248d961354159e886d7f"),
-        (False, "single", "json", "1251c792103244cd34778ae6124bc08aeb7393141dc15028570c8defeba53954"),
-        (False, "complete", "json", "1251c792103244cd34778ae6124bc08aeb7393141dc15028570c8defeba53954"),
+        (False, "single", "json", "f6343f96adc44a02e979e306835d3e8284e58c2a6c08a130da8890dfdcaeac41"),
+        (False, "complete", "json", "f6343f96adc44a02e979e306835d3e8284e58c2a6c08a130da8890dfdcaeac41"),
         (False, "average", "json", "f6343f96adc44a02e979e306835d3e8284e58c2a6c08a130da8890dfdcaeac41"),
-        (True, "single", "json", "8e67e3f57614b0fa24e92b4f0040377d70b74dee619697b11ce26a38dd4940b3"),
-        (True, "complete", "json", "8e67e3f57614b0fa24e92b4f0040377d70b74dee619697b11ce26a38dd4940b3"),
+        (True, "single", "json", "1042f89237870b84516c4c56d006f9caa24e88001526864e1ec9a5eb74e9f9b7"),
+        (True, "complete", "json", "1042f89237870b84516c4c56d006f9caa24e88001526864e1ec9a5eb74e9f9b7"),
         (True, "average", "json", "1042f89237870b84516c4c56d006f9caa24e88001526864e1ec9a5eb74e9f9b7"),
     ],
 )
@@ -157,6 +157,17 @@ def test_cluster_output_digest(tmp_path, capsys, custom, linkage, fmt, digest):
         argv += ["--config", _no_ss3_config(tmp_path)]
     assert run(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("custom", [False, True])
+@pytest.mark.parametrize("linkage", ["single", "complete", "average"])
+def test_cluster_json_distances_are_floats_under_every_linkage(tmp_path, capsys, custom, linkage):
+    argv = ["cluster", "--linkage", linkage, "--format", "json"]
+    if custom:
+        argv += ["--config", _no_ss3_config(tmp_path)]
+    assert run(argv) == 0
+    merges = json.loads(capsys.readouterr().out)["merges"]
+    assert merges and all(type(m["distance"]) is float for m in merges), merges
 
 
 def test_cluster_names_a_category_by_its_anchor_smell(tmp_path, capsys):

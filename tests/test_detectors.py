@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import sys
 from pathlib import Path
 
 import pytest
@@ -31,7 +30,7 @@ from tfsustain.detectors.ast_engine import (
 )
 from tfsustain.detectors.findings import SmellFinding
 
-from conftest import FIXTURES, fixture_corpus_files, span_text
+from conftest import FIXTURES, count_python_calls, fixture_corpus_files, span_text
 
 CFG = DetectorConfig()
 
@@ -459,22 +458,6 @@ def test_ss5_asks_no_region_of_a_lone_resource(monkeypatch):
     monkeypatch.setattr(ast_engine, "region_class", region_class)
     lone = view(unit_for("x.tf", ss5_text(SS5_MUTUAL[:1])))
     assert detect_ss5_cross_region_transfer(lone, CFG) == []
-
-
-def count_python_calls(fn, *args) -> int:
-    calls = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    sys.setprofile(profile)
-    try:
-        fn(*args)
-    finally:
-        sys.setprofile(None)
-    return calls
 
 
 def ss5_ring(n: int) -> str:

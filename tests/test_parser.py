@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib.util
 import random
+import sys
 import tracemalloc
 from array import array
 from itertools import compress
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +39,7 @@ from tfsustain.hcl import (
 )
 
 from conftest import FIXTURES, fixture_corpus_files, nodes_equal, span_text
+from synth import build_corpus
 
 SS1_SAMPLE = (FIXTURES / "samples" / "ss1.tf").read_text()
 SS3_SAMPLE = (FIXTURES / "samples" / "ss3.tf").read_text()
@@ -573,6 +577,45 @@ def test_parse_of_every_fixture_matches_its_pinned_sha256():
         text = path.read_bytes().decode("utf-8")
         got[rel] = hashlib.sha256(repr(parse(text, rel)).encode()).hexdigest()
     assert got == _PARSE_SHA256
+
+
+def _load_perfbench_corpus():
+    """``perfbench/corpus.py``, loaded read-only for its monolith generator."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def _parse_digest(texts: list[tuple[str, str]]) -> str:
+    digest = hashlib.sha256()
+    for rel, text in texts:
+        digest.update(repr(parse(text, rel)).encode())
+    return digest.hexdigest()
+
+
+# sha256 of repr(parse(text, rel)) over the benchmark's shapes of input, in
+# path order: the many small files of tests/synth.py and one large file of
+# 3,000 resources. Every short path of the lexer and parser runs on them.
+def test_parse_of_the_synth_corpus_matches_its_pinned_sha256(tmp_path):
+    build_corpus(tmp_path)
+    texts = [
+        (path.relative_to(tmp_path).as_posix(), path.read_text(encoding="utf-8"))
+        for path in sorted(tmp_path.rglob("*.tf"))
+    ]
+    assert len(texts) == 200
+    assert _parse_digest(texts) == (
+        "706265700fd4103c37a5fac73de7815008214386fb65968321e5765e95d9c3a4"
+    )
+
+
+def test_parse_of_a_3000_resource_monolith_matches_its_pinned_sha256():
+    text, _ = _load_perfbench_corpus().monolith_text(3000, 1)
+    assert _parse_digest([("main.tf", text)]) == (
+        "9ef92c34719b0ae03a2a54f9f677f642d9dc03183e346a260c096bcf5b090915"
+    )
 
 
 # -- representation ------------------------------------------------------

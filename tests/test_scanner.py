@@ -29,7 +29,7 @@ from tfsustain.scanner import (
     smells_by_path,
 )
 
-from conftest import FIXTURES, walk_tf_files
+from conftest import FIXTURES, count_python_calls, walk_tf_files
 from synth import build_corpus
 
 
@@ -82,6 +82,69 @@ def _tree(root, files_per_dir):
             (root / name / f"f{i}.tf").write_text(
                 f'resource "aws_instance" "{name}{i}" {{\n  instance_type = "m5.24xlarge"\n}}\n'
             )
+
+
+# A small script: one resource with two attributes.
+_ONE_RESOURCE = 'resource "aws_instance" "i" {\n  instance_type = "t3.micro"\n  count         = 1\n}\n'
+
+
+def test_scan_work_per_file_is_bounded(tmp_path):
+    # Python-level calls, not time: no clock in Tier-1. Each directory holds one
+    # one-resource file, so the count per file is what each file of a corpus of
+    # small scripts pays, from discovery through its SS6 finding. The first scan
+    # warms up the caches, which would otherwise count.
+    calls = {}
+    for n in (200, 400):
+        root = tmp_path / str(n)
+        for k in range(n):
+            (root / f"d{k:03d}").mkdir(parents=True)
+            (root / f"d{k:03d}" / "main.tf").write_text(_ONE_RESOURCE)
+        assert scan(root).scanned_files == n
+        calls[n] = count_python_calls(scan, root)
+    assert calls[200] / 200 <= 80, calls
+    assert calls[400] / calls[200] <= 2.2, calls
+
+
+def test_one_job_scan_reads_a_batch_of_whole_directories_before_detecting_them(
+    tmp_path, monkeypatch
+):
+    k = scanner.BATCH_FILES
+    sizes = {"a": 1, "b": k - 2, "c": 3, "d": k, "e": 1, "f": 2 * k, "g": 2, "h": 1}
+    for name, count in sizes.items():
+        (tmp_path / name).mkdir()
+        for i in range(count):
+            (tmp_path / name / f"f{i:03d}.tf").write_text(_ONE_RESOURCE)
+    one_job = _report_bytes(scan(tmp_path))
+    events = []
+    read_unit, detect_all = scanner._read_unit, scanner.detect_all
+
+    def reading(base, rel):
+        events.append(("read", rel))
+        return read_unit(base, rel)
+
+    def detecting(units, cfg, engine, failed):
+        events.append(("detect", [u.path for u in units]))
+        return detect_all(units, cfg, engine, failed)
+
+    monkeypatch.setattr(scanner, "_read_unit", reading)
+    monkeypatch.setattr(scanner, "detect_all", detecting)
+    assert _report_bytes(scan(tmp_path)) == one_job
+    held: set[str] = set()  # read and not yet detected
+    detected = []
+    for event, what in events:
+        if event == "read":
+            held.add(what)
+            # At most a batch short of BATCH_FILES, plus the directory being read.
+            assert len(held) < k + sizes[what.split("/")[0]], (what, len(held))
+        else:
+            name = what[0].split("/")[0]
+            # A directory is detected whole, after every one of its files was read.
+            assert what == [f"{name}/f{i:03d}.tf" for i in range(sizes[name])]
+            assert set(what) <= held
+            held -= set(what)
+            detected.append(name)
+    assert held == set()
+    assert detected == list(sizes)
 
 
 def _report_bytes(report) -> tuple[int, bytes, bytes]:
