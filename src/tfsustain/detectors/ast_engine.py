@@ -121,13 +121,17 @@ def detect_ss1_overprovisioning(
     for r in view.resources:
         if not r.type.startswith(prefixes):
             continue
+        # The first prefix the type starts with picks the catalog.
+        for prefix, sizes in cfg.ss1_large_sizes.items():
+            if r.type.startswith(prefix):
+                break
         for attr_name in SIZE_ATTRS:
             node = r.attributes.get(attr_name)
+            if node is None:
+                continue
             literal = _string_literal(node)
             if literal is None:
                 continue
-            # The first prefix the type starts with picks the catalog.
-            sizes = next(s for p, s in cfg.ss1_large_sizes.items() if r.type.startswith(p))
             # GCP machine types may be full self-link URLs; compare the tail.
             short = literal.rsplit("/", 1)[-1]
             if literal in sizes or short in sizes:

@@ -38,9 +38,10 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 DEFAULT_BASE_URL = "https://api.github.com"
 TOKEN_ENV_VAR = "TFSUSTAIN_GITHUB_TOKEN"
@@ -145,6 +146,10 @@ class CodeSearchClient:
         clock: Callable[[], float] = time.time,
         max_retries: int = 5,
     ) -> None:
+        # Imported here: every command imports this module, and only harvesting
+        # needs requests, which takes longer to import than the rest of the CLI.
+        import requests
+
         self.base_url = base_url.rstrip("/")
         self.token = token
         self.session = session or requests.Session()
@@ -157,6 +162,8 @@ class CodeSearchClient:
 
     def _get(self, path: str, params: dict | None = None, shape: dict | None = None) -> dict:
         """The JSON object at ``path``, whose ``shape`` fields have those types."""
+        import requests
+
         headers = {"Accept": "application/vnd.github+json"}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"

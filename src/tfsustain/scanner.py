@@ -4,8 +4,8 @@ Results are deterministic regardless of filesystem enumeration order and of
 the number of processes: files are sorted up front, per-directory work is
 order-independent, and findings are sorted once at the end. A scan reads a
 batch of whole directories, at least ``BATCH_FILES`` files, then detects and
-drops them; with ``jobs`` above 1 the directories are dealt out by stride,
-one share per process.
+drops them; with ``jobs`` above 1 each process claims the next batch from one
+shared counter until none is left.
 """
 
 from __future__ import annotations
@@ -15,11 +15,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .catalog import SmellId
 from .detectors import ENGINES, DetectorConfig, ScanUnit, detect_all, unit_for
 from .detectors.findings import SmellFinding
+
+if TYPE_CHECKING:
+    from multiprocessing.sharedctypes import Synchronized
 
 
 # A scan reads at least this many files, in whole directories, before it
@@ -125,19 +128,20 @@ def _read_unit(base: str, rel: str) -> tuple[ScanUnit | None, bool]:
         return unit_for(rel, data.decode("utf-8", errors="replace")), True
 
 
-def _scan_share(
-    base: str, share: list[list[str]], cfg: DetectorConfig, engine: str
-) -> tuple[list[SmellFinding], set[str]]:
-    """Read a batch of directories, then detect each; (findings, failed paths).
+def _scan_batch(
+    base: str,
+    batch: list[list[str]],
+    cfg: DetectorConfig,
+    engine: str,
+    findings: list[SmellFinding],
+    failed: set[str],
+) -> None:
+    """Read a batch of whole directories, then detect each; add to findings and failed.
 
-    A batch is whole directories holding at least ``BATCH_FILES`` files, or
-    what is left of the share. Its texts are dropped before the next batch is read.
+    The batch's texts are dropped when this returns.
     """
-    findings: list[SmellFinding] = []
-    failed: set[str] = set()
-    batch: list[list[ScanUnit]] = []
-    held = 0
-    for k, rels in enumerate(share, 1):
+    read: list[list[ScanUnit]] = []
+    for rels in batch:
         units = []
         for rel in rels:
             unit, bad = _read_unit(base, rel)
@@ -145,13 +149,46 @@ def _scan_share(
                 failed.add(rel)
             if unit is not None:
                 units.append(unit)
-        batch.append(units)
-        held += len(rels)
-        if held >= BATCH_FILES or k == len(share):
-            for units in batch:
-                findings += detect_all(units, cfg, engine, failed)
-            batch, held = [], 0
-    return findings, failed
+        read.append(units)
+    for units in read:
+        findings += detect_all(units, cfg, engine, failed)
+
+
+def _claim_batches(
+    base: str,
+    batches: list[list[list[str]]],
+    cfg: DetectorConfig,
+    engine: str,
+    counter: Synchronized,
+) -> tuple[list[SmellFinding], set[str]]:
+    """Scan the batch the shared counter hands out next, until none is left.
+
+    ``counter`` is a ``multiprocessing.Value``: each process of a scan takes
+    the next index under its lock, so every batch is scanned exactly once.
+    """
+    findings: list[SmellFinding] = []
+    failed: set[str] = set()
+    while True:
+        with counter.get_lock():
+            k = counter.value
+            counter.value = k + 1
+        if k >= len(batches):
+            return findings, failed
+        _scan_batch(base, batches[k], cfg, engine, findings, failed)
+
+
+# The scan a pool worker takes part in, set once per worker by ``_join``: a
+# synchronized counter reaches a process only when it starts, not through submit.
+_job: tuple | None = None
+
+
+def _join(*job) -> None:
+    global _job
+    _job = job
+
+
+def _claim_joined() -> tuple[list[SmellFinding], set[str]]:
+    return _claim_batches(*_job)
 
 
 def scan(
@@ -165,12 +202,13 @@ def scan(
     A file that cannot be read or decoded, or that the engine cannot parse, is
     one parse failure; it never aborts the scan and counts toward prevalence.
 
-    The directories, in path order, are dealt by stride into
-    ``n = min(jobs, os.cpu_count(), directories)`` shares: share k holds
-    directories k, k + n, k + 2n and so on. The calling process scans share 0
-    and a process pool, closed before this returns, the others; with one
-    share there is no pool. The shares' findings are sorted once, so the
-    report never depends on ``jobs``.
+    The directories, in path order, are cut into batches of whole directories
+    holding at least ``BATCH_FILES`` files each (the last may hold fewer). With
+    ``n = min(jobs, os.cpu_count(), batches)`` above 1, the calling process
+    and a pool of n - 1 workers, closed before this returns, each claim the
+    next batch from one shared counter until none is left; with n = 1 the
+    calling process scans the batches in order, with no pool. The findings
+    are sorted once, so the report never depends on ``jobs``.
     """
     root = Path(root)
     if not root.exists():
@@ -186,24 +224,35 @@ def scan(
     by_dir: dict[str, list[str]] = {}
     for rel in rels:
         by_dir.setdefault(rel.rpartition("/")[0] or ".", []).append(rel)
-    dirs = list(by_dir.values())
-    n = min(jobs, os.cpu_count() or 1, len(dirs))
+    batches: list[list[list[str]]] = []
+    batch: list[list[str]] = []
+    held = 0
+    for dir_rels in by_dir.values():
+        batch.append(dir_rels)
+        held += len(dir_rels)
+        if held >= BATCH_FILES:
+            batches.append(batch)
+            batch, held = [], 0
+    if batch:
+        batches.append(batch)
+    n = min(jobs, os.cpu_count() or 1, len(batches))
     if n > 1:
-        # Imported here: the pool's modules would add to every one-job scan's memory.
+        # Imported here: these modules would add to every one-job scan's memory.
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        shares = [dirs[k::n] for k in range(n)]
-        with ProcessPoolExecutor(n - 1) as pool:
-            futures = [
-                pool.submit(_scan_share, base, share, cfg, engine) for share in shares[1:]
-            ]
-            findings, failed = _scan_share(base, shares[0], cfg, engine)
+        job = (base, batches, cfg, engine, multiprocessing.Value("q", 0))
+        with ProcessPoolExecutor(n - 1, initializer=_join, initargs=job) as pool:
+            futures = [pool.submit(_claim_joined) for _ in range(n - 1)]
+            findings, failed = _claim_batches(*job)
             for future in futures:
                 more, bad = future.result()
                 findings += more
                 failed |= bad
     else:
-        findings, failed = _scan_share(base, dirs, cfg, engine)
+        findings, failed = [], set()
+        for batch in batches:
+            _scan_batch(base, batch, cfg, engine, findings, failed)
     findings.sort(key=SmellFinding.sort_key)
 
     return ScanReport(

@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tfsustain.cli
 from tfsustain.cli import load_config, run
 from tfsustain.detectors import ConfigError, DetectorConfig
 
@@ -28,6 +33,24 @@ def test_catalog_json_round_trips_through_loader(tmp_path, capsys):
     from tfsustain.catalog import catalog, load_catalog
 
     assert load_catalog(out_file) == catalog()
+
+
+def test_cli_import_and_scan_do_not_import_requests():
+    # Only harvesting talks HTTP; the import of requests would slow every command.
+    code = (
+        "import sys\n"
+        "import tfsustain.cli\n"
+        "assert 'requests' not in sys.modules\n"
+        "assert tfsustain.cli.run(['scan', sys.argv[1], '--format', 'json']) in (0, 1)\n"
+        "print('requests' in sys.modules, file=sys.stderr)\n"
+    )
+    src = str(Path(tfsustain.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(FIXTURES)],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert done.stderr.strip() == "False"
 
 
 def test_lint_clean_directory_exits_zero(capsys):

@@ -5,8 +5,10 @@ import json
 import multiprocessing
 import os
 import shutil
+import string
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -76,7 +78,7 @@ def test_scan_twice_is_byte_identical(tmp_path):
 
 def _tree(root, files_per_dir):
     """One directory per count, named a, b, c, ..., holding that many smelly files."""
-    for name, count in zip("abcdefgh", files_per_dir):
+    for name, count in zip(string.ascii_lowercase, files_per_dir):
         (root / name).mkdir()
         for i in range(count):
             (root / name / f"f{i}.tf").write_text(
@@ -101,7 +103,7 @@ def test_scan_work_per_file_is_bounded(tmp_path):
             (root / f"d{k:03d}" / "main.tf").write_text(_ONE_RESOURCE)
         assert scan(root).scanned_files == n
         calls[n] = count_python_calls(scan, root)
-    assert calls[200] / 200 <= 80, calls
+    assert calls[200] / 200 <= 75, calls
     assert calls[400] / calls[200] <= 2.2, calls
 
 
@@ -152,31 +154,105 @@ def _report_bytes(report) -> tuple[int, bytes, bytes]:
     return report.parse_failures, render(report, stats, "json"), render(report, stats, "sarif")
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for a second share")
-def test_scan_with_two_jobs_reads_one_directory_aligned_share_in_the_calling_process(
-    tmp_path, monkeypatch
-):
-    _tree(tmp_path, [2, 1, 2, 3])
-    rels = discover_tf_files(tmp_path)
-    dirs = sorted({rel.split("/")[0] for rel in rels})
-    one_job = _report_bytes(scan(tmp_path, jobs=1))
-    read_unit = scanner._read_unit
-    read = []
+@pytest.fixture
+def start_method():
+    """Sets the default start method of multiprocessing, restored after the test."""
+    before = multiprocessing.get_start_method(allow_none=True)
+    yield lambda method: multiprocessing.set_start_method(method, force=True)
+    multiprocessing.set_start_method(before, force=True)
 
-    def recording(base, rel):
-        read.append(rel)
+
+def _record_counters(monkeypatch) -> list:
+    """Keeps the claim counter of each pooled scan.
+
+    After a scan of b batches on n processes the counter reads b + n: every
+    process ends its claim loop with one index past the last batch, so the
+    figure shows that n - 1 submissions ran in the pool.
+    """
+    counters = []
+    value = multiprocessing.Value
+
+    def recording(*args, **kwargs):
+        counters.append(value(*args, **kwargs))
+        return counters[-1]
+
+    monkeypatch.setattr(multiprocessing, "Value", recording)
+    return counters
+
+
+def _directories(root) -> int:
+    return len({rel.rpartition("/")[0] for rel in discover_tf_files(root)})
+
+
+def _append_line(path, *words: str) -> None:
+    """One write to a file opened for appending, so lines from processes never interleave."""
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+    try:
+        os.write(fd, (" ".join(words) + "\n").encode())
+    finally:
+        os.close(fd)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for a pool")
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the workers must inherit the recording functions",
+)
+def test_scan_processes_claim_each_batch_once_and_detect_each_directory_whole(
+    tmp_path, monkeypatch, start_method
+):
+    root, log = tmp_path / "tree", tmp_path / "log"
+    root.mkdir()
+    sizes = [3, 1, 2, 4, 1, 1, 2, 3, 1, 2, 5, 1, 2, 1, 3, 2]
+    _tree(root, sizes)
+    rels = discover_tf_files(root)
+    by_dir = {
+        name: [rel for rel in rels if rel.startswith(name + "/")]
+        for name in string.ascii_lowercase[: len(sizes)]
+    }
+    one_job = _report_bytes(scan(root, jobs=1))
+    read_unit, detect_all = scanner._read_unit, scanner.detect_all
+
+    def reading(base, rel):
+        _append_line(log, "read", str(os.getpid()), rel)
         return read_unit(base, rel)
 
-    monkeypatch.setattr(scanner, "_read_unit", recording)
-    two_jobs = _report_bytes(scan(tmp_path, jobs=2))
-    # The odd directories are read in a worker process, where this list is a copy.
-    assert read == [rel for rel in rels if rel.split("/")[0] in dirs[::2]]
-    assert two_jobs == one_job
+    def detecting(units, cfg, engine, failed):
+        _append_line(log, "detect", str(os.getpid()), *(u.path for u in units))
+        return detect_all(units, cfg, engine, failed)
+
+    start_method("fork")
+    monkeypatch.setattr(scanner, "_read_unit", reading)
+    monkeypatch.setattr(scanner, "detect_all", detecting)
+    monkeypatch.setattr(scanner, "BATCH_FILES", 3)
+    # Four processes on fewer CPUs contend for the counter's lock.
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    counters = _record_counters(monkeypatch)
+    four_jobs = _report_bytes(scan(root, jobs=4))
     assert multiprocessing.active_children() == []
+    # 16 directories in 10 batches: [3] [1 2] [4] [1 1 2] [3] [1 2] [5] [1 2] [1 3] [2].
+    assert [c.value for c in counters] == [10 + 4]
+    reader: dict[str, str] = {}
+    detected = []
+    for line in log.read_text().splitlines():
+        event, pid, *paths = line.split()
+        if event == "read":
+            assert paths[0] not in reader, paths  # every file is read once, by one process
+            reader[paths[0]] = pid
+        else:
+            name = paths[0].split("/")[0]
+            assert paths == by_dir[name]  # a directory is detected whole
+            assert {reader[path] for path in paths} == {pid}  # where it was read
+            detected.append(name)
+    assert sorted(reader) == rels
+    assert sorted(detected) == list(by_dir)
+    assert four_jobs == one_job
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_findings_are_in_path_order_when_a_directory_straddles_its_subdirectory(tmp_path, jobs):
+def test_findings_are_in_path_order_when_a_directory_straddles_its_subdirectory(
+    tmp_path, monkeypatch, jobs
+):
     # "a/b/x.tf" sorts between a's two files, so the directories' findings interleave.
     rels = ["a/a.tf", "a/b/x.tf", "a/c.tf"]
     for rel in rels:
@@ -184,41 +260,46 @@ def test_findings_are_in_path_order_when_a_directory_straddles_its_subdirectory(
         (tmp_path / rel).write_text(
             'resource "aws_instance" "x" {\n  instance_type = "m5.24xlarge"\n}\n'
         )
+    monkeypatch.setattr(scanner, "BATCH_FILES", 1)
     report = scan(tmp_path, jobs=jobs)
     assert [f.path for f in report.findings if f.smell == SmellId.SS1] == rels
     assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_fixture_reports_do_not_depend_on_jobs(engine):
+def test_fixture_reports_do_not_depend_on_jobs(monkeypatch, engine):
     """BOM, CRLF and malformed files give the same bytes on one, two and three processes."""
+    # One directory per batch, so the pool has nine batches to claim.
+    monkeypatch.setattr(scanner, "BATCH_FILES", 1)
+    dirs = _directories(FIXTURES)
+    counters = _record_counters(monkeypatch)
     reports = {}
     for jobs in (1, 2, 3):
         reports[jobs] = _report_bytes(scan(FIXTURES, engine=engine, jobs=jobs))
         assert multiprocessing.active_children() == []
     assert reports[2] == reports[1]
     assert reports[3] == reports[1]
+    pooled = [min(jobs, os.cpu_count() or 1) for jobs in (2, 3)]
+    assert [c.value for c in counters] == [dirs + n for n in pooled if n > 1]
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for a second share")
-def test_spawned_workers_give_the_same_report(monkeypatch):
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for a pool")
+def test_spawned_workers_give_the_same_report(monkeypatch, start_method):
     """Where the default start method is spawn, a worker starts from a fresh import."""
+    monkeypatch.setattr(scanner, "BATCH_FILES", 1)
     one_job = _report_bytes(scan(FIXTURES, jobs=1))
-    spawn = multiprocessing.get_context("spawn")
-    pool = concurrent.futures.ProcessPoolExecutor
-    monkeypatch.setattr(
-        concurrent.futures, "ProcessPoolExecutor", lambda n: pool(n, mp_context=spawn)
-    )
+    start_method("spawn")
+    counters = _record_counters(monkeypatch)
     assert _report_bytes(scan(FIXTURES, jobs=2)) == one_job
     assert multiprocessing.active_children() == []
+    assert [c.value for c in counters] == [_directories(FIXTURES) + 2]
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_file_gone_in_a_workers_share_is_a_parse_failure(tmp_path, monkeypatch, engine, jobs):
     shutil.copytree(FIXTURES, tmp_path / "fixtures")
-    # "fixtures/d" is the second directory in path order, after "fixtures/clean",
-    # so the stride puts it in share 1, a worker's when jobs > 1.
+    # "fixtures/d" is a batch of its own, which a worker may claim when jobs > 1.
     gone = tmp_path / "fixtures" / "d" / "gone.tf"
     gone.parent.mkdir()
     gone.write_text('resource "aws_instance" "a" {\n  instance_type = "m5.24xlarge"\n}\n')
@@ -231,18 +312,24 @@ def test_file_gone_in_a_workers_share_is_a_parse_failure(tmp_path, monkeypatch, 
         return rels
 
     monkeypatch.setattr(scanner, "discover_tf_files", discover_then_delete)
+    monkeypatch.setattr(scanner, "BATCH_FILES", 1)
+    counters = _record_counters(monkeypatch)
     report = scan(tmp_path, engine=engine, jobs=jobs)
     assert report.scanned_files == fixtures.scanned_files + 1
     assert report.parse_failures == fixtures.parse_failures + 1
     assert "fixtures/d/gone.tf" not in {f.path for f in report.findings}
     assert multiprocessing.active_children() == []
+    n = min(jobs, os.cpu_count() or 1)
+    assert [c.value for c in counters] == ([_directories(FIXTURES) + 1 + n] if n > 1 else [])
 
 
 class _InlineExecutor:
-    """Stands in for ``ProcessPoolExecutor``: records its size, runs submissions inline."""
+    """Stands in for ``ProcessPoolExecutor``: records its size, runs the initializer and submissions inline."""
 
-    def __init__(self, max_workers, built):
+    def __init__(self, max_workers, built, initializer=None, initargs=()):
         built.append(max_workers)
+        if initializer is not None:
+            initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -259,8 +346,12 @@ class _InlineExecutor:
 def _record_executors(monkeypatch) -> list[int]:
     built: list[int] = []
     monkeypatch.setattr(
-        concurrent.futures, "ProcessPoolExecutor", lambda n: _InlineExecutor(n, built)
+        concurrent.futures,
+        "ProcessPoolExecutor",
+        lambda n, **kwargs: _InlineExecutor(n, built, **kwargs),
     )
+    # The inline initializer sets the worker's job in this process.
+    monkeypatch.setattr(scanner, "_job", None)
     return built
 
 
@@ -272,6 +363,7 @@ def test_many_jobs_ask_for_one_worker_per_cpu_or_directory_past_the_first(
     one_job = _report_bytes(scan(tmp_path, jobs=1))
     if cpus is not None:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(scanner, "BATCH_FILES", 1)  # a batch per directory
     built = _record_executors(monkeypatch)
     report = scan(tmp_path, jobs=10**6)
     n = min(os.cpu_count() or 1, 3)
@@ -283,9 +375,19 @@ def test_many_jobs_ask_for_one_worker_per_cpu_or_directory_past_the_first(
 def test_one_cpu_builds_no_executor(tmp_path, monkeypatch, cpus):
     _tree(tmp_path, [1, 1, 1])
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(scanner, "BATCH_FILES", 1)
     built = _record_executors(monkeypatch)
     assert scan(tmp_path, jobs=4).scanned_files == 3
     assert built == []
+
+
+def test_one_batch_builds_no_executor_or_counter(tmp_path, monkeypatch):
+    _tree(tmp_path, [1, 2, 1])
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    built = _record_executors(monkeypatch)
+    counters = _record_counters(monkeypatch)
+    assert scan(tmp_path, jobs=4).scanned_files == 4
+    assert built == [] and counters == []
 
 
 def test_one_job_scan_does_not_import_the_process_pool():
