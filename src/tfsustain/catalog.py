@@ -182,8 +182,9 @@ class CatalogError(ValueError):
 def load_catalog(path: str | Path) -> list[SmellDescriptor]:
     """Load a catalog from JSON.
 
-    The document is a list of objects with fields ``id``, ``name``,
-    ``attributes`` (four booleans), ``summary``, and ``remediation``.
+    The document is a list of objects with the string fields ``id``,
+    ``name``, ``summary`` and ``remediation``, and ``attributes`` (four
+    booleans).
     Categories are not stored; they are derived by grouping equal attribute
     vectors, anchored to the built-in numbering where the canonical ids are
     present.
@@ -206,6 +207,9 @@ def load_catalog(path: str | Path) -> list[SmellDescriptor]:
             raise CatalogError(
                 f"catalog entry {idx} has unknown field(s): {', '.join(sorted(unknown))}"
             )
+        for key in ("id", "name", "summary", "remediation"):
+            if not isinstance(entry[key], str):
+                raise CatalogError(f"catalog entry {idx}: {key} must be a string")
         attrs = entry["attributes"]
         if not (
             isinstance(attrs, list)

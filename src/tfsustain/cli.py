@@ -51,7 +51,8 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ScanError, ConfigError, CatalogError, HarvestError, OSError, ValueError) as err:
+    # RecursionError: JSON nested deeper than the interpreter's recursion limit.
+    except (ScanError, HarvestError, OSError, ValueError, RecursionError) as err:
         print(f"error: {_describe_error(err)}", file=sys.stderr)
         return 2
 
@@ -171,6 +172,8 @@ def load_config(path: str | None) -> tuple[DetectorConfig, list[SmellDescriptor]
     cfg = config_from_dict(data, source_text=text)
     if catalog_file is None:
         return cfg, builtin_catalog()
+    if not isinstance(catalog_file, str):
+        raise ConfigError("catalog_file must be a string")
     catalog_path = Path(catalog_file)
     if not catalog_path.is_absolute():
         catalog_path = Path(path).parent / catalog_path
@@ -289,8 +292,11 @@ def _cmd_harvest(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     data = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
-        raise ValueError("sample manifest must map repositories to file lists")
+    if not isinstance(data, dict) or not all(
+        isinstance(files, list) and all(isinstance(f, str) for f in files)
+        for files in data.values()
+    ):
+        raise ValueError("sample manifest must map repositories to lists of file names")
     sample = sample_stratified(data, args.seed)
     _write_output((sample.to_json() + "\n").encode("utf-8"), args.output)
     return 0

@@ -2,10 +2,10 @@
 
 Results are deterministic regardless of filesystem enumeration order and of
 the number of processes: files are sorted up front, per-directory work is
-order-independent, and findings are sorted once at the end. A scan reads a
-batch of whole directories, at least ``BATCH_FILES`` files, then detects and
-drops them; with ``jobs`` above 1 each process claims the next batch from one
-shared counter until none is left.
+order-independent, and findings are sorted once at the end. Each process of a
+scan runs one loop: claim a batch of whole directories, at least
+``BATCH_FILES`` files, read it, then detect and drop it. One process claims
+by counting; the processes of a pool claim from one shared counter.
 """
 
 from __future__ import annotations
@@ -13,9 +13,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import count
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .catalog import SmellId
 from .detectors import ENGINES, DetectorConfig, ScanUnit, detect_all, unit_for
@@ -128,53 +129,42 @@ def _read_unit(base: str, rel: str) -> tuple[ScanUnit | None, bool]:
         return unit_for(rel, data.decode("utf-8", errors="replace")), True
 
 
-def _scan_batch(
-    base: str,
-    batch: list[list[str]],
-    cfg: DetectorConfig,
-    engine: str,
-    findings: list[SmellFinding],
-    failed: set[str],
-) -> None:
-    """Read a batch of whole directories, then detect each; add to findings and failed.
-
-    The batch's texts are dropped when this returns.
-    """
-    read: list[list[ScanUnit]] = []
-    for rels in batch:
-        units = []
-        for rel in rels:
-            unit, bad = _read_unit(base, rel)
-            if bad:
-                failed.add(rel)
-            if unit is not None:
-                units.append(unit)
-        read.append(units)
-    for units in read:
-        findings += detect_all(units, cfg, engine, failed)
+def _claim(counter: Synchronized) -> int:
+    """The next batch index: ``counter``'s value, taken and raised under its lock."""
+    with counter.get_lock():
+        k = counter.value
+        counter.value = k + 1
+    return k
 
 
-def _claim_batches(
+def _scan_batches(
     base: str,
     batches: list[list[list[str]]],
     cfg: DetectorConfig,
     engine: str,
-    counter: Synchronized,
+    claim: Callable[[], int],
 ) -> tuple[list[SmellFinding], set[str]]:
-    """Scan the batch the shared counter hands out next, until none is left.
+    """Scan batch ``claim()`` until it runs past the last; return findings and failed.
 
-    ``counter`` is a ``multiprocessing.Value``: each process of a scan takes
-    the next index under its lock, so every batch is scanned exactly once.
+    A batch's directories are all read, then detected one by one, and its
+    texts are dropped before the next batch is read.
     """
     findings: list[SmellFinding] = []
     failed: set[str] = set()
-    while True:
-        with counter.get_lock():
-            k = counter.value
-            counter.value = k + 1
-        if k >= len(batches):
-            return findings, failed
-        _scan_batch(base, batches[k], cfg, engine, findings, failed)
+    while (k := claim()) < len(batches):
+        read: list[list[ScanUnit]] = []
+        for rels in batches[k]:
+            units = []
+            for rel in rels:
+                unit, bad = _read_unit(base, rel)
+                if bad:
+                    failed.add(rel)
+                if unit is not None:
+                    units.append(unit)
+            read.append(units)
+        for units in read:
+            findings += detect_all(units, cfg, engine, failed)
+    return findings, failed
 
 
 # The scan a pool worker takes part in, set once per worker by ``_join``: a
@@ -188,7 +178,7 @@ def _join(*job) -> None:
 
 
 def _claim_joined() -> tuple[list[SmellFinding], set[str]]:
-    return _claim_batches(*_job)
+    return _scan_batches(*_job)
 
 
 def scan(
@@ -205,10 +195,10 @@ def scan(
     The directories, in path order, are cut into batches of whole directories
     holding at least ``BATCH_FILES`` files each (the last may hold fewer). With
     ``n = min(jobs, os.cpu_count(), batches)`` above 1, the calling process
-    and a pool of n - 1 workers, closed before this returns, each claim the
-    next batch from one shared counter until none is left; with n = 1 the
-    calling process scans the batches in order, with no pool. The findings
-    are sorted once, so the report never depends on ``jobs``.
+    and a pool of n - 1 workers, closed before this returns, run one batch
+    loop, each claiming the next batch from one shared counter until none is
+    left; otherwise the calling process runs it alone, counting up, no pool.
+    The findings are sorted once, so the report never depends on ``jobs``.
     """
     root = Path(root)
     if not root.exists():
@@ -241,18 +231,17 @@ def scan(
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        job = (base, batches, cfg, engine, multiprocessing.Value("q", 0))
+        claim = partial(_claim, multiprocessing.Value("q", 0))
+        job = (base, batches, cfg, engine, claim)
         with ProcessPoolExecutor(n - 1, initializer=_join, initargs=job) as pool:
             futures = [pool.submit(_claim_joined) for _ in range(n - 1)]
-            findings, failed = _claim_batches(*job)
+            findings, failed = _scan_batches(*job)
             for future in futures:
                 more, bad = future.result()
                 findings += more
                 failed |= bad
     else:
-        findings, failed = [], set()
-        for batch in batches:
-            _scan_batch(base, batch, cfg, engine, findings, failed)
+        findings, failed = _scan_batches(base, batches, cfg, engine, count().__next__)
     findings.sort(key=SmellFinding.sort_key)
 
     return ScanReport(

@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import tfsustain.cli
 from tfsustain.cli import load_config, run
@@ -440,3 +442,195 @@ def test_harvest_rejects_a_malformed_manifest(tmp_path, capsys, lines, message):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {manifest} ") and message in err
+
+
+# -- malformed input files ---------------------------------------------------
+
+# Nested past the interpreter's recursion limit, which json.loads turns into
+# RecursionError.
+_DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def _builtin_catalog_with(**ss1_fields) -> str:
+    from tfsustain.catalog import catalog, dump_catalog
+
+    entries = json.loads(dump_catalog(catalog()))
+    entries[0].update(ss1_fields)
+    return json.dumps(entries)
+
+
+_WITH_CATALOG = '{"catalog_file": "catalog.json"}'
+_CLEAN = str(FIXTURES / "clean")
+_HARVEST = ["harvest", "--provider", "aws", "--dest", "{out}", "--dry-run"]
+
+
+@pytest.mark.parametrize(
+    "files, argv, message",
+    [
+        pytest.param(
+            {"config.json": '{"catalog_file": 5}'},
+            ["scan", _CLEAN, "--config", "{config.json}"],
+            "catalog_file must be a string",
+            id="config-catalog_file-int",
+        ),
+        pytest.param(
+            {"config.json": _WITH_CATALOG, "catalog.json": _builtin_catalog_with(id=[])},
+            ["catalog", "--config", "{config.json}"],
+            "catalog entry 0: id must be a string",
+            id="catalog-id-list",
+        ),
+        pytest.param(
+            {"config.json": _WITH_CATALOG, "catalog.json": _builtin_catalog_with(name=5)},
+            ["scan", _CLEAN, "--format", "sarif", "--config", "{config.json}"],
+            "catalog entry 0: name must be a string",
+            id="catalog-name-int",
+        ),
+        pytest.param(
+            {"config.json": _WITH_CATALOG, "catalog.json": _builtin_catalog_with(summary=["x"])},
+            ["scan", _CLEAN, "--format", "sarif", "--config", "{config.json}"],
+            "catalog entry 0: summary must be a string",
+            id="catalog-summary-list",
+        ),
+        pytest.param(
+            {"config.json": _WITH_CATALOG, "catalog.json": _builtin_catalog_with(remediation=5)},
+            ["catalog", "--config", "{config.json}"],
+            "catalog entry 0: remediation must be a string",
+            id="catalog-remediation-int",
+        ),
+        pytest.param(
+            {"manifest.json": '{"repo": 5}'},
+            ["sample", "{manifest.json}", "--seed", "1"],
+            "lists of file names",
+            id="sample-files-int",
+        ),
+        pytest.param(
+            {"manifest.json": '{"repo": "abcdefgh"}'},
+            ["sample", "{manifest.json}", "--seed", "1"],
+            "lists of file names",
+            id="sample-files-string",
+        ),
+        pytest.param(
+            {"manifest.json": '{"r": [1, 2, 3, 4, 5]}'},
+            ["sample", "{manifest.json}", "--seed", "1"],
+            "lists of file names",
+            id="sample-file-names-int",
+        ),
+        pytest.param(
+            {"manifest.json": _DEEP_JSON},
+            ["sample", "{manifest.json}", "--seed", "1"],
+            "maximum recursion depth exceeded",
+            id="sample-deep",
+        ),
+        pytest.param(
+            {"config.json": _DEEP_JSON},
+            ["scan", _CLEAN, "--config", "{config.json}"],
+            "maximum recursion depth exceeded",
+            id="config-deep",
+        ),
+        pytest.param(
+            {"config.json": _WITH_CATALOG, "catalog.json": _DEEP_JSON},
+            ["catalog", "--config", "{config.json}"],
+            "maximum recursion depth exceeded",
+            id="catalog-deep",
+        ),
+        pytest.param(
+            {"criteria.json": _DEEP_JSON},
+            [*_HARVEST, "--criteria", "{criteria.json}"],
+            "maximum recursion depth exceeded",
+            id="criteria-deep",
+        ),
+        pytest.param(
+            {"manifest.jsonl": _DEEP_JSON + "\n"},
+            [*_HARVEST, "--manifest", "{manifest.jsonl}"],
+            "maximum recursion depth exceeded",
+            id="harvest-manifest-deep",
+        ),
+    ],
+)
+def test_malformed_input_file_exits_two_with_an_error_line(
+    tmp_path, capsys, files, argv, message
+):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / arg[1:-1]) if arg.startswith("{") else arg for arg in argv]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_CATALOG_FIELDS = ("id", "name", "attributes", "summary", "remediation")
+
+
+@st.composite
+def _catalog_documents(draw) -> str:
+    """Any JSON value, entries of any JSON values, or the built-in catalog with one field replaced."""
+    kind = draw(st.sampled_from(["value", "entries", "builtin"]))
+    if kind == "value":
+        return json.dumps(draw(_JSON))
+    if kind == "entries":
+        entry = st.fixed_dictionaries({key: _JSON for key in _CATALOG_FIELDS})
+        return json.dumps(draw(st.lists(entry | _JSON, max_size=4)))
+    entries = json.loads(_builtin_catalog_with())
+    entries[draw(st.integers(0, 6))][draw(st.sampled_from(_CATALOG_FIELDS))] = draw(_JSON)
+    return json.dumps(entries)
+
+
+def _sarif_texts(doc):
+    """Every value of a ``text`` key in a SARIF document."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            if key == "text":
+                yield value
+            else:
+                yield from _sarif_texts(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _sarif_texts(value)
+
+
+def _exits_normally_or_two(capsys, argv) -> str | None:
+    """Runs argv; returns stdout of a normal run, None after an exit 2 with an error line."""
+    code = run(argv)
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.err.startswith("error: "), captured.err
+        return None
+    assert code in (0, 1), code
+    return captured.out
+
+
+@given(_catalog_documents())
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_any_catalog_document_runs_or_exits_two(tmp_path, capsys, document):
+    (tmp_path / "catalog.json").write_text(document)
+    (tmp_path / "config.json").write_text(_WITH_CATALOG)
+    config = str(tmp_path / "config.json")
+    _exits_normally_or_two(capsys, ["catalog", "--config", config])
+    out = _exits_normally_or_two(capsys, ["scan", _CLEAN, "--format", "sarif", "--config", config])
+    if out is not None:
+        assert all(isinstance(text, str) for text in _sarif_texts(json.loads(out)))
+
+
+@given(
+    _JSON
+    | st.dictionaries(
+        st.text(max_size=4), st.lists(st.text(max_size=4) | _JSON, max_size=7) | _JSON, max_size=4
+    )
+)
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_any_sample_manifest_runs_or_exits_two(tmp_path, capsys, manifest):
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    out = _exits_normally_or_two(capsys, ["sample", str(tmp_path / "manifest.json"), "--seed", "1"])
+    if out is not None:
+        selections = json.loads(out)["selections"]
+        assert all(set(files) <= set(manifest[repo]) for repo, files in selections.items())

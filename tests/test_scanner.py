@@ -107,9 +107,16 @@ def test_scan_work_per_file_is_bounded(tmp_path):
     assert calls[400] / calls[200] <= 2.2, calls
 
 
-def test_one_job_scan_reads_a_batch_of_whole_directories_before_detecting_them(
-    tmp_path, monkeypatch
+@pytest.mark.parametrize("pool", [False, True], ids=["one-job", "pool"])
+def test_each_process_reads_a_batch_of_whole_directories_before_detecting_them(
+    tmp_path, monkeypatch, pool
 ):
+    if pool:
+        # Small batches on two processes: the inline executor runs the worker's
+        # claim loop in this process, so the events below are in claim order.
+        monkeypatch.setattr(scanner, "BATCH_FILES", 4)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        built = _record_executors(monkeypatch)
     k = scanner.BATCH_FILES
     sizes = {"a": 1, "b": k - 2, "c": 3, "d": k, "e": 1, "f": 2 * k, "g": 2, "h": 1}
     for name, count in sizes.items():
@@ -130,23 +137,20 @@ def test_one_job_scan_reads_a_batch_of_whole_directories_before_detecting_them(
 
     monkeypatch.setattr(scanner, "_read_unit", reading)
     monkeypatch.setattr(scanner, "detect_all", detecting)
-    assert _report_bytes(scan(tmp_path)) == one_job
-    held: set[str] = set()  # read and not yet detected
-    detected = []
-    for event, what in events:
-        if event == "read":
-            held.add(what)
-            # At most a batch short of BATCH_FILES, plus the directory being read.
-            assert len(held) < k + sizes[what.split("/")[0]], (what, len(held))
-        else:
-            name = what[0].split("/")[0]
-            # A directory is detected whole, after every one of its files was read.
-            assert what == [f"{name}/f{i:03d}.tf" for i in range(sizes[name])]
-            assert set(what) <= held
-            held -= set(what)
-            detected.append(name)
-    assert held == set()
-    assert detected == list(sizes)
+    counters = _record_counters(monkeypatch)
+    assert _report_bytes(scan(tmp_path, jobs=2 if pool else 1)) == one_job
+    # A batch closes at the directory that brings it to k files or more.
+    expected = []
+    for batch in (["a", "b", "c"], ["d"], ["e", "f"], ["g", "h"]):
+        dirs = [[f"{name}/f{i:03d}.tf" for i in range(sizes[name])] for name in batch]
+        expected += [("read", rel) for rels in dirs for rel in rels]
+        expected += [("detect", rels) for rels in dirs]
+    assert events == expected
+    if pool:
+        assert built == [1]
+        assert [c.value for c in counters] == [4 + 2]  # both loops ran past the end
+    else:
+        assert counters == []
 
 
 def _report_bytes(report) -> tuple[int, bytes, bytes]:
