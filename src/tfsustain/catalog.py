@@ -21,6 +21,8 @@ import json
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
+from . import read_json
+
 CATALOG_VERSION = "1.0"
 
 
@@ -189,7 +191,7 @@ def load_catalog(path: str | Path) -> list[SmellDescriptor]:
     vectors, anchored to the built-in numbering where the canonical ids are
     present.
     """
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = read_json(path)
     if not isinstance(raw, list) or not raw:
         raise CatalogError("catalog must be a non-empty JSON list")
     parsed: list[dict] = []

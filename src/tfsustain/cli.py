@@ -12,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import __version__, read_json
 from .catalog import (
     CATALOG_VERSION,
     CATEGORY_ANCHORS,
@@ -84,12 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan_cmd.add_argument("root")
     _common_scan_flags(scan_cmd)
     scan_cmd.add_argument("--format", choices=FORMATS, default="text")
-    scan_cmd.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="accepted for pipeline compatibility; scanning is deterministic",
-    )
     scan_cmd.set_defaults(handler=_cmd_scan)
 
     cluster = sub.add_parser("cluster", help="cluster the smell catalog into categories")
@@ -159,13 +153,15 @@ def load_config(path: str | None) -> tuple[DetectorConfig, list[SmellDescriptor]
     """
     if path is None:
         return DetectorConfig(), builtin_catalog()
-    text = Path(path).read_text(encoding="utf-8")
     try:
+        text = Path(path).read_text(encoding="utf-8")
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(
-            f"malformed config JSON: {err.msg}", err.lineno, err.colno
+            f"{path}: malformed config JSON: {err.msg}", err.lineno, err.colno
         ) from err
+    except (UnicodeDecodeError, RecursionError) as err:
+        raise ConfigError(f"{path}: {err}") from err
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     catalog_file = data.pop("catalog_file", None)
@@ -291,7 +287,7 @@ def _cmd_harvest(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    data = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+    data = read_json(args.manifest)
     if not isinstance(data, dict) or not all(
         isinstance(files, list) and all(isinstance(f, str) for f in files)
         for files in data.values()

@@ -4,7 +4,10 @@ Discovery goes through the code search endpoint (``/search/code``) so that
 repositories are selected by what their files contain, not by metadata.
 Every response the client consumes is plain JSON over HTTP, which keeps the
 whole module testable against a local stub server; no test needs live
-credentials.
+credentials. Requests go through the standard library's ``urllib.request``,
+so HTTPS trusts the system's certificate store. Path segments are
+percent-encoded, and the token is never sent on to where a redirect points
+(RFC 9110 §15.4).
 
 Wire format expected from the API:
 
@@ -38,10 +41,10 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import Callable, Mapping
+from urllib.parse import quote, urlencode
 
-if TYPE_CHECKING:
-    import requests
+from . import read_json
 
 DEFAULT_BASE_URL = "https://api.github.com"
 TOKEN_ENV_VAR = "TFSUSTAIN_GITHUB_TOKEN"
@@ -141,20 +144,12 @@ class CodeSearchClient:
         self,
         base_url: str = DEFAULT_BASE_URL,
         token: str | None = None,
-        session: requests.Session | None = None,
         sleeper: Callable[[float], None] = time.sleep,
-        clock: Callable[[], float] = time.time,
         max_retries: int = 5,
     ) -> None:
-        # Imported here: every command imports this module, and only harvesting
-        # needs requests, which takes longer to import than the rest of the CLI.
-        import requests
-
         self.base_url = base_url.rstrip("/")
         self.token = token
-        self.session = session or requests.Session()
         self.sleeper = sleeper
-        self.clock = clock
         self.max_retries = max_retries
         self.requests_made = 0
 
@@ -162,34 +157,51 @@ class CodeSearchClient:
 
     def _get(self, path: str, params: dict | None = None, shape: dict | None = None) -> dict:
         """The JSON object at ``path``, whose ``shape`` fields have those types."""
-        import requests
+        # Imported here, not at the top: every command imports this module, only
+        # harvesting needs HTTP, and these modules add about a quarter to the CLI's
+        # import time.
+        import http.client
+        import urllib.error
+        import urllib.request
 
-        headers = {"Accept": "application/vnd.github+json"}
+        url = self.base_url + quote(path, safe="/")
+        if params:
+            url += "?" + urlencode(params)
+        request = urllib.request.Request(url, headers={"Accept": "application/vnd.github+json"})
         if self.token:
-            headers["Authorization"] = f"Bearer {self.token}"
-        url = f"{self.base_url}{path}"
+            # Never sent on to where a redirect points, which may be another origin.
+            request.add_unredirected_header("Authorization", f"Bearer {self.token}")
         attempts = 0
         while True:
             attempts += 1
             try:
-                resp = self.session.get(url, params=params, headers=headers, timeout=30)
-            except requests.RequestException as err:
+                with urllib.request.urlopen(request, timeout=30) as resp:
+                    status, headers, body = resp.status, resp.headers, resp.read()
+            # An HTTPError is the response to a 4xx, 5xx or unfollowed 3xx; it is an
+            # OSError too, so it is caught first.
+            except urllib.error.HTTPError as err:
+                err.close()
+                status, headers = err.code, err.headers
+            except (OSError, http.client.HTTPException) as err:
                 if attempts > self.max_retries:
                     raise NetworkError(f"request to {path} kept failing: {err}") from err
                 self.sleeper(min(2.0 ** attempts, 30.0))
                 continue
             self.requests_made += 1
-            if resp.status_code == 200:
-                data = resp.json()
+            if status == 200:
+                try:
+                    data = json.loads(body)
+                except (ValueError, RecursionError) as err:
+                    raise HarvestError(f"{path} returned a body that is not JSON: {err}") from err
                 if not _has_shape(data, shape or {}):
                     raise HarvestError(f"{path} returned JSON of an unexpected shape")
                 return data
-            if resp.status_code == 401:
+            if status == 401:
                 raise AuthError("credentials rejected (401)")
-            if resp.status_code == 404:
+            if status == 404:
                 raise RepoGoneError(f"{path} returned 404")
-            if resp.status_code in (403, 429):
-                wait = self._backoff_seconds(resp)
+            if status in (403, 429):
+                wait = _backoff_seconds(headers)
                 if wait is None:
                     raise AuthError(f"{path} forbidden (403) without rate headers")
                 if attempts > self.max_retries:
@@ -198,28 +210,12 @@ class CodeSearchClient:
                     )
                 self.sleeper(wait)
                 continue
-            if resp.status_code >= 500:
+            if status >= 500:
                 if attempts > self.max_retries:
-                    raise NetworkError(f"{path} kept failing ({resp.status_code})")
+                    raise NetworkError(f"{path} kept failing ({status})")
                 self.sleeper(min(2.0 ** attempts, 30.0))
                 continue
-            raise NetworkError(f"{path} returned unexpected {resp.status_code}")
-
-    def _backoff_seconds(self, resp: requests.Response) -> float | None:
-        retry_after = resp.headers.get("Retry-After")
-        if retry_after is not None:
-            try:
-                return max(0.0, float(retry_after))
-            except ValueError:
-                return None
-        if resp.headers.get("X-RateLimit-Remaining") == "0":
-            reset = resp.headers.get("X-RateLimit-Reset")
-            if reset is not None:
-                try:
-                    return max(0.0, float(reset) - self.clock()) + 1.0
-                except ValueError:
-                    return None
-        return None
+            raise NetworkError(f"{path} returned unexpected {status}")
 
     # -- operations ----------------------------------------------------
 
@@ -331,15 +327,17 @@ class HarvestManifest:
             self._load()
 
     def _load(self) -> None:
-        with self.path.open(encoding="utf-8") as fh:
+        # Binary, so that a line that is not UTF-8 is named like any other bad line.
+        with self.path.open("rb") as fh:
             for number, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
                 try:
-                    self._load_line(json.loads(line))
+                    self._load_line(json.loads(line.decode("utf-8")))
                 except KeyError as err:
                     raise HarvestError(f"{self.path} line {number}: missing key {err}") from err
-                except (HarvestError, TypeError, ValueError) as err:
+                # RecursionError: JSON nested deeper than the interpreter's recursion limit.
+                except (HarvestError, TypeError, ValueError, RecursionError) as err:
                     raise HarvestError(f"{self.path} line {number}: {err}") from err
 
     def _load_line(self, data: object) -> None:
@@ -467,7 +465,7 @@ def harvest_provider(
 
 def criteria_from_file(path: str | Path) -> FilterCriteria:
     """Criteria from a JSON file holding one object; see :func:`_checked_criteria`."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = read_json(path)
     if not isinstance(data, dict):
         raise HarvestError(
             f"criteria file must hold a JSON object, not {type(data).__name__}"
@@ -495,6 +493,24 @@ _REPO_SHAPE = {
     "full_name": str, "stargazers_count": int, "size": int, "fork": bool, "private": bool
 }
 _TREE_ENTRY_SHAPE = {"path": str, "sha": str, "type": str}
+
+
+def _backoff_seconds(headers: Mapping[str, str]) -> float | None:
+    """Seconds to wait before retrying a 403/429, or None without rate headers."""
+    retry_after = headers.get("Retry-After")
+    if retry_after is not None:
+        try:
+            return max(0.0, float(retry_after))
+        except ValueError:
+            return None
+    if headers.get("X-RateLimit-Remaining") == "0":
+        reset = headers.get("X-RateLimit-Reset")
+        if reset is not None:
+            try:
+                return max(0.0, float(reset) - time.time()) + 1.0
+            except ValueError:
+                return None
+    return None
 
 
 def _has_shape(data: object, shape: dict[str, type]) -> bool:

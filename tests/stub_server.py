@@ -2,7 +2,8 @@
 
 Routes are configured per test: a path maps to a list of scripted responses
 consumed in order (the last one repeats), so sequences like "403 with rate
-headers, then 200" are easy to express. Every request is logged.
+headers, then 200" are easy to express. A route is the percent-decoded path,
+as the API decodes it. Every request is logged, with its headers.
 """
 
 from __future__ import annotations
@@ -11,10 +12,16 @@ import base64
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import parse_qs, unquote, urlparse
 
 
 class Scripted:
+    """One response.
+
+    A ``bytes`` body is sent as it is, any other body as JSON. A
+    ``Content-Length`` among the headers replaces the body's own length.
+    """
+
     def __init__(self, status: int, body: object = None, headers: dict | None = None):
         self.status = status
         self.body = body if body is not None else {}
@@ -25,22 +32,28 @@ class StubApi:
     def __init__(self) -> None:
         self.routes: dict[str, list[Scripted]] = {}
         self.requests: list[tuple[str, dict]] = []
+        self.request_headers: list[dict[str, str]] = []
         self._lock = threading.Lock()
         stub = self
 
         class Handler(BaseHTTPRequestHandler):
             def do_GET(self) -> None:  # noqa: N802 (http.server API)
                 parsed = urlparse(self.path)
+                path = unquote(parsed.path)
                 params = {k: v[0] for k, v in parse_qs(parsed.query).items()}
                 with stub._lock:
-                    stub.requests.append((parsed.path, params))
-                    scripted = stub._lookup(parsed.path, params)
+                    stub.requests.append((path, params))
+                    stub.request_headers.append(dict(self.headers))
+                    scripted = stub._lookup(path, params)
                 self.send_response(scripted.status)
                 for name, value in scripted.headers.items():
                     self.send_header(name, value)
-                payload = json.dumps(scripted.body).encode("utf-8")
+                payload = scripted.body
+                if not isinstance(payload, bytes):
+                    payload = json.dumps(payload).encode("utf-8")
                 self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(payload)))
+                if "Content-Length" not in scripted.headers:
+                    self.send_header("Content-Length", str(len(payload)))
                 self.end_headers()
                 self.wfile.write(payload)
 
@@ -48,7 +61,10 @@ class StubApi:
                 pass
 
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        # A short poll interval: shutdown() waits for the next poll.
+        self.thread = threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
 
     def _lookup(self, path: str, params: dict) -> Scripted:
         key = path

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,13 +39,15 @@ def test_catalog_json_round_trips_through_loader(tmp_path, capsys):
 
 
 def test_cli_import_and_scan_do_not_import_requests():
-    # Only harvesting talks HTTP; the import of requests would slow every command.
+    # Only harvesting talks HTTP, and importing an HTTP stack would slow every command;
+    # urllib.request and requests both load http.client.
     code = (
         "import sys\n"
         "import tfsustain.cli\n"
-        "assert 'requests' not in sys.modules\n"
+        "http = {'requests', 'http.client'}\n"
+        "assert not http & set(sys.modules)\n"
         "assert tfsustain.cli.run(['scan', sys.argv[1], '--format', 'json']) in (0, 1)\n"
-        "print('requests' in sys.modules, file=sys.stderr)\n"
+        "print(sorted(http & set(sys.modules)), file=sys.stderr)\n"
     )
     src = str(Path(tfsustain.cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -52,7 +55,7 @@ def test_cli_import_and_scan_do_not_import_requests():
         [sys.executable, "-c", code, str(FIXTURES)],
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
-    assert done.stderr.strip() == "False"
+    assert done.stderr.strip() == "[]"
 
 
 def test_lint_clean_directory_exits_zero(capsys):
@@ -449,6 +452,7 @@ def test_harvest_rejects_a_malformed_manifest(tmp_path, capsys, lines, message):
 # Nested past the interpreter's recursion limit, which json.loads turns into
 # RecursionError.
 _DEEP_JSON = "[" * 100_000 + "]" * 100_000
+_NOT_UTF8 = b"\xff{}"
 
 
 def _builtin_catalog_with(**ss1_fields) -> str:
@@ -518,41 +522,88 @@ _HARVEST = ["harvest", "--provider", "aws", "--dest", "{out}", "--dry-run"]
         pytest.param(
             {"manifest.json": _DEEP_JSON},
             ["sample", "{manifest.json}", "--seed", "1"],
-            "maximum recursion depth exceeded",
+            "{manifest.json}: maximum recursion depth exceeded",
             id="sample-deep",
         ),
         pytest.param(
             {"config.json": _DEEP_JSON},
             ["scan", _CLEAN, "--config", "{config.json}"],
-            "maximum recursion depth exceeded",
+            "{config.json}: maximum recursion depth exceeded",
             id="config-deep",
         ),
         pytest.param(
             {"config.json": _WITH_CATALOG, "catalog.json": _DEEP_JSON},
             ["catalog", "--config", "{config.json}"],
-            "maximum recursion depth exceeded",
+            "{catalog.json}: maximum recursion depth exceeded",
             id="catalog-deep",
         ),
         pytest.param(
             {"criteria.json": _DEEP_JSON},
             [*_HARVEST, "--criteria", "{criteria.json}"],
-            "maximum recursion depth exceeded",
+            "{criteria.json}: maximum recursion depth exceeded",
             id="criteria-deep",
         ),
         pytest.param(
             {"manifest.jsonl": _DEEP_JSON + "\n"},
             [*_HARVEST, "--manifest", "{manifest.jsonl}"],
-            "maximum recursion depth exceeded",
+            "{manifest.jsonl} line 1: maximum recursion depth exceeded",
             id="harvest-manifest-deep",
+        ),
+        pytest.param(
+            {"manifest.json": _NOT_UTF8},
+            ["sample", "{manifest.json}", "--seed", "1"],
+            "{manifest.json}: 'utf-8' codec can't decode byte 0xff in position 0",
+            id="sample-not-utf8",
+        ),
+        pytest.param(
+            {"config.json": _NOT_UTF8},
+            ["scan", _CLEAN, "--config", "{config.json}"],
+            "{config.json}: 'utf-8' codec can't decode byte 0xff in position 0",
+            id="config-not-utf8",
+        ),
+        pytest.param(
+            {"config.json": _WITH_CATALOG, "catalog.json": _NOT_UTF8},
+            ["catalog", "--config", "{config.json}"],
+            "{catalog.json}: 'utf-8' codec can't decode byte 0xff in position 0",
+            id="catalog-not-utf8",
+        ),
+        pytest.param(
+            {"criteria.json": _NOT_UTF8},
+            [*_HARVEST, "--criteria", "{criteria.json}"],
+            "{criteria.json}: 'utf-8' codec can't decode byte 0xff in position 0",
+            id="criteria-not-utf8",
+        ),
+        pytest.param(
+            {"manifest.jsonl": b'{"kind": "criteria"}\n' + _NOT_UTF8},
+            [*_HARVEST, "--manifest", "{manifest.jsonl}"],
+            "{manifest.jsonl} line 2: 'utf-8' codec can't decode byte 0xff in position 0",
+            id="harvest-manifest-not-utf8",
+        ),
+        pytest.param(
+            {"config.json": '{"ss2_fixed_count_min": }'},
+            ["scan", _CLEAN, "--config", "{config.json}"],
+            "{config.json}: malformed config JSON: Expecting value (line 1, column 25)",
+            id="config-not-json",
+        ),
+        pytest.param(
+            {"manifest.json": "{"},
+            ["sample", "{manifest.json}", "--seed", "1"],
+            "{manifest.json}: Expecting property name enclosed in double quotes",
+            id="sample-not-json",
         ),
     ],
 )
 def test_malformed_input_file_exits_two_with_an_error_line(
     tmp_path, capsys, files, argv, message
 ):
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
+    for name, content in files.items():
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            (tmp_path / name).write_text(content)
     argv = [str(tmp_path / arg[1:-1]) if arg.startswith("{") else arg for arg in argv]
+    # "{name}" in the message is the path of that file.
+    message = re.sub(r"\{([^}]+)\}", lambda m: str(tmp_path / m.group(1)), message)
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and message in captured.err

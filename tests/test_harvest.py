@@ -13,6 +13,7 @@ from tfsustain.harvest import (
     HarvestManifest,
     NetworkError,
     RateLimitError,
+    RepoGoneError,
     RepoRecord,
     apply_filters,
     criteria_from_file,
@@ -425,3 +426,81 @@ def test_a_response_of_another_shape_is_a_harvest_error(tmp_path, route, body):
             for repo in client.search_repos("aws", "q"):
                 client.fetch_tf_files(repo, tmp_path / "dest")
     assert not (tmp_path / "dest").exists()
+
+
+@pytest.mark.parametrize(
+    "body", [b"not json", b"\xff", b"[" * 100_000 + b"]" * 100_000], ids=["text", "not-utf8", "deep"]
+)
+def test_a_response_that_is_not_json_is_a_harvest_error_naming_its_path(tmp_path, body):
+    with StubApi() as stub:
+        stub.add_repo_tree("org/repo", {"ok.tf": b"# ok\n"})
+        stub.route("/repos/org/repo/contents/ok.tf", Scripted(200, body))
+        with pytest.raises(HarvestError, match="^/repos/org/repo/contents/ok.tf returned a body"):
+            make_client(stub).fetch_tf_files(record(), tmp_path / "dest")
+    assert not (tmp_path / "dest").exists()
+
+
+@pytest.mark.parametrize(
+    "response, error, message",
+    [
+        (Scripted(204, b""), NetworkError, "unexpected 204"),
+        (Scripted(304, b""), NetworkError, "unexpected 304"),
+        (Scripted(401), AuthError, "credentials rejected"),
+        (Scripted(403), AuthError, "without rate headers"),
+        (Scripted(429, headers={"Retry-After": "soon"}), AuthError, "without rate headers"),
+        (Scripted(404), RepoGoneError, "returned 404"),
+        (Scripted(503), NetworkError, r"kept failing \(503\)"),
+    ],
+)
+def test_each_status_is_its_typed_error(response, error, message):
+    with StubApi() as stub:
+        stub.route("/search/code", response)
+        client = make_client(stub, max_retries=1)
+        with pytest.raises(error, match=message):
+            client.search_repos("aws", "q")
+    assert client.requests_made == len(stub.requests)
+
+
+def test_retry_after_and_server_errors_are_retried_until_a_response_is_whole():
+    sleeps: list[float] = []
+    with StubApi() as stub:
+        stub.route(
+            "/search/code",
+            Scripted(429, headers={"Retry-After": "7"}),
+            Scripted(502),
+            # The body ends before its Content-Length: the read fails and is retried.
+            Scripted(200, b'{"total_count"', {"Content-Length": "100"}),
+            Scripted(200, {"total_count": 1, "items": [search_item("org/late")]}),
+        )
+        client = make_client(stub, sleeper=sleeps.append)
+        records = client.search_repos("aws", "q")
+    assert [r.full_name for r in records] == ["org/late"]
+    assert sleeps == [7.0, 4.0, 8.0]
+    assert len(stub.requests) == 4 and client.requests_made == 3
+
+
+def test_fetch_requests_each_tree_path_percent_encoded(tmp_path):
+    names = ["a b.tf", "q?x.tf", "h#x.tf", "p%41.tf", "ü.tf"]
+    files = {name: f"# {name}\n".encode() for name in names}
+    with StubApi() as stub:
+        stub.add_repo_tree("org/repo", files)
+        entries = make_client(stub).fetch_tf_files(record(), tmp_path / "dest")
+    assert sorted(e.path for e in entries) == sorted(names)
+    assert sorted(path for path, _ in stub.requests if "/contents/" in path) == sorted(
+        f"/repos/org/repo/contents/{name}" for name in names
+    )
+    for name in names:
+        assert (tmp_path / "dest" / "org" / "repo" / name).read_bytes() == files[name]
+
+
+def test_the_token_is_not_sent_on_to_where_a_redirect_points():
+    with StubApi() as origin, StubApi() as other:
+        other.add_search_pages([[search_item("org/moved")]])
+        moved = f"{other.base_url}/search/code?q=q&page=1"
+        origin.route("/search/code", Scripted(301, headers={"Location": moved}))
+        client = make_client(origin)
+        records = client.search_repos("aws", "q")
+    assert [r.full_name for r in records] == ["org/moved"]
+    assert client.requests_made == 1  # the response at the end of the redirect
+    assert origin.request_headers[0]["Authorization"] == "Bearer stub-token"
+    assert "Authorization" not in other.request_headers[0]
