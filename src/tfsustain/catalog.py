@@ -10,8 +10,8 @@ remediation applies:
 
 Two smells count as similar (score 1) exactly when all four attributes
 match; otherwise the score is 0. The resulting 7x7 binary similarity matrix
-drives the category clustering, whose cut at 0.5 is exactly the grouping of
-equal vectors that :func:`assign_categories` labels.
+drives the category dendrogram, whose distance-0 merges join exactly the
+groups of equal vectors that :func:`assign_categories` labels.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import astuple, dataclass
+from itertools import combinations
 from pathlib import Path
 
 from . import read_json
@@ -60,18 +61,6 @@ class SmellDescriptor:
 @dataclass(frozen=True)
 class SimilarityMatrix:
     entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.entries)
-        for row in self.entries:
-            if len(row) != n:
-                raise ValueError("similarity matrix must be square")
-        for i in range(n):
-            if self.entries[i][i] != 1:
-                raise ValueError("similarity matrix diagonal must be 1")
-            for j in range(n):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise ValueError("similarity matrix must be symmetric")
 
 
 _CATALOG: tuple[SmellDescriptor, ...] = (
@@ -172,6 +161,33 @@ def similarity_matrix(descriptors: list[SmellDescriptor]) -> SimilarityMatrix:
     )
 
 
+def dendrogram(descriptors: list[SmellDescriptor]) -> dict:
+    """The merge tree that ``tfsustain cluster --format json`` writes.
+
+    Leaves are nodes 0..n-1 and merge k creates node n+k. Each step merges
+    the closest pair of clusters; a tie goes to the pair whose leaves hold
+    the smallest index, then the smallest largest index, then the smaller
+    sorted leaf tuple. Similarity is an equivalence relation, so every
+    distance-0 merge joins one group of equal vectors and precedes every
+    distance-1 merge, after which all cross distances are 1. Single,
+    complete and average linkage therefore build this same tree, and the
+    distance of two clusters is that of their first leaves.
+    """
+    sim = similarity_matrix(descriptors).entries
+    active = {i: (i,) for i in range(len(descriptors))}  # node -> sorted leaf indices
+    merges = []
+    while len(active) > 1:
+        distance, *_, union, a, b = min(
+            (1.0 - sim[active[a][0]][active[b][0]], union[0], union[-1], union, a, b)
+            for a, b in combinations(sorted(active), 2)
+            for union in [tuple(sorted(active[a] + active[b]))]
+        )
+        merges.append({"a": a, "b": b, "distance": distance})
+        del active[a], active[b]
+        active[len(descriptors) + len(merges) - 1] = union
+    return {"leaves": [str(d.id) for d in descriptors], "merges": merges}
+
+
 # ---------------------------------------------------------------------------
 # External catalog files
 # ---------------------------------------------------------------------------
@@ -193,25 +209,25 @@ def load_catalog(path: str | Path) -> list[SmellDescriptor]:
     """
     raw = read_json(path)
     if not isinstance(raw, list) or not raw:
-        raise CatalogError("catalog must be a non-empty JSON list")
+        raise CatalogError(f"{path}: catalog must be a non-empty JSON list")
     parsed: list[dict] = []
     seen_ids: set[str] = set()
     for idx, entry in enumerate(raw):
         if not isinstance(entry, dict):
-            raise CatalogError(f"catalog entry {idx} is not an object")
+            raise CatalogError(f"{path}: catalog entry {idx} is not an object")
         missing = {"id", "name", "attributes", "summary", "remediation"} - set(entry)
         if missing:
             raise CatalogError(
-                f"catalog entry {idx} missing field(s): {', '.join(sorted(missing))}"
+                f"{path}: catalog entry {idx} missing field(s): {', '.join(sorted(missing))}"
             )
         unknown = set(entry) - {"id", "name", "attributes", "summary", "remediation"}
         if unknown:
             raise CatalogError(
-                f"catalog entry {idx} has unknown field(s): {', '.join(sorted(unknown))}"
+                f"{path}: catalog entry {idx} has unknown field(s): {', '.join(sorted(unknown))}"
             )
         for key in ("id", "name", "summary", "remediation"):
             if not isinstance(entry[key], str):
-                raise CatalogError(f"catalog entry {idx}: {key} must be a string")
+                raise CatalogError(f"{path}: catalog entry {idx}: {key} must be a string")
         attrs = entry["attributes"]
         if not (
             isinstance(attrs, list)
@@ -219,10 +235,10 @@ def load_catalog(path: str | Path) -> list[SmellDescriptor]:
             and all(isinstance(v, bool) for v in attrs)
         ):
             raise CatalogError(
-                f"catalog entry {entry['id']!r}: attributes must be 4 booleans"
+                f"{path}: catalog entry {entry['id']!r}: attributes must be 4 booleans"
             )
         if entry["id"] in seen_ids:
-            raise CatalogError(f"duplicate smell id {entry['id']!r}")
+            raise CatalogError(f"{path}: duplicate smell id {entry['id']!r}")
         seen_ids.add(entry["id"])
         parsed.append(entry)
 

@@ -20,11 +20,10 @@ from .catalog import (
     SmellDescriptor,
     SmellId,
     catalog as builtin_catalog,
+    dendrogram,
     dump_catalog,
     load_catalog,
-    similarity_matrix,
 )
-from .clustering import LINKAGES, agglomerate, dendrogram_to_json_dict, distance_matrix
 from .detectors import ENGINES, ConfigError, DetectorConfig, config_from_dict
 from .harvest import (
     TOKEN_ENV_VAR,
@@ -87,13 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan_cmd.set_defaults(handler=_cmd_scan)
 
     cluster = sub.add_parser("cluster", help="cluster the smell catalog into categories")
-    cluster.add_argument(
-        "--linkage",
-        choices=LINKAGES,
-        default="average",
-        help="linkage of the dendrogram that --format json writes; the categories "
-        "come from the catalog whatever the linkage",
-    )
     cluster.add_argument("--format", choices=("text", "json"), default="text")
     cluster.add_argument("--config", default=None)
     cluster.add_argument("--output", default=None)
@@ -163,13 +155,16 @@ def load_config(path: str | None) -> tuple[DetectorConfig, list[SmellDescriptor]
     except (UnicodeDecodeError, RecursionError) as err:
         raise ConfigError(f"{path}: {err}") from err
     if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ConfigError(f"{path}: config must be a JSON object")
     catalog_file = data.pop("catalog_file", None)
-    cfg = config_from_dict(data, source_text=text)
+    try:
+        cfg = config_from_dict(data, source_text=text)
+    except ConfigError as err:
+        raise ConfigError(f"{path}: {err}", err.line, err.col) from None
     if catalog_file is None:
         return cfg, builtin_catalog()
     if not isinstance(catalog_file, str):
-        raise ConfigError("catalog_file must be a string")
+        raise ConfigError(f"{path}: catalog_file must be a string")
     catalog_path = Path(catalog_file)
     if not catalog_path.is_absolute():
         catalog_path = Path(path).parent / catalog_path
@@ -223,11 +218,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         members.setdefault(d.category, []).append(str(d.id))
     categories = {label: sorted(members[label]) for label in sorted(members)}
     if args.format == "json":
-        sim = similarity_matrix(descriptors)
-        dend = agglomerate(
-            distance_matrix(sim), args.linkage, leaves=[d.id for d in descriptors]
-        )
-        doc = dendrogram_to_json_dict(dend)
+        doc = dendrogram(descriptors)
         doc["categories"] = {str(label): ids for label, ids in categories.items()}
         _write_output((json.dumps(doc, indent=2) + "\n").encode("utf-8"), args.output)
         return 0
@@ -292,7 +283,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         isinstance(files, list) and all(isinstance(f, str) for f in files)
         for files in data.values()
     ):
-        raise ValueError("sample manifest must map repositories to lists of file names")
+        raise ValueError(
+            f"{args.manifest}: sample manifest must map repositories to lists of file names"
+        )
     sample = sample_stratified(data, args.seed)
     _write_output((sample.to_json() + "\n").encode("utf-8"), args.output)
     return 0

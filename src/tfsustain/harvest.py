@@ -203,7 +203,7 @@ class CodeSearchClient:
             if status in (403, 429):
                 wait = _backoff_seconds(headers)
                 if wait is None:
-                    raise AuthError(f"{path} forbidden (403) without rate headers")
+                    raise AuthError(f"{path} refused ({status}) without rate headers")
                 if attempts > self.max_retries:
                     raise RateLimitError(
                         f"rate budget exhausted after {self.max_retries} retries"
@@ -468,9 +468,12 @@ def criteria_from_file(path: str | Path) -> FilterCriteria:
     data = read_json(path)
     if not isinstance(data, dict):
         raise HarvestError(
-            f"criteria file must hold a JSON object, not {type(data).__name__}"
+            f"{path}: criteria file must hold a JSON object, not {type(data).__name__}"
         )
-    return _checked_criteria(data)
+    try:
+        return _checked_criteria(data)
+    except HarvestError as err:
+        raise HarvestError(f"{path}: {err}") from None
 
 
 def _checked_criteria(data: dict) -> FilterCriteria:
@@ -496,13 +499,27 @@ _TREE_ENTRY_SHAPE = {"path": str, "sha": str, "type": str}
 
 
 def _backoff_seconds(headers: Mapping[str, str]) -> float | None:
-    """Seconds to wait before retrying a 403/429, or None without rate headers."""
+    """Seconds to wait before retrying a 403/429, or None without rate headers.
+
+    ``Retry-After`` is a number of seconds or an HTTP-date (RFC 9110
+    §10.2.3); a date in the past waits 0 s.
+    """
     retry_after = headers.get("Retry-After")
     if retry_after is not None:
         try:
             return max(0.0, float(retry_after))
         except ValueError:
+            pass
+        # Imported here: email.utils adds a tenth to the CLI's import time.
+        from email.utils import parsedate_to_datetime
+
+        try:
+            when = parsedate_to_datetime(retry_after)
+        except ValueError:
             return None
+        if when.tzinfo is None:  # an HTTP-date is UTC even where it names no zone
+            when = when.replace(tzinfo=timezone.utc)
+        return max(0.0, when.timestamp() - time.time())
     if headers.get("X-RateLimit-Remaining") == "0":
         reset = headers.get("X-RateLimit-Reset")
         if reset is not None:

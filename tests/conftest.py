@@ -2,12 +2,12 @@ from __future__ import annotations
 
 import os
 import sys
+from itertools import combinations
 from pathlib import Path, PurePosixPath
 
 import pytest
 
-from tfsustain.catalog import SmellDescriptor, similarity_matrix
-from tfsustain.clustering import ClusterAssignment, agglomerate, cut, distance_matrix
+from tfsustain.catalog import SmellDescriptor, dendrogram, similarity_matrix
 from tfsustain.hcl import Attribute, Block, ConfigFile, SourceSpan
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -90,17 +90,51 @@ def span_text(text: str, span: SourceSpan) -> str:
     return text[start : _offset(text, span.end_line, span.end_col)]
 
 
-def partition(assignment: ClusterAssignment) -> frozenset[frozenset]:
-    """The clusters of ``assignment`` as member sets, whatever their labels."""
-    labels = set(assignment.mapping.values())
-    return frozenset(frozenset(assignment.members(label)) for label in labels)
+def zero_merge_groups(descriptors: list[SmellDescriptor]) -> frozenset[frozenset]:
+    """The smell ids that the catalog dendrogram's leading distance-0 merges join."""
+    members = [{d.id} for d in descriptors]  # smell ids per node
+    for merge in dendrogram(descriptors)["merges"]:
+        if merge["distance"] != 0.0:
+            break
+        members.append(members[merge["a"]] | members[merge["b"]])
+        members[merge["a"]] = members[merge["b"]] = set()
+    return frozenset(frozenset(ids) for ids in members if ids)
 
 
-def half_cut(descriptors: list[SmellDescriptor], linkage: str) -> ClusterAssignment:
-    """The catalog clustered under ``linkage`` and cut at 0.5."""
-    sim = similarity_matrix(descriptors)
-    dend = agglomerate(distance_matrix(sim), linkage, leaves=[d.id for d in descriptors])
-    return cut(dend, 0.5)
+REFERENCE_LINKAGES = ("single", "complete", "average")
+
+
+def reference_dendrogram(descriptors: list[SmellDescriptor], linkage: str) -> dict:
+    """The JSON dendrogram of the general three-linkage clusterer that
+    ``catalog.dendrogram`` replaced, kept as its oracle.
+
+    Bottom-up over the distances 1 - similarity: each step merges the pair of
+    clusters with the smallest (linkage distance, smallest leaf, largest leaf,
+    sorted leaf tuple), the distance being the minimum (single), maximum
+    (complete) or mean (average) over every cross pair of leaves.
+    """
+    sim = similarity_matrix(descriptors).entries
+    n = len(descriptors)
+    active = {i: (i,) for i in range(n)}  # node -> sorted leaf indices
+    merges: list[dict] = []
+    while len(active) > 1:
+        best_key = best_pair = None
+        for a, b in combinations(sorted(active), 2):
+            cross = [1 - sim[i][j] for i in active[a] for j in active[b]]
+            if linkage == "single":
+                d = float(min(cross))
+            elif linkage == "complete":
+                d = float(max(cross))
+            else:
+                d = sum(cross) / len(cross)
+            union = tuple(sorted(active[a] + active[b]))
+            key = (d, union[0], union[-1], union)
+            if best_key is None or key < best_key:
+                best_key, best_pair = key, (a, b)
+        a, b = best_pair
+        merges.append({"a": a, "b": b, "distance": best_key[0]})
+        active[n + len(merges) - 1] = tuple(sorted(active.pop(a) + active.pop(b)))
+    return {"leaves": [str(d.id) for d in descriptors], "merges": merges}
 
 
 def category_partition(descriptors: list[SmellDescriptor]) -> frozenset[frozenset]:

@@ -20,7 +20,7 @@ from tfsustain.catalog import (
     similarity_matrix,
 )
 
-from conftest import category_partition, half_cut, partition
+from conftest import category_partition, zero_merge_groups
 
 # 7x7 binary similarity between the smells, frozen from the published matrix.
 PUBLISHED_MATRIX = (
@@ -142,16 +142,13 @@ def loaded_catalogs(draw) -> list[SmellDescriptor]:
 @example(catalog())
 @settings(max_examples=200, deadline=None)
 def test_catalog_categories_agree_with_clustering(descriptors):
-    # cross-module consistency: the stored categories, built-in or grouped by
-    # equal vectors on load, are exactly the clusters the clustering module
-    # cuts at 0.5, under every linkage, and carry the labels the grouping gives
-    from tfsustain.clustering import LINKAGES
-
+    # the stored categories, built-in or grouped by equal vectors on load, are
+    # exactly the clusters the dendrogram's distance-0 merges join, and carry
+    # the labels the grouping gives
     ids = [d.id for d in descriptors]
     vectors = [d.attributes for d in descriptors]
     assert [d.category for d in descriptors] == assign_categories(ids, vectors)
-    for linkage in LINKAGES:
-        assert partition(half_cut(descriptors, linkage)) == category_partition(descriptors), linkage
+    assert zero_merge_groups(descriptors) == category_partition(descriptors)
 
 
 def test_dump_load_round_trip(tmp_path):

@@ -16,7 +16,7 @@ import tfsustain.cli
 from tfsustain.cli import load_config, run
 from tfsustain.detectors import ConfigError, DetectorConfig
 
-from conftest import FIXTURES
+from conftest import FIXTURES, reference_dendrogram
 from stub_server import Scripted, StubApi, search_item
 from synth import build_corpus
 
@@ -137,7 +137,7 @@ def test_cluster_text_output(capsys):
 
 
 def test_cluster_json_output(capsys):
-    assert run(["cluster", "--format", "json", "--linkage", "complete"]) == 0
+    assert run(["cluster", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["leaves"] == ["SS1", "SS2", "SS3", "SS4", "SS5", "SS6", "SS7"]
     assert len(doc["merges"]) == 6
@@ -165,6 +165,9 @@ def _no_ss3_config(tmp_path) -> str:
     return str(config)
 
 
+# Each digest was recorded under the linkage in its row when `cluster` took
+# --linkage. The dendrogram has no linkage now: the flag exits 2, and the run
+# without it prints those bytes.
 @pytest.mark.parametrize(
     "custom, linkage, fmt, digest",
     [
@@ -180,9 +183,11 @@ def _no_ss3_config(tmp_path) -> str:
     ],
 )
 def test_cluster_output_digest(tmp_path, capsys, custom, linkage, fmt, digest):
-    argv = ["cluster", "--linkage", linkage, "--format", fmt]
+    argv = ["cluster", "--format", fmt]
     if custom:
         argv += ["--config", _no_ss3_config(tmp_path)]
+    assert run([*argv, "--linkage", linkage]) == 2
+    assert "unrecognized arguments: --linkage" in capsys.readouterr().err
     assert run(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
@@ -190,12 +195,17 @@ def test_cluster_output_digest(tmp_path, capsys, custom, linkage, fmt, digest):
 @pytest.mark.parametrize("custom", [False, True])
 @pytest.mark.parametrize("linkage", ["single", "complete", "average"])
 def test_cluster_json_distances_are_floats_under_every_linkage(tmp_path, capsys, custom, linkage):
-    argv = ["cluster", "--linkage", linkage, "--format", "json"]
+    # The JSON dendrogram is the one the retired clusterer built under each linkage.
+    argv, config = ["cluster", "--format", "json"], None
     if custom:
-        argv += ["--config", _no_ss3_config(tmp_path)]
+        config = _no_ss3_config(tmp_path)
+        argv += ["--config", config]
     assert run(argv) == 0
-    merges = json.loads(capsys.readouterr().out)["merges"]
+    doc = json.loads(capsys.readouterr().out)
+    merges = doc["merges"]
     assert merges and all(type(m["distance"]) is float for m in merges), merges
+    del doc["categories"]
+    assert doc == reference_dendrogram(load_config(config)[1], linkage)
 
 
 def test_cluster_names_a_category_by_its_anchor_smell(tmp_path, capsys):
@@ -293,7 +303,7 @@ def test_unknown_config_key_is_located_at_the_key_not_a_value(tmp_path, capsys):
     config.write_text('{\n  "ss2_compute_types": ["foo"],\n  "foo": 1\n}')
     assert run(["lint", str(FIXTURES / "clean"), "--config", str(config)]) == 2
     err = capsys.readouterr().err
-    assert err == "error: unknown config key 'foo' (line 3, column 3)\n"
+    assert err == f"error: {config}: unknown config key 'foo' (line 3, column 3)\n"
 
 
 def test_unknown_config_key_is_located_at_top_level_not_a_nested_key(tmp_path, capsys):
@@ -301,7 +311,7 @@ def test_unknown_config_key_is_located_at_top_level_not_a_nested_key(tmp_path, c
     config.write_text('{\n  "ss1_large_sizes": {"foo": ["x"]},\n  "foo": 1\n}\n')
     assert run(["lint", str(FIXTURES / "clean"), "--config", str(config)]) == 2
     err = capsys.readouterr().err
-    assert err == "error: unknown config key 'foo' (line 3, column 3)\n"
+    assert err == f"error: {config}: unknown config key 'foo' (line 3, column 3)\n"
 
 
 def test_load_config_malformed_json_reports_position(tmp_path, capsys):
@@ -423,7 +433,7 @@ def test_harvest_rejects_a_malformed_criteria_file(tmp_path, capsys, criteria, m
             "--criteria", str(path), "--dry-run"]
     assert run(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith(f"error: {path}: ") and message in err
 
 
 @pytest.mark.parametrize(
@@ -474,50 +484,87 @@ _HARVEST = ["harvest", "--provider", "aws", "--dest", "{out}", "--dry-run"]
         pytest.param(
             {"config.json": '{"catalog_file": 5}'},
             ["scan", _CLEAN, "--config", "{config.json}"],
-            "catalog_file must be a string",
+            "{config.json}: catalog_file must be a string",
             id="config-catalog_file-int",
         ),
         pytest.param(
             {"config.json": _WITH_CATALOG, "catalog.json": _builtin_catalog_with(id=[])},
             ["catalog", "--config", "{config.json}"],
-            "catalog entry 0: id must be a string",
+            "{catalog.json}: catalog entry 0: id must be a string",
             id="catalog-id-list",
         ),
         pytest.param(
             {"config.json": _WITH_CATALOG, "catalog.json": _builtin_catalog_with(name=5)},
             ["scan", _CLEAN, "--format", "sarif", "--config", "{config.json}"],
-            "catalog entry 0: name must be a string",
+            "{catalog.json}: catalog entry 0: name must be a string",
             id="catalog-name-int",
         ),
         pytest.param(
             {"config.json": _WITH_CATALOG, "catalog.json": _builtin_catalog_with(summary=["x"])},
             ["scan", _CLEAN, "--format", "sarif", "--config", "{config.json}"],
-            "catalog entry 0: summary must be a string",
+            "{catalog.json}: catalog entry 0: summary must be a string",
             id="catalog-summary-list",
         ),
         pytest.param(
             {"config.json": _WITH_CATALOG, "catalog.json": _builtin_catalog_with(remediation=5)},
             ["catalog", "--config", "{config.json}"],
-            "catalog entry 0: remediation must be a string",
+            "{catalog.json}: catalog entry 0: remediation must be a string",
             id="catalog-remediation-int",
         ),
         pytest.param(
             {"manifest.json": '{"repo": 5}'},
             ["sample", "{manifest.json}", "--seed", "1"],
-            "lists of file names",
+            "{manifest.json}: sample manifest must map repositories to lists of file names",
             id="sample-files-int",
         ),
         pytest.param(
             {"manifest.json": '{"repo": "abcdefgh"}'},
             ["sample", "{manifest.json}", "--seed", "1"],
-            "lists of file names",
+            "{manifest.json}: sample manifest must map repositories to lists of file names",
             id="sample-files-string",
         ),
         pytest.param(
             {"manifest.json": '{"r": [1, 2, 3, 4, 5]}'},
             ["sample", "{manifest.json}", "--seed", "1"],
-            "lists of file names",
+            "{manifest.json}: sample manifest must map repositories to lists of file names",
             id="sample-file-names-int",
+        ),
+        pytest.param(
+            {"config.json": "[]"},
+            ["scan", _CLEAN, "--config", "{config.json}"],
+            "{config.json}: config must be a JSON object",
+            id="config-list",
+        ),
+        pytest.param(
+            {"config.json": '{"ss2_fixed_count_min": "x"}'},
+            ["scan", _CLEAN, "--config", "{config.json}"],
+            "{config.json}: ss2_fixed_count_min must be an integer",
+            id="config-count-string",
+        ),
+        # A lone surrogate is valid JSON but no UTF-8 output can carry it.
+        pytest.param(
+            {"config.json": _WITH_CATALOG, "catalog.json": _builtin_catalog_with(name="\ud800")},
+            ["catalog", "--config", "{config.json}"],
+            "{catalog.json}: a string holds the lone surrogate \\ud800",
+            id="catalog-name-surrogate",
+        ),
+        pytest.param(
+            {"config.json": _WITH_CATALOG, "catalog.json": _builtin_catalog_with(summary="x\udfff")},
+            ["scan", _CLEAN, "--format", "sarif", "--config", "{config.json}"],
+            "{catalog.json}: a string holds the lone surrogate \\udfff",
+            id="catalog-summary-surrogate",
+        ),
+        pytest.param(
+            {"manifest.json": json.dumps({"\ud800": ["a.tf"]})},
+            ["sample", "{manifest.json}", "--seed", "1"],
+            "{manifest.json}: a string holds the lone surrogate \\ud800",
+            id="sample-repo-surrogate",
+        ),
+        pytest.param(
+            {"manifest.json": json.dumps({"o/r": ["a.tf", "\udc80.tf"]})},
+            ["sample", "{manifest.json}", "--seed", "1"],
+            "{manifest.json}: a string holds the lone surrogate \\udc80",
+            id="sample-file-surrogate",
         ),
         pytest.param(
             {"manifest.json": _DEEP_JSON},

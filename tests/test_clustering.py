@@ -1,8 +1,8 @@
 from __future__ import annotations
 
-from itertools import permutations
+import json
+from itertools import permutations, product
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,17 +12,16 @@ from tfsustain.catalog import (
     SmellId,
     assign_categories,
     catalog,
+    dendrogram,
     similarity_matrix,
 )
-from tfsustain.clustering import (
-    LINKAGES,
-    agglomerate,
-    cut,
-    dendrogram_to_json_dict,
-    distance_matrix,
-)
 
-from conftest import category_partition, half_cut, partition
+from conftest import (
+    REFERENCE_LINKAGES,
+    category_partition,
+    reference_dendrogram,
+    zero_merge_groups,
+)
 
 PUBLISHED_CATEGORIES = {
     SmellId.SS1: 2,
@@ -44,54 +43,47 @@ def loaded(ids: list, vectors: list[AttributeVector]) -> list[SmellDescriptor]:
     ]
 
 
-def canonical_distances():
-    return distance_matrix(similarity_matrix(catalog()))
+def as_json(doc: dict) -> str:
+    """``doc`` as ``cluster --format json`` writes it, so 0 and 0.0 differ."""
+    return json.dumps(doc, indent=2)
+
+
+def assert_every_linkage_builds_it(descriptors: list[SmellDescriptor]) -> None:
+    for linkage in REFERENCE_LINKAGES:
+        expected = as_json(reference_dendrogram(descriptors, linkage))
+        assert as_json(dendrogram(descriptors)) == expected, linkage
 
 
 def test_distance_is_one_minus_similarity():
-    d = canonical_distances()
-    assert d[0][1] == 0  # SS1 vs SS2
-    for i in range(7):
-        assert d[i][i] == 0
-    for j in range(7):
-        if j != 4:
-            assert d[4][j] == 1  # SS5 row
+    # Each merge sits at 1 - s of the first leaves of the two clusters it joins.
+    cat = catalog()
+    sim = similarity_matrix(cat).entries
+    first = list(range(len(cat)))  # smallest leaf index per node
+    for merge in dendrogram(cat)["merges"]:
+        a, b = first[merge["a"]], first[merge["b"]]
+        assert merge["distance"] == 1 - sim[a][b]
+        first.append(min(a, b))
 
 
 def test_agglomerate_single_leaf():
-    dend = agglomerate([[0.0]])
-    assert len(dend.leaves) == 1 and dend.merges == ()
+    assert dendrogram(catalog()[:1]) == {"leaves": ["SS1"], "merges": []}
 
 
 def test_agglomerate_merge_distances_on_canonical_input():
-    # brute-force expectation: three groups of equal vectors merge at 0
-    # ({SS1,SS2} needs 1 merge, {SS3,SS4,SS6,SS7} needs 3), the remaining
-    # two cross-group merges happen at distance 1.
-    for linkage in LINKAGES:
-        dend = agglomerate(canonical_distances(), linkage)
-        assert [m.distance for m in dend.merges] == [0, 0, 0, 0, 1, 1]
+    # three groups of equal vectors merge at 0 ({SS1,SS2} needs 1 merge,
+    # {SS3,SS4,SS6,SS7} needs 3); the two cross-group merges happen at 1.
+    merges = dendrogram(catalog())["merges"]
+    assert [m["distance"] for m in merges] == [0.0, 0.0, 0.0, 0.0, 1.0, 1.0]
 
 
 def test_agglomerate_all_distinct_merges_at_one():
-    n = 7
-    d = [[0 if i == j else 1 for j in range(n)] for i in range(n)]
-    dend = agglomerate(d)
-    assert all(m.distance == 1 for m in dend.merges)
-
-
-def test_agglomerate_rejects_bad_input():
-    with pytest.raises(ValueError):
-        agglomerate([[0, 1]])
-    with pytest.raises(ValueError):
-        agglomerate([[0, 1], [0.5, 0]])
-    with pytest.raises(ValueError):
-        agglomerate(canonical_distances(), linkage="ward")
+    vectors = [AttributeVector(*bits) for bits in product([False, True], repeat=4)][:7]
+    merges = dendrogram(loaded([f"X{i}" for i in range(7)], vectors))["merges"]
+    assert len(merges) == 6 and all(m["distance"] == 1.0 for m in merges)
 
 
 def test_cut_at_half_reproduces_categories():
-    dend = agglomerate(canonical_distances(), leaves=[d.id for d in catalog()])
-    assignment = cut(dend, 0.5)
-    assert partition(assignment) == frozenset(
+    assert zero_merge_groups(catalog()) == frozenset(
         {
             frozenset({SmellId.SS1, SmellId.SS2}),
             frozenset({SmellId.SS3, SmellId.SS4, SmellId.SS6, SmellId.SS7}),
@@ -100,36 +92,27 @@ def test_cut_at_half_reproduces_categories():
     )
 
 
-def test_cut_extremes():
-    dend = agglomerate(canonical_distances(), leaves=[d.id for d in catalog()])
-    assert cut(dend, 0).num_clusters == 7
-    assert cut(dend, 1.5).num_clusters == 1
-
-
 def test_categorize_matches_published_categories_for_all_linkages():
     cat = catalog()
     assert {d.id: d.category for d in cat} == PUBLISHED_CATEGORIES
-    for linkage in LINKAGES:
-        assert partition(half_cut(cat, linkage)) == category_partition(cat), linkage
+    assert zero_merge_groups(cat) == category_partition(cat)
+    assert_every_linkage_builds_it(cat)
 
 
 def test_categorize_single_smell_catalog():
     one = loaded([SmellId.SS1], [catalog()[0].attributes])
     assert one[0].category == 1
-    for linkage in LINKAGES:
-        assignment = half_cut(one, linkage)
-        assert assignment.mapping == {SmellId.SS1: 1}
-        assert assignment.num_clusters == 1
+    assert zero_merge_groups(one) == frozenset({frozenset({SmellId.SS1})})
+    assert_every_linkage_builds_it(one)
 
 
 def test_categorize_identical_vectors_single_cluster():
     vec = AttributeVector(False, False, False, True)
     flattened = loaded([d.id for d in catalog()], [vec] * 7)
     assert {d.category for d in flattened} == {1}
-    for linkage in LINKAGES:
-        assignment = half_cut(flattened, linkage)
-        assert assignment.num_clusters == 1
-        assert set(assignment.mapping.values()) == {1}
+    assert zero_merge_groups(flattened) == frozenset({frozenset(SmellId)})
+    assert [m["distance"] for m in dendrogram(flattened)["merges"]] == [0.0] * 6
+    assert_every_linkage_builds_it(flattened)
 
 
 def test_cluster_assignment_labels_contiguous():
@@ -138,10 +121,7 @@ def test_cluster_assignment_labels_contiguous():
     vec_b = AttributeVector(False, False, False, True)
     descriptors = loaded(["X1", "X2"], [vec_a, vec_b])
     assert [d.category for d in descriptors] == [1, 2]
-    for linkage in LINKAGES:
-        assignment = half_cut(descriptors, linkage)
-        assert partition(assignment) == category_partition(descriptors)
-        assert sorted(set(assignment.mapping.values())) == [1, 2]
+    assert zero_merge_groups(descriptors) == category_partition(descriptors)
 
 
 def test_permutation_invariance_of_categories():
@@ -150,64 +130,53 @@ def test_permutation_invariance_of_categories():
         permuted = [base[i] for i in order]
         reloaded = loaded([d.id for d in permuted], [d.attributes for d in permuted])
         assert {d.id: d.category for d in reloaded} == PUBLISHED_CATEGORIES
-        for linkage in LINKAGES:
-            assert partition(half_cut(permuted, linkage)) == category_partition(base)
+        assert zero_merge_groups(permuted) == category_partition(base)
+        assert_every_linkage_builds_it(permuted)
 
 
 def test_permuted_leaves_cut_to_same_partition():
     base = catalog()
-    d_base = canonical_distances()
     for order in [(6, 5, 4, 3, 2, 1, 0), (2, 0, 6, 4, 1, 5, 3)]:
-        d_perm = tuple(
-            tuple(d_base[i][j] for j in order) for i in order
-        )
-        dend = agglomerate(d_perm, leaves=[base[i].id for i in order])
-        cut_partition = partition(cut(dend, 0.5))
-        baseline = partition(
-            cut(agglomerate(d_base, leaves=[x.id for x in base]), 0.5)
-        )
-        assert cut_partition == baseline
+        permuted = [base[i] for i in order]
+        assert dendrogram(permuted)["leaves"] == [str(d.id) for d in permuted]
+        assert zero_merge_groups(permuted) == zero_merge_groups(base)
 
 
 def test_dendrogram_json_shape():
-    dend = agglomerate(canonical_distances(), leaves=[d.id for d in catalog()])
-    doc = dendrogram_to_json_dict(dend)
+    doc = dendrogram(catalog())
+    assert set(doc) == {"leaves", "merges"}
     assert doc["leaves"] == [s.name for s in SmellId]
     assert len(doc["merges"]) == 6
-    assert set(doc["merges"][0]) == {"a", "b", "distance"}
+    assert all(set(m) == {"a", "b", "distance"} for m in doc["merges"])
+    assert all(type(m["distance"]) is float for m in doc["merges"])
 
 
 @st.composite
 def binary_vector_sets(draw):
-    n = draw(st.integers(min_value=1, max_value=8))
+    n = draw(st.integers(min_value=1, max_value=12))
     return [
         tuple(draw(st.booleans()) for _ in range(4))
         for _ in range(n)
     ]
 
 
+def _catalog_of(vectors: list[tuple]) -> list[SmellDescriptor]:
+    return loaded([f"X{i}" for i in range(len(vectors))], [AttributeVector(*v) for v in vectors])
+
+
 @given(binary_vector_sets())
 @settings(max_examples=60, deadline=None)
 def test_half_cut_equals_vector_equality_classes(vectors):
-    descriptors = [
-        SmellDescriptor(f"X{i}", f"x{i}", 0, AttributeVector(*vec), "s", "r")
-        for i, vec in enumerate(vectors)
-    ]
-    partitions = set()
-    for linkage in LINKAGES:
-        sim = similarity_matrix(descriptors)
-        dend = agglomerate(
-            distance_matrix(sim), linkage, leaves=[d.id for d in descriptors]
-        )
-        assignment = cut(dend, 0.5)
-        partitions.add(partition(assignment))
-        # merge distances are monotone by construction; cut(0) is singletons
-        assert cut(dend, 0).num_clusters == len(vectors)
-    # all linkages agree, and the partition equals vector-equality classes
-    assert len(partitions) == 1
+    descriptors = _catalog_of(vectors)
     classes: dict[tuple, set] = {}
     for d, vec in zip(descriptors, vectors):
         classes.setdefault(vec, set()).add(d.id)
-    assert partitions.pop() == frozenset(
-        frozenset(members) for members in classes.values()
-    )
+    expected = frozenset(frozenset(members) for members in classes.values())
+    assert zero_merge_groups(descriptors) == expected
+    assert category_partition(descriptors) == expected
+
+
+@given(binary_vector_sets())
+@settings(max_examples=200, deadline=None)
+def test_dendrogram_equals_the_three_linkage_reference(vectors):
+    assert_every_linkage_builds_it(_catalog_of(vectors))

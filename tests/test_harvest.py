@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import time
+from datetime import datetime, timezone
 
 import pytest
 
@@ -459,6 +460,32 @@ def test_each_status_is_its_typed_error(response, error, message):
         with pytest.raises(error, match=message):
             client.search_repos("aws", "q")
     assert client.requests_made == len(stub.requests)
+
+
+@pytest.mark.parametrize("status", [403, 429])
+def test_a_refusal_without_rate_headers_names_its_status(status):
+    with StubApi() as stub:
+        stub.route("/search/code", Scripted(status, headers={"Retry-After": "soon"}))
+        message = rf"^/search/code refused \({status}\) without rate headers$"
+        with pytest.raises(AuthError, match=message):
+            make_client(stub).search_repos("aws", "q")
+
+
+def test_retry_after_may_be_an_http_date(monkeypatch):
+    # RFC 9110 §10.2.3: seconds or an HTTP-date; a date in the past waits 0 s.
+    now = datetime(2026, 10, 21, 7, 27, 30, tzinfo=timezone.utc).timestamp()
+    monkeypatch.setattr(time, "time", lambda: now)
+    sleeps: list[float] = []
+    with StubApi() as stub:
+        stub.route(
+            "/search/code",
+            Scripted(429, headers={"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"}),
+            Scripted(403, headers={"Retry-After": "Tuesday, 20-Oct-26 07:28:00 GMT"}),
+            Scripted(200, {"total_count": 1, "items": [search_item("org/later")]}),
+        )
+        records = make_client(stub, sleeper=sleeps.append).search_repos("aws", "q")
+    assert [r.full_name for r in records] == ["org/later"]
+    assert sleeps == [30.0, 0.0]
 
 
 def test_retry_after_and_server_errors_are_retried_until_a_response_is_whole():
