@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import random
+import re
 import sys
 import tracemalloc
 from array import array
@@ -615,6 +616,34 @@ def test_parse_of_a_3000_resource_monolith_matches_its_pinned_sha256():
     text, _ = _load_perfbench_corpus().monolith_text(3000, 1)
     assert _parse_digest([("main.tf", text)]) == (
         "9ef92c34719b0ae03a2a54f9f677f642d9dc03183e346a260c096bcf5b090915"
+    )
+
+
+# Comment shapes, and a newline, that a mutant gains at one random offset.
+_COMMENT_INSERTS = ("#", "//", "/*", "*/", "/*/", "/* x */", "\n")
+# A line that starts with the word true or false: the one place where the
+# parse of a mutant turns on how those words lex, not on its comments.
+_KEYWORD_LINE_RE = re.compile(r"^[ \t]*(?:true|false)(?![\w-])", re.MULTILINE)
+
+
+def test_parse_of_comment_mutants_matches_its_pinned_sha256():
+    # A comment cut short, begun inside a string or token, or left open to the
+    # end of the text: any change to how comments are read shows here.
+    rng = random.Random(1)
+    files = [
+        (path.relative_to(FIXTURES).as_posix(), path.read_bytes().decode("utf-8"))
+        for path in fixture_corpus_files()
+    ]
+    texts = []
+    while len(texts) < 2000:
+        rel, text = rng.choice(files)
+        insert = rng.choice(_COMMENT_INSERTS)
+        at = rng.randrange(len(text) + 1)
+        mutant = text[:at] + insert + text[at:]
+        if not _KEYWORD_LINE_RE.search(mutant):
+            texts.append((rel, mutant))
+    assert _parse_digest(texts) == (
+        "90813210e0065f44c55892354bf1e79809ee9b3129aed3ebb1aff8fc1235f468"
     )
 
 
