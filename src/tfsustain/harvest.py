@@ -25,7 +25,8 @@ another shape is skipped without a request.
 
 Rate limiting follows the usual header convention: a 403/429 with
 ``X-RateLimit-Remaining: 0`` (or a ``Retry-After``) makes the client sleep
-until the advertised reset and retry, up to a bounded number of attempts.
+until the advertised reset and retry, up to a bounded number of attempts. A
+wait over ``MAX_BACKOFF_S`` is a ``RateLimitError``, with no sleep.
 
 The harvest manifest is a line-delimited JSON file, append-only, which makes
 re-runs cheap: a file whose recorded git blob sha still matches is never
@@ -49,6 +50,7 @@ from . import read_json
 DEFAULT_BASE_URL = "https://api.github.com"
 TOKEN_ENV_VAR = "TFSUSTAIN_GITHUB_TOKEN"
 PER_PAGE = 100  # the largest page the search API serves
+MAX_BACKOFF_S = 3600.0  # GitHub's rate-limit window; a longer wait is never slept
 
 # Search tokens per provider; the query is configuration, not logic.
 PROVIDER_QUERIES = {
@@ -204,6 +206,11 @@ class CodeSearchClient:
                 wait = _backoff_seconds(headers)
                 if wait is None:
                     raise AuthError(f"{path} refused ({status}) without rate headers")
+                if wait > MAX_BACKOFF_S:
+                    header = "Retry-After" if "Retry-After" in headers else "X-RateLimit-Reset"
+                    raise RateLimitError(
+                        f"{header}: {headers[header]} asks for a wait over {MAX_BACKOFF_S:g} s"
+                    )
                 if attempts > self.max_retries:
                     raise RateLimitError(
                         f"rate budget exhausted after {self.max_retries} retries"

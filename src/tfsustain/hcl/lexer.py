@@ -1,11 +1,12 @@
 """Lexer for a Terraform-sufficient subset of HCL.
 
 The scanner is loss-free: every character of the input lands either in a
-token's ``text`` or in the ``leading`` trivia (whitespace) of the token that
-follows it, so ``detokenize(tokenize(text)) == text`` holds for arbitrary
-input, including malformed files. Lexing never raises; unterminated strings,
-heredocs, and block comments produce a token carrying an ``error`` message
-and scanning continues.
+token's ``text`` or in the ``leading`` trivia (whitespace and comments) of
+the token that follows it, so ``detokenize(tokenize(text)) == text`` holds
+for arbitrary input, including malformed files. As in HCL, ``true`` and
+``false`` are identifiers. Lexing never raises; an unterminated string or
+heredoc is a token carrying an ``error`` message, an unterminated block
+comment is an error at its ``/*``, and scanning continues.
 
 :func:`tokenize` fills a list of kinds and arrays of start and end offsets
 into one shared :class:`SourceText`, with the errors and the template
@@ -30,13 +31,11 @@ class TokenKind(enum.Enum):
     IDENTIFIER = "identifier"
     STRING = "string"
     NUMBER = "number"
-    BOOL = "bool"
     PUNCT = "punctuation"
     BLOCK_OPEN = "block-open"
     BLOCK_CLOSE = "block-close"
     ASSIGN = "assign"
     HEREDOC = "heredoc"
-    COMMENT = "comment"
     NEWLINE = "newline"
     EOF = "eof"
 
@@ -95,8 +94,8 @@ class SourceText:
 class Token:
     """A view of one token of a :class:`Tokens` sequence, built when it is read.
 
-    ``source.text[lead_start:start]`` is the leading trivia (whitespace and
-    a possible BOM) between the previous token and this one, and
+    ``source.text[lead_start:start]`` is the leading trivia (whitespace,
+    comments and a possible BOM) between the previous token and this one, and
     ``source.text[start:end]``, kept as ``text``, is the token itself.
     """
 
@@ -131,7 +130,8 @@ class Tokens(Sequence[Token]):
     and its leading trivia starts where token ``i - 1`` ends. ``starts`` and
     ``ends`` are ``array("q")``, eight bytes a token. ``errors`` maps the start
     offset of each token that carries an error to its message; no two tokens
-    start at one offset, since only EOF is empty. ``interpolations`` maps the
+    start at one offset, since only EOF is empty; an unterminated block
+    comment is keyed by the offset of its ``/*``. ``interpolations`` maps the
     start offset of each quoted template that has interpolations or
     directives to their ``(open, close)`` offsets, as :func:`scan_template`
     reports them. Indexing, slicing and iteration read a list of
@@ -166,12 +166,12 @@ class Tokens(Sequence[Token]):
 
 
 # One alternative per token kind, tried in order after the trivia (spaces,
-# tabs, a lone "\r", a BOM at offset 0) that becomes the token's ``leading``.
-# The order is by how often a kind occurs in Terraform, so the common tokens
-# fail the fewest alternatives first. Alternatives that can start at the same
-# character keep their relative order: COMMENT before UNCLOSED_COMMENT,
-# STRING before TEMPLATE, BOOL before IDENTIFIER, every other kind before
-# PUNCT, and EOF last.
+# tabs, a lone "\r", a BOM at offset 0, comments) that becomes the token's
+# ``leading``; a "/*" with no "*/" after it is the ``unclosed`` group and runs
+# to the end, where only EOF follows. The order is by how often a kind occurs
+# in Terraform, so the common tokens fail the fewest alternatives first.
+# Alternatives that can start at the same character keep their relative
+# order: STRING before TEMPLATE, every other kind before PUNCT, and EOF last.
 # Character classes are ASCII on purpose: a Unicode digit is punctuation.
 # Identifiers follow HCL: dashes are legal after the first char. Two-character
 # operators are kept whole so expression capture stays readable. STRING is a
@@ -179,16 +179,14 @@ class Tokens(Sequence[Token]):
 # any other quote is a TEMPLATE, read to its end by scan_template.
 _TOKEN_RE = re.compile(
     r"""
-    (?: [ \t] | \r(?!\n) | \A\ufeff )*
+    (?: [ \t] | \r(?!\n) | \A\ufeff | (?: \# | // ) (?: [^\r\n] | \r(?!\n) )*
+      | /\*.*?\*/ | (?P<unclosed> /\* ) .* )*
     (?: (?P<NEWLINE> \r?\n )
-      | (?P<BOOL> (?: true | false ) (?! [A-Za-z0-9_-] ) )
       | (?P<IDENTIFIER> [A-Za-z_] [A-Za-z0-9_-]* )
       | (?P<STRING> " [^"\\\n$%]* (?: (?: \\. | [$%](?!\{) ) [^"\\\n$%]* )* " )
       | (?P<ASSIGN> = (?! [=>] ) )
       | (?P<BLOCK_OPEN> \{ )
       | (?P<BLOCK_CLOSE> \} )
-      | (?P<COMMENT> (?: \# | // ) (?: [^\r\n] | \r(?!\n) )* | /\*.*?\*/ )
-      | (?P<UNCLOSED_COMMENT> /\*.* )
       | (?P<TEMPLATE> " )
       | (?P<HEREDOC> <<-? (?P<tag> [A-Za-z0-9_-]* ) )
       | (?P<NUMBER> [0-9]+ (?: \.[0-9]+ )? (?: [eE][+-]?[0-9]+ )? )
@@ -238,8 +236,8 @@ def tokenize(text: str, file_id: str = "<input>") -> Tokens:
             group, error = m.lastgroup, None
             if group == "EOF":
                 kind = TokenKind.EOF
-            elif group == "UNCLOSED_COMMENT":
-                kind, error = TokenKind.COMMENT, "unterminated block comment"
+                if (unclosed := m.start("unclosed")) >= 0:
+                    errors[unclosed] = "unterminated block comment"
             elif group == "TEMPLATE":
                 kind = TokenKind.STRING
                 end, error, opened = scan_template(text, start)

@@ -3,7 +3,9 @@
 The parser understands the Terraform subset the detectors need: blocks,
 attributes, literals, lists, maps, heredocs, references, and string
 templates. Anything richer (function calls, conditionals, for-expressions)
-is preserved as an ``Opaque`` value with its verbatim source text.
+is preserved as an ``Opaque`` value with its verbatim source text. The
+parser never sees a comment, and ``true``, ``false`` and ``null`` are names
+like any other identifier, literals only as a lone value.
 
 Parsing never raises. Malformed input is skipped at roughly top-level-block
 granularity, each skip recorded as a diagnostic, so a corpus scan can chew
@@ -15,7 +17,6 @@ deeper block is a parse error, so no input exhausts the call stack.
 from __future__ import annotations
 
 import re
-from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
 
@@ -34,22 +35,19 @@ from .ast import (
     StringLit,
     TemplateString,
 )
-from .lexer import SourceText, TokenKind, tokenize
+from .lexer import TokenKind, Tokens, tokenize
 
 _MAX_DEPTH = 64
 
-# The kinds as module globals: on Python 3.11 a member read off the enum class
-# costs about ten global reads, and the parser tests a kind at almost every token.
-ASSIGN, BLOCK_OPEN, BLOCK_CLOSE, BOOL, COMMENT, EOF = (
-    TokenKind.ASSIGN, TokenKind.BLOCK_OPEN, TokenKind.BLOCK_CLOSE, TokenKind.BOOL,
-    TokenKind.COMMENT, TokenKind.EOF,
-)
-HEREDOC, IDENTIFIER, NEWLINE, NUMBER, PUNCT, STRING = (
-    TokenKind.HEREDOC, TokenKind.IDENTIFIER, TokenKind.NEWLINE, TokenKind.NUMBER,
-    TokenKind.PUNCT, TokenKind.STRING,
-)
+# The kinds as module globals, in their TokenKind order: on Python 3.11 a member
+# read off the enum class costs about ten global reads, and the parser tests a
+# kind at almost every token.
+(IDENTIFIER, STRING, NUMBER, PUNCT, BLOCK_OPEN, BLOCK_CLOSE, ASSIGN, HEREDOC,
+ NEWLINE, EOF) = TokenKind
 _LABEL_START = (STRING, IDENTIFIER, BLOCK_OPEN)  # what may follow a block type
-_SEGMENT_KINDS = (IDENTIFIER, NUMBER, BOOL)  # what may follow a '.' in a reference
+_SEGMENT_KINDS = (IDENTIFIER, NUMBER)  # what may follow a '.' in a reference
+# A lone identifier that is a literal in an expression.
+_KEYWORDS = {"true": BoolLit(True), "false": BoolLit(False), "null": Opaque("null")}
 
 # Token texts that end an expression, per context; "" is EOF. Punctuation is
 # told by its text alone: no other token kind has these texts.
@@ -72,40 +70,16 @@ _ESCAPE_RE = re.compile(r"\\.|([$%])\1\{", re.DOTALL)
 def parse(text: str, path: str = "<input>") -> ConfigFile:
     """Parse HCL text into a ConfigFile; never raises on bad input."""
     tokens = tokenize(text, path)
-    source, kinds, starts, ends = tokens.source, tokens.kinds, tokens.starts, tokens.ends
-    errors, interpolations = tokens.errors, tokens.interpolations
-    # Lexer errors, an unterminated comment's too, are located on the full stream.
-    lexer_diagnostics = [
-        Diagnostic.at(source, start, ends[bisect_left(starts, start)], message)
-        for start, message in errors.items()
-    ] if errors else []
-    if COMMENT in kinds:
-        # The parser never sees a comment.
-        kinds, starts, ends = _without_comments(kinds, starts, ends)
-    # Only the parser's columns live on while the tree is built.
-    del tokens
-    parser = _Parser(source, kinds, starts, ends, errors, interpolations)
+    parser = _Parser(tokens)
     body = parser.parse_top()
-    diagnostics = parser.diagnostics + lexer_diagnostics
+    # A lexer error ends where the first token at or after it ends: its own
+    # token, or EOF for an unterminated comment in EOF's leading trivia.
+    source, starts, ends = tokens.source, tokens.starts, tokens.ends
+    diagnostics = parser.diagnostics + [
+        Diagnostic.at(source, start, ends[bisect_left(starts, start)], message)
+        for start, message in tokens.errors.items()
+    ]
     return ConfigFile.at(source, 0, len(text), path, body, diagnostics)
-
-
-def _without_comments(
-    kinds: list[TokenKind], starts: array, ends: array
-) -> tuple[list[TokenKind], array, array]:
-    """The token columns with the comments cut out, copied a run at a time."""
-    kept_kinds, kept_starts, kept_ends = [], array("q"), array("q")
-    i = 0
-    for _ in range(kinds.count(COMMENT)):
-        j = kinds.index(COMMENT, i)
-        kept_kinds += kinds[i:j]
-        kept_starts += starts[i:j]
-        kept_ends += ends[i:j]
-        i = j + 1
-    kept_kinds += kinds[i:]
-    kept_starts += starts[i:]
-    kept_ends += ends[i:]
-    return kept_kinds, kept_starts, kept_ends
 
 
 def find_blocks(node: ConfigFile | Block, block_type: str) -> list[Block]:
@@ -132,26 +106,18 @@ class _ParseError(Exception):
 
 
 class _Parser:
-    """Parses by index over the parallel token columns of one text, comments removed.
+    """Parses by index over the parallel token columns of one text.
 
     Token ``i`` has kind ``kinds[i]`` and text ``text[starts[i]:ends[i]]``;
     the last token is EOF, and the cursor ``i`` never moves past it.
     ``errors`` and ``interpolations`` are the lexer's, keyed by start offset.
     """
 
-    def __init__(
-        self,
-        source: SourceText,
-        kinds: list[TokenKind],
-        starts: array,
-        ends: array,
-        errors: dict[int, str],
-        interpolations: dict[int, list[tuple[int, int]]],
-    ) -> None:
-        self.source = source
-        self.text = source.text
-        self.kinds, self.starts, self.ends = kinds, starts, ends
-        self.errors, self.interpolations = errors, interpolations
+    def __init__(self, tokens: Tokens) -> None:
+        self.source = tokens.source
+        self.text = tokens.source.text
+        self.kinds, self.starts, self.ends = tokens.kinds, tokens.starts, tokens.ends
+        self.errors, self.interpolations = tokens.errors, tokens.interpolations
         self.i = 0
         self.diagnostics: list[Diagnostic] = []
         # One string per distinct name, label and reference segment: a large
@@ -302,8 +268,6 @@ class _Parser:
                 i = self.i
             elif kind is NUMBER:
                 value = NumberLit(_number(text[at:end]))
-            elif kind is BOOL:
-                value = BoolLit(text[at:end] == "true")
             elif kind is HEREDOC:
                 value = StringLit(_heredoc_body(text[at:end], self.errors.get(at)))
             elif text[at:end] == "-" and kinds[i] is NUMBER:
@@ -378,8 +342,8 @@ class _Parser:
             i += 2
             segments.append(names.setdefault(segment, segment))
         self.i = i
-        if segments == ["null"]:
-            return Opaque("null")
+        if len(segments) == 1 and segments[0] in _KEYWORDS:
+            return _KEYWORDS[segments[0]]
         return Reference(tuple(segments))
 
     def _opaque_capture(self, ends: frozenset[str]) -> Opaque:

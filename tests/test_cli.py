@@ -263,6 +263,17 @@ def test_harvest_exits_2_on_a_response_that_is_not_an_object(tmp_path, capsys):
     assert err.startswith("error: ") and "/search/code" in err
 
 
+def test_harvest_exits_2_when_the_rate_limit_asks_for_an_endless_wait(tmp_path, capsys):
+    # Retry-After: inf once made time.sleep raise OverflowError, a traceback.
+    with StubApi() as stub:
+        stub.route("/search/code", Scripted(429, headers={"Retry-After": "inf"}))
+        argv = ["harvest", "--provider", "aws", "--dest", str(tmp_path / "dest"),
+                "--base-url", stub.base_url, "--token", "stub", "--dry-run"]
+        assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: Retry-After: inf asks for a wait over 3600 s\n"
+
+
 # -- load_config ---------------------------------------------------------
 
 

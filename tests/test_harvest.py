@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import time
 from datetime import datetime, timezone
 
@@ -11,6 +12,7 @@ from tfsustain.harvest import (
     CodeSearchClient,
     FilterCriteria,
     HarvestError,
+    MAX_BACKOFF_S,
     HarvestManifest,
     NetworkError,
     RateLimitError,
@@ -486,6 +488,44 @@ def test_retry_after_may_be_an_http_date(monkeypatch):
         records = make_client(stub, sleeper=sleeps.append).search_repos("aws", "q")
     assert [r.full_name for r in records] == ["org/later"]
     assert sleeps == [30.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "headers, shown",
+    [
+        ({"Retry-After": "inf"}, "Retry-After: inf"),
+        ({"Retry-After": "1e400"}, "Retry-After: 1e400"),
+        ({"Retry-After": "1e9"}, "Retry-After: 1e9"),
+        ({"Retry-After": "3601"}, "Retry-After: 3601"),
+        ({"Retry-After": "Fri, 31 Dec 9999 23:59:59 GMT"}, "Retry-After: Fri, 31 Dec 9999"),
+        (
+            {"X-RateLimit-Remaining": "0", "X-RateLimit-Reset": "99999999999"},
+            "X-RateLimit-Reset: 99999999999",
+        ),
+    ],
+)
+def test_a_wait_over_an_hour_or_not_finite_is_a_rate_limit_error_without_sleeping(
+    headers, shown
+):
+    sleeps: list[float] = []
+    with StubApi() as stub:
+        stub.route("/search/code", Scripted(429, headers=headers))
+        client = make_client(stub, sleeper=sleeps.append)
+        with pytest.raises(RateLimitError, match="^" + re.escape(shown)):
+            client.search_repos("aws", "q")
+    assert sleeps == [] and client.requests_made == 1
+
+
+def test_a_wait_of_an_hour_is_slept():
+    sleeps: list[float] = []
+    with StubApi() as stub:
+        stub.route(
+            "/search/code",
+            Scripted(429, headers={"Retry-After": "3600"}),
+            Scripted(200, {"total_count": 0, "items": []}),
+        )
+        make_client(stub, sleeper=sleeps.append).search_repos("aws", "q")
+    assert sleeps == [MAX_BACKOFF_S]
 
 
 def test_retry_after_and_server_errors_are_retried_until_a_response_is_whole():

@@ -26,12 +26,11 @@ def test_attribute_line_token_kinds():
         TokenKind.IDENTIFIER,
         TokenKind.ASSIGN,
         TokenKind.NUMBER,
-        TokenKind.COMMENT,
         TokenKind.EOF,
     ]
     assert toks[0].text == "count"
     assert toks[2].text == "5"
-    assert toks[3].text == "# Fixed number of instances"
+    assert toks[3].leading == " # Fixed number of instances"
 
 
 def test_round_trip_on_every_fixture_file():
@@ -48,14 +47,59 @@ def test_round_trip_on_arbitrary_text(text):
     assert detokenize(tokenize(text)) == text
 
 
-def test_comment_styles_are_single_tokens():
+def test_comment_styles_are_leading_trivia():
     text = "# hash\n// slashes\n/* block\nspanning */\nx = 1\n"
-    comments = [t for t in tokenize(text) if t.kind is TokenKind.COMMENT]
-    assert [c.text for c in comments] == [
-        "# hash",
-        "// slashes",
-        "/* block\nspanning */",
+    toks = tokenize(text)
+    assert [(t.kind, t.leading) for t in toks][:4] == [
+        (TokenKind.NEWLINE, "# hash"),
+        (TokenKind.NEWLINE, "// slashes"),
+        (TokenKind.NEWLINE, "/* block\nspanning */"),
+        (TokenKind.IDENTIFIER, ""),
     ]
+    assert toks.errors == {}
+
+
+def _trivia_end(leading: str) -> str | int | None:
+    """What ``leading`` ends with: "line" for a line comment, the offset of an
+    unterminated "/*", or None.
+
+    Fails unless ``leading`` is whitespace and complete comments, of which
+    the last may be a line comment or an unterminated block comment.
+    """
+    i = 0
+    while i < len(leading):
+        if leading[i] in " \t\r":
+            i += 1
+        elif leading.startswith(("#", "//"), i):
+            assert "\n" not in leading[i:], leading
+            return "line"
+        elif leading.startswith("/*", i):
+            close = leading.find("*/", i + 2)
+            if close < 0:
+                return i
+            i = close + 2
+        else:
+            raise AssertionError(f"not trivia at {i}: {leading!r}")
+    return None
+
+
+@given(st.text(alphabet=' \n\r#/*x="{}', max_size=80))
+@settings(max_examples=300, deadline=None)
+def test_leading_trivia_is_whitespace_and_comments_only(text):
+    toks = tokenize(text)
+    starts = set(toks.starts)
+    comment_errors = {at: msg for at, msg in toks.errors.items() if at not in starts}
+    expected_errors = {}
+    for tok in toks:
+        end = _trivia_end(tok.leading)
+        if end == "line":
+            # A line comment runs to its line's end.
+            assert tok.kind in (TokenKind.NEWLINE, TokenKind.EOF)
+        elif end is not None:
+            # An unterminated block comment runs to the end of the text.
+            assert tok.kind is TokenKind.EOF
+            expected_errors = {tok.lead_start + end: "unterminated block comment"}
+    assert comment_errors == expected_errors
 
 
 def test_heredoc_is_one_token():
@@ -169,9 +213,14 @@ def test_tokenize_builds_no_spans(monkeypatch):
     )
     toks = tokenize(text)
     assert {t.kind for t in toks} == set(TokenKind)
+    assert [t.leading for t in toks if "/" in t.leading or "#" in t.leading] == [
+        "# c",
+        " // x",
+    ]
+    assert [t.kind for t in toks if t.text == "true"] == [TokenKind.IDENTIFIER]
     assert built == []
     # The counter sees the spans that are built on demand.
-    span = toks[2].span
+    span = toks[1].span
     assert (span.start_line, span.start_col, span.end_line, span.end_col) == (2, 1, 2, 9)
     assert built == [span]
 
@@ -225,8 +274,15 @@ def test_two_char_operators_stay_whole():
 
 def test_bool_tokens():
     toks = tokenize("on = true\noff = false")
-    bools = [t for t in toks if t.kind is TokenKind.BOOL]
-    assert [b.text for b in bools] == ["true", "false"]
+    assert [(t.kind, t.text) for t in toks if t.kind is not TokenKind.NEWLINE] == [
+        (TokenKind.IDENTIFIER, "on"),
+        (TokenKind.ASSIGN, "="),
+        (TokenKind.IDENTIFIER, "true"),
+        (TokenKind.IDENTIFIER, "off"),
+        (TokenKind.ASSIGN, "="),
+        (TokenKind.IDENTIFIER, "false"),
+        (TokenKind.EOF, ""),
+    ]
 
 
 # Every token of each text, as (kind, text, (start_line, start_col, end_line,
@@ -245,8 +301,7 @@ _PINNED = [
     pytest.param(
         "# c\r\n",
         [
-            ("COMMENT", "# c", (1, 1, 1, 4), "", None),
-            ("NEWLINE", "\r\n", (1, 4, 2, 1), "", None),
+            ("NEWLINE", "\r\n", (1, 4, 2, 1), "# c", None),
             ("EOF", "", (2, 1, 2, 1), "", None),
         ],
         id="hash-comment-crlf",
@@ -255,16 +310,14 @@ _PINNED = [
         "x // c\r",
         [
             ("IDENTIFIER", "x", (1, 1, 1, 2), "", None),
-            ("COMMENT", "// c\r", (1, 3, 1, 8), " ", None),
-            ("EOF", "", (1, 8, 1, 8), "", None),
+            ("EOF", "", (1, 8, 1, 8), " // c\r", None),
         ],
         id="slash-comment-cr-at-eof",
     ),
     pytest.param(
         "/*/ x */",
         [
-            ("COMMENT", "/*/ x */", (1, 1, 1, 9), "", None),
-            ("EOF", "", (1, 9, 1, 9), "", None),
+            ("EOF", "", (1, 9, 1, 9), "/*/ x */", None),
         ],
         id="star-slash-does-not-close",
     ),
@@ -272,8 +325,7 @@ _PINNED = [
         "a /* b\nc",
         [
             ("IDENTIFIER", "a", (1, 1, 1, 2), "", None),
-            ("COMMENT", "/* b\nc", (1, 3, 2, 2), " ", "unterminated block comment"),
-            ("EOF", "", (2, 2, 2, 2), "", None),
+            ("EOF", "", (2, 2, 2, 2), " /* b\nc", None),
         ],
         id="unterminated-block-comment",
     ),
@@ -421,8 +473,8 @@ _PINNED = [
     pytest.param(
         "true false truex",
         [
-            ("BOOL", "true", (1, 1, 1, 5), "", None),
-            ("BOOL", "false", (1, 6, 1, 11), " ", None),
+            ("IDENTIFIER", "true", (1, 1, 1, 5), "", None),
+            ("IDENTIFIER", "false", (1, 6, 1, 11), " ", None),
             ("IDENTIFIER", "truex", (1, 12, 1, 17), " ", None),
             ("EOF", "", (1, 17, 1, 17), "", None),
         ],

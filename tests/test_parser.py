@@ -5,10 +5,10 @@ import hashlib
 import importlib.util
 import random
 import re
+import shutil
+import subprocess
 import sys
 import tracemalloc
-from array import array
-from itertools import compress
 from pathlib import Path
 
 import pytest
@@ -30,7 +30,6 @@ from tfsustain.hcl import (
     SourceText,
     StringLit,
     TemplateString,
-    TokenKind,
     attributes,
     find_blocks,
     lexer,
@@ -300,17 +299,6 @@ def test_comments_are_invisible_to_the_parser(text, body, errors):
     assert len(cf.diagnostics) == errors
 
 
-@given(st.text(alphabet=' \n#/*x="{}', max_size=80))
-@settings(max_examples=300, deadline=None)
-def test_comment_free_columns_keep_every_other_token_in_order(text):
-    toks = tokenize(text)
-    keep = [kind is not TokenKind.COMMENT for kind in toks.kinds]
-    kinds, starts, ends = parser._without_comments(toks.kinds, toks.starts, toks.ends)
-    assert kinds == list(compress(toks.kinds, keep))
-    assert starts == array("q", compress(toks.starts, keep))
-    assert ends == array("q", compress(toks.ends, keep))
-
-
 def test_unterminated_comment_is_still_reported():
     cf = parse('x = 1 /* open\n')
     assert cf.body == [Attribute("x", NumberLit(1), _span(1, 1, 1, 6))]
@@ -333,6 +321,82 @@ def test_unterminated_comment_is_still_reported():
 )
 def test_string_escapes_and_templates(literal, value):
     assert attributes(parse(f"v = {literal}\n"))["v"].value == value
+
+
+# true, false and null are identifiers, as in HCL's native syntax: names of
+# attributes, blocks, labels and map keys, and literals only as a lone value.
+_KEYWORD_TEXTS = [
+    pytest.param(
+        "true = 1\n", [Attribute("true", NumberLit(1), _span(1, 1, 1, 9))], id="attribute-name"
+    ),
+    pytest.param("false {}\n", [Block("false", [], [], _span(1, 1, 1, 9))], id="block-type"),
+    pytest.param(
+        'resource "a" true {}\n',
+        [Block("resource", ["a", "true"], [], _span(1, 1, 1, 21))],
+        id="block-label",
+    ),
+    pytest.param(
+        "x = { true = 1 }\n",
+        [Attribute("x", MapValue((("true", NumberLit(1)),)), _span(1, 1, 1, 17))],
+        id="map-key",
+    ),
+    pytest.param(
+        "x = true\n", [Attribute("x", BoolLit(True), _span(1, 1, 1, 9))], id="true-value"
+    ),
+    pytest.param(
+        "x = false\n", [Attribute("x", BoolLit(False), _span(1, 1, 1, 10))], id="false-value"
+    ),
+    pytest.param(
+        "x = null\n", [Attribute("x", Opaque("null"), _span(1, 1, 1, 9))], id="null-value"
+    ),
+    pytest.param(
+        "x = a.true\n",
+        [Attribute("x", Reference(("a", "true")), _span(1, 1, 1, 11))],
+        id="reference-segment",
+    ),
+    pytest.param(
+        'x = "${true}"\n',
+        [Attribute("x", TemplateString((Reference(("true",)),)), _span(1, 1, 1, 14))],
+        id="interpolation",
+    ),
+    pytest.param(
+        "x = true.b\n",
+        [Attribute("x", Reference(("true", "b")), _span(1, 1, 1, 11))],
+        id="reference-root",
+    ),
+    pytest.param(
+        "x = null.b\n",
+        [Attribute("x", Reference(("null", "b")), _span(1, 1, 1, 11))],
+        id="null-reference-root",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, body", _KEYWORD_TEXTS)
+def test_keywords_are_names_and_lone_values_are_literals(text, body):
+    cf = parse(text)
+    assert cf.body == body
+    assert cf.diagnostics == []
+
+
+@pytest.mark.skipif(shutil.which("terraform") is None, reason="terraform is not on PATH")
+@pytest.mark.parametrize("text, body", _KEYWORD_TEXTS)
+def test_terraform_accepts_the_keyword_texts(text, body):
+    result = subprocess.run(
+        ["terraform", "fmt", "-"], input=text, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_a_keyword_that_starts_a_line_is_a_name():
+    # An attribute's value cut off by a newline leaves "true" to start the
+    # next line, where it names an attribute or a block that has neither.
+    cf = parse("l {\n  c =\ntrue\n}\n")
+    assert [d.message for d in cf.diagnostics] == [
+        "expected value",
+        "expected '=' or block labels after 'true', found '\\n'",
+        "unexpected '}'",
+    ]
 
 
 def test_label_and_map_key_escapes_are_decoded():

@@ -86,7 +86,7 @@ def test_mask_comments_star_slash_shares_the_opening_star():
     # "/*/" is a complete block comment: the close reuses the opener's "*".
     # The lexer disagrees and reads an unterminated comment; kept as is.
     assert mask_comments('/*/ x = "a"') == '    x = "a"'
-    assert tokenize('/*/ x = "a"')[0].error == "unterminated block comment"
+    assert tokenize('/*/ x = "a"').errors == {0: "unterminated block comment"}
 
 
 def test_text_view_spans_follow_line_starts():
