@@ -182,7 +182,9 @@ def _load_scan_config(path: str | None) -> tuple[DetectorConfig, list[SmellDescr
 
 def _write_output(data: bytes, output: str | None) -> None:
     if output is None:
-        sys.stdout.write(data.decode("utf-8"))
+        # The same bytes as --output, whatever encoding the text layer was given.
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
     else:
         Path(output).write_bytes(data)
 

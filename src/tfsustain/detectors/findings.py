@@ -33,21 +33,6 @@ class SmellFinding:
             self.engine,
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "smell": self.smell.name,
-            "path": self.path,
-            "span": {
-                "start_line": self.span.start_line,
-                "start_col": self.span.start_col,
-                "end_line": self.span.end_line,
-                "end_col": self.span.end_col,
-            },
-            "evidence": self.evidence,
-            "engine": self.engine,
-            "message": self.message,
-        }
-
 
 def local_state_findings(views: Sequence, messages: tuple[str, str, str]) -> list[SmellFinding]:
     """SS6 over one non-empty directory of file views, one root module.

@@ -2,18 +2,21 @@
 
 The JSON form is canonical: fixed key order, compact separators, exact
 prevalence fractions kept as numerator/denominator next to the rounded
-percentage, so two scans of the same tree serialize byte-identically.
-
-The SARIF form is exactly ``json.dumps(document, indent=2)``: ASCII only, with
-a 2-space indent. Its results are filled into a per-finding template, and
-``tests/test_scanner.py`` pins that the bytes keep that form.
+percentage, so two scans of the same tree serialize byte-identically. Its
+bytes are exactly ``json.dumps(document, separators=(",", ":"))``, and the
+SARIF form's are exactly ``json.dumps(document, indent=2)``; both are ASCII.
+Both fill each finding into a ``%`` template and write it into one byte
+buffer, so a document is never held as dicts or as a string beside its bytes;
+``tests/test_scanner.py`` pins that the bytes keep those forms.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode
+from typing import Iterable
 
 from . import __version__
 from .catalog import SmellDescriptor, catalog
@@ -38,9 +41,9 @@ def render(
     if format == "text":
         return _render_text(report, stats, descriptors).encode("utf-8")
     if format == "json":
-        return _render_json(report, stats).encode("utf-8")
+        return _render_json(report, stats)
     if format == "sarif":
-        return _render_sarif(report, descriptors).encode("utf-8")
+        return _render_sarif(report, descriptors)
     raise ValueError(f"unknown format {format!r}; pick one of {FORMATS}")
 
 
@@ -93,20 +96,57 @@ def _render_text(
     return "\n".join(lines)
 
 
-def _render_json(report: ScanReport, stats: CorpusStats | None) -> str:
-    doc: dict = {
-        "scanned_files": report.scanned_files,
-        "findings": [f.to_json_dict() for f in report.findings],
-        "parse_failures": report.parse_failures,
-        "engine": report.engine,
-        "config_digest": report.config_digest,
-        "per_file_index": {
-            path: sorted(s.name for s in smells)
-            for path, smells in sorted(smells_by_path(report.findings).items())
-        },
-    }
+def _write_joined(out: io.BytesIO, separator: bytes, texts: Iterable[str]) -> None:
+    """Writes each ASCII text in turn, ``separator`` between two of them."""
+    for i, text in enumerate(texts):
+        if i:
+            out.write(separator)
+        out.write(text.encode("ascii"))
+
+
+# One finding exactly as ``json.dumps(..., separators=(",", ":"))`` lays it out
+# in the document: strings are filled in JSON-encoded, integers by %d.
+_JSON_FINDING = (
+    '{"smell":%s,"path":%s,"span":{"start_line":%d,"start_col":%d,'
+    '"end_line":%d,"end_col":%d},"evidence":%s,"engine":%s,"message":%s}'
+)
+
+
+def _render_json(report: ScanReport, stats: CorpusStats | None) -> bytes:
+    """Each finding is one ``_JSON_FINDING``; only ``stats`` goes through ``json.dumps``."""
+    out = io.BytesIO()
+    write = out.write
+    write(b'{"scanned_files":%d,"findings":[' % report.scanned_files)
+    findings = (
+        _JSON_FINDING
+        % (
+            _encode(f.smell.name),
+            _encode(f.path),
+            f.span.start_line,
+            f.span.start_col,
+            f.span.end_line,
+            f.span.end_col,
+            _encode(f.evidence),
+            _encode(f.engine),
+            _encode(f.message),
+        )
+        for f in report.findings
+    )
+    _write_joined(out, b",", findings)
+    write(
+        (
+            '],"parse_failures":%d,"engine":%s,"config_digest":%s,"per_file_index":{'
+            % (report.parse_failures, _encode(report.engine), _encode(report.config_digest))
+        ).encode("ascii")
+    )
+    index = (
+        "%s:[%s]" % (_encode(path), ",".join(_encode(n) for n in sorted(s.name for s in smells)))
+        for path, smells in sorted(smells_by_path(report.findings).items())
+    )
+    _write_joined(out, b",", index)
+    write(b"}")
     if stats is not None:
-        doc["stats"] = {
+        doc = {
             smell.name: {
                 "files_affected": entry.files_affected,
                 "numerator": entry.prevalence.numerator,
@@ -115,7 +155,9 @@ def _render_json(report: ScanReport, stats: CorpusStats | None) -> str:
             }
             for smell, entry in sorted(stats.per_smell.items())
         }
-    return json.dumps(doc, separators=(",", ":"))
+        write(b',"stats":' + json.dumps(doc, separators=(",", ":")).encode("ascii"))
+    write(b"}")
+    return out.getvalue()
 
 
 # One SARIF result exactly as ``json.dumps(..., indent=2)`` lays it out at its
@@ -144,16 +186,15 @@ _SARIF_RESULT = """\
             }
           ]
         }"""
-_SARIF_NO_RESULTS = '\n      "results": [],\n'
+_SARIF_NO_RESULTS = b'\n      "results": [],\n'
 
 
-def _render_sarif(report: ScanReport, descriptors: list[SmellDescriptor]) -> str:
+def _render_sarif(report: ScanReport, descriptors: list[SmellDescriptor]) -> bytes:
     """``json.dumps(document, indent=2)``, with the results filled from a template.
 
     The indented ``json.dumps`` runs the pure-Python encoder, so it only lays
     out the fixed part of the document, and each finding is one
-    ``_SARIF_RESULT`` whose strings go through the same C string encoder that
-    ``json.dumps`` uses for ``ensure_ascii=True``.
+    ``_SARIF_RESULT``.
     """
     rules = [
         {
@@ -183,28 +224,28 @@ def _render_sarif(report: ScanReport, descriptors: list[SmellDescriptor]) -> str
             }
         ],
     }
-    skeleton = json.dumps(doc, indent=2)
+    skeleton = json.dumps(doc, indent=2).encode("ascii")
     if not report.findings:
         return skeleton
-    rule_ids = {rule["id"]: (_encode(rule["id"]), i) for i, rule in enumerate(rules)}
-    results = []
-    for f in report.findings:
-        rule_id, rule_index = rule_ids[f.smell.name]
-        span = f.span
-        results.append(
-            _SARIF_RESULT
-            % (
-                rule_id,
-                rule_index,
-                _encode(f.message),
-                _encode(f.path),
-                span.start_line,
-                span.start_col,
-                span.end_line,
-                span.end_col,
-            )
-        )
     # An encoded string holds no raw newline, so only the results key matches.
     head, _, tail = skeleton.partition(_SARIF_NO_RESULTS)
-    joined = ",\n".join(results)
-    return f'{head}\n      "results": [\n{joined}\n      ],\n{tail}'
+    out = io.BytesIO()
+    write = out.write
+    write(head + b'\n      "results": [\n')
+    rule_ids = {rule["id"]: (_encode(rule["id"]), i) for i, rule in enumerate(rules)}
+    results = (
+        _SARIF_RESULT
+        % (
+            *rule_ids[f.smell.name],
+            _encode(f.message),
+            _encode(f.path),
+            f.span.start_line,
+            f.span.start_col,
+            f.span.end_line,
+            f.span.end_col,
+        )
+        for f in report.findings
+    )
+    _write_joined(out, b",\n", results)
+    write(b"\n      ],\n" + tail)
+    return out.getvalue()

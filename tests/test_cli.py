@@ -390,6 +390,26 @@ def test_output_flag_writes_file(tmp_path):
     assert json.loads(out.read_text())["scanned_files"] == 2
 
 
+@pytest.mark.parametrize("argv", [["lint"], ["scan"], ["scan", "--format", "json"]])
+def test_stdout_gets_the_output_file_bytes_under_an_ascii_text_layer(tmp_path, argv):
+    # A non-ASCII path in the findings once made stdout exit 2 on an ASCII stream.
+    (tmp_path / "ü").mkdir()
+    (tmp_path / "ü" / "main.tf").write_bytes((FIXTURES / "smelly" / "main.tf").read_bytes())
+    out = tmp_path / "report"
+    code = "import sys, tfsustain.cli; sys.exit(tfsustain.cli.run(sys.argv[1:]))"
+    src = str(Path(tfsustain.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "ascii"}
+    command = [sys.executable, "-c", code, argv[0], str(tmp_path), *argv[1:]]
+    to_file = subprocess.run(
+        [*command, "--output", str(out)], capture_output=True, env=env, timeout=60
+    )
+    to_stdout = subprocess.run(command, capture_output=True, env=env, timeout=60)
+    assert (to_file.returncode, to_file.stderr, to_file.stdout) == (1, b"", b"")
+    assert (to_stdout.returncode, to_stdout.stderr) == (1, b"")
+    assert to_stdout.stdout == out.read_bytes()
+    assert b"main.tf" in to_stdout.stdout
+
+
 @pytest.mark.parametrize("command", ["lint", "scan"])
 @pytest.mark.parametrize(
     "tree, engine, note",

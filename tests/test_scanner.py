@@ -8,6 +8,7 @@ import shutil
 import string
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tfsustain import scanner
-from tfsustain.catalog import SmellId
+from tfsustain.catalog import SmellId, catalog
 from tfsustain.detectors import ENGINES
 from tfsustain.detectors.findings import SmellFinding
 from tfsustain.hcl import SourceSpan
@@ -709,6 +710,104 @@ def test_render_sarif_of_any_finding_text_is_indented_json(findings):
         for f in findings
     ]
     assert doc["runs"][0]["results"] == json.loads(json.dumps(expected))
+
+
+def _reference_render_json(report: ScanReport, stats) -> bytes:
+    """The JSON report built as one dict and laid out by ``json.dumps``."""
+    doc: dict = {
+        "scanned_files": report.scanned_files,
+        "findings": [
+            {
+                "smell": f.smell.name,
+                "path": f.path,
+                "span": {
+                    "start_line": f.span.start_line,
+                    "start_col": f.span.start_col,
+                    "end_line": f.span.end_line,
+                    "end_col": f.span.end_col,
+                },
+                "evidence": f.evidence,
+                "engine": f.engine,
+                "message": f.message,
+            }
+            for f in report.findings
+        ],
+        "parse_failures": report.parse_failures,
+        "engine": report.engine,
+        "config_digest": report.config_digest,
+        "per_file_index": {
+            path: sorted(s.name for s in smells)
+            for path, smells in sorted(smells_by_path(report.findings).items())
+        },
+    }
+    if stats is not None:
+        doc["stats"] = {
+            smell.name: {
+                "files_affected": entry.files_affected,
+                "numerator": entry.prevalence.numerator,
+                "denominator": entry.prevalence.denominator,
+                "percent": format_percent(entry.prevalence),
+            }
+            for smell, entry in sorted(stats.per_smell.items())
+        }
+    return json.dumps(doc, separators=(",", ":")).encode()
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("tree", ["fixtures", "synth", "empty"])
+def test_render_json_equals_the_dict_reference(tmp_path, engine, tree):
+    root = {"fixtures": FIXTURES, "synth": tmp_path, "empty": tmp_path}[tree]
+    if tree == "synth":
+        build_corpus(tmp_path)
+    report = scan(root, engine=engine)
+    assert bool(report.findings) == (tree != "empty")
+    stats = prevalence(report) if report.scanned_files else None
+    for with_stats in (stats, None):
+        assert render(report, with_stats, "json") == _reference_render_json(report, with_stats)
+
+
+@given(st.lists(_findings(), max_size=4), st.sampled_from(ENGINES), _AWKWARD_TEXT)
+@settings(max_examples=200, deadline=None)
+def test_render_json_of_any_finding_text_is_compact_json(findings, engine, digest):
+    findings.sort(key=SmellFinding.sort_key)
+    report = ScanReport(len(findings), 1, findings, digest, engine)
+    out = render(report, None, "json")
+    assert out == json.dumps(json.loads(out), separators=(",", ":")).encode()
+    assert out == _reference_render_json(report, None)
+
+
+def test_render_peak_memory_is_a_small_multiple_of_its_output(tmp_path):
+    # 600 findings over 200 files: the renderer holds its bytes, not a copy of the
+    # document as dicts, as a list of strings or as a string beside its bytes.
+    smells = list(SmellId)
+    findings = sorted(
+        (
+            SmellFinding(
+                smell=smells[i % len(smells)],
+                path=f"module-{i % 200:03d}/main.tf",
+                span=SourceSpan(f"module-{i % 200:03d}/main.tf", i + 1, 3, i + 4, 2),
+                evidence=f'instance_type = "m5.{i}xlarge"',
+                engine="ast",
+                message="resource size exceeds the workload's demonstrated need",
+            )
+            for i in range(600)
+        ),
+        key=SmellFinding.sort_key,
+    )
+    report = ScanReport(400, 2, findings, "0" * 64, "ast")
+    stats, descriptors = prevalence(report), catalog()
+    render(report, stats, "json", descriptors)  # import and cache before tracing
+    tracemalloc.start()
+    try:
+        for fmt in ("json", "sarif"):
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            out = render(report, stats, fmt, descriptors)
+            _, peak = tracemalloc.get_traced_memory()
+            assert peak - before <= 2.5 * len(out), (fmt, peak - before, len(out))
+            del out
+    finally:
+        tracemalloc.stop()
 
 
 def test_render_rejects_unknown_format(tmp_path):
