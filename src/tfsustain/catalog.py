@@ -21,6 +21,7 @@ import json
 from dataclasses import astuple, dataclass
 from itertools import combinations
 from pathlib import Path
+from typing import Sequence
 
 from . import read_json
 
@@ -58,76 +59,66 @@ class SmellDescriptor:
     remediation: str
 
 
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    entries: tuple[tuple[int, ...], ...]
-
-
-_CATALOG: tuple[SmellDescriptor, ...] = (
-    SmellDescriptor(
+# (id, name, attributes, summary, remediation) of each built-in smell; the
+# categories come from ``assign_categories``, as for a loaded catalog.
+_CATALOG = (
+    (
         SmellId.SS1,
         "Over-Provisioning Resources",
-        2,
         AttributeVector(True, True, False, False),
         "Compute resources are sized far beyond what the workload needs, "
         "wasting allocated capacity.",
         "Review utilization regularly and right-size instances to the "
         "workload's actual demand.",
     ),
-    SmellDescriptor(
+    (
         SmellId.SS2,
         "Lack of Auto-Scaling",
-        2,
         AttributeVector(True, True, False, False),
         "Instance counts are fixed at deploy time, so capacity cannot "
         "follow workload fluctuations.",
         "Configure auto-scaling policies so capacity tracks demand instead "
         "of a fixed instance count.",
     ),
-    SmellDescriptor(
+    (
         SmellId.SS3,
         "Ignoring Resource Lifecycles",
-        1,
         AttributeVector(False, False, False, True),
         "Stateful resources carry no lifecycle rules, so changes destroy "
         "and recreate them wastefully.",
         "Declare lifecycle rules such as create_before_destroy or "
         "prevent_destroy on resources that are costly to recreate.",
     ),
-    SmellDescriptor(
+    (
         SmellId.SS4,
         "Excessive Logging",
-        1,
         AttributeVector(False, False, False, True),
         "Logs are retained far longer than needed, inflating storage and "
         "processing overhead.",
         "Set retention policies that keep only the log data the workload "
         "actually requires.",
     ),
-    SmellDescriptor(
+    (
         SmellId.SS5,
         "Unoptimized Data Transfers",
-        3,
         AttributeVector(False, False, True, False),
         "Resources that exchange data sit in different regions, paying "
         "cost and energy for every transfer.",
         "Co-locate resources that communicate frequently within a single "
         "region.",
     ),
-    SmellDescriptor(
+    (
         SmellId.SS6,
         "State Management",
-        1,
         AttributeVector(False, False, False, True),
         "Terraform state lives on local disk instead of a shared remote "
         "backend.",
         "Store state in a remote backend so runs stay consistent and "
         "centrally managed.",
     ),
-    SmellDescriptor(
+    (
         SmellId.SS7,
         "Monolithic Infrastructure",
-        1,
         AttributeVector(False, False, False, True),
         "A single file manages a large number of resources, hurting "
         "modularity and reuse.",
@@ -144,7 +135,7 @@ CATEGORY_ANCHORS = {"SS3": "General", "SS1": "Demand", "SS5": "Application"}
 
 def catalog() -> list[SmellDescriptor]:
     """The built-in smell catalog, ordered SS1..SS7."""
-    return list(_CATALOG)
+    return _described(_CATALOG)
 
 
 def similarity(a: AttributeVector, b: AttributeVector) -> int:
@@ -152,12 +143,10 @@ def similarity(a: AttributeVector, b: AttributeVector) -> int:
     return 1 if a == b else 0
 
 
-def similarity_matrix(descriptors: list[SmellDescriptor]) -> SimilarityMatrix:
-    return SimilarityMatrix(
-        tuple(
-            tuple(similarity(a.attributes, b.attributes) for b in descriptors)
-            for a in descriptors
-        )
+def similarity_matrix(descriptors: list[SmellDescriptor]) -> tuple[tuple[int, ...], ...]:
+    """The rows of pairwise :func:`similarity` scores, in descriptor order."""
+    return tuple(
+        tuple(similarity(a.attributes, b.attributes) for b in descriptors) for a in descriptors
     )
 
 
@@ -173,7 +162,7 @@ def dendrogram(descriptors: list[SmellDescriptor]) -> dict:
     complete and average linkage therefore build this same tree, and the
     distance of two clusters is that of their first leaves.
     """
-    sim = similarity_matrix(descriptors).entries
+    sim = similarity_matrix(descriptors)
     active = {i: (i,) for i in range(len(descriptors))}  # node -> sorted leaf indices
     merges = []
     while len(active) > 1:
@@ -210,7 +199,7 @@ def load_catalog(path: str | Path) -> list[SmellDescriptor]:
     raw = read_json(path)
     if not isinstance(raw, list) or not raw:
         raise CatalogError(f"{path}: catalog must be a non-empty JSON list")
-    parsed: list[dict] = []
+    parsed = []
     seen_ids: set[str] = set()
     for idx, entry in enumerate(raw):
         if not isinstance(entry, dict):
@@ -240,22 +229,22 @@ def load_catalog(path: str | Path) -> list[SmellDescriptor]:
         if entry["id"] in seen_ids:
             raise CatalogError(f"{path}: duplicate smell id {entry['id']!r}")
         seen_ids.add(entry["id"])
-        parsed.append(entry)
-
-    vectors = [AttributeVector(*e["attributes"]) for e in parsed]
-    ids = [_coerce_id(e["id"]) for e in parsed]
-    categories = assign_categories(ids, vectors)
-    return [
-        SmellDescriptor(
-            ids[i],
-            parsed[i]["name"],
-            categories[i],
-            vectors[i],
-            parsed[i]["summary"],
-            parsed[i]["remediation"],
+        parsed.append(
+            (
+                _coerce_id(entry["id"]),
+                entry["name"],
+                AttributeVector(*attrs),
+                entry["summary"],
+                entry["remediation"],
+            )
         )
-        for i in range(len(parsed))
-    ]
+    return _described(parsed)
+
+
+def _described(entries: Sequence[tuple]) -> list[SmellDescriptor]:
+    """Descriptors of (id, name, attributes, summary, remediation) entries, categories assigned."""
+    categories = assign_categories([e[0] for e in entries], [e[2] for e in entries])
+    return [SmellDescriptor(*e[:2], c, *e[2:]) for e, c in zip(entries, categories)]
 
 
 def dump_catalog(descriptors: list[SmellDescriptor]) -> str:

@@ -26,6 +26,7 @@ from .catalog import (
 )
 from .detectors import ENGINES, ConfigError, DetectorConfig, config_from_dict
 from .harvest import (
+    SEARCH_CAP,
     TOKEN_ENV_VAR,
     CodeSearchClient,
     HarvestError,
@@ -197,7 +198,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     summary = (
         f"{report.scanned_files} file(s) scanned, {len(report.findings)} finding(s)"
     )
-    _write_output((body + summary + "\n").encode("utf-8"), args.output)
+    # A path that is not UTF-8 was decoded with surrogateescape: print its own bytes.
+    _write_output((body + summary + "\n").encode("utf-8", "surrogateescape"), args.output)
     if args.verbose and report.parse_failures:
         print(f"note: {report.parse_failures} file(s) failed to parse", file=sys.stderr)
     return 1 if report.findings else 0
@@ -267,6 +269,12 @@ def _cmd_harvest(args: argparse.Namespace) -> int:
         query=args.query,
         dry_run=args.dry_run,
     )
+    if client.unserved:
+        print(
+            f"note: the search API did not serve {client.unserved} matching file(s); "
+            f"it serves at most {SEARCH_CAP} results per query",
+            file=sys.stderr,
+        )
     print(
         f"kept {summary.kept}, rejected {summary.rejected}, skipped {summary.skipped}, "
         f"fetched {summary.files_fetched} file(s), {summary.files_unchanged} unchanged"
@@ -281,7 +289,7 @@ def _cmd_harvest(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     data = read_json(args.manifest)
-    if not isinstance(data, dict) or not all(
+    if not isinstance(data, dict) or not data or not all(
         isinstance(files, list) and all(isinstance(f, str) for f in files)
         for files in data.values()
     ):

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from ..hcl import SourceText
 from . import ast_engine, pattern_engine
 from .config import ConfigError, DetectorConfig, config_from_dict
 from .findings import SmellFinding
@@ -13,23 +13,13 @@ _ENGINE_MODULES = {"ast": ast_engine, "pattern": pattern_engine}
 ENGINES = tuple(_ENGINE_MODULES)
 
 
-@dataclass(frozen=True)
-class ScanUnit:
-    """One Terraform file's path and decoded text, ready for an engine.
-
-    Each engine prepares its own view of the text.
-    """
-
-    path: str
-    text: str
-
-
-def unit_for(path: str, text: str) -> ScanUnit:
-    return ScanUnit(path, text)
+def unit_for(path: str, text: str) -> SourceText:
+    """One Terraform file's path and decoded text; each engine prepares its own view."""
+    return SourceText(path, text)
 
 
 def detect_all(
-    units: Sequence[ScanUnit], cfg: DetectorConfig, engine: str, failed: set[str]
+    units: Sequence[SourceText], cfg: DetectorConfig, engine: str, failed: set[str]
 ) -> list[SmellFinding]:
     """Run all seven detectors over one directory's files, one root module.
 
@@ -44,7 +34,6 @@ __all__ = [
     "ConfigError",
     "DetectorConfig",
     "ENGINES",
-    "ScanUnit",
     "SmellFinding",
     "ast_engine",
     "config_from_dict",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .. import hcl
 from ..catalog import SmellId
@@ -24,6 +24,7 @@ from ..hcl import (
     MapValue,
     NumberLit,
     Reference,
+    SourceText,
     StringLit,
     TemplateString,
     attributes,
@@ -31,9 +32,6 @@ from ..hcl import (
 )
 from .config import LOG_GROUP_TYPES, REGION_ATTR_ORDER, SIZE_ATTRS, DetectorConfig
 from .findings import SmellFinding, local_state_findings
-
-if TYPE_CHECKING:
-    from . import ScanUnit
 
 _GCP_ZONE_RE = re.compile(r"\A(?P<region>[a-z]+-[a-z]+\d+)-[a-z]\Z")
 _AWS_AZ_RE = re.compile(r"\A(?P<region>[a-z]{2}(?:-[a-z]+)+-\d+)[a-z]\Z")
@@ -76,8 +74,8 @@ class FileView:
         return SmellFinding(smell, self.file.path, span, evidence, "ast", message)
 
 
-def prepare(path: str, text: str, cfg: DetectorConfig) -> FileView:
-    file = hcl.parse(text, path)
+def prepare(unit: SourceText, cfg: DetectorConfig) -> FileView:
+    file = hcl.parse(unit.text, unit.path)
     resources = [
         Resource(b, b.labels[0], b.labels[1] if len(b.labels) > 1 else "", attributes(b))
         for b in resource_blocks(file)
@@ -369,10 +367,10 @@ PER_FILE_DETECTORS = (
 
 
 def detect_directory(
-    units: Sequence[ScanUnit], cfg: DetectorConfig, failed: set[str]
+    units: Sequence[SourceText], cfg: DetectorConfig, failed: set[str]
 ) -> list[SmellFinding]:
     """All seven smells over a directory's files, each parsed once; diagnosed files go into ``failed``."""
-    views = [prepare(u.path, u.text, cfg) for u in units]
+    views = [prepare(u, cfg) for u in units]
     for view in views:
         if view.file.diagnostics:
             failed.add(view.file.path)

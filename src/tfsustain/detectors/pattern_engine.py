@@ -19,16 +19,13 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from ..catalog import SmellId
 from ..hcl import SourceText
 from .ast_engine import normalize_region
 from .config import LOG_GROUP_TYPES, SIZE_ATTRS, DetectorConfig
 from .findings import SmellFinding, local_state_findings
-
-if TYPE_CHECKING:
-    from . import ScanUnit
 
 _RESOURCE_DECL_RE = re.compile(r'^[ \t]*resource[ \t]+"([^"\n]+)"', re.MULTILINE)
 _TERRAFORM_BLOCK_RE = re.compile(r"^[ \t]*terraform[ \t]*\{", re.MULTILINE)
@@ -98,12 +95,12 @@ _RETENTION_RE = re.compile(r"\b(retention_in_days|retention_days)[ \t]*=[ \t]*(\
 _LOG_GROUP_RE = _names_re(_ANY_NAME, frozenset(LOG_GROUP_TYPES))
 
 
-def prepare(path: str, text: str, cfg: DetectorConfig) -> TextView:
-    masked = mask_comments(text)
+def prepare(unit: SourceText, cfg: DetectorConfig) -> TextView:
+    masked = mask_comments(unit.text)
     backends = [(m.group(1), m) for m in _BACKEND_RE.finditer(masked)]
     terraform = _TERRAFORM_BLOCK_RE.search(masked)
     autoscaled = _names_re(_ANY_NAME, cfg.ss2_autoscaler_types).search(masked) is not None
-    return TextView(SourceText(path, text), masked, backends, terraform, autoscaled)
+    return TextView(unit, masked, backends, terraform, autoscaled)
 
 
 def pattern_ss1(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
@@ -241,10 +238,10 @@ PER_FILE_PATTERNS = (
 
 
 def detect_directory(
-    units: Sequence[ScanUnit], cfg: DetectorConfig, failed: set[str]
+    units: Sequence[SourceText], cfg: DetectorConfig, failed: set[str]
 ) -> list[SmellFinding]:
     """All seven smells over one directory's readable files; adds nothing to ``failed``."""
-    views = [prepare(u.path, u.text, cfg) for u in units]
+    views = [prepare(u, cfg) for u in units]
     findings: list[SmellFinding] = []
     for view in views:
         for detector in PER_FILE_PATTERNS:

@@ -50,6 +50,7 @@ from . import read_json
 DEFAULT_BASE_URL = "https://api.github.com"
 TOKEN_ENV_VAR = "TFSUSTAIN_GITHUB_TOKEN"
 PER_PAGE = 100  # the largest page the search API serves
+SEARCH_CAP = 1000  # the search API serves only the first 1,000 results of a query
 MAX_BACKOFF_S = 3600.0  # GitHub's rate-limit window; a longer wait is never slept
 
 # Search tokens per provider; the query is configuration, not logic.
@@ -154,6 +155,7 @@ class CodeSearchClient:
         self.sleeper = sleeper
         self.max_retries = max_retries
         self.requests_made = 0
+        self.unserved = 0  # matches of the last search that the API did not serve
 
     # -- transport ---------------------------------------------------------
 
@@ -227,10 +229,11 @@ class CodeSearchClient:
     # -- operations ----------------------------------------------------
 
     def search_repos(self, provider_tag: str, query: str) -> list[RepoRecord]:
-        """All repositories whose files match the query, fully paginated.
+        """All repositories whose files match the query, paginated up to ``SEARCH_CAP``.
 
-        Results are deduplicated by full name; a page that cannot be
-        retrieved raises rather than silently truncating the listing.
+        Results are deduplicated by full name; a page below the cap that
+        cannot be retrieved raises rather than silently truncating the
+        listing. The matches past the cap are counted in ``unserved``.
         """
         records: dict[str, RepoRecord] = {}
         page = 1
@@ -262,9 +265,10 @@ class CodeSearchClient:
                     provider_tag=provider_tag,
                     retrieved_at=datetime.now(timezone.utc).isoformat(),
                 )
-            if not items or seen_items >= total:
+            if not items or seen_items >= min(total, SEARCH_CAP):
                 break
             page += 1
+        self.unserved = max(total - seen_items, 0)
         return list(records.values())
 
     def fetch_tf_files(

@@ -19,8 +19,8 @@ from json.encoder import encode_basestring_ascii as _encode
 from typing import Iterable
 
 from . import __version__
-from .catalog import SmellDescriptor, catalog
-from .scanner import CorpusStats, ScanReport, smells_by_path
+from .catalog import SmellDescriptor, SmellId, catalog
+from .scanner import ScanReport, smells_by_path
 
 FORMATS = ("text", "json", "sarif")
 
@@ -32,14 +32,15 @@ _SARIF_SCHEMA = (
 
 def render(
     report: ScanReport,
-    stats: CorpusStats | None,
+    stats: dict[SmellId, Fraction] | None,
     format: str,
     descriptors: list[SmellDescriptor] | None = None,
 ) -> bytes:
     """Render in ``format``; ``descriptors`` (default: the built-in catalog) name smells."""
     descriptors = descriptors or catalog()
     if format == "text":
-        return _render_text(report, stats, descriptors).encode("utf-8")
+        # A path that is not UTF-8 comes back as the file name's own bytes.
+        return _render_text(report, stats, descriptors).encode("utf-8", "surrogateescape")
     if format == "json":
         return _render_json(report, stats)
     if format == "sarif":
@@ -69,7 +70,7 @@ def findings_lines(
 
 
 def _render_text(
-    report: ScanReport, stats: CorpusStats | None, descriptors: list[SmellDescriptor]
+    report: ScanReport, stats: dict[SmellId, Fraction] | None, descriptors: list[SmellDescriptor]
 ) -> str:
     lines = [
         f"scanned {report.scanned_files} file(s), "
@@ -80,14 +81,11 @@ def _render_text(
         lines.append("")
         lines.append(f"{'smell':<6} {'name':<30} {'files':>7} {'prevalence':>11}")
         # Fig.-style presentation: most prevalent first, ties by smell id.
-        ordered = sorted(
-            stats.per_smell.items(), key=lambda kv: (-kv[1].prevalence, int(kv[0]))
-        )
         names = {d.id: d.name for d in descriptors}
-        for smell, entry in ordered:
+        for smell, share in sorted(stats.items(), key=lambda kv: (-kv[1], kv[0])):
             lines.append(
-                f"{smell.name:<6} {names[smell]:<30} {entry.files_affected:>7} "
-                f"{format_percent(entry.prevalence):>10}%"
+                f"{smell.name:<6} {names[smell]:<30} {int(share * report.scanned_files):>7} "
+                f"{format_percent(share):>10}%"
             )
     if report.findings:
         lines.append("")
@@ -112,7 +110,7 @@ _JSON_FINDING = (
 )
 
 
-def _render_json(report: ScanReport, stats: CorpusStats | None) -> bytes:
+def _render_json(report: ScanReport, stats: dict[SmellId, Fraction] | None) -> bytes:
     """Each finding is one ``_JSON_FINDING``; only ``stats`` goes through ``json.dumps``."""
     out = io.BytesIO()
     write = out.write
@@ -148,12 +146,12 @@ def _render_json(report: ScanReport, stats: CorpusStats | None) -> bytes:
     if stats is not None:
         doc = {
             smell.name: {
-                "files_affected": entry.files_affected,
-                "numerator": entry.prevalence.numerator,
-                "denominator": entry.prevalence.denominator,
-                "percent": format_percent(entry.prevalence),
+                "files_affected": int(share * report.scanned_files),
+                "numerator": share.numerator,
+                "denominator": share.denominator,
+                "percent": format_percent(share),
             }
-            for smell, entry in sorted(stats.per_smell.items())
+            for smell, share in sorted(stats.items())
         }
         write(b',"stats":' + json.dumps(doc, separators=(",", ":")).encode("ascii"))
     write(b"}")

@@ -11,7 +11,7 @@ by counting; the processes of a pool claim from one shared counter.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import count
@@ -19,8 +19,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from .catalog import SmellId
-from .detectors import ENGINES, DetectorConfig, ScanUnit, detect_all, unit_for
+from .detectors import ENGINES, DetectorConfig, detect_all, unit_for
 from .detectors.findings import SmellFinding
+from .hcl import SourceText
 
 if TYPE_CHECKING:
     from multiprocessing.sharedctypes import Synchronized
@@ -63,18 +64,6 @@ def smells_by_path(findings: list[SmellFinding]) -> dict[str, set[SmellId]]:
     return index
 
 
-@dataclass(frozen=True)
-class SmellPrevalence:
-    files_affected: int
-    prevalence: Fraction
-
-
-@dataclass
-class CorpusStats:
-    scanned_files: int
-    per_smell: dict[SmellId, SmellPrevalence] = field(default_factory=dict)
-
-
 def _walk_tf_files(root: Path) -> Iterator[str]:
     """Relative POSIX paths of the .tf files under root, in file-system order.
 
@@ -111,7 +100,7 @@ def discover_tf_files(root: Path) -> list[str]:
     return sorted(_walk_tf_files(root))
 
 
-def _read_unit(base: str, rel: str) -> tuple[ScanUnit | None, bool]:
+def _read_unit(base: str, rel: str) -> tuple[SourceText | None, bool]:
     """Load ``base / rel``; returns (unit or None, is_read_or_decode_failure).
 
     The file is read whole with no buffer object in between.
@@ -152,7 +141,7 @@ def _scan_batches(
     findings: list[SmellFinding] = []
     failed: set[str] = set()
     while (k := claim()) < len(batches):
-        read: list[list[ScanUnit]] = []
+        read: list[list[SourceText]] = []
         for rels in batches[k]:
             units = []
             for rel in rels:
@@ -253,15 +242,12 @@ def scan(
     )
 
 
-def prevalence(report: ScanReport) -> CorpusStats:
-    """Exact per-smell fraction of files carrying at least one finding."""
+def prevalence(report: ScanReport) -> dict[SmellId, Fraction]:
+    """Exact share of files carrying at least one finding, for each of the seven smells."""
     if report.scanned_files == 0:
         raise ScanError("prevalence is undefined for an empty corpus")
-    stats = CorpusStats(scanned_files=report.scanned_files)
     index = smells_by_path(report.findings)
-    for smell in SmellId:
-        affected = sum(1 for smells in index.values() if smell in smells)
-        stats.per_smell[smell] = SmellPrevalence(
-            affected, Fraction(affected, report.scanned_files)
-        )
-    return stats
+    return {
+        smell: Fraction(sum(smell in smells for smells in index.values()), report.scanned_files)
+        for smell in SmellId
+    }

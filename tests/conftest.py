@@ -113,7 +113,7 @@ def reference_dendrogram(descriptors: list[SmellDescriptor], linkage: str) -> di
     sorted leaf tuple), the distance being the minimum (single), maximum
     (complete) or mean (average) over every cross pair of leaves.
     """
-    sim = similarity_matrix(descriptors).entries
+    sim = similarity_matrix(descriptors)
     n = len(descriptors)
     active = {i: (i,) for i in range(n)}  # node -> sorted leaf indices
     merges: list[dict] = []

@@ -86,7 +86,7 @@ def test_criterion_1_taxonomy_reproduction():
         for i in range(7):
             for j in range(7):
                 if i != j:
-                    assert sim.entries[i][j] == PUBLISHED_MATRIX[i][j], (i, j)
+                    assert sim[i][j] == PUBLISHED_MATRIX[i][j], (i, j)
         cat = catalog()
         derived = assign_categories([d.id for d in cat], [d.attributes for d in cat])
         assert derived == [PUBLISHED_CATEGORIES[d.id] for d in cat]
@@ -117,17 +117,17 @@ def test_criterion_2_samples_fixture_suite():
 
         # compliant forms stay silent
         ss3 = load("samples/ss3.tf")
-        assert detect_ss3_no_lifecycle(prepare(ss3.path, ss3.text, cfg), cfg) == []
+        assert detect_ss3_no_lifecycle(prepare(ss3, cfg), cfg) == []
         ss6 = load("samples/ss6.tf")
-        assert detect_ss6_local_state([prepare(ss6.path, ss6.text, cfg)], cfg) == []
+        assert detect_ss6_local_state([prepare(ss6, cfg)], cfg) == []
 
         # mutated variants each yield exactly one finding of their smell
         no_lifecycle = load("mutants/ss3_no_lifecycle/main.tf")
-        assert [f.smell.name for f in detect_ss3_no_lifecycle(prepare(no_lifecycle.path, no_lifecycle.text, cfg), cfg)] == ["SS3"]
+        assert [f.smell.name for f in detect_ss3_no_lifecycle(prepare(no_lifecycle, cfg), cfg)] == ["SS3"]
         no_backend = load("mutants/ss6_no_backend/main.tf")
-        assert [f.smell.name for f in detect_ss6_local_state([prepare(no_backend.path, no_backend.text, cfg)], cfg)] == ["SS6"]
+        assert [f.smell.name for f in detect_ss6_local_state([prepare(no_backend, cfg)], cfg)] == ["SS6"]
         extended = load("mutants/ss7_extended/main.tf")
-        ss7_findings = detect_ss7_monolithic(prepare(extended.path, extended.text, cfg), cfg)
+        ss7_findings = detect_ss7_monolithic(prepare(extended, cfg), cfg)
         assert [f.smell.name for f in ss7_findings] == ["SS7"]
         assert int(ss7_findings[0].evidence) >= 10
         assert time.perf_counter() - start < 1.0
@@ -147,11 +147,10 @@ def test_criterion_3_prevalence_arithmetic(synthetic_corpus):
                 if smell in smells
             }
             assert got_files == expected_files, smell
-            entry = stats.per_smell[smell]
-            assert entry.prevalence == Fraction(len(expected_files), 200)
-        assert format_percent(stats.per_smell[SmellId.SS7].prevalence) == "9.50"
-        assert format_percent(stats.per_smell[SmellId.SS6].prevalence) == "4.00"
-        assert format_percent(stats.per_smell[SmellId.SS5].prevalence) == "1.00"
+            assert stats[smell] == Fraction(len(expected_files), 200)
+        assert format_percent(stats[SmellId.SS7]) == "9.50"
+        assert format_percent(stats[SmellId.SS6]) == "4.00"
+        assert format_percent(stats[SmellId.SS5]) == "1.00"
         # published corpus-scale rates are context only, never an oracle here
 
 

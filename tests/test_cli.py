@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -36,6 +37,31 @@ def test_catalog_json_round_trips_through_loader(tmp_path, capsys):
     from tfsustain.catalog import catalog, load_catalog
 
     assert load_catalog(out_file) == catalog()
+
+
+def _readme_usage() -> dict[str, str]:
+    """The README's usage lines under "Command line", joined per subcommand."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    usage: dict[str, str] = {}
+    for line in block.splitlines():
+        if line.startswith("tfsustain "):
+            name = line.split()[1]
+        if line.strip():
+            usage[name] = usage.get(name, "") + " " + line.strip()
+    return usage
+
+
+def test_readme_usage_lists_every_option_of_every_subcommand():
+    parser = tfsustain.cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    commands = {"--version": parser, **subparsers.choices}
+    usage = _readme_usage()
+    assert sorted(usage) == sorted(commands)
+    for name, command in commands.items():
+        options = {o for a in command._actions for o in a.option_strings} - {"-h", "--help"}
+        for option in options:
+            assert re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", usage[name]), option
 
 
 def test_cli_import_and_scan_do_not_import_requests():
@@ -253,6 +279,23 @@ def test_harvest_subcommand_against_stub(tmp_path, capsys):
     assert (tmp_path / "dest" / "manifest.jsonl").exists()
 
 
+def test_harvest_notes_the_matches_past_the_search_apis_cap(tmp_path, capsys):
+    with StubApi() as stub:
+        stub.add_search_pages(
+            [[search_item(f"org/r{p}-{i}") for i in range(100)] for p in range(10)], total=5000
+        )
+        stub.route("/search/code?page=11", Scripted(422, {"message": "Only the first 1000"}))
+        argv = ["harvest", "--provider", "aws", "--dest", str(tmp_path / "dest"),
+                "--base-url", stub.base_url, "--token", "stub", "--dry-run"]
+        assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "note: the search API did not serve 4000 matching file(s); "
+        "it serves at most 1000 results per query\n"
+    )
+    assert captured.out.startswith("kept 1000, rejected 0,")
+
+
 def test_harvest_exits_2_on_a_response_that_is_not_an_object(tmp_path, capsys):
     with StubApi() as stub:
         stub.route("/search/code", Scripted(200, ["not", "an", "object"]))
@@ -410,6 +453,33 @@ def test_stdout_gets_the_output_file_bytes_under_an_ascii_text_layer(tmp_path, a
     assert b"main.tf" in to_stdout.stdout
 
 
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["lint"], b"\xff/main.tf"),
+        (["scan"], b"\xff/main.tf"),
+        (["scan", "--format", "json"], b'"\\udcff/main.tf"'),  # JSON escapes the surrogate
+    ],
+    ids=["lint", "scan-text", "scan-json"],
+)
+def test_a_file_name_that_is_not_utf8_prints_as_its_bytes(tmp_path, capsysbinary, argv, path):
+    # The walk decodes such a name with surrogateescape; lint and the text report
+    # once exited 2 trying to encode it as UTF-8.
+    base = os.fsencode(tmp_path)
+    try:
+        os.mkdir(os.path.join(base, b"\xff"))
+    except OSError:
+        pytest.skip("the file system refuses a name that is not UTF-8")
+    with open(os.path.join(base, b"\xff", b"main.tf"), "wb") as f:
+        f.write((FIXTURES / "smelly" / "main.tf").read_bytes())
+    out = tmp_path / "report"
+    assert run([argv[0], str(tmp_path), *argv[1:]]) == 1
+    stdout = capsysbinary.readouterr().out
+    assert run([argv[0], str(tmp_path), *argv[1:], "--output", str(out)]) == 1
+    assert path in stdout
+    assert out.read_bytes() == stdout
+
+
 @pytest.mark.parametrize("command", ["lint", "scan"])
 @pytest.mark.parametrize(
     "tree, engine, note",
@@ -559,6 +629,12 @@ _HARVEST = ["harvest", "--provider", "aws", "--dest", "{out}", "--dry-run"]
             ["sample", "{manifest.json}", "--seed", "1"],
             "{manifest.json}: sample manifest must map repositories to lists of file names",
             id="sample-file-names-int",
+        ),
+        pytest.param(
+            {"manifest.json": "{}"},
+            ["sample", "{manifest.json}", "--seed", "1"],
+            "{manifest.json}: sample manifest must map repositories to lists of file names",
+            id="sample-empty",
         ),
         pytest.param(
             {"config.json": "[]"},

@@ -57,7 +57,7 @@ def assert_every_linkage_builds_it(descriptors: list[SmellDescriptor]) -> None:
 def test_distance_is_one_minus_similarity():
     # Each merge sits at 1 - s of the first leaves of the two clusters it joins.
     cat = catalog()
-    sim = similarity_matrix(cat).entries
+    sim = similarity_matrix(cat)
     first = list(range(len(cat)))  # smallest leaf index per node
     for merge in dendrogram(cat)["merges"]:
         a, b = first[merge["a"]], first[merge["b"]]

@@ -48,7 +48,7 @@ def load_dir(rel: str):
 
 
 def view(unit, cfg=CFG):
-    return prepare(unit.path, unit.text, cfg)
+    return prepare(unit, cfg)
 
 
 def smell_names(findings):
@@ -616,7 +616,7 @@ def ss6_findings(engine, units):
     """One engine's SS6 findings over the units of one directory."""
     if engine == "ast":
         return detect_ss6_local_state([view(u) for u in units], CFG)
-    views = [pattern_engine.prepare(u.path, u.text, CFG) for u in units]
+    views = [pattern_engine.prepare(u, CFG) for u in units]
     return pattern_engine.pattern_ss6(views, CFG)
 
 

@@ -194,6 +194,24 @@ def test_persistent_server_error_on_later_page_is_not_truncated():
             client.search_repos("aws", "aws_instance")
 
 
+def test_search_stops_at_the_apis_result_cap():
+    # Past 1,000 results the search API answers 422; asking for page 11 once
+    # made every harvest of a popular query fail before recording anything.
+    with StubApi() as stub:
+        stub.add_search_pages(
+            [[search_item(f"org/r{p}-{i}") for i in range(100)] for p in range(10)], total=5000
+        )
+        stub.route(
+            "/search/code?page=11",
+            Scripted(422, {"message": "Only the first 1000 search results are available"}),
+        )
+        client = make_client(stub)
+        records = client.search_repos("aws", "aws_instance")
+        assert len(stub.requests) == 10
+    assert len(records) == 1000
+    assert client.unserved == 4000
+
+
 # -- fetch -------------------------------------------------------------
 
 REPO_FILES = {

@@ -90,7 +90,7 @@ def test_mask_comments_star_slash_shares_the_opening_star():
 
 
 def test_text_view_spans_follow_line_starts():
-    view = prepare("x.tf", "ab\n\ncd", CFG)
+    view = prepare(unit_for("x.tf", "ab\n\ncd"), CFG)
     assert view.source.line_starts == array("q", [0, 3, 4])
     assert view.source.span(0, 2) == SourceSpan("x.tf", 1, 1, 1, 3)
     assert view.source.span(3, 5) == SourceSpan("x.tf", 2, 1, 3, 2)
@@ -99,26 +99,26 @@ def test_text_view_spans_follow_line_starts():
 
 def test_pattern_ss1_matches_size_literal():
     text = (FIXTURES / "samples" / "ss1.tf").read_text()
-    findings = pattern_ss1(prepare("ss1.tf", text, CFG), CFG)
+    findings = pattern_ss1(prepare(unit_for("ss1.tf", text), CFG), CFG)
     assert len(findings) == 1 and findings[0].engine == "pattern"
     assert findings[0].evidence == "Standard_D16s_v3"
 
 
 def test_pattern_ss2_needs_compute_type_in_file():
     no_compute = 'resource "aws_sns_topic" "t" {\n  count = 9\n}\n'
-    assert pattern_ss2(prepare("x.tf", no_compute, CFG), CFG) == []
+    assert pattern_ss2(prepare(unit_for("x.tf", no_compute), CFG), CFG) == []
     with_compute = (FIXTURES / "samples" / "ss2.tf").read_text()
-    assert len(pattern_ss2(prepare("x.tf", with_compute, CFG), CFG)) == 1
+    assert len(pattern_ss2(prepare(unit_for("x.tf", with_compute), CFG), CFG)) == 1
 
 
 def test_pattern_ss2_commented_count_does_not_fire():
     text = 'resource "aws_instance" "a" {\n  # count = 9\n  ami = "x"\n}\n'
-    assert pattern_ss2(prepare("x.tf", text, CFG), CFG) == []
+    assert pattern_ss2(prepare(unit_for("x.tf", text), CFG), CFG) == []
 
 
 def test_pattern_ss4_missing_retention_is_file_level():
     text = 'resource "aws_cloudwatch_log_group" "g" {\n  name = "g"\n}\n'
-    findings = pattern_ss4(prepare("x.tf", text, CFG), CFG)
+    findings = pattern_ss4(prepare(unit_for("x.tf", text), CFG), CFG)
     assert len(findings) == 1 and findings[0].evidence == "unset"
 
 
@@ -129,27 +129,27 @@ def test_pattern_ss5_region_literals_from_comments_only_with_flag():
         '  # replica lives in region = "europe-west1"\n'
         "}\n"
     )
-    assert pattern_ss5(prepare("x.tf", text, CFG), CFG) == []
+    assert pattern_ss5(prepare(unit_for("x.tf", text), CFG), CFG) == []
     scanning = DetectorConfig(ss5_pattern_scan_comments=True)
-    findings = pattern_ss5(prepare("x.tf", text, scanning), scanning)
+    findings = pattern_ss5(prepare(unit_for("x.tf", text), scanning), scanning)
     assert len(findings) == 1
     assert findings[0].evidence == "us-west1 != europe-west1"
 
 
 def test_pattern_ss6_local_backend():
     text = (FIXTURES / "mutants" / "ss6_local_backend" / "main.tf").read_text()
-    findings = pattern_ss6([prepare("main.tf", text, CFG)], CFG)
+    findings = pattern_ss6([prepare(unit_for("main.tf", text), CFG)], CFG)
     assert len(findings) == 1 and findings[0].evidence == "local"
 
 
 def test_pattern_ss6_remote_backend_clean():
     text = (FIXTURES / "samples" / "ss6.tf").read_text()
-    assert pattern_ss6([prepare("ss6.tf", text, CFG)], CFG) == []
+    assert pattern_ss6([prepare(unit_for("ss6.tf", text), CFG)], CFG) == []
 
 
 def test_pattern_ss7_counts_resource_declarations():
     text = (FIXTURES / "mutants" / "ss7_extended" / "main.tf").read_text()
-    findings = pattern_ss7(prepare("x.tf", text, CFG), CFG)
+    findings = pattern_ss7(prepare(unit_for("x.tf", text), CFG), CFG)
     assert len(findings) == 1 and findings[0].evidence == "12"
 
 
@@ -192,5 +192,5 @@ def test_engines_give_equal_attribute_spans_on_samples(rel, smell):
 
 def test_pattern_engine_works_on_unparseable_text():
     text = 'resource "aws_instance" %%% {\n  count = 5\n  instance_type = "m5.4xlarge"\n'
-    findings = pattern_ss2(prepare("x.tf", text, CFG), CFG)
+    findings = pattern_ss2(prepare(unit_for("x.tf", text), CFG), CFG)
     assert len(findings) == 1

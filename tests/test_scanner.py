@@ -67,7 +67,7 @@ def test_scan_counts_ss7_files_exactly(tmp_path):
     }
     assert ss7_files == planted[SmellId.SS7]
     stats = prevalence(report)
-    assert stats.per_smell[SmellId.SS7].prevalence == Fraction(2, 10)
+    assert stats[SmellId.SS7] == Fraction(2, 10)
 
 
 def test_scan_twice_is_byte_identical(tmp_path):
@@ -554,8 +554,7 @@ def test_prevalence_counts_each_file_once(tmp_path):
     report = scan(tmp_path)
     assert report.scanned_files == 1
     stats = prevalence(report)
-    assert stats.per_smell[SmellId.SS7].files_affected == 1
-    assert stats.per_smell[SmellId.SS7].prevalence == Fraction(1, 1)
+    assert stats[SmellId.SS7] == Fraction(1, 1)
 
 
 def test_multi_smell_file_counts_in_three_numerators_one_denominator(tmp_path):
@@ -569,7 +568,7 @@ def test_multi_smell_file_counts_in_three_numerators_one_denominator(tmp_path):
     stats = prevalence(report)
     assert report.scanned_files == 2
     for smell in (SmellId.SS1, SmellId.SS2, SmellId.SS4):
-        assert stats.per_smell[smell].prevalence == Fraction(1, 2)
+        assert stats[smell] == Fraction(1, 2)
 
 
 def test_prevalence_matches_brute_force_on_fixture_corpus():
@@ -578,10 +577,7 @@ def test_prevalence_matches_brute_force_on_fixture_corpus():
     index = smells_by_path(report.findings)
     for smell in SmellId:
         brute = sum(1 for smells in index.values() if smell in smells)
-        assert stats.per_smell[smell].files_affected == brute
-        assert stats.per_smell[smell].prevalence == Fraction(
-            brute, report.scanned_files
-        )
+        assert stats[smell] == Fraction(brute, report.scanned_files)
 
 
 # -- rendering ---------------------------------------------------------
@@ -743,12 +739,12 @@ def _reference_render_json(report: ScanReport, stats) -> bytes:
     if stats is not None:
         doc["stats"] = {
             smell.name: {
-                "files_affected": entry.files_affected,
-                "numerator": entry.prevalence.numerator,
-                "denominator": entry.prevalence.denominator,
-                "percent": format_percent(entry.prevalence),
+                "files_affected": int(share * report.scanned_files),
+                "numerator": share.numerator,
+                "denominator": share.denominator,
+                "percent": format_percent(share),
             }
-            for smell, entry in sorted(stats.per_smell.items())
+            for smell, share in sorted(stats.items())
         }
     return json.dumps(doc, separators=(",", ":")).encode()
 
