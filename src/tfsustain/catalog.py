@@ -231,7 +231,7 @@ def load_catalog(path: str | Path) -> list[SmellDescriptor]:
         seen_ids.add(entry["id"])
         parsed.append(
             (
-                _coerce_id(entry["id"]),
+                SmellId.__members__.get(entry["id"], entry["id"]),
                 entry["name"],
                 AttributeVector(*attrs),
                 entry["summary"],
@@ -262,13 +262,6 @@ def dump_catalog(descriptors: list[SmellDescriptor]) -> str:
         ],
         indent=2,
     )
-
-
-def _coerce_id(raw: str) -> SmellId | str:
-    try:
-        return SmellId[raw]
-    except KeyError:
-        return raw
 
 
 def assign_categories(

@@ -26,9 +26,11 @@ from .catalog import (
 )
 from .detectors import ENGINES, ConfigError, DetectorConfig, config_from_dict
 from .harvest import (
+    DEFAULT_BASE_URL,
     SEARCH_CAP,
     TOKEN_ENV_VAR,
     CodeSearchClient,
+    FilterCriteria,
     HarvestError,
     HarvestManifest,
     criteria_from_file,
@@ -253,11 +255,8 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 
 def _cmd_harvest(args: argparse.Namespace) -> int:
     token = args.token or os.environ.get(TOKEN_ENV_VAR)
-    criteria = criteria_from_file(args.criteria) if args.criteria else None
-    client_kwargs = {"token": token}
-    if args.base_url:
-        client_kwargs["base_url"] = args.base_url
-    client = CodeSearchClient(**client_kwargs)
+    criteria = criteria_from_file(args.criteria) if args.criteria else FilterCriteria()
+    client = CodeSearchClient(args.base_url or DEFAULT_BASE_URL, token)
     manifest_path = args.manifest or str(Path(args.dest) / "manifest.jsonl")
     manifest = HarvestManifest(manifest_path)
     summary = harvest_provider(

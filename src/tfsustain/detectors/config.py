@@ -127,6 +127,8 @@ class DetectorConfig:
                 raise ConfigError(f"{name} must not be empty")
         if not self.ss1_large_sizes or not any(self.ss1_large_sizes.values()):
             raise ConfigError("ss1_large_sizes must list at least one size")
+        if unknown := sorted(self.ss5_region_attrs - DEFAULT_REGION_ATTRS):
+            raise ConfigError(f"ss5_region_attrs names unknown attribute(s): {', '.join(unknown)}")
 
     def digest(self) -> str:
         """Stable hash of the effective configuration."""

@@ -52,6 +52,7 @@ TOKEN_ENV_VAR = "TFSUSTAIN_GITHUB_TOKEN"
 PER_PAGE = 100  # the largest page the search API serves
 SEARCH_CAP = 1000  # the search API serves only the first 1,000 results of a query
 MAX_BACKOFF_S = 3600.0  # GitHub's rate-limit window; a longer wait is never slept
+MAX_RETRIES = 5  # retries of one request after a transport error, 5xx or rate limit
 
 # Search tokens per provider; the query is configuration, not logic.
 PROVIDER_QUERIES = {
@@ -106,15 +107,13 @@ class FilterCriteria:
 
 
 def apply_filters(
-    records: list[RepoRecord], criteria: FilterCriteria | None = None
+    records: list[RepoRecord], criteria: FilterCriteria = FilterCriteria()
 ) -> tuple[list[RepoRecord], list[tuple[RepoRecord, str]]]:
     """Split records into kept and rejected-with-reason.
 
     A rejected record carries the first criterion it failed, checked in the
     order size, fork, stars, visibility.
     """
-    if criteria is None:
-        criteria = FilterCriteria()
     kept: list[RepoRecord] = []
     rejected: list[tuple[RepoRecord, str]] = []
     for record in records:
@@ -148,12 +147,10 @@ class CodeSearchClient:
         base_url: str = DEFAULT_BASE_URL,
         token: str | None = None,
         sleeper: Callable[[float], None] = time.sleep,
-        max_retries: int = 5,
     ) -> None:
         self.base_url = base_url.rstrip("/")
         self.token = token
         self.sleeper = sleeper
-        self.max_retries = max_retries
         self.requests_made = 0
         self.unserved = 0  # matches of the last search that the API did not serve
 
@@ -187,7 +184,7 @@ class CodeSearchClient:
                 err.close()
                 status, headers = err.code, err.headers
             except (OSError, http.client.HTTPException) as err:
-                if attempts > self.max_retries:
+                if attempts > MAX_RETRIES:
                     raise NetworkError(f"request to {path} kept failing: {err}") from err
                 self.sleeper(min(2.0 ** attempts, 30.0))
                 continue
@@ -213,14 +210,12 @@ class CodeSearchClient:
                     raise RateLimitError(
                         f"{header}: {headers[header]} asks for a wait over {MAX_BACKOFF_S:g} s"
                     )
-                if attempts > self.max_retries:
-                    raise RateLimitError(
-                        f"rate budget exhausted after {self.max_retries} retries"
-                    )
+                if attempts > MAX_RETRIES:
+                    raise RateLimitError(f"rate budget exhausted after {MAX_RETRIES} retries")
                 self.sleeper(wait)
                 continue
             if status >= 500:
-                if attempts > self.max_retries:
+                if attempts > MAX_RETRIES:
                     raise NetworkError(f"{path} kept failing ({status})")
                 self.sleeper(min(2.0 ** attempts, 30.0))
                 continue
@@ -275,7 +270,7 @@ class CodeSearchClient:
         self,
         record: RepoRecord,
         dest: str | Path,
-        manifest: "HarvestManifest | None" = None,
+        manifest: HarvestManifest,
     ) -> list[FileEntry]:
         """Materialize every .tf file of a repository under ``dest/owner/name``.
 
@@ -300,7 +295,7 @@ class CodeSearchClient:
                 continue
             git_sha = node.get("sha", "")
             target = dest / record.full_name / rel
-            known = manifest.file_entry(record.full_name, rel) if manifest else None
+            known = manifest.file_entry(record.full_name, rel)
             if known is not None and known.git_sha == git_sha and target.exists():
                 on_disk = hashlib.sha256(target.read_bytes()).hexdigest()
                 if on_disk == known.sha256:
@@ -317,8 +312,7 @@ class CodeSearchClient:
             digest = hashlib.sha256(content).hexdigest()
             entry = FileEntry(record.full_name, rel, git_sha, digest, True)
             entries.append(entry)
-            if manifest is not None:
-                manifest.record_file(entry)
+            manifest.record_file(entry)
         return entries
 
 
@@ -430,7 +424,7 @@ def harvest_provider(
     provider_tag: str,
     dest: str | Path,
     manifest: HarvestManifest,
-    criteria: FilterCriteria | None = None,
+    criteria: FilterCriteria = FilterCriteria(),
     query: str | None = None,
     dry_run: bool = False,
 ) -> HarvestSummary:
@@ -439,8 +433,6 @@ def harvest_provider(
     A repository that vanishes mid-batch is recorded as skipped ("gone");
     the batch always completes.
     """
-    if criteria is None:
-        criteria = FilterCriteria()
     if query is None:
         query = PROVIDER_QUERIES.get(provider_tag, provider_tag)
     manifest.record_criteria(criteria)

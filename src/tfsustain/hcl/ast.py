@@ -60,10 +60,12 @@ class TemplateString(ExpressionValue):
     """Quoted string mixing literal text with interpolated expressions.
 
     Parts are plain ``str`` literals, ``Reference`` for simple dotted
-    interpolations, and ``Opaque`` for anything richer.
+    interpolations, and ``Opaque`` for anything richer. An interpolation of
+    only ``true``, ``false`` or ``null`` is the literal a lone value is:
+    ``BoolLit`` or ``Opaque("null")``.
     """
 
-    parts: tuple[Union[str, Reference, "Opaque"], ...]
+    parts: tuple[Union[str, Reference, BoolLit, "Opaque"], ...]
 
 
 @dataclass(frozen=True, slots=True)

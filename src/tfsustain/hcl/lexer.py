@@ -315,14 +315,10 @@ def _heredoc_end(text: str, pos: int, tag: str) -> tuple[int, str | None]:
     """End offset and error of the heredoc whose ``<<TAG`` ends at ``pos``.
 
     The body starts after the intro line and ends before the newline of the
-    first line whose stripped content equals the tag.
+    first line whose content, stripped of whitespace, equals the tag. A tag
+    is letters, digits, ``_`` and ``-``, which a pattern takes literally.
     """
-    line_start = text.find("\n", pos) + 1  # 0 when the intro line is the last
-    while 0 < line_start < len(text):
-        line_end = text.find("\n", line_start)
-        if line_end < 0:
-            line_end = len(text)
-        if text[line_start:line_end].strip() == tag:
-            return line_end, None
-        line_start = line_end + 1
+    end = re.compile(rf"\n[^\S\n]*{tag}[^\S\n]*(?=\n|\Z)").search(text, pos)
+    if end:
+        return end.end(), None
     return len(text), f"unterminated heredoc (missing {tag!r})"

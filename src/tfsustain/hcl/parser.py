@@ -5,7 +5,7 @@ attributes, literals, lists, maps, heredocs, references, and string
 templates. Anything richer (function calls, conditionals, for-expressions)
 is preserved as an ``Opaque`` value with its verbatim source text. The
 parser never sees a comment, and ``true``, ``false`` and ``null`` are names
-like any other identifier, literals only as a lone value.
+like any other identifier, literals only as a lone value or interpolation.
 
 Parsing never raises. Malformed input is skipped at roughly top-level-block
 granularity, each skip recorded as a diagnostic, so a corpus scan can chew
@@ -408,13 +408,15 @@ def _string_value(
     ``interpolations`` are the lexer's ``(open, close)`` offsets of the
     string's interpolations and directives, in ``text``.
     """
-    parts: list[str | Reference | Opaque] = []
+    parts: list[str | Reference | BoolLit | Opaque] = []
     pos = start + 1  # after the opening quote
     for opened, closed in interpolations:
         if opened > pos:
             parts.append(_decode(text, pos, opened))
         content = text[opened + 2 : closed].strip()
-        if text[opened] == "$" and _REFERENCE_RE.match(content):
+        if text[opened] == "$" and content in _KEYWORDS:
+            parts.append(_KEYWORDS[content])
+        elif text[opened] == "$" and _REFERENCE_RE.match(content):
             parts.append(Reference(tuple(content.split("."))))
         else:
             parts.append(Opaque(content))

@@ -103,19 +103,18 @@ def discover_tf_files(root: Path) -> list[str]:
 def _read_unit(base: str, rel: str) -> tuple[SourceText | None, bool]:
     """Load ``base / rel``; returns (unit or None, is_read_or_decode_failure).
 
-    The file is read whole with no buffer object in between.
+    The file is read whole with no buffer object in between, and the
+    ``utf-8-sig`` codec drops a leading BOM.
     """
     try:
         with open(os.path.join(base, rel), "rb", buffering=0) as f:
             data = f.readall()
     except OSError:
         return None, True
-    if data.startswith(b"\xef\xbb\xbf"):
-        data = data[3:]
     try:
-        return unit_for(rel, data.decode("utf-8")), False
+        return unit_for(rel, data.decode("utf-8-sig")), False
     except UnicodeDecodeError:
-        return unit_for(rel, data.decode("utf-8", errors="replace")), True
+        return unit_for(rel, data.decode("utf-8-sig", errors="replace")), True
 
 
 def _claim(counter: Synchronized) -> int:

@@ -57,6 +57,20 @@ def walk_tf_files(root: Path) -> list[str]:
     return sorted(found)
 
 
+def reference_heredoc_end(text: str, pos: int, tag: str) -> tuple[int, str | None]:
+    """The line-by-line loop that ``lexer._heredoc_end`` replaced, kept as its oracle:
+    end offset and error of the heredoc whose ``<<TAG`` ends at ``pos``."""
+    line_start = text.find("\n", pos) + 1  # 0 when the intro line is the last
+    while 0 < line_start < len(text):
+        line_end = text.find("\n", line_start)
+        if line_end < 0:
+            line_end = len(text)
+        if text[line_start:line_end].strip() == tag:
+            return line_end, None
+        line_start = line_end + 1
+    return len(text), f"unterminated heredoc (missing {tag!r})"
+
+
 def nodes_equal(a: object, b: object) -> bool:
     """Structural equality over AST nodes, ignoring source spans."""
     if isinstance(a, ConfigFile) and isinstance(b, ConfigFile):

@@ -800,6 +800,10 @@ def test_config_validation():
         ({"ss4_retention_max_days": 0}, "ss4_retention_max_days must be >= 1"),
         ({"ss3_lifecycle_required_types": []}, "ss3_lifecycle_required_types must not be empty"),
         ({"ss5_region_attrs": []}, "ss5_region_attrs must not be empty"),
+        (
+            {"ss5_region_attrs": ["region", "datacenter", "dc"]},
+            "ss5_region_attrs names unknown attribute(s): datacenter, dc",
+        ),
     ],
 )
 def test_config_error_messages(data, message):

@@ -156,7 +156,7 @@ def test_rate_budget_exhaustion_is_typed_error():
     )
     with StubApi() as stub:
         stub.route("/search/code?page=1", always_limited)
-        client = make_client(stub, max_retries=2)
+        client = make_client(stub)
         with pytest.raises(RateLimitError):
             client.search_repos("aws", "aws_instance")
 
@@ -169,9 +169,7 @@ def test_auth_failure_is_typed_error():
 
 
 def test_unreachable_host_is_typed_network_error():
-    client = CodeSearchClient(
-        base_url="http://127.0.0.1:9", sleeper=lambda _t: None, max_retries=1
-    )
+    client = CodeSearchClient("http://127.0.0.1:9", sleeper=lambda _t: None)
     with pytest.raises(NetworkError):
         client.search_repos("aws", "aws_instance")
 
@@ -189,7 +187,7 @@ def test_persistent_server_error_on_later_page_is_not_truncated():
             ),
         )
         stub.route("/search/code?page=2", Scripted(500, {"message": "boom"}))
-        client = make_client(stub, max_retries=1)
+        client = make_client(stub)
         with pytest.raises(NetworkError):
             client.search_repos("aws", "aws_instance")
 
@@ -384,7 +382,7 @@ def test_search_skips_repository_names_that_are_not_owner_slash_name(tmp_path):
     assert list(manifest_repos(tmp_path / "manifest.jsonl")) == ["org/good"]
     with StubApi() as stub:
         client = make_client(stub)
-        assert client.fetch_tf_files(record("../evil"), tmp_path / "dest") == []
+        assert client.fetch_tf_files(record("../evil"), tmp_path / "dest", manifest) == []
     assert client.requests_made == 0 and stub.requests == []
 
 
@@ -400,7 +398,8 @@ def test_fetch_skips_tree_entries_of_another_shape(tmp_path):
         stub.add_repo_tree("org/repo", {"ok.tf": b"# ok\n", "a.tf": b"#\n", "b.tf": b"#\n"})
         good = {"path": "ok.tf", "type": "blob", "sha": "sha-ok.tf"}
         stub.route("/repos/org/repo/git/trees/HEAD", Scripted(200, {"tree": [*odd, good]}))
-        entries = make_client(stub).fetch_tf_files(record(), tmp_path / "dest")
+        manifest = HarvestManifest(tmp_path / "manifest.jsonl")
+        entries = make_client(stub).fetch_tf_files(record(), tmp_path / "dest", manifest)
     assert [e.path for e in entries] == ["ok.tf"]
     assert [path for path, _ in stub.requests if "/contents/" in path] == [
         "/repos/org/repo/contents/ok.tf"
@@ -443,9 +442,10 @@ def test_a_response_of_another_shape_is_a_harvest_error(tmp_path, route, body):
         stub.add_repo_tree("org/repo", {"ok.tf": b"# ok\n"})
         stub.route(route, Scripted(200, body))
         client = make_client(stub)
+        manifest = HarvestManifest(tmp_path / "manifest.jsonl")
         with pytest.raises(HarvestError, match="unexpected shape"):
             for repo in client.search_repos("aws", "q"):
-                client.fetch_tf_files(repo, tmp_path / "dest")
+                client.fetch_tf_files(repo, tmp_path / "dest", manifest)
     assert not (tmp_path / "dest").exists()
 
 
@@ -456,8 +456,9 @@ def test_a_response_that_is_not_json_is_a_harvest_error_naming_its_path(tmp_path
     with StubApi() as stub:
         stub.add_repo_tree("org/repo", {"ok.tf": b"# ok\n"})
         stub.route("/repos/org/repo/contents/ok.tf", Scripted(200, body))
+        manifest = HarvestManifest(tmp_path / "manifest.jsonl")
         with pytest.raises(HarvestError, match="^/repos/org/repo/contents/ok.tf returned a body"):
-            make_client(stub).fetch_tf_files(record(), tmp_path / "dest")
+            make_client(stub).fetch_tf_files(record(), tmp_path / "dest", manifest)
     assert not (tmp_path / "dest").exists()
 
 
@@ -476,7 +477,7 @@ def test_a_response_that_is_not_json_is_a_harvest_error_naming_its_path(tmp_path
 def test_each_status_is_its_typed_error(response, error, message):
     with StubApi() as stub:
         stub.route("/search/code", response)
-        client = make_client(stub, max_retries=1)
+        client = make_client(stub)
         with pytest.raises(error, match=message):
             client.search_repos("aws", "q")
     assert client.requests_made == len(stub.requests)
@@ -569,7 +570,8 @@ def test_fetch_requests_each_tree_path_percent_encoded(tmp_path):
     files = {name: f"# {name}\n".encode() for name in names}
     with StubApi() as stub:
         stub.add_repo_tree("org/repo", files)
-        entries = make_client(stub).fetch_tf_files(record(), tmp_path / "dest")
+        manifest = HarvestManifest(tmp_path / "manifest.jsonl")
+        entries = make_client(stub).fetch_tf_files(record(), tmp_path / "dest", manifest)
     assert sorted(e.path for e in entries) == sorted(names)
     assert sorted(path for path, _ in stub.requests if "/contents/" in path) == sorted(
         f"/repos/org/repo/contents/{name}" for name in names

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tfsustain.hcl import TokenKind, detokenize, lexer, parse, tokenize
 
-from conftest import fixture_corpus_files, span_text
+from conftest import fixture_corpus_files, reference_heredoc_end, span_text
 
 
 def kinds(text: str) -> list[str]:
@@ -111,6 +111,27 @@ def test_heredoc_is_one_token():
     assert heredocs[0].text.endswith("EOT")
     assert heredocs[0].error is None
     assert detokenize(toks) == text
+
+
+# Heredoc bodies from tags, near-tags and every kind of whitespace str.strip()
+# removes, including the ones that are not a line break to the lexer.
+_HEREDOC_TAGS = st.sampled_from(["EOT", "E", "a-b_1", "-x"])
+_HEREDOC_PIECES = st.sampled_from(
+    ["EOT", "EO", "EOTX", "eot", "E", "a-b_1", "-x", "x", " ", "\t", "\r", "\r\n", "\n"]
+    + ["\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2003", "\u2028", "\u3000"]
+)
+
+
+@given(
+    tag=_HEREDOC_TAGS,
+    intro=st.lists(_HEREDOC_PIECES, max_size=4),
+    body=st.lists(_HEREDOC_PIECES, max_size=30),
+)
+@settings(max_examples=500, deadline=None)
+def test_heredoc_end_agrees_with_the_line_loop(tag, intro, body):
+    text = f"v = <<{tag}" + "".join(intro) + "".join(body)
+    pos = text.index(tag) + len(tag)
+    assert lexer._heredoc_end(text, pos, tag) == reference_heredoc_end(text, pos, tag)
 
 
 def test_unterminated_string_yields_error_token_and_lexing_continues():

@@ -324,7 +324,8 @@ def test_string_escapes_and_templates(literal, value):
 
 
 # true, false and null are identifiers, as in HCL's native syntax: names of
-# attributes, blocks, labels and map keys, and literals only as a lone value.
+# attributes, blocks, labels and map keys, and literals only as a lone value or
+# as an interpolation of nothing else.
 _KEYWORD_TEXTS = [
     pytest.param(
         "true = 1\n", [Attribute("true", NumberLit(1), _span(1, 1, 1, 9))], id="attribute-name"
@@ -356,8 +357,17 @@ _KEYWORD_TEXTS = [
     ),
     pytest.param(
         'x = "${true}"\n',
-        [Attribute("x", TemplateString((Reference(("true",)),)), _span(1, 1, 1, 14))],
+        [Attribute("x", TemplateString((BoolLit(True),)), _span(1, 1, 1, 14))],
         id="interpolation",
+    ),
+    pytest.param(
+        'x = "a${ false }${null}"\n',
+        [
+            Attribute(
+                "x", TemplateString(("a", BoolLit(False), Opaque("null"))), _span(1, 1, 1, 25)
+            )
+        ],
+        id="interpolations",
     ),
     pytest.param(
         "x = true.b\n",

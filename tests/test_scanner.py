@@ -490,6 +490,15 @@ def test_scan_counts_unreadable_files_in_denominator(tmp_path):
         assert report.parse_failures == failures, engine
 
 
+def test_a_bom_before_an_undecodable_byte_is_dropped_and_the_file_fails_once(tmp_path):
+    (tmp_path / "bad.tf").write_bytes(b'\xef\xbb\xbf\xff = 1\nresource "aws_instance" "x" {}\n')
+    unit, failed = scanner._read_unit(str(tmp_path), "bad.tf")
+    assert failed and unit.text == '\ufffd = 1\nresource "aws_instance" "x" {}\n'
+    for engine in ENGINES:
+        report = scan(tmp_path, engine=engine)
+        assert (report.scanned_files, report.parse_failures) == (1, 1), engine
+
+
 @pytest.mark.parametrize("engine", ["ast", "pattern"])
 def test_file_gone_between_discovery_and_read_is_a_failure_with_no_finding(
     tmp_path, monkeypatch, engine
