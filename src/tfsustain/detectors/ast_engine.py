@@ -1,17 +1,21 @@
 """Structural smell detectors working on parsed configuration files.
 
 All seven detectors are pure functions of (file view, config). A view holds
-the AST plus every answer the detectors ask of it, derived once per file:
-its resources with their attributes, its backends, and whether a resource is
-an autoscaler. Findings for a file depend only on that file's content except
-for the remote-state check, which is scoped to a directory of files (one root module).
+every answer the detectors ask of one file, derived once from its parse: its
+resources, each reduced to its labels, offsets and the few attributes and
+facts a detector reads, its backends, its first ``terraform`` block, and
+whether a resource is an autoscaler. It keeps no resource block, so the tree
+is garbage once the view is built. Findings for a file depend only on that
+file's content except for the remote-state check, which is scoped to a
+directory of files (one root module).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .. import hcl
 from ..catalog import SmellId
@@ -27,7 +31,6 @@ from ..hcl import (
     SourceText,
     StringLit,
     TemplateString,
-    attributes,
     find_blocks,
 )
 from .config import LOG_GROUP_TYPES, REGION_ATTR_ORDER, SIZE_ATTRS, DetectorConfig
@@ -35,6 +38,11 @@ from .findings import SmellFinding, local_state_findings
 
 _GCP_ZONE_RE = re.compile(r"\A(?P<region>[a-z]+-[a-z]+\d+)-[a-z]\Z")
 _AWS_AZ_RE = re.compile(r"\A(?P<region>[a-z]{2}(?:-[a-z]+)+-\d+)[a-z]\Z")
+
+# The attributes of a resource that a detector reads once its view is built,
+# and one empty mapping shared by every resource that sets none of them.
+_VIEW_ATTRS = frozenset((*SIZE_ATTRS, "count", *LOG_GROUP_TYPES.values()))
+_NO_ATTRIBUTES: Mapping[str, Attribute] = MappingProxyType({})
 
 
 def resource_blocks(file: ConfigFile) -> list[Block]:
@@ -44,19 +52,32 @@ def resource_blocks(file: ConfigFile) -> list[Block]:
 
 @dataclass(slots=True)
 class Resource:
-    """One resource block, its labels, and its attributes by name (the last assignment wins)."""
+    """One resource block reduced to what the detectors read of it.
 
-    block: Block
+    ``start`` and ``end`` are the block's offsets. ``attributes`` holds only
+    the attributes in ``_VIEW_ATTRS``, by name (the last assignment wins).
+    ``lifecycle`` is whether a ``lifecycle`` block nests in it, and is only
+    looked for in the types SS3 checks. ``region`` and ``references`` are set
+    only in a file of at least two resources, and ``references`` only for a
+    resource with a region: no pair forms otherwise.
+    """
+
     type: str
     name: str
-    attributes: dict[str, Attribute]
+    start: int
+    end: int
+    attributes: Mapping[str, Attribute]
+    lifecycle: bool
+    region: str | None = None
+    references: Sequence[tuple[Attribute, Reference]] = ()
 
 
 @dataclass(slots=True)
 class FileView:
     """One parsed file as every AST detector reads it, built once per file."""
 
-    file: ConfigFile
+    source: SourceText
+    diagnosed: bool  # whether the parse reported an error
     resources: list[Resource]
     backends: list[tuple[str, Block]]  # labelled, in the top-level terraform blocks
     terraform: Block | None  # the first top-level terraform block
@@ -64,26 +85,44 @@ class FileView:
 
     @property
     def path(self) -> str:
-        return self.file.path
+        return self.source.path
 
     def finding(
-        self, smell: SmellId, at: Attribute | Block | None, evidence: str, message: str
+        self, smell: SmellId, at: Attribute | Block | Resource | None, evidence: str, message: str
     ) -> SmellFinding:
-        """A finding at node ``at`` of this file, or over the whole file when None."""
-        span = (at or self.file).span
-        return SmellFinding(smell, self.file.path, span, evidence, "ast", message)
+        """A finding over the offsets of ``at``, or over the whole file when None."""
+        span = self.source.span(*((at.start, at.end) if at else (0, len(self.source.text))))
+        return SmellFinding(smell, self.source.path, span, evidence, "ast", message)
 
 
 def prepare(unit: SourceText, cfg: DetectorConfig) -> FileView:
+    """Parse ``unit`` and keep what the detectors read; the tree is dropped on return."""
     file = hcl.parse(unit.text, unit.path)
+    blocks = resource_blocks(file)
     resources = [
-        Resource(b, b.labels[0], b.labels[1] if len(b.labels) > 1 else "", attributes(b))
-        for b in resource_blocks(file)
+        Resource(
+            b.labels[0],
+            b.labels[1] if len(b.labels) > 1 else "",
+            b.start,
+            b.end,
+            {a.name: a for a in b.body if isinstance(a, Attribute) and a.name in _VIEW_ATTRS}
+            or _NO_ATTRIBUTES,
+            b.labels[0] in cfg.ss3_lifecycle_required_types and _has_lifecycle(b.body),
+        )
+        for b in blocks
     ]
+    if len(resources) > 1:
+        regions: dict[str, str] = {}  # one string per region
+        for r, b in zip(resources, blocks):
+            region = region_class(b, cfg)
+            if region is not None:
+                r.region = regions.setdefault(region, region)
+                r.references = tuple(_block_references(b))
     tf_blocks = find_blocks(file, "terraform")
     backends = [(b.labels[0], b) for t in tf_blocks for b in find_blocks(t, "backend") if b.labels]
     autoscaled = not cfg.ss2_autoscaler_types.isdisjoint([r.type for r in resources])
-    return FileView(file, resources, backends, tf_blocks[0] if tf_blocks else None, autoscaled)
+    terraform = tf_blocks[0] if tf_blocks else None
+    return FileView(unit, bool(file.diagnostics), resources, backends, terraform, autoscaled)
 
 
 def normalize_region(attr_name: str, raw: str) -> str:
@@ -186,10 +225,10 @@ def detect_ss3_no_lifecycle(
     """Lifecycle-sensitive resources missing a lifecycle block."""
     findings = []
     for r in view.resources:
-        if r.type not in cfg.ss3_lifecycle_required_types or _has_lifecycle(r.block.body):
+        if r.type not in cfg.ss3_lifecycle_required_types or r.lifecycle:
             continue
         message = f'{r.type} "{r.name}" declares no lifecycle block'
-        findings.append(view.finding(SmellId.SS3, r.block, r.type, message))
+        findings.append(view.finding(SmellId.SS3, r, r.type, message))
     return findings
 
 
@@ -208,7 +247,7 @@ def detect_ss4_excessive_logging(
                 findings.append(
                     view.finding(
                         SmellId.SS4,
-                        r.block,
+                        r,
                         "unset",
                         f'{r.type} "{r.name}" sets no {attr_name}; '
                         "logs are retained forever",
@@ -259,12 +298,17 @@ def _block_references(block: Block) -> list[tuple[Attribute, Reference]]:
     return out
 
 
-def region_class(resource: Resource, cfg: DetectorConfig) -> str | None:
-    """Normalized region of a resource, or None when not a string literal."""
+def region_class(block: Block, cfg: DetectorConfig) -> str | None:
+    """Normalized region of a resource block, or None when not a string literal.
+
+    The first attribute of ``REGION_ATTR_ORDER`` in ``cfg.ss5_region_attrs``
+    that holds a string literal decides; the last assignment of a name wins.
+    """
+    attrs = {
+        a.name: a for a in block.body if isinstance(a, Attribute) and a.name in cfg.ss5_region_attrs
+    }
     for attr_name in REGION_ATTR_ORDER:
-        if attr_name not in cfg.ss5_region_attrs:
-            continue
-        literal = _string_literal(resource.attributes.get(attr_name))
+        literal = _string_literal(attrs.get(attr_name))
         if literal is not None:
             return normalize_region(attr_name, literal)
     return None
@@ -284,33 +328,31 @@ def detect_ss5_cross_region_transfer(
     resources = view.resources
     if len(resources) < 2:
         return []  # no pair to form
-    regions = [region_class(r, cfg) for r in resources]
-    addresses = [(r.type, r.name) for r in resources]
     # A list per address: duplicate addresses are legal input.
     index: dict[tuple[str, str], list[int]] = {}
-    for i, region in enumerate(regions):
-        if region is not None:
-            index.setdefault(addresses[i], []).append(i)
+    for i, r in enumerate(resources):
+        if r.region is not None:
+            index.setdefault((r.type, r.name), []).append(i)
 
     # The first attribute of resource i referring to resource j, per (i, j),
-    # for regions that differ (so never i == j).
+    # for regions that differ (so never i == j). Only a resource with a
+    # region has references.
     links: dict[tuple[int, int], Attribute] = {}
     for i, r in enumerate(resources):
-        if regions[i] is None:
-            continue
-        for attr, ref in _block_references(r.block):
+        for attr, ref in r.references:
             segments = ref.segments
             if segments[:1] == ("data",):
                 segments = segments[1:]
             for j in index.get(segments[:2], ()):
-                if regions[j] != regions[i]:
+                if resources[j].region != r.region:
                     links.setdefault((i, j), attr)
 
     findings = []
     for i, j in sorted({(min(pair), max(pair)) for pair in links}):
         link = links[i, j] if (i, j) in links else links[j, i]
-        ra, rb = regions[i], regions[j]
-        addr_a, addr_b = ".".join(addresses[i]), ".".join(addresses[j])
+        a, b = resources[i], resources[j]
+        ra, rb = a.region, b.region
+        addr_a, addr_b = f"{a.type}.{a.name}", f"{b.type}.{b.name}"
         findings.append(
             view.finding(
                 SmellId.SS5,
@@ -372,8 +414,8 @@ def detect_directory(
     """All seven smells over a directory's files, each parsed once; diagnosed files go into ``failed``."""
     views = [prepare(u, cfg) for u in units]
     for view in views:
-        if view.file.diagnostics:
-            failed.add(view.file.path)
+        if view.diagnosed:
+            failed.add(view.path)
     findings: list[SmellFinding] = []
     for view in views:
         for detector in PER_FILE_DETECTORS:

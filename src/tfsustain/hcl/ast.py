@@ -114,7 +114,7 @@ def _lazy_span(cls):
 class Diagnostic(_Located):
     message: str
     span: SourceSpan
-    severity: str = "error"  # always "error"; the perfbench tracer reads it (ROADMAP item 2(d))
+    severity: str = "error"  # always "error"; the perfbench tracer reads it (ROADMAP item 1(b))
 
     @classmethod
     def at(cls, source: SourceText, start: int, end: int, message: str) -> Diagnostic:

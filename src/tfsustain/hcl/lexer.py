@@ -62,13 +62,22 @@ class SourceSpan:
 _NEWLINE_RE = re.compile("\n")
 
 
+def offset_array(length: int) -> array:
+    """An empty array for offsets into a text of ``length`` characters.
+
+    Offsets run from 0 to ``length``: below ``2**31`` they fit ``array("i")``,
+    four bytes each, and a longer text gets ``array("q")``, eight bytes each.
+    """
+    return array("i" if length < 2**31 else "q")
+
+
 class SourceText:
     """One file's path and text, with the offset of each line's first character.
 
-    The line index, an ``array("q")``, is built on the first :meth:`position`
-    call, so a file whose spans are never read never builds it. Lines end
-    only at ``"\\n"``; ``str.splitlines`` would also break at ``"\\r"``,
-    ``"\\x0b"``, ``"\\x85"``, ``"\\u2028"`` and others.
+    The line index, an :func:`offset_array`, is built on the first
+    :meth:`position` call, so a file whose spans are never read never builds
+    it. Lines end only at ``"\\n"``; ``str.splitlines`` would also break at
+    ``"\\r"``, ``"\\x0b"``, ``"\\x85"``, ``"\\u2028"`` and others.
     """
 
     def __init__(self, path: str, text: str) -> None:
@@ -77,7 +86,8 @@ class SourceText:
 
     @cached_property
     def line_starts(self) -> array:
-        starts = array("q", [0])
+        starts = offset_array(len(self.text))
+        starts.append(0)
         starts.extend(map(re.Match.end, _NEWLINE_RE.finditer(self.text)))
         return starts
 
@@ -128,10 +138,11 @@ class Tokens(Sequence[Token]):
 
     Token ``i`` has kind ``kinds[i]`` and text ``source.text[starts[i]:ends[i]]``,
     and its leading trivia starts where token ``i - 1`` ends. ``starts`` and
-    ``ends`` are ``array("q")``, eight bytes a token. ``errors`` maps the start
-    offset of each token that carries an error to its message; no two tokens
-    start at one offset, since only EOF is empty; an unterminated block
-    comment is keyed by the offset of its ``/*``. ``interpolations`` maps the
+    ``ends`` are :func:`offset_array` columns, four bytes a token for a text
+    shorter than ``2**31`` characters. ``errors`` maps the start offset of
+    each token that carries an error to its message; no two tokens start at
+    one offset, since only EOF is empty; an unterminated block comment is
+    keyed by the offset of its ``/*``. ``interpolations`` maps the
     start offset of each quoted template that has interpolations or
     directives to their ``(open, close)`` offsets, as :func:`scan_template`
     reports them. Indexing, slicing and iteration read a list of
@@ -217,7 +228,7 @@ _TEMPLATE_STOPS = {
 def tokenize(text: str, file_id: str = "<input>") -> Tokens:
     """Scan ``text`` into tokens; the last token is always EOF."""
     kinds: list[TokenKind] = []
-    starts, ends = array("q"), array("q")
+    starts, ends = offset_array(len(text)), offset_array(len(text))
     errors: dict[int, str] = {}
     interpolations: dict[int, list[tuple[int, int]]] = {}
     tokens = Tokens(SourceText(file_id, text), kinds, starts, ends, errors, interpolations)

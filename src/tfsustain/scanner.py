@@ -169,6 +169,13 @@ def _claim_joined() -> tuple[list[SmellFinding], set[str]]:
     return _scan_batches(*_job)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def scan(
     root: str | Path,
     cfg: DetectorConfig | None = None,
@@ -182,10 +189,11 @@ def scan(
 
     The directories, in path order, are cut into batches of whole directories
     holding at least ``BATCH_FILES`` files each (the last may hold fewer). With
-    ``n = min(jobs, os.cpu_count(), batches)`` above 1, the calling process
-    and a pool of n - 1 workers, closed before this returns, run one batch
-    loop, each claiming the next batch from one shared counter until none is
-    left; otherwise the calling process runs it alone, counting up, no pool.
+    ``n = min(jobs, cpus, batches)`` above 1, ``cpus`` being the CPUs this
+    process may run on, the calling process and a pool of n - 1 workers,
+    closed before this returns, run one batch loop, each claiming the next
+    batch from one shared counter until none is left; otherwise the calling
+    process runs it alone, counting up, no pool.
     The findings are sorted once, so the report never depends on ``jobs``.
     """
     root = Path(root)
@@ -213,7 +221,7 @@ def scan(
             batch, held = [], 0
     if batch:
         batches.append(batch)
-    n = min(jobs, os.cpu_count() or 1, len(batches))
+    n = min(jobs, _usable_cpus(), len(batches))
     if n > 1:
         # Imported here: these modules would add to every one-job scan's memory.
         import multiprocessing

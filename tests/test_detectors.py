@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -28,6 +31,7 @@ from tfsustain.detectors.ast_engine import (
     normalize_region,
     prepare,
 )
+from tfsustain.detectors.config import REGION_ATTR_ORDER
 from tfsustain.detectors.findings import SmellFinding
 
 from conftest import FIXTURES, count_python_calls, fixture_corpus_files, span_text
@@ -297,13 +301,24 @@ def test_region_normalization():
     assert normalize_region("region", "europe-west1") == "europe-west1"
 
 
+def reference_region(block, cfg):
+    """The normalized region of a parsed resource block, read off the tree."""
+    attrs = hcl.attributes(block)
+    for name in REGION_ATTR_ORDER:
+        node = attrs.get(name)
+        if name in cfg.ss5_region_attrs and node is not None and isinstance(node.value, hcl.StringLit):
+            return normalize_region(name, node.value.value)
+    return None
+
+
 # Frozen copy of the former pair loop: the reference the indexed SS5 check
-# must repeat finding for finding.
-def reference_ss5_pair_loop(view, cfg):
-    resources = view.resources
-    regions = {id(b): ast_engine.region_class(b, cfg) for b in resources}
-    refs = {id(b): ast_engine._block_references(b.block) for b in resources}
-    addresses = {id(b): (b.type, b.name) for b in resources}
+# must repeat finding for finding. It reads the tree that ``hcl.parse``
+# returns, not a view, so it shares no summary with the detector.
+def reference_ss5_pair_loop(unit, cfg):
+    resources = ast_engine.resource_blocks(hcl.parse(unit.text, unit.path))
+    regions = {id(b): reference_region(b, cfg) for b in resources}
+    refs = {id(b): ast_engine._block_references(b) for b in resources}
+    addresses = {id(b): (b.labels[0], b.labels[1] if len(b.labels) > 1 else "") for b in resources}
 
     findings = []
     for i, a in enumerate(resources):
@@ -321,7 +336,7 @@ def reference_ss5_pair_loop(view, cfg):
             findings.append(
                 SmellFinding(
                     SmellId.SS5,
-                    view.file.path,
+                    unit.path,
                     link.span,
                     f"{ra} != {rb}",
                     "ast",
@@ -430,9 +445,9 @@ SS5_SELF_AND_DUPLICATE = [
 @example(SS5_SELF_AND_DUPLICATE)
 @settings(max_examples=200, deadline=None)
 def test_ss5_index_matches_pair_loop(specs):
-    file_view = view(unit_for("x.tf", ss5_text(specs)))
-    got = detect_ss5_cross_region_transfer(file_view, CFG)
-    assert got == reference_ss5_pair_loop(file_view, CFG)
+    unit = unit_for("x.tf", ss5_text(specs))
+    got = detect_ss5_cross_region_transfer(view(unit), CFG)
+    assert got == reference_ss5_pair_loop(unit, CFG)
 
 
 def test_ss5_examples_reach_every_case():
@@ -470,6 +485,49 @@ def ss5_ring(n: int) -> str:
         "}\n"
         for k in range(n)
     )
+
+
+def test_a_prepared_view_holds_a_small_multiple_of_its_text():
+    # Memory, not time: no clock in Tier-1. The view keeps per-resource
+    # summaries, not the tree, which is garbage once prepare returns; a view
+    # that kept the tree and every resource block held 11.2 times the text.
+    view(unit_for("x.tf", ss5_ring(4)))  # warms the regex and enum caches
+    unit = unit_for("x.tf", ss5_ring(3000))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        file_view = view(unit)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(file_view.resources) == 3000
+    assert held <= 7 * len(unit.text), held / len(unit.text)
+
+
+def reachable(root) -> list:
+    """Every object reachable from ``root``, not through classes or modules."""
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in seen and not isinstance(obj, (type, types.ModuleType)):
+            seen[id(obj)] = obj
+            stack.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+def test_a_view_reaches_no_tree_and_no_resource_block():
+    text = (
+        ss5_ring(3)
+        + 'resource "aws_ebs_volume" "v" {\n  lifecycle {\n    prevent_destroy = true\n  }\n}\n'
+        + 'resource "aws_cloudwatch_log_group" "l" {\n  retention_in_days = 400\n}\n'
+        + 'terraform {\n  backend "local" {\n    path = "x"\n  }\n}\n'
+    )
+    objects = reachable(view(unit_for("x.tf", text)))
+    assert sum(isinstance(o, ast_engine.Resource) for o in objects) == 5
+    assert any(isinstance(o, hcl.Attribute) and o.name == "peer" for o in objects)
+    assert not any(isinstance(o, hcl.ConfigFile) for o in objects)
+    blocks = [o for o in objects if isinstance(o, hcl.Block)]
+    assert sorted(b.block_type for b in blocks) == ["backend", "terraform"]
 
 
 # Files whose detection work could grow faster than their size: one text per n.

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfsustain.hcl import TokenKind, detokenize, lexer, parse, tokenize
+from tfsustain.hcl import SourceText, TokenKind, detokenize, lexer, parse, tokenize
 
 from conftest import fixture_corpus_files, reference_heredoc_end, span_text
 
@@ -541,7 +541,7 @@ def test_tokens_keep_offsets_in_arrays_and_read_as_a_sequence():
     text = 'a = "x${b}" # c\n/* d */ e = [1]\n'
     toks = tokenize(text)
     for column in (toks.starts, toks.ends):
-        assert isinstance(column, array) and column.typecode == "q"
+        assert isinstance(column, array) and column.typecode == "i"
     n = len(toks)
     assert n == len(toks.kinds) == len(toks.starts) == len(toks.ends)
     assert [t.text for t in toks] == [text[s:e] for s, e in zip(toks.starts, toks.ends)]
@@ -550,6 +550,24 @@ def test_tokens_keep_offsets_in_arrays_and_read_as_a_sequence():
     assert toks[-1].kind is TokenKind.EOF and toks[-1].start == len(text)
     assert detokenize(toks) == text
     assert detokenize(toks[:4]) + detokenize(toks[4:]) == text
+
+
+@pytest.mark.parametrize("length, typecode", [(2**31 - 1, "i"), (2**31, "q")])
+def test_offsets_of_any_text_fit_their_columns(length, typecode):
+    class Sized(str):
+        """A short text that reports ``length`` characters, so none are allocated."""
+
+        def __len__(self) -> int:
+            return length
+
+    text = Sized("a = 1\n")
+    toks = tokenize(text)
+    for column in (toks.starts, toks.ends, SourceText("x.tf", text).line_starts):
+        assert column.typecode == typecode
+    # Offsets run up to the length itself, where EOF starts.
+    column = lexer.offset_array(length)
+    column.append(length)
+    assert column[0] == length
 
 
 def test_tokens_keep_template_interpolations_by_start_offset():

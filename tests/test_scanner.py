@@ -77,6 +77,22 @@ def test_scan_twice_is_byte_identical(tmp_path):
     assert render(r1, prevalence(r1), "json") == render(r2, prevalence(r2), "json")
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on, as ``scan`` counts them for its pool."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _set_cpus(monkeypatch, cpus: int | None) -> None:
+    """Let ``scan`` see ``cpus`` CPUs to run on; None is a platform that cannot tell."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 def _tree(root, files_per_dir):
     """One directory per count, named a, b, c, ..., holding that many smelly files."""
     for name, count in zip(string.ascii_lowercase, files_per_dir):
@@ -116,7 +132,7 @@ def test_each_process_reads_a_batch_of_whole_directories_before_detecting_them(
         # Small batches on two processes: the inline executor runs the worker's
         # claim loop in this process, so the events below are in claim order.
         monkeypatch.setattr(scanner, "BATCH_FILES", 4)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        _set_cpus(monkeypatch, 2)
         built = _record_executors(monkeypatch)
     k = scanner.BATCH_FILES
     sizes = {"a": 1, "b": k - 2, "c": 3, "d": k, "e": 1, "f": 2 * k, "g": 2, "h": 1}
@@ -198,7 +214,7 @@ def _append_line(path, *words: str) -> None:
         os.close(fd)
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for a pool")
+@pytest.mark.skipif(_cpus() < 2, reason="needs two CPUs for a pool")
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="the workers must inherit the recording functions",
@@ -231,7 +247,7 @@ def test_scan_processes_claim_each_batch_once_and_detect_each_directory_whole(
     monkeypatch.setattr(scanner, "detect_all", detecting)
     monkeypatch.setattr(scanner, "BATCH_FILES", 3)
     # Four processes on fewer CPUs contend for the counter's lock.
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    _set_cpus(monkeypatch, 4)
     counters = _record_counters(monkeypatch)
     four_jobs = _report_bytes(scan(root, jobs=4))
     assert multiprocessing.active_children() == []
@@ -284,11 +300,11 @@ def test_fixture_reports_do_not_depend_on_jobs(monkeypatch, engine):
         assert multiprocessing.active_children() == []
     assert reports[2] == reports[1]
     assert reports[3] == reports[1]
-    pooled = [min(jobs, os.cpu_count() or 1) for jobs in (2, 3)]
+    pooled = [min(jobs, _cpus()) for jobs in (2, 3)]
     assert [c.value for c in counters] == [dirs + n for n in pooled if n > 1]
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for a pool")
+@pytest.mark.skipif(_cpus() < 2, reason="needs two CPUs for a pool")
 def test_spawned_workers_give_the_same_report(monkeypatch, start_method):
     """Where the default start method is spawn, a worker starts from a fresh import."""
     monkeypatch.setattr(scanner, "BATCH_FILES", 1)
@@ -324,7 +340,7 @@ def test_file_gone_in_a_workers_share_is_a_parse_failure(tmp_path, monkeypatch, 
     assert report.parse_failures == fixtures.parse_failures + 1
     assert "fixtures/d/gone.tf" not in {f.path for f in report.findings}
     assert multiprocessing.active_children() == []
-    n = min(jobs, os.cpu_count() or 1)
+    n = min(jobs, _cpus())
     assert [c.value for c in counters] == ([_directories(FIXTURES) + 1 + n] if n > 1 else [])
 
 
@@ -367,11 +383,11 @@ def test_many_jobs_ask_for_one_worker_per_cpu_or_directory_past_the_first(
     _tree(tmp_path, [1, 2, 1])
     one_job = _report_bytes(scan(tmp_path, jobs=1))
     if cpus is not None:
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        _set_cpus(monkeypatch, cpus)
     monkeypatch.setattr(scanner, "BATCH_FILES", 1)  # a batch per directory
     built = _record_executors(monkeypatch)
     report = scan(tmp_path, jobs=10**6)
-    n = min(os.cpu_count() or 1, 3)
+    n = min(_cpus(), 3)
     assert built == ([n - 1] if n > 1 else [])
     assert _report_bytes(report) == one_job
 
@@ -379,16 +395,29 @@ def test_many_jobs_ask_for_one_worker_per_cpu_or_directory_past_the_first(
 @pytest.mark.parametrize("cpus", [1, None])
 def test_one_cpu_builds_no_executor(tmp_path, monkeypatch, cpus):
     _tree(tmp_path, [1, 1, 1])
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    _set_cpus(monkeypatch, cpus)
     monkeypatch.setattr(scanner, "BATCH_FILES", 1)
     built = _record_executors(monkeypatch)
     assert scan(tmp_path, jobs=4).scanned_files == 3
     assert built == []
 
 
+def test_a_process_pinned_to_one_cpu_starts_no_pool(tmp_path, monkeypatch):
+    _tree(tmp_path, [1, 2, 1])
+    one_job = _report_bytes(scan(tmp_path, jobs=1))
+    # The machine has two CPUs, and this process may run on one of them.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(scanner, "BATCH_FILES", 1)  # a batch per directory
+    built = _record_executors(monkeypatch)
+    counters = _record_counters(monkeypatch)
+    assert _report_bytes(scan(tmp_path, jobs=2)) == one_job
+    assert built == [] and counters == []
+
+
 def test_one_batch_builds_no_executor_or_counter(tmp_path, monkeypatch):
     _tree(tmp_path, [1, 2, 1])
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    _set_cpus(monkeypatch, 8)
     built = _record_executors(monkeypatch)
     counters = _record_counters(monkeypatch)
     assert scan(tmp_path, jobs=4).scanned_files == 4
