@@ -91,7 +91,8 @@ def _names_re(template: str, names: frozenset[str]) -> re.Pattern[str]:
 _ANY_NAME = r"\b(?:{})\b"
 _REGION_ATTR = r'\b({})[ \t]*=[ \t]*"([^"\n]+)"'
 _SIZE_RE = re.compile(rf'\b(?:{"|".join(SIZE_ATTRS)})[ \t]*=[ \t]*"([^"\n]+)"')
-_RETENTION_RE = re.compile(r"\b(retention_in_days|retention_days)[ \t]*=[ \t]*(\d+)")
+# Any assignment sets a retention; only a digit value is compared with the maximum.
+_RETENTION_RE = re.compile(r"\b(retention_in_days|retention_days)[ \t]*=(?!=)[ \t]*(\d*)")
 _LOG_GROUP_RE = _names_re(_ANY_NAME, frozenset(LOG_GROUP_TYPES))
 
 
@@ -162,8 +163,7 @@ def pattern_ss4(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
     saw_retention = False
     for m in _RETENTION_RE.finditer(view.masked):
         saw_retention = True
-        days = int(m.group(2))
-        if days > cfg.ss4_retention_max_days:
+        if m.group(2) and (days := int(m.group(2))) > cfg.ss4_retention_max_days:
             findings.append(
                 view.finding(
                     SmellId.SS4,

@@ -7,7 +7,7 @@ attribute, block and value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from .lexer import SourceSpan, SourceText
@@ -75,25 +75,31 @@ class Opaque(ExpressionValue):
     text: str
 
 
+@dataclass
 class _Located:
     """A node over ``source.text[start:end]`` whose ``span`` field is built on demand.
 
-    The parser makes nodes with each class's ``at``, which sets ``source``,
-    ``start``, ``end`` and the fields, and leaves the ``span`` slot unset.
+    ``source``, ``start`` and ``end`` lead each located class's constructor,
+    and ``repr`` and ``==`` ignore them. The slots are the subclass's own: on
+    Python 3.10, ``dataclass(slots=True)`` re-declares a slot that a base
+    already has, so this base declares none.
     """
 
-    __slots__ = ("source", "start", "end")
+    __slots__ = ()
+    source: SourceText = field(repr=False, compare=False)
+    start: int = field(repr=False, compare=False)
+    end: int = field(repr=False, compare=False)
 
 
 def _lazy_span(cls):
     """Make the ``span`` slot of a located dataclass build its value on first read.
 
-    A node made by ``at`` leaves the slot unset, so a scan builds a
+    The constructor leaves the slot unset, so a scan builds a
     :class:`SourceSpan` only for the nodes it reports. Reading an unset
-    ``span`` builds ``source.span(start, end)`` and keeps it in the slot; a
-    span given to the constructor is kept and wins. ``==`` and ``repr`` read
-    ``span`` like any field, so they compare spans by value: two parses of one
-    text compare equal and print the same.
+    ``span`` builds ``source.span(start, end)`` and keeps it in the slot; an
+    assigned span is kept and wins. ``==`` and ``repr`` read ``span`` like
+    any field, so they compare spans by value: two parses of one text
+    compare equal and print the same.
     """
     get, put = cls.span.__get__, cls.span.__set__  # the slot's member descriptor
 
@@ -113,15 +119,8 @@ def _lazy_span(cls):
 @dataclass(slots=True)
 class Diagnostic(_Located):
     message: str
-    span: SourceSpan
+    span: SourceSpan = field(init=False)
     severity: str = "error"  # always "error"; the perfbench tracer reads it (ROADMAP item 1(b))
-
-    @classmethod
-    def at(cls, source: SourceText, start: int, end: int, message: str) -> Diagnostic:
-        node = cls.__new__(cls)
-        node.source, node.start, node.end = source, start, end
-        node.message, node.severity = message, "error"
-        return node
 
 
 @_lazy_span
@@ -129,16 +128,7 @@ class Diagnostic(_Located):
 class Attribute(_Located):
     name: str
     value: ExpressionValue
-    span: SourceSpan
-
-    @classmethod
-    def at(
-        cls, source: SourceText, start: int, end: int, name: str, value: ExpressionValue
-    ) -> Attribute:
-        node = cls.__new__(cls)
-        node.source, node.start, node.end = source, start, end
-        node.name, node.value = name, value
-        return node
+    span: SourceSpan = field(init=False)
 
 
 @_lazy_span
@@ -147,22 +137,7 @@ class Block(_Located):
     block_type: str
     labels: list[str]
     body: list[Union["Block", Attribute]]
-    span: SourceSpan
-
-    @classmethod
-    def at(
-        cls,
-        source: SourceText,
-        start: int,
-        end: int,
-        block_type: str,
-        labels: list[str],
-        body: list[Block | Attribute],
-    ) -> Block:
-        node = cls.__new__(cls)
-        node.source, node.start, node.end = source, start, end
-        node.block_type, node.labels, node.body = block_type, labels, body
-        return node
+    span: SourceSpan = field(init=False)
 
 
 @_lazy_span
@@ -171,19 +146,4 @@ class ConfigFile(_Located):
     path: str
     body: list[Block | Attribute]
     diagnostics: list[Diagnostic]
-    span: SourceSpan
-
-    @classmethod
-    def at(
-        cls,
-        source: SourceText,
-        start: int,
-        end: int,
-        path: str,
-        body: list[Block | Attribute],
-        diagnostics: list[Diagnostic],
-    ) -> ConfigFile:
-        node = cls.__new__(cls)
-        node.source, node.start, node.end = source, start, end
-        node.path, node.body, node.diagnostics = path, body, diagnostics
-        return node
+    span: SourceSpan = field(init=False)

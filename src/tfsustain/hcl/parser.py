@@ -76,10 +76,10 @@ def parse(text: str, path: str = "<input>") -> ConfigFile:
     # token, or EOF for an unterminated comment in EOF's leading trivia.
     source, starts, ends = tokens.source, tokens.starts, tokens.ends
     diagnostics = parser.diagnostics + [
-        Diagnostic.at(source, start, ends[bisect_left(starts, start)], message)
+        Diagnostic(source, start, ends[bisect_left(starts, start)], message)
         for start, message in tokens.errors.items()
     ]
-    return ConfigFile.at(source, 0, len(text), path, body, diagnostics)
+    return ConfigFile(source, 0, len(text), path, body, diagnostics)
 
 
 def find_blocks(node: ConfigFile | Block, block_type: str) -> list[Block]:
@@ -128,7 +128,7 @@ class _Parser:
         return self.text[self.starts[i] : self.ends[i]]
 
     def _error(self, message: str, i: int) -> Diagnostic:
-        return Diagnostic.at(self.source, self.starts[i], self.ends[i], message)
+        return Diagnostic(self.source, self.starts[i], self.ends[i], message)
 
     def _skip_newlines(self) -> TokenKind:
         """Move past newlines; return the current token's kind."""
@@ -194,7 +194,7 @@ class _Parser:
             self.i = i + 1
             value = self._parse_expression(_ATTR_ENDS, depth)
             end = self.ends[self.i - 1]
-            return Attribute.at(self.source, start, end, name, value)
+            return Attribute(self.source, start, end, name, value)
 
         if kind in _LABEL_START:
             text, starts, ends, errors = self.text, self.starts, self.ends, self.errors
@@ -220,7 +220,7 @@ class _Parser:
             self.i = i + 1
             body = self._parse_block_body(head, depth + 1)
             end = self.ends[self.i - 1]
-            return Block.at(self.source, start, end, name, labels, body)
+            return Block(self.source, start, end, name, labels, body)
 
         raise _ParseError(
             f"expected '=' or block labels after {name!r}, found {self._text(i)!r}", i

@@ -90,6 +90,17 @@ def _bodies_equal(a: list, b: list) -> bool:
     return len(a) == len(b) and all(nodes_equal(x, y) for x, y in zip(a, b))
 
 
+def located(cls: type, *fields: object, span: SourceSpan):
+    """An expected ``cls`` node (``Attribute``, ``Block``, ...) with ``fields`` and ``span``.
+
+    ``==`` ignores where a node lies in its text, so no source or offsets are
+    given; the assigned span wins over the one they would build.
+    """
+    node = cls(None, 0, 0, *fields)
+    node.span = span
+    return node
+
+
 def _offset(text: str, line: int, col: int) -> int:
     """Offset of 1-based ``line`` and ``col``; lines end only at "\\n"."""
     start = 0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from dataclasses import astuple
 from itertools import combinations, product
 
@@ -165,6 +166,14 @@ def test_load_catalog_rejects_bad_attribute_count(tmp_path):
         '"summary": "s", "remediation": "r"}]'
     )
     with pytest.raises(CatalogError):
+        load_catalog(path)
+
+
+def test_load_catalog_rejects_a_duplicate_id(tmp_path):
+    entries = json.loads(dump_catalog(catalog()))
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(entries + entries[:1]))
+    with pytest.raises(CatalogError, match=f"{path}: duplicate smell id 'SS1'"):
         load_catalog(path)
 
 

@@ -82,6 +82,15 @@ def test_ss1_suppressed_by_scale_set_in_same_file():
     )
     unit = unit_for("x.tf", text)
     assert detect_ss1_overprovisioning(view(unit), CFG) == []
+    assert pattern_engine.pattern_ss1(pattern_engine.prepare(unit, CFG), CFG) == []
+
+
+def test_ss1_ignores_a_size_that_is_not_a_string_literal():
+    text = (FIXTURES / "samples" / "ss1.tf").read_text()
+    assert '"Standard_D16s_v3"' in text
+    unit = unit_for("x.tf", text.replace('"Standard_D16s_v3"', "var.size"))
+    assert detect_ss1_overprovisioning(view(unit), CFG) == []
+    assert pattern_engine.pattern_ss1(pattern_engine.prepare(unit, CFG), CFG) == []
 
 
 def test_ss1_gcp_machine_type_self_link_matches_tail():
@@ -125,7 +134,9 @@ def test_ss2_suppressed_by_autoscaling_group():
     text = (FIXTURES / "samples" / "ss2.tf").read_text() + (
         '\nresource "aws_autoscaling_group" "asg" {\n  max_size = 10\n}\n'
     )
-    assert detect_ss2_no_autoscaling(view(unit_for("x.tf", text)), CFG) == []
+    unit = unit_for("x.tf", text)
+    assert detect_ss2_no_autoscaling(view(unit), CFG) == []
+    assert pattern_engine.pattern_ss2(pattern_engine.prepare(unit, CFG), CFG) == []
 
 
 def test_ss2_ignores_non_literal_count():
@@ -824,6 +835,17 @@ def test_span_validity_on_fixture_findings():
             assert f.evidence.replace(" ", "") in squeezed, (f.evidence, covered)
 
 
+@pytest.mark.parametrize(
+    "evidence, engine, message",
+    [("", "ast", "evidence must be non-empty"), ("x", "regex", "unknown engine 'regex'")],
+)
+def test_a_finding_needs_evidence_and_a_known_engine(evidence, engine, message):
+    span = hcl.SourceSpan("x.tf", 1, 1, 1, 2)
+    SmellFinding(SmellId.SS1, "x.tf", span, "x", "pattern", "m")
+    with pytest.raises(ValueError, match=message):
+        SmellFinding(SmellId.SS1, "x.tf", span, evidence, engine, "m")
+
+
 # -- DetectorConfig ----------------------------------------------------
 
 
@@ -834,6 +856,11 @@ def test_config_defaults_from_empty_dict():
 def test_config_unknown_key_rejected_with_name():
     with pytest.raises(ConfigError, match="ss9_foo"):
         config_from_dict({"ss9_foo": 1})
+
+
+def test_config_accepts_boolean_keys():
+    data = {"ss4_flag_missing_retention": False, "ss5_pattern_scan_comments": True}
+    assert config_from_dict(data) == DetectorConfig(**data)
 
 
 def test_config_validation():
@@ -862,6 +889,7 @@ def test_config_validation():
             {"ss5_region_attrs": ["region", "datacenter", "dc"]},
             "ss5_region_attrs names unknown attribute(s): datacenter, dc",
         ),
+        (["ss2_fixed_count_min"], "config must be a JSON object"),
     ],
 )
 def test_config_error_messages(data, message):

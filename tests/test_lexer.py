@@ -176,6 +176,13 @@ def test_bom_preserved_in_leading_trivia():
     assert detokenize(toks) == text
 
 
+@pytest.mark.parametrize("end", [(2, 1), (1, 9)])
+def test_a_span_cannot_start_after_it_ends(end):
+    lexer.SourceSpan("x.tf", 2, 2, 2, 2)  # an empty span is allowed
+    with pytest.raises(ValueError, match="span start after end"):
+        lexer.SourceSpan("x.tf", 2, 2, *end)
+
+
 def test_spans_cover_every_character():
     text = 'resource "a" "b" {\n  n = 1\n}\n'
     for tok in tokenize(text):

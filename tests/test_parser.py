@@ -6,6 +6,7 @@ import importlib.util
 import random
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -38,7 +39,7 @@ from tfsustain.hcl import (
     tokenize,
 )
 
-from conftest import FIXTURES, fixture_corpus_files, nodes_equal, span_text
+from conftest import FIXTURES, fixture_corpus_files, located, nodes_equal, span_text
 from synth import build_corpus
 
 SS1_SAMPLE = (FIXTURES / "samples" / "ss1.tf").read_text()
@@ -251,14 +252,15 @@ def _span(start_line, start_col, end_line, end_col):
         pytest.param(
             'resource "a" "b" {\n  x = 1 + /* c */ 2\n  y = 3\n}\n',
             [
-                Block(
+                located(
+                    Block,
                     "resource",
                     ["a", "b"],
                     [
-                        Attribute("x", Opaque("1 + /* c */ 2"), _span(2, 3, 2, 20)),
-                        Attribute("y", NumberLit(3), _span(3, 3, 3, 8)),
+                        located(Attribute, "x", Opaque("1 + /* c */ 2"), span=_span(2, 3, 2, 20)),
+                        located(Attribute, "y", NumberLit(3), span=_span(3, 3, 3, 8)),
                     ],
-                    _span(1, 1, 4, 2),
+                    span=_span(1, 1, 4, 2),
                 )
             ],
             0,
@@ -266,27 +268,31 @@ def _span(start_line, start_col, end_line, end_col):
         ),
         pytest.param(
             "x = [f(x) /*c*/ + 1]\n",
-            [Attribute("x", ListValue((Opaque("f(x) /*c*/ + 1"),)), _span(1, 1, 1, 21))],
+            [
+                located(
+                    Attribute, "x", ListValue((Opaque("f(x) /*c*/ + 1"),)), span=_span(1, 1, 1, 21)
+                )
+            ],
             0,
             id="comment-inside-list-item",
         ),
         pytest.param(
             "x = - /*c*/ 5\n",
-            [Attribute("x", NumberLit(-5), _span(1, 1, 1, 14))],
+            [located(Attribute, "x", NumberLit(-5), span=_span(1, 1, 1, 14))],
             0,
             id="comment-after-minus",
         ),
         pytest.param(
             "x = a /*c*/ .b\n",
-            [Attribute("x", Reference(("a", "b")), _span(1, 1, 1, 15))],
+            [located(Attribute, "x", Reference(("a", "b")), span=_span(1, 1, 1, 15))],
             0,
             id="comment-before-dot",
         ),
         pytest.param(
             'x = "v" # c\ny = f(1) # c\n',
             [
-                Attribute("x", StringLit("v"), _span(1, 1, 1, 8)),
-                Attribute("y", Opaque("f(1)"), _span(2, 1, 2, 9)),
+                located(Attribute, "x", StringLit("v"), span=_span(1, 1, 1, 8)),
+                located(Attribute, "y", Opaque("f(1)"), span=_span(2, 1, 2, 9)),
             ],
             0,
             id="span-ends-at-value",
@@ -301,7 +307,7 @@ def test_comments_are_invisible_to_the_parser(text, body, errors):
 
 def test_unterminated_comment_is_still_reported():
     cf = parse('x = 1 /* open\n')
-    assert cf.body == [Attribute("x", NumberLit(1), _span(1, 1, 1, 6))]
+    assert cf.body == [located(Attribute, "x", NumberLit(1), span=_span(1, 1, 1, 6))]
     assert [d.message for d in cf.diagnostics] == ["unterminated block comment"]
 
 
@@ -328,55 +334,68 @@ def test_string_escapes_and_templates(literal, value):
 # as an interpolation of nothing else.
 _KEYWORD_TEXTS = [
     pytest.param(
-        "true = 1\n", [Attribute("true", NumberLit(1), _span(1, 1, 1, 9))], id="attribute-name"
+        "true = 1\n",
+        [located(Attribute, "true", NumberLit(1), span=_span(1, 1, 1, 9))],
+        id="attribute-name",
     ),
-    pytest.param("false {}\n", [Block("false", [], [], _span(1, 1, 1, 9))], id="block-type"),
+    pytest.param(
+        "false {}\n", [located(Block, "false", [], [], span=_span(1, 1, 1, 9))], id="block-type"
+    ),
     pytest.param(
         'resource "a" true {}\n',
-        [Block("resource", ["a", "true"], [], _span(1, 1, 1, 21))],
+        [located(Block, "resource", ["a", "true"], [], span=_span(1, 1, 1, 21))],
         id="block-label",
     ),
     pytest.param(
         "x = { true = 1 }\n",
-        [Attribute("x", MapValue((("true", NumberLit(1)),)), _span(1, 1, 1, 17))],
+        [located(Attribute, "x", MapValue((("true", NumberLit(1)),)), span=_span(1, 1, 1, 17))],
         id="map-key",
     ),
     pytest.param(
-        "x = true\n", [Attribute("x", BoolLit(True), _span(1, 1, 1, 9))], id="true-value"
+        "x = true\n",
+        [located(Attribute, "x", BoolLit(True), span=_span(1, 1, 1, 9))],
+        id="true-value",
     ),
     pytest.param(
-        "x = false\n", [Attribute("x", BoolLit(False), _span(1, 1, 1, 10))], id="false-value"
+        "x = false\n",
+        [located(Attribute, "x", BoolLit(False), span=_span(1, 1, 1, 10))],
+        id="false-value",
     ),
     pytest.param(
-        "x = null\n", [Attribute("x", Opaque("null"), _span(1, 1, 1, 9))], id="null-value"
+        "x = null\n",
+        [located(Attribute, "x", Opaque("null"), span=_span(1, 1, 1, 9))],
+        id="null-value",
     ),
     pytest.param(
         "x = a.true\n",
-        [Attribute("x", Reference(("a", "true")), _span(1, 1, 1, 11))],
+        [located(Attribute, "x", Reference(("a", "true")), span=_span(1, 1, 1, 11))],
         id="reference-segment",
     ),
     pytest.param(
         'x = "${true}"\n',
-        [Attribute("x", TemplateString((BoolLit(True),)), _span(1, 1, 1, 14))],
+        [located(Attribute, "x", TemplateString((BoolLit(True),)), span=_span(1, 1, 1, 14))],
         id="interpolation",
     ),
     pytest.param(
         'x = "a${ false }${null}"\n',
         [
-            Attribute(
-                "x", TemplateString(("a", BoolLit(False), Opaque("null"))), _span(1, 1, 1, 25)
+            located(
+                Attribute,
+                "x",
+                TemplateString(("a", BoolLit(False), Opaque("null"))),
+                span=_span(1, 1, 1, 25),
             )
         ],
         id="interpolations",
     ),
     pytest.param(
         "x = true.b\n",
-        [Attribute("x", Reference(("true", "b")), _span(1, 1, 1, 11))],
+        [located(Attribute, "x", Reference(("true", "b")), span=_span(1, 1, 1, 11))],
         id="reference-root",
     ),
     pytest.param(
         "x = null.b\n",
-        [Attribute("x", Reference(("null", "b")), _span(1, 1, 1, 11))],
+        [located(Attribute, "x", Reference(("null", "b")), span=_span(1, 1, 1, 11))],
         id="null-reference-root",
     ),
 ]
@@ -423,34 +442,54 @@ def test_label_and_map_key_escapes_are_decoded():
         pytest.param(
             'x = "$${"\ny = 1\n',
             [
-                Attribute("x", StringLit("${"), _span(1, 1, 1, 10)),
-                Attribute("y", NumberLit(1), _span(2, 1, 2, 6)),
+                located(Attribute, "x", StringLit("${"), span=_span(1, 1, 1, 10)),
+                located(Attribute, "y", NumberLit(1), span=_span(2, 1, 2, 6)),
             ],
             id="escaped-marker-then-quote",
         ),
         pytest.param(
             'v = "${"}"}x"\n',
-            [Attribute("v", TemplateString((Opaque('"}"'), "x")), _span(1, 1, 1, 14))],
+            [
+                located(
+                    Attribute, "v", TemplateString((Opaque('"}"'), "x")), span=_span(1, 1, 1, 14)
+                )
+            ],
             id="quote-inside-interpolation",
         ),
         pytest.param(
             'v = "${ {a=1}.a }"\n',
-            [Attribute("v", TemplateString((Opaque("{a=1}.a"),)), _span(1, 1, 1, 19))],
+            [
+                located(
+                    Attribute, "v", TemplateString((Opaque("{a=1}.a"),)), span=_span(1, 1, 1, 19)
+                )
+            ],
             id="braces-inside-interpolation",
         ),
         pytest.param(
             'v = "${ {a=1}\n.a }"\n',
-            [Attribute("v", TemplateString((Opaque("{a=1}\n.a"),)), _span(1, 1, 2, 6))],
+            [
+                located(
+                    Attribute, "v", TemplateString((Opaque("{a=1}\n.a"),)), span=_span(1, 1, 2, 6)
+                )
+            ],
             id="newline-after-braces-inside-interpolation",
         ),
         pytest.param(
             'b "a$${x}" {\n  m = { "%%{k}" = 1 }\n}\n',
             [
-                Block(
+                located(
+                    Block,
                     "b",
                     ["a${x}"],
-                    [Attribute("m", MapValue((("%{k}", NumberLit(1)),)), _span(2, 3, 2, 22))],
-                    _span(1, 1, 3, 2),
+                    [
+                        located(
+                            Attribute,
+                            "m",
+                            MapValue((("%{k}", NumberLit(1)),)),
+                            span=_span(2, 3, 2, 22),
+                        )
+                    ],
+                    span=_span(1, 1, 3, 2),
                 )
             ],
             id="escaped-markers-in-label-and-key",
@@ -748,10 +787,28 @@ def test_no_node_of_a_parsed_fixture_has_a_dict():
             ListValue, MapValue, Reference, TemplateString, Opaque} <= types
 
 
+def test_a_reference_has_at_least_one_segment():
+    assert Reference(("a",)).segments == ("a",)
+    with pytest.raises(ValueError, match="at least one segment"):
+        Reference(())
+
+
 def test_diagnostic_at_defaults_to_error_severity():
     source = SourceText("f.tf", "x = @")
-    assert Diagnostic.at(source, 4, 5, message="m").severity == "error"
+    assert Diagnostic(source, 4, 5, "m").severity == "error"
     assert [d.severity for d in parse('x = "open\n}\n').diagnostics] == ["error", "error"]
+
+
+@pytest.mark.parametrize("cls", [Attribute, Block, ConfigFile, Diagnostic])
+def test_a_located_class_holds_each_field_in_one_slot_of_its_own(cls):
+    # dataclass(slots=True) on Python 3.10 re-declares a slot that a base
+    # already has, which would grow every node by a pointer per repeat.
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert names[:3] == ["source", "start", "end"]
+    assert cls.__slots__ == tuple(names)
+    for base in cls.__mro__[1:]:
+        assert not set(base.__dict__.get("__slots__", ())) & set(names), base
+    assert cls.__basicsize__ == object.__basicsize__ + len(names) * struct.calcsize("P")
 
 
 class _CountingSource(SourceText):
@@ -766,22 +823,22 @@ class _CountingSource(SourceText):
 
 def test_lazy_span_is_the_source_span_built_once():
     source = _CountingSource("<input>", 'a = 1\nb = "x"\n')
-    node = Attribute.at(source, 6, 13, name="b", value=StringLit("x"))
+    node = Attribute(source, 6, 13, "b", StringLit("x"))
     assert source.spans == 0
     span = node.span
     assert span == SourceText("<input>", source.text).span(6, 13) == _span(2, 1, 2, 8)
     assert node.span is span and source.spans == 1
-    assert node == Attribute("b", StringLit("x"), span)
-    assert repr(node) == repr(Attribute("b", StringLit("x"), span))
+    assert node == located(Attribute, "b", StringLit("x"), span=span)
+    assert repr(node) == repr(located(Attribute, "b", StringLit("x"), span=span))
+    assert repr(node) == f"Attribute(name='b', value=StringLit(value='x'), span={span!r})"
 
 
-def test_a_span_given_to_the_constructor_wins():
+def test_an_assigned_span_wins():
     given_span = _span(9, 9, 9, 10)
-    node = Attribute("a", NumberLit(1), given_span)
-    assert node.span is given_span
-    located = Attribute.at(_CountingSource("f.tf", "a = 1\n"), 0, 5, name="a", value=NumberLit(1))
-    located.span = given_span
-    assert located.span is given_span and located.source.spans == 0
+    node = Attribute(_CountingSource("f.tf", "a = 1\n"), 0, 5, "a", NumberLit(1))
+    node.span = given_span
+    assert node.span is given_span and node.source.spans == 0
+    assert node != located(Attribute, "a", NumberLit(1), span=_span(1, 1, 1, 6))
 
 
 def test_a_parse_keeps_one_string_per_distinct_name():

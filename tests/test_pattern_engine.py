@@ -6,7 +6,8 @@ from array import array
 import pytest
 
 from tfsustain.catalog import SmellId
-from tfsustain.detectors import DetectorConfig, detect_all, unit_for
+from tfsustain.detectors import DetectorConfig, ast_engine, detect_all, unit_for
+from tfsustain.detectors.config import LOG_GROUP_TYPES
 from tfsustain.hcl import SourceSpan, tokenize
 from tfsustain.detectors.pattern_engine import (
     mask_comments,
@@ -120,6 +121,21 @@ def test_pattern_ss4_missing_retention_is_file_level():
     text = 'resource "aws_cloudwatch_log_group" "g" {\n  name = "g"\n}\n'
     findings = pattern_ss4(prepare(unit_for("x.tf", text), CFG), CFG)
     assert len(findings) == 1 and findings[0].evidence == "unset"
+
+
+@pytest.mark.parametrize("value", ["var.days", '"30"', "local.days", "30", "365"])
+@pytest.mark.parametrize(
+    "rtype", ["aws_cloudwatch_log_group", "google_logging_project_bucket_config"]
+)
+def test_pattern_ss4_any_retention_assignment_is_set(rtype, value):
+    # Only a digit value is compared with the maximum, and no other value is
+    # reported as unset: the findings are the AST engine's.
+    text = f'resource "{rtype}" "g" {{\n  {LOG_GROUP_TYPES[rtype]} = {value}\n}}\n'
+    unit = unit_for("x.tf", text)
+    ast_view = ast_engine.prepare(unit, CFG)
+    evidence = [f.evidence for f in pattern_ss4(prepare(unit, CFG), CFG)]
+    assert evidence == [f.evidence for f in ast_engine.detect_ss4_excessive_logging(ast_view, CFG)]
+    assert evidence == (["365"] if value == "365" else [])
 
 
 def test_pattern_ss5_region_literals_from_comments_only_with_flag():
