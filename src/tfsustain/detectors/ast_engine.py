@@ -4,10 +4,11 @@ All seven detectors are pure functions of (file view, config). A view holds
 every answer the detectors ask of one file, derived once from its parse: its
 resources, each reduced to its labels, offsets and the few attributes and
 facts a detector reads, its backends, its first ``terraform`` block, and
-whether a resource is an autoscaler. It keeps no resource block, so the tree
-is garbage once the view is built. Findings for a file depend only on that
-file's content except for the remote-state check, which is scoped to a
-directory of files (one root module).
+whether a resource is an autoscaler. The parse hands each top-level item to
+:func:`prepare` as soon as it is parsed, so no file's whole tree is ever
+held. Findings for a file depend only on that file's content except for the
+remote-state check, which is scoped to a directory of files (one root
+module).
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ _VIEW_ATTRS = frozenset((*SIZE_ATTRS, "count", *LOG_GROUP_TYPES.values()))
 _NO_ATTRIBUTES: Mapping[str, Attribute] = MappingProxyType({})
 
 
-def resource_blocks(file: ConfigFile) -> list[Block]:
-    """Top-level resource blocks with at least a type label."""
-    return [b for b in find_blocks(file, "resource") if b.labels]
+def resource_blocks(file: ConfigFile) -> list[Resource]:
+    """The resources of a file that :func:`prepare` parsed, in source order."""
+    return [r for r in file.body if isinstance(r, Resource)]
 
 
 @dataclass(slots=True)
@@ -95,29 +96,61 @@ class FileView:
         return SmellFinding(smell, self.source.path, span, evidence, "ast", message)
 
 
-def prepare(unit: SourceText, cfg: DetectorConfig) -> FileView:
-    """Parse ``unit`` and keep what the detectors read; the tree is dropped on return."""
-    file = hcl.parse(unit.text, unit.path)
-    blocks = resource_blocks(file)
-    resources = [
-        Resource(
-            b.labels[0],
-            b.labels[1] if len(b.labels) > 1 else "",
-            b.start,
-            b.end,
-            {a.name: a for a in b.body if isinstance(a, Attribute) and a.name in _VIEW_ATTRS}
+class _Reduction:
+    """The ``keep`` of :func:`prepare`'s parse: what it keeps of one file's top-level items.
+
+    A labelled ``resource`` block becomes its :class:`Resource`, a
+    ``terraform`` block is kept whole, and any other item is dropped. A
+    resource's region and references are read only once a second resource
+    has arrived, so the first resource block is held until then.
+    """
+
+    __slots__ = ("cfg", "first", "paired", "regions")
+
+    def __init__(self, cfg: DetectorConfig) -> None:
+        self.cfg = cfg
+        self.first: tuple[Resource, Block] | None = None
+        self.paired = False
+        self.regions: dict[str, str] = {}  # one string per region
+
+    def keep(self, item: Block | Attribute) -> Resource | Block | None:
+        if not isinstance(item, Block):
+            return None
+        if item.block_type == "terraform":
+            return item
+        labels = item.labels
+        if item.block_type != "resource" or not labels:
+            return None
+        r = Resource(
+            labels[0],
+            labels[1] if len(labels) > 1 else "",
+            item.start,
+            item.end,
+            {a.name: a for a in item.body if isinstance(a, Attribute) and a.name in _VIEW_ATTRS}
             or _NO_ATTRIBUTES,
-            b.labels[0] in cfg.ss3_lifecycle_required_types and _has_lifecycle(b.body),
+            labels[0] in self.cfg.ss3_lifecycle_required_types and _has_lifecycle(item.body),
         )
-        for b in blocks
-    ]
-    if len(resources) > 1:
-        regions: dict[str, str] = {}  # one string per region
-        for r, b in zip(resources, blocks):
-            region = region_class(b, cfg)
-            if region is not None:
-                r.region = regions.setdefault(region, region)
-                r.references = tuple(_block_references(b))
+        if self.paired:
+            self._locate(r, item)
+        elif self.first is None:
+            self.first = (r, item)
+        else:
+            self._locate(*self.first)
+            self._locate(r, item)
+            self.first, self.paired = None, True
+        return r
+
+    def _locate(self, r: Resource, block: Block) -> None:
+        region = region_class(block, self.cfg)
+        if region is not None:
+            r.region = self.regions.setdefault(region, region)
+            r.references = tuple(_block_references(block))
+
+
+def prepare(unit: SourceText, cfg: DetectorConfig) -> FileView:
+    """Parse ``unit`` and keep what the detectors read, item by item as the parse goes."""
+    file = hcl.parse(unit, keep=_Reduction(cfg).keep)
+    resources = resource_blocks(file)
     tf_blocks = find_blocks(file, "terraform")
     backends = [(b.labels[0], b) for t in tf_blocks for b in find_blocks(t, "backend") if b.labels]
     autoscaled = not cfg.ss2_autoscaler_types.isdisjoint([r.type for r in resources])

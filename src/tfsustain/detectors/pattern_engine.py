@@ -91,8 +91,15 @@ def _names_re(template: str, names: frozenset[str]) -> re.Pattern[str]:
 _ANY_NAME = r"\b(?:{})\b"
 _REGION_ATTR = r'\b({})[ \t]*=[ \t]*"([^"\n]+)"'
 _SIZE_RE = re.compile(rf'\b(?:{"|".join(SIZE_ATTRS)})[ \t]*=[ \t]*"([^"\n]+)"')
-# Any assignment sets a retention; only a digit value is compared with the maximum.
-_RETENTION_RE = re.compile(r"\b(retention_in_days|retention_days)[ \t]*=(?!=)[ \t]*(\d*)")
+# What follows a number that is an attribute's whole value, as the AST engine
+# reads one: spaces, tabs or a lone "\r" (a masked comment is spaces), then a
+# newline, the block's "}" or the end of the text. "400 - 1" is no number.
+_VALUE_END = r"(?=[ \t\r]*(?:\n|\}|\Z))"
+_COUNT_RE = re.compile(rf"\bcount[ \t]*=[ \t]*(\d+){_VALUE_END}")
+# Any assignment sets a retention; only a number value is compared with the maximum.
+_RETENTION_RE = re.compile(
+    rf"\b(retention_in_days|retention_days)[ \t]*=(?!=)[ \t]*(\d+{_VALUE_END})?"
+)
 _LOG_GROUP_RE = _names_re(_ANY_NAME, frozenset(LOG_GROUP_TYPES))
 
 
@@ -130,7 +137,7 @@ def pattern_ss2(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
     if not _names_re(_ANY_NAME, cfg.ss2_compute_types).search(view.masked):
         return []
     findings = []
-    for m in re.finditer(r"\bcount[ \t]*=[ \t]*(\d+)", view.masked):
+    for m in _COUNT_RE.finditer(view.masked):
         count = int(m.group(1))
         if count >= cfg.ss2_fixed_count_min:
             findings.append(

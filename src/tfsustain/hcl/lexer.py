@@ -225,13 +225,19 @@ _TEMPLATE_STOPS = {
 }
 
 
-def tokenize(text: str, file_id: str = "<input>") -> Tokens:
-    """Scan ``text`` into tokens; the last token is always EOF."""
+def tokenize(text: str | SourceText, file_id: str = "<input>") -> Tokens:
+    """Scan ``text`` into tokens; the last token is always EOF.
+
+    A :class:`SourceText` passed as ``text`` becomes the tokens' own, and its
+    path is the file id.
+    """
+    source = text if isinstance(text, SourceText) else SourceText(file_id, text)
+    text = source.text
     kinds: list[TokenKind] = []
     starts, ends = offset_array(len(text)), offset_array(len(text))
     errors: dict[int, str] = {}
     interpolations: dict[int, list[tuple[int, int]]] = {}
-    tokens = Tokens(SourceText(file_id, text), kinds, starts, ends, errors, interpolations)
+    tokens = Tokens(source, kinds, starts, ends, errors, interpolations)
     add_kind, add_start, add_end = kinds.append, starts.append, ends.append
     pos = 0
     while True:

@@ -7,6 +7,10 @@ is preserved as an ``Opaque`` value with its verbatim source text. The
 parser never sees a comment, and ``true``, ``false`` and ``null`` are names
 like any other identifier, literals only as a lone value or interpolation.
 
+Top-level items are parsed one at a time, and ``parse`` can hand each to a
+``keep`` function as soon as it is parsed, so a caller that reduces items
+never holds a whole file's tree.
+
 Parsing never raises. Malformed input is skipped at roughly top-level-block
 granularity, each skip recorded as a diagnostic, so a corpus scan can chew
 through arbitrarily broken files. Blocks, lists and maps nest at most
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from .ast import (
     Attribute,
@@ -35,7 +39,7 @@ from .ast import (
     StringLit,
     TemplateString,
 )
-from .lexer import TokenKind, Tokens, tokenize
+from .lexer import SourceText, TokenKind, Tokens, tokenize
 
 _MAX_DEPTH = 64
 
@@ -67,11 +71,25 @@ _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 _ESCAPE_RE = re.compile(r"\\.|([$%])\1\{", re.DOTALL)
 
 
-def parse(text: str, path: str = "<input>") -> ConfigFile:
-    """Parse HCL text into a ConfigFile; never raises on bad input."""
+def parse(
+    text: str | SourceText,
+    path: str = "<input>",
+    keep: Callable[[Block | Attribute], object] | None = None,
+) -> ConfigFile:
+    """Parse HCL text into a ConfigFile; never raises on bad input.
+
+    A :class:`SourceText` passed as ``text`` is the one every node points
+    at, and its path is the file's. With ``keep``, each top-level item goes
+    to ``keep`` as soon as it is parsed, and the body holds what ``keep``
+    returns, in source order, except None: no item outlives its call unless
+    ``keep`` holds on to it. The diagnostics are the same either way.
+    """
     tokens = tokenize(text, path)
     parser = _Parser(tokens)
-    body = parser.parse_top()
+    items = parser.parse_top()
+    # map drops each item as soon as keep returns; a loop variable would
+    # hold it while the next one is parsed.
+    body = list(items) if keep is None else [k for k in map(keep, items) if k is not None]
     # A lexer error ends where the first token at or after it ends: its own
     # token, or EOF for an unterminated comment in EOF's leading trivia.
     source, starts, ends = tokens.source, tokens.starts, tokens.ends
@@ -79,7 +97,7 @@ def parse(text: str, path: str = "<input>") -> ConfigFile:
         Diagnostic(source, start, ends[bisect_left(starts, start)], message)
         for start, message in tokens.errors.items()
     ]
-    return ConfigFile(source, 0, len(text), path, body, diagnostics)
+    return ConfigFile(source, 0, len(source.text), source.path, body, diagnostics)
 
 
 def find_blocks(node: ConfigFile | Block, block_type: str) -> list[Block]:
@@ -140,8 +158,9 @@ class _Parser:
 
     # -- top level -------------------------------------------------------
 
-    def parse_top(self) -> list[Block | Attribute]:
-        kinds, body = self.kinds, []
+    def parse_top(self) -> Iterator[Block | Attribute]:
+        """Each top-level item as soon as it is parsed; the diagnostics are complete at the end."""
+        kinds = self.kinds
         while True:
             i = self.i
             while kinds[i] is NEWLINE:
@@ -149,13 +168,14 @@ class _Parser:
             self.i = i
             kind = kinds[i]
             if kind is EOF:
-                return body
+                return
             if kind is BLOCK_CLOSE:
                 self.diagnostics.append(self._error("unexpected '}'", i))
                 self.i = i + 1
                 continue
             try:
-                body.append(self._parse_item(0))
+                # Yielded with no local name, so the frame keeps no item.
+                yield self._parse_item(0)
             except _ParseError as err:
                 self.diagnostics.append(self._error(err.args[0], err.at))
                 self._sync()

@@ -8,6 +8,8 @@ under both engines; filler files trigger none.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from pathlib import Path
 
 from tfsustain.catalog import SmellId
@@ -163,3 +165,13 @@ def build_corpus(
         path.write_text(_clean(idx), encoding="utf-8")
         idx += 1
     return planted
+
+
+def load_perfbench_corpus():
+    """``perfbench/corpus.py``, loaded read-only for its monolith generator."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module

@@ -35,6 +35,7 @@ from tfsustain.detectors.config import REGION_ATTR_ORDER
 from tfsustain.detectors.findings import SmellFinding
 
 from conftest import FIXTURES, count_python_calls, fixture_corpus_files, span_text
+from synth import load_perfbench_corpus
 
 CFG = DetectorConfig()
 
@@ -326,7 +327,8 @@ def reference_region(block, cfg):
 # must repeat finding for finding. It reads the tree that ``hcl.parse``
 # returns, not a view, so it shares no summary with the detector.
 def reference_ss5_pair_loop(unit, cfg):
-    resources = ast_engine.resource_blocks(hcl.parse(unit.text, unit.path))
+    tree = hcl.parse(unit.text, unit.path)
+    resources = [b for b in hcl.find_blocks(tree, "resource") if b.labels]
     regions = {id(b): reference_region(b, cfg) for b in resources}
     refs = {id(b): ast_engine._block_references(b) for b in resources}
     addresses = {id(b): (b.labels[0], b.labels[1] if len(b.labels) > 1 else "") for b in resources}
@@ -515,6 +517,23 @@ def test_a_prepared_view_holds_a_small_multiple_of_its_text():
     assert held <= 7 * len(unit.text), held / len(unit.text)
 
 
+def test_prepare_peak_memory_is_a_small_multiple_of_the_text():
+    # Each resource block is reduced as soon as it is parsed, so the peak is
+    # the token columns and the summaries, not a tree: building the whole tree
+    # first peaked at 11.3 times the text of this 3,000-resource monolith.
+    text, _ = load_perfbench_corpus().monolith_text(3000, 1)
+    unit = unit_for("main.tf", text)
+    view(unit_for("x.tf", ss5_ring(4)))  # warms the regex and enum caches
+    tracemalloc.start()
+    try:
+        file_view = view(unit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(file_view.resources) == 3000
+    assert peak <= 7 * len(text), peak / len(text)
+
+
 def reachable(root) -> list:
     """Every object reachable from ``root``, not through classes or modules."""
     seen, stack = {}, [root]
@@ -539,6 +558,11 @@ def test_a_view_reaches_no_tree_and_no_resource_block():
     assert not any(isinstance(o, hcl.ConfigFile) for o in objects)
     blocks = [o for o in objects if isinstance(o, hcl.Block)]
     assert sorted(b.block_type for b in blocks) == ["backend", "terraform"]
+
+
+def test_the_nodes_a_view_keeps_share_the_units_source_text():
+    unit = unit_for("x.tf", 'resource "aws_instance" "a" {\n  instance_type = "m5.24xlarge"\n}\n')
+    assert prepare(unit, CFG).resources[0].attributes["instance_type"].source is unit
 
 
 # Files whose detection work could grow faster than their size: one text per n.
@@ -778,9 +802,9 @@ def test_detect_all_prepares_each_file_once(monkeypatch, engine, module, name, p
     parses = []
     original_parse = hcl.parse
 
-    def counting_parse(text, path):
-        parses.append(path)
-        return original_parse(text, path)
+    def counting_parse(text, path="<input>", keep=None):
+        parses.append(text)
+        return original_parse(text, path, keep)
 
     monkeypatch.setattr(hcl, "parse", counting_parse)
     by_dir: dict[str, list] = {}

@@ -2,13 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import importlib.util
 import random
 import re
 import shutil
 import struct
 import subprocess
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -40,7 +38,7 @@ from tfsustain.hcl import (
 )
 
 from conftest import FIXTURES, fixture_corpus_files, located, nodes_equal, span_text
-from synth import build_corpus
+from synth import build_corpus, load_perfbench_corpus
 
 SS1_SAMPLE = (FIXTURES / "samples" / "ss1.tf").read_text()
 SS3_SAMPLE = (FIXTURES / "samples" / "ss3.tf").read_text()
@@ -693,16 +691,6 @@ def test_parse_of_every_fixture_matches_its_pinned_sha256():
     assert got == _PARSE_SHA256
 
 
-def _load_perfbench_corpus():
-    """``perfbench/corpus.py``, loaded read-only for its monolith generator."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
-
-
 def _parse_digest(texts: list[tuple[str, str]]) -> str:
     digest = hashlib.sha256()
     for rel, text in texts:
@@ -726,7 +714,7 @@ def test_parse_of_the_synth_corpus_matches_its_pinned_sha256(tmp_path):
 
 
 def test_parse_of_a_3000_resource_monolith_matches_its_pinned_sha256():
-    text, _ = _load_perfbench_corpus().monolith_text(3000, 1)
+    text, _ = load_perfbench_corpus().monolith_text(3000, 1)
     assert _parse_digest([("main.tf", text)]) == (
         "9ef92c34719b0ae03a2a54f9f677f642d9dc03183e346a260c096bcf5b090915"
     )
@@ -791,6 +779,29 @@ def test_a_reference_has_at_least_one_segment():
     assert Reference(("a",)).segments == ("a",)
     with pytest.raises(ValueError, match="at least one segment"):
         Reference(())
+
+
+def test_parse_hands_each_top_level_item_to_keep_and_holds_what_it_returns():
+    text = 'a = 1\nresource "x" "y" {\n  b = 2\n}\n}\nvariable "v" {}\nc = @\n'
+    whole = parse(text, "m.tf")
+    seen = []
+
+    def keep(item):
+        seen.append(item)
+        return item.name if isinstance(item, Attribute) else None
+
+    kept = parse(text, "m.tf", keep)
+    assert seen == whole.body and len(seen) == 4
+    assert kept.body == ["a", "c"]
+    assert kept.diagnostics == whole.diagnostics and len(whole.diagnostics) == 1
+
+
+def test_parse_and_tokenize_use_the_callers_source_text():
+    unit = SourceText("m.tf", 'resource "x" "y" {\n  b = 2\n}\n')
+    tree = parse(unit, "ignored.tf")
+    assert tree.source is unit and tree.body[0].body[0].source is unit
+    assert tree.path == "m.tf" and tree == parse(unit.text, "m.tf")
+    assert tokenize(unit).source is unit
 
 
 def test_diagnostic_at_defaults_to_error_severity():

@@ -117,6 +117,30 @@ def test_pattern_ss2_commented_count_does_not_fire():
     assert pattern_ss2(prepare(unit_for("x.tf", text), CFG), CFG) == []
 
 
+def test_pattern_ss2_compares_a_count_only_when_its_digits_are_the_whole_value():
+    # As in the AST engine, where "5 * 2" is an Opaque value and not a number.
+    template = 'resource "aws_instance" "a" {{\n  count = {}\n}}\n'
+    for value, evidence in [("5 * 2", []), ("5", ["count=5"]), ("5 # fixed", ["count=5"])]:
+        unit = unit_for("x.tf", template.format(value))
+        got = [f.evidence for f in pattern_ss2(prepare(unit, CFG), CFG)]
+        ast_view = ast_engine.prepare(unit, CFG)
+        assert got == [f.evidence for f in ast_engine.detect_ss2_no_autoscaling(ast_view, CFG)]
+        assert got == evidence, value
+    inline = unit_for("x.tf", 'resource "aws_instance" "a" { count = 5 }')
+    assert [f.evidence for f in pattern_ss2(prepare(inline, CFG), CFG)] == ["count=5"]
+
+
+def test_pattern_ss4_compares_a_retention_only_when_its_digits_are_the_whole_value():
+    # "400 - 1" sets a retention, so it is not reported as unset either.
+    template = 'resource "aws_cloudwatch_log_group" "g" {{\n  retention_in_days = {}\n}}\n'
+    for value, evidence in [("400 - 1", []), ("400", ["400"]), ("400 // long\r", ["400"])]:
+        unit = unit_for("x.tf", template.format(value))
+        got = [f.evidence for f in pattern_ss4(prepare(unit, CFG), CFG)]
+        ast_view = ast_engine.prepare(unit, CFG)
+        assert got == [f.evidence for f in ast_engine.detect_ss4_excessive_logging(ast_view, CFG)]
+        assert got == evidence, value
+
+
 def test_pattern_ss4_missing_retention_is_file_level():
     text = 'resource "aws_cloudwatch_log_group" "g" {\n  name = "g"\n}\n'
     findings = pattern_ss4(prepare(unit_for("x.tf", text), CFG), CFG)
