@@ -13,9 +13,8 @@ _ENGINE_MODULES = {"ast": ast_engine, "pattern": pattern_engine}
 ENGINES = tuple(_ENGINE_MODULES)
 
 
-def unit_for(path: str, text: str) -> SourceText:
-    """One Terraform file's path and decoded text; each engine prepares its own view."""
-    return SourceText(path, text)
+# One Terraform file's path and decoded text; each engine prepares its own view.
+unit_for = SourceText
 
 
 def detect_all(

@@ -84,10 +84,6 @@ class FileView:
     terraform: Block | None  # the first top-level terraform block
     autoscaled: bool
 
-    @property
-    def path(self) -> str:
-        return self.source.path
-
     def finding(
         self, smell: SmellId, at: Attribute | Block | Resource | None, evidence: str, message: str
     ) -> SmellFinding:
@@ -448,7 +444,7 @@ def detect_directory(
     views = [prepare(u, cfg) for u in units]
     for view in views:
         if view.diagnosed:
-            failed.add(view.path)
+            failed.add(view.source.path)
     findings: list[SmellFinding] = []
     for view in views:
         for detector in PER_FILE_DETECTORS:

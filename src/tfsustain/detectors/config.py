@@ -116,13 +116,9 @@ class DetectorConfig:
     ss7_max_resources_per_file: int = 10
 
     def __post_init__(self) -> None:
-        if self.ss2_fixed_count_min < 1:
-            raise ConfigError("ss2_fixed_count_min must be >= 1")
-        if self.ss4_retention_max_days < 1:
-            raise ConfigError("ss4_retention_max_days must be >= 1")
-        if self.ss7_max_resources_per_file < 1:
-            raise ConfigError("ss7_max_resources_per_file must be >= 1")
         for name, kind in _FIELD_KINDS.items():
+            if kind is int and getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
             if kind is frozenset and not getattr(self, name):
                 raise ConfigError(f"{name} must not be empty")
         if not self.ss1_large_sizes or not any(self.ss1_large_sizes.values()):
@@ -211,6 +207,6 @@ def _locate_key(source_text: str | None, key: str) -> tuple[int | None, int | No
             depth += 1
         elif string is None:
             depth -= 1
-        elif colon and depth == 1 and string == f'"{key}"':
+        elif colon and depth == 1 and json.loads(string) == key:
             return SourceText("", text).position(m.start())
     return None, None

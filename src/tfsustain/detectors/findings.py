@@ -44,13 +44,13 @@ def local_state_findings(views: Sequence, messages: tuple[str, str, str]) -> lis
     ``messages`` are the texts for those three cases: no terraform block,
     local, no backend.
 
-    A view has ``path``, ``backends`` (its labelled backends as (label,
-    location) pairs), ``terraform`` (the location of its first ``terraform``
-    block, or None) and ``finding(smell, at, evidence, message)``, where
-    ``at`` is one of those locations, or None for the whole file; spans are
-    built only for reported findings.
+    A view has ``source`` (its file's ``SourceText``), ``backends`` (its
+    labelled backends as (label, location) pairs), ``terraform`` (the
+    location of its first ``terraform`` block, or None) and ``finding(smell,
+    at, evidence, message)``, where ``at`` is one of those locations, or None
+    for the whole file; spans are built only for reported findings.
     """
-    ordered = sorted(views, key=lambda v: v.path)
+    ordered = sorted(views, key=lambda v: v.source.path)
     if any(label != "local" for view in ordered for label, _ in view.backends):
         return []
     no_terraform, local_message, no_backend = messages

@@ -66,19 +66,11 @@ class TextView:
     terraform: re.Match | None
     autoscaled: bool
 
-    @property
-    def path(self) -> str:
-        return self.source.path
-
-    @property
-    def text(self) -> str:
-        return self.source.text
-
     def finding(
         self, smell: SmellId, at: re.Match | None, evidence: str, message: str
     ) -> SmellFinding:
         """A finding at match ``at`` in this file, or over the whole file when None."""
-        span = self.source.span(*(at.span() if at else (0, len(self.text))))
+        span = self.source.span(*(at.span() if at else (0, len(self.source.text))))
         return SmellFinding(smell, self.source.path, span, evidence, "pattern", message)
 
 
@@ -188,7 +180,7 @@ def pattern_ss4(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
 
 
 def pattern_ss5(view: TextView, cfg: DetectorConfig) -> list[SmellFinding]:
-    scan_text = view.text if cfg.ss5_pattern_scan_comments else view.masked
+    scan_text = view.source.text if cfg.ss5_pattern_scan_comments else view.masked
     classes: list[str] = []
     for m in _names_re(_REGION_ATTR, cfg.ss5_region_attrs).finditer(scan_text):
         region = normalize_region(m.group(1), m.group(2))

@@ -444,21 +444,16 @@ def harvest_provider(
         manifest.record_repo(record, "rejected", reason)
         summary.rejected += 1
     for record in kept:
-        if dry_run:
-            manifest.record_repo(
-                record, "kept", "dry-run", manual_review=criteria.manual_review_content
-            )
-            summary.kept += 1
-            continue
-        try:
-            entries = client.fetch_tf_files(record, dest, manifest)
-        except RepoGoneError:
-            manifest.record_repo(record, "skipped", "gone")
-            summary.skipped += 1
-            continue
-        manifest.record_repo(
-            record, "kept", "passed filters", manual_review=criteria.manual_review_content
-        )
+        entries = []
+        if not dry_run:
+            try:
+                entries = client.fetch_tf_files(record, dest, manifest)
+            except RepoGoneError:
+                manifest.record_repo(record, "skipped", "gone")
+                summary.skipped += 1
+                continue
+        reason = "dry-run" if dry_run else "passed filters"
+        manifest.record_repo(record, "kept", reason, manual_review=criteria.manual_review_content)
         summary.kept += 1
         summary.files_fetched += sum(1 for e in entries if e.downloaded)
         summary.files_unchanged += sum(1 for e in entries if not e.downloaded)

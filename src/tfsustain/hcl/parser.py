@@ -308,16 +308,15 @@ class _Parser:
         self.i = start
         return self._opaque_capture(ends)
 
+    # A list or map left open at the end of the text fails at the read of its
+    # next element or key, and the caller captures its text as Opaque.
     def _parse_list(self, depth: int) -> ListValue:
         self.i += 1  # [
         items: list[ExpressionValue] = []
         while True:
-            kind = self._skip_newlines()
-            if kind is PUNCT and self._text(self.i) == "]":
+            if self._skip_newlines() is PUNCT and self._text(self.i) == "]":
                 self.i += 1
                 return ListValue(tuple(items))
-            if kind is EOF:
-                raise _ParseError("unterminated list", self.i)
             items.append(self._parse_expression(_LIST_ENDS, depth))
             if self._skip_newlines() is PUNCT and self._text(self.i) == ",":
                 self.i += 1
@@ -331,8 +330,6 @@ class _Parser:
             if kind is BLOCK_CLOSE:
                 self.i = i + 1
                 return MapValue(tuple(entries))
-            if kind is EOF:
-                raise _ParseError("unterminated map", i)
             at, end = self.starts[i], self.ends[i]
             if kind is IDENTIFIER:
                 key = self.text[at:end]

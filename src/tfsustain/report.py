@@ -50,10 +50,7 @@ def render(
 
 def format_percent(fraction: Fraction) -> str:
     """Exact two-decimal percentage, rounded half up (e.g. '9.67')."""
-    hundredths = fraction * 10000
-    q, r = divmod(hundredths.numerator, hundredths.denominator)
-    if 2 * r >= hundredths.denominator:
-        q += 1
+    q = int(fraction * 10000 + Fraction(1, 2))  # floor(x + 1/2) of a share >= 0
     return f"{q // 100}.{q % 100:02d}"
 
 

@@ -368,6 +368,19 @@ def test_unknown_config_key_is_located_at_top_level_not_a_nested_key(tmp_path, c
     assert err == f"error: {config}: unknown config key 'foo' (line 3, column 3)\n"
 
 
+@pytest.mark.parametrize(
+    "written, key",
+    [("ss9_fo\\u006f", "ss9_foo"), ('a\\"b', 'a"b'), ("a\\\\b", "a\\b")],
+    ids=["unicode-escape", "escaped-quote", "escaped-backslash"],
+)
+def test_unknown_config_key_written_with_an_escape_is_located(tmp_path, capsys, written, key):
+    config = tmp_path / "config.json"
+    config.write_text('{\n  "%s": 1\n}\n' % written)
+    assert run(["lint", str(FIXTURES / "clean"), "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {config}: unknown config key {key!r} (line 2, column 3)\n"
+
+
 def test_load_config_malformed_json_reports_position(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text('{\n  "ss7_max_resources_per_file": \n}')

@@ -907,6 +907,12 @@ def test_config_validation():
         ({"ss1_large_sizes": {"aws_": []}}, "ss1_large_sizes must list at least one size"),
         ({"ss2_fixed_count_min": 0}, "ss2_fixed_count_min must be >= 1"),
         ({"ss4_retention_max_days": 0}, "ss4_retention_max_days must be >= 1"),
+        ({"ss7_max_resources_per_file": 0}, "ss7_max_resources_per_file must be >= 1"),
+        # Two broken rules: the first field, in declaration order, is reported.
+        (
+            {"ss4_retention_max_days": 0, "ss3_lifecycle_required_types": []},
+            "ss3_lifecycle_required_types must not be empty",
+        ),
         ({"ss3_lifecycle_required_types": []}, "ss3_lifecycle_required_types must not be empty"),
         ({"ss5_region_attrs": []}, "ss5_region_attrs must not be empty"),
         (

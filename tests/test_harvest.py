@@ -470,6 +470,11 @@ def test_a_response_that_is_not_json_is_a_harvest_error_naming_its_path(tmp_path
         (Scripted(401), AuthError, "credentials rejected"),
         (Scripted(403), AuthError, "without rate headers"),
         (Scripted(429, headers={"Retry-After": "soon"}), AuthError, "without rate headers"),
+        (
+            Scripted(403, headers={"X-RateLimit-Remaining": "0", "X-RateLimit-Reset": "soon"}),
+            AuthError,
+            "without rate headers",
+        ),
         (Scripted(404), RepoGoneError, "returned 404"),
         (Scripted(503), NetworkError, r"kept failing \(503\)"),
     ],
@@ -502,11 +507,13 @@ def test_retry_after_may_be_an_http_date(monkeypatch):
             "/search/code",
             Scripted(429, headers={"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"}),
             Scripted(403, headers={"Retry-After": "Tuesday, 20-Oct-26 07:28:00 GMT"}),
+            # "-0000" names no zone (RFC 5322 §3.3); an HTTP-date is UTC all the same.
+            Scripted(429, headers={"Retry-After": "Wed, 21 Oct 2026 07:28:00 -0000"}),
             Scripted(200, {"total_count": 1, "items": [search_item("org/later")]}),
         )
         records = make_client(stub, sleeper=sleeps.append).search_repos("aws", "q")
     assert [r.full_name for r in records] == ["org/later"]
-    assert sleeps == [30.0, 0.0]
+    assert sleeps == [30.0, 0.0, 30.0]
 
 
 @pytest.mark.parametrize(

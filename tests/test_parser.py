@@ -238,6 +238,58 @@ def test_unclosed_block_recovers_with_diagnostic():
     assert any("not closed" in d.message for d in cf.diagnostics)
 
 
+# Inputs that reach the parser's rarer branches: an empty or blank heredoc, a
+# stray closer, and a brace that is no map.
+@pytest.mark.parametrize(
+    "text, values, diagnostics",
+    [
+        pytest.param(
+            "x = <<EOT",
+            [StringLit("")],
+            [("unterminated heredoc (missing 'EOT')", 4)],
+            id="heredoc-opened-at-the-end",
+        ),
+        pytest.param(
+            "x = <<-EOT\n  \nEOT\n", [StringLit("  \n")], [], id="indented-heredoc-of-blank-lines"
+        ),
+        pytest.param(
+            "x = a)",
+            [Opaque("a")],
+            [("expected block or attribute, found punctuation ')'", 5)],
+            id="stray-closer",
+        ),
+        pytest.param("x = { 5 = 1 }", [Opaque("{ 5 = 1 }")], [], id="number-as-map-key"),
+    ],
+)
+def test_values_and_diagnostics_of_rare_shapes(text, values, diagnostics):
+    cf = parse(text)
+    assert [a.value for a in cf.body] == values
+    assert [(d.message, d.start) for d in cf.diagnostics] == diagnostics
+
+
+_OPEN_AT_THE_END = pytest.mark.parametrize("text", ["x = [1,", "x = {a = 1"], ids=["list", "map"])
+
+
+@_OPEN_AT_THE_END
+def test_a_list_or_map_open_at_the_end_of_the_text_is_opaque_to_the_end(text):
+    value = Opaque(text[4:])
+    assert [a.value for a in parse(text).body] == [value]
+    cf = parse(f'resource "a" "b" {{\n  {text}')
+    assert [a.value for a in cf.body[0].body] == [value]
+    assert [d.message for d in cf.diagnostics] == [
+        "block 'resource' not closed before end of file"
+    ]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a top-level open bracket is captured to the end unreported (ROADMAP item 5)",
+)
+@_OPEN_AT_THE_END
+def test_a_list_or_map_open_at_the_end_of_the_text_is_diagnosed_at_top_level(text):
+    assert parse(text).diagnostics
+
+
 def _span(start_line, start_col, end_line, end_col):
     return SourceSpan("<input>", start_line, start_col, end_line, end_col)
 
@@ -745,6 +797,31 @@ def test_parse_of_comment_mutants_matches_its_pinned_sha256():
             texts.append((rel, mutant))
     assert _parse_digest(texts) == (
         "90813210e0065f44c55892354bf1e79809ee9b3129aed3ebb1aff8fc1235f468"
+    )
+
+
+# The characters a bracket mutant loses or doubles: what opens, closes or
+# separates a list, a map, a call, an attribute or a string.
+_BRACKET_CHARS = frozenset('[]{}(),="')
+
+
+def test_parse_of_bracket_mutants_matches_its_pinned_sha256():
+    # An unclosed or doubled bracket, a lost separator or a stray quote: any
+    # change to how the parser recovers from broken brackets shows here.
+    rng = random.Random(1)
+    files = []
+    for path in fixture_corpus_files():
+        text = path.read_bytes().decode("utf-8")
+        spots = [i for i, c in enumerate(text) if c in _BRACKET_CHARS]
+        files.append((path.relative_to(FIXTURES).as_posix(), text, spots))
+    texts = []
+    for _ in range(2000):
+        rel, text, spots = rng.choice(files)
+        at = rng.choice(spots)
+        copies = rng.choice((0, 2))  # delete it, or duplicate it
+        texts.append((rel, text[:at] + text[at] * copies + text[at + 1 :]))
+    assert _parse_digest(texts) == (
+        "9cad2ec69aea6d9fd073db6ff17c5ad12baacca4abb0cddb80f0abf59500ab1b"
     )
 
 
