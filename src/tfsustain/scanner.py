@@ -5,7 +5,7 @@ the number of processes: files are sorted up front, per-directory work is
 order-independent, and findings are sorted once at the end. Each process of a
 scan runs one loop: claim a batch of whole directories, at least
 ``BATCH_FILES`` files, read it, then detect and drop it. One process claims
-by counting; the processes of a pool claim from one shared counter.
+by counting; a scan on several processes claims from one shared counter.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .detectors.findings import SmellFinding
 from .hcl import SourceText
 
 if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
     from multiprocessing.sharedctypes import Synchronized
 
 
@@ -35,7 +36,7 @@ BATCH_FILES = 64
 
 
 class ScanError(Exception):
-    """Raised when a scan cannot start at all (e.g. missing root)."""
+    """Raised when a scan cannot start at all (e.g. missing root), or loses a worker."""
 
 
 @dataclass
@@ -155,18 +156,38 @@ def _scan_batches(
     return findings, failed
 
 
-# The scan a pool worker takes part in, set once per worker by ``_join``: a
-# synchronized counter reaches a process only when it starts, not through submit.
-_job: tuple | None = None
+def _work(
+    base: str,
+    batches: list[list[list[str]]],
+    cfg: DetectorConfig,
+    engine: str,
+    counter: Synchronized,
+    sender: Connection,
+) -> None:
+    """A worker process: run the batch loop on ``counter`` and send its result once.
+
+    What is sent is ``(findings, failed)``, or the exception the loop raised,
+    or a ``RuntimeError`` with that exception's repr when it cannot make the
+    round trip through pickle.
+    """
+    try:
+        sent = _scan_batches(base, batches, cfg, engine, partial(_claim, counter))
+    except Exception as exc:
+        import pickle
+
+        try:
+            sent = pickle.loads(pickle.dumps(exc))
+        except Exception:
+            sent = RuntimeError(f"a scan worker raised {exc!r}, which cannot be pickled")
+    sender.send(sent)
 
 
-def _join(*job) -> None:
-    global _job
-    _job = job
-
-
-def _claim_joined() -> tuple[list[SmellFinding], set[str]]:
-    return _scan_batches(*_job)
+def _receive(receiver: Connection) -> object:
+    """What a worker sent, or None when it exited without sending."""
+    try:
+        return receiver.recv()
+    except EOFError:
+        return None
 
 
 def _usable_cpus() -> int:
@@ -190,10 +211,15 @@ def scan(
     The directories, in path order, are cut into batches of whole directories
     holding at least ``BATCH_FILES`` files each (the last may hold fewer). With
     ``n = min(jobs, cpus, batches)`` above 1, ``cpus`` being the CPUs this
-    process may run on, the calling process and a pool of n - 1 workers,
-    closed before this returns, run one batch loop, each claiming the next
-    batch from one shared counter until none is left; otherwise the calling
-    process runs it alone, counting up, no pool.
+    process may run on, the calling process and n - 1 worker processes run one
+    batch loop, each claiming the next batch from one shared counter until none
+    is left; otherwise the calling process runs it alone, counting up, and
+    starts no process. Each worker sends its findings and failures once through
+    a one-way pipe, and every worker is joined before this returns. The first
+    exception a worker raised is raised here, and a worker that exits without
+    sending raises ``ScanError``. Workers start by multiprocessing's default
+    method; under spawn or forkserver, a script that calls this with ``jobs``
+    above 1 needs the ``if __name__ == "__main__":`` guard.
     The findings are sorted once, so the report never depends on ``jobs``.
     """
     root = Path(root)
@@ -223,19 +249,39 @@ def scan(
         batches.append(batch)
     n = min(jobs, _usable_cpus(), len(batches))
     if n > 1:
-        # Imported here: these modules would add to every one-job scan's memory.
+        # Imported here: it would add to every one-job scan's memory.
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
 
-        claim = partial(_claim, multiprocessing.Value("q", 0))
-        job = (base, batches, cfg, engine, claim)
-        with ProcessPoolExecutor(n - 1, initializer=_join, initargs=job) as pool:
-            futures = [pool.submit(_claim_joined) for _ in range(n - 1)]
-            findings, failed = _scan_batches(*job)
-            for future in futures:
-                more, bad = future.result()
-                findings += more
-                failed |= bad
+        counter = multiprocessing.Value("q", 0)
+        workers = []
+        try:
+            for _ in range(n - 1):
+                receiver, sender = multiprocessing.Pipe(duplex=False)
+                with sender:  # the worker holds the only write end, so its exit is an EOF
+                    worker = multiprocessing.Process(
+                        target=_work, args=(base, batches, cfg, engine, counter, sender)
+                    )
+                    worker.start()
+                workers.append((worker, receiver))
+            findings, failed = _scan_batches(base, batches, cfg, engine, partial(_claim, counter))
+            # A result larger than the pipe's buffer holds its worker until it
+            # is read, so every result is read before any worker is joined.
+            results = [_receive(receiver) for _, receiver in workers]
+        except BaseException:
+            for worker, _ in workers:
+                worker.terminate()
+            raise
+        finally:
+            for worker, receiver in workers:
+                worker.join()
+                receiver.close()
+        for (worker, _), result in zip(workers, results):
+            if result is None:
+                raise ScanError(f"a scan worker exited with code {worker.exitcode} before sending")
+            if isinstance(result, BaseException):
+                raise result
+            findings += result[0]
+            failed |= result[1]
     else:
         findings, failed = _scan_batches(base, batches, cfg, engine, count().__next__)
     findings.sort(key=SmellFinding.sort_key)

@@ -1,16 +1,18 @@
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import multiprocessing
 import os
 import shutil
+import signal
 import string
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -129,11 +131,12 @@ def test_each_process_reads_a_batch_of_whole_directories_before_detecting_them(
     tmp_path, monkeypatch, pool
 ):
     if pool:
-        # Small batches on two processes: the inline executor runs the worker's
-        # claim loop in this process, so the events below are in claim order.
+        # Small batches on two processes: the inline worker runs its claim loop
+        # in this process, so the events below are in claim order.
         monkeypatch.setattr(scanner, "BATCH_FILES", 4)
         _set_cpus(monkeypatch, 2)
-        built = _record_executors(monkeypatch)
+        monkeypatch.setattr(multiprocessing, "Process", _InlineProcess)
+        started = _record_starts(monkeypatch)
     k = scanner.BATCH_FILES
     sizes = {"a": 1, "b": k - 2, "c": 3, "d": k, "e": 1, "f": 2 * k, "g": 2, "h": 1}
     for name, count in sizes.items():
@@ -164,7 +167,7 @@ def test_each_process_reads_a_batch_of_whole_directories_before_detecting_them(
         expected += [("detect", rels) for rels in dirs]
     assert events == expected
     if pool:
-        assert built == [1]
+        assert len(started) == 1
         assert [c.value for c in counters] == [4 + 2]  # both loops ran past the end
     else:
         assert counters == []
@@ -188,7 +191,7 @@ def _record_counters(monkeypatch) -> list:
 
     After a scan of b batches on n processes the counter reads b + n: every
     process ends its claim loop with one index past the last batch, so the
-    figure shows that n - 1 submissions ran in the pool.
+    figure shows that n - 1 workers ran the loop beside the caller.
     """
     counters = []
     value = multiprocessing.Value
@@ -304,16 +307,107 @@ def test_fixture_reports_do_not_depend_on_jobs(monkeypatch, engine):
     assert [c.value for c in counters] == [dirs + n for n in pooled if n > 1]
 
 
-@pytest.mark.skipif(_cpus() < 2, reason="needs two CPUs for a pool")
-def test_spawned_workers_give_the_same_report(monkeypatch, start_method):
-    """Where the default start method is spawn, a worker starts from a fresh import."""
+def _check_started_by(method, monkeypatch, start_method) -> None:
     monkeypatch.setattr(scanner, "BATCH_FILES", 1)
     one_job = _report_bytes(scan(FIXTURES, jobs=1))
-    start_method("spawn")
+    start_method(method)
     counters = _record_counters(monkeypatch)
     assert _report_bytes(scan(FIXTURES, jobs=2)) == one_job
     assert multiprocessing.active_children() == []
     assert [c.value for c in counters] == [_directories(FIXTURES) + 2]
+
+
+@pytest.mark.skipif(_cpus() < 2, reason="needs two CPUs for a pool")
+def test_spawned_workers_give_the_same_report(monkeypatch, start_method):
+    """Where the default start method is spawn, a worker starts from a fresh import."""
+    _check_started_by("spawn", monkeypatch, start_method)
+
+
+@pytest.mark.skipif(_cpus() < 2, reason="needs two CPUs for a pool")
+@pytest.mark.skipif(
+    "forkserver" not in multiprocessing.get_all_start_methods(),
+    reason="no forkserver start method on this platform",
+)
+def test_forkserver_workers_give_the_same_report(monkeypatch, start_method):
+    """Forkserver, Linux's default from Python 3.14: a worker is forked from a clean server."""
+    _check_started_by("forkserver", monkeypatch, start_method)
+
+
+_fork_only = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the worker must inherit the patched detect_all",
+)
+
+
+def _fail_while_pooled(monkeypatch, start_method, in_worker, in_caller=None) -> list:
+    """Sets a two-process scan of the fixtures to call ``in_worker`` at the worker's
+    first detection and ``in_caller`` at the caller's; returns the started workers.
+
+    The caller claims batch 0 and holds it until the worker has claimed batch 1,
+    so the worker reaches a detection however fast the caller is.
+    """
+    start_method("fork")
+    monkeypatch.setattr(scanner, "BATCH_FILES", 1)
+    _set_cpus(monkeypatch, 2)
+    counters = _record_counters(monkeypatch)
+    started = _record_starts(monkeypatch)
+    caller, detect_all = os.getpid(), scanner.detect_all
+
+    def detecting(units, cfg, engine, failed):
+        if os.getpid() != caller:
+            in_worker()
+        else:
+            deadline = time.monotonic() + 60
+            while counters[0].value < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            if in_caller is not None:
+                in_caller()
+        return detect_all(units, cfg, engine, failed)
+
+    monkeypatch.setattr(scanner, "detect_all", detecting)
+    return started
+
+
+def _raise(error):
+    raise error
+
+
+@_fork_only
+@pytest.mark.parametrize(
+    "error, raised, message",
+    [
+        (ValueError("boom"), ValueError, "^boom$"),
+        # A lambda cannot be pickled, so its repr travels in a RuntimeError.
+        (ValueError("boom", lambda: None), RuntimeError, r"raised ValueError\('boom', <function"),
+    ],
+    ids=["picklable", "unpicklable"],
+)
+def test_an_error_in_a_worker_is_raised_by_scan(monkeypatch, start_method, error, raised, message):
+    started = _fail_while_pooled(monkeypatch, start_method, partial(_raise, error))
+    with pytest.raises(raised, match=message):
+        scan(FIXTURES, jobs=2)
+    assert [worker.exitcode for worker in started] == [0]
+    assert multiprocessing.active_children() == []
+
+
+@_fork_only
+def test_a_worker_that_exits_without_sending_fails_the_scan(monkeypatch, start_method):
+    _fail_while_pooled(monkeypatch, start_method, partial(os._exit, 3))
+    with pytest.raises(ScanError, match="exited with code 3"):
+        scan(FIXTURES, jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+@_fork_only
+def test_an_error_in_the_caller_terminates_the_workers(monkeypatch, start_method):
+    # The worker would sleep for ten minutes; only its termination ends it in time.
+    started = _fail_while_pooled(
+        monkeypatch, start_method, partial(time.sleep, 600), partial(_raise, KeyError("caller"))
+    )
+    with pytest.raises(KeyError, match="caller"):
+        scan(FIXTURES, jobs=2)
+    assert [worker.exitcode for worker in started] == [-signal.SIGTERM]
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -344,36 +438,34 @@ def test_file_gone_in_a_workers_share_is_a_parse_failure(tmp_path, monkeypatch, 
     assert [c.value for c in counters] == ([_directories(FIXTURES) + 1 + n] if n > 1 else [])
 
 
-class _InlineExecutor:
-    """Stands in for ``ProcessPoolExecutor``: records its size, runs the initializer and submissions inline."""
+class _InlineProcess:
+    """Stands in for ``multiprocessing.Process``: its start runs the worker to the end.
 
-    def __init__(self, max_workers, built, initializer=None, initargs=()):
-        built.append(max_workers)
-        if initializer is not None:
-            initializer(*initargs)
+    The worker's whole claim loop runs in this process before the caller's, so
+    events arrive in claim order; its result must fit in the pipe's buffer.
+    """
 
-    def __enter__(self):
-        return self
+    def __init__(self, target, args):
+        self.run = partial(target, *args)
 
-    def __exit__(self, *exc):
-        return None
+    def start(self):
+        self.run()
 
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
+    def join(self):
+        pass
 
 
-def _record_executors(monkeypatch) -> list[int]:
-    built: list[int] = []
-    monkeypatch.setattr(
-        concurrent.futures,
-        "ProcessPoolExecutor",
-        lambda n, **kwargs: _InlineExecutor(n, built, **kwargs),
-    )
-    # The inline initializer sets the worker's job in this process.
-    monkeypatch.setattr(scanner, "_job", None)
-    return built
+def _record_starts(monkeypatch) -> list:
+    """Keeps each ``multiprocessing.Process`` that is started; the start itself runs as usual."""
+    started = []
+    start = multiprocessing.Process.start
+
+    def recording(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(multiprocessing.Process, "start", recording)
+    return started
 
 
 @pytest.mark.parametrize("cpus", [None, 2, 8])
@@ -385,59 +477,73 @@ def test_many_jobs_ask_for_one_worker_per_cpu_or_directory_past_the_first(
     if cpus is not None:
         _set_cpus(monkeypatch, cpus)
     monkeypatch.setattr(scanner, "BATCH_FILES", 1)  # a batch per directory
-    built = _record_executors(monkeypatch)
+    started = _record_starts(monkeypatch)
     report = scan(tmp_path, jobs=10**6)
     n = min(_cpus(), 3)
-    assert built == ([n - 1] if n > 1 else [])
+    assert len(started) == max(n - 1, 0)
+    assert multiprocessing.active_children() == []
     assert _report_bytes(report) == one_job
 
 
 @pytest.mark.parametrize("cpus", [1, None])
-def test_one_cpu_builds_no_executor(tmp_path, monkeypatch, cpus):
+def test_one_cpu_starts_no_worker(tmp_path, monkeypatch, cpus):
     _tree(tmp_path, [1, 1, 1])
     _set_cpus(monkeypatch, cpus)
     monkeypatch.setattr(scanner, "BATCH_FILES", 1)
-    built = _record_executors(monkeypatch)
+    started = _record_starts(monkeypatch)
     assert scan(tmp_path, jobs=4).scanned_files == 3
-    assert built == []
+    assert started == []
 
 
-def test_a_process_pinned_to_one_cpu_starts_no_pool(tmp_path, monkeypatch):
+def test_a_process_pinned_to_one_cpu_starts_no_worker(tmp_path, monkeypatch):
     _tree(tmp_path, [1, 2, 1])
     one_job = _report_bytes(scan(tmp_path, jobs=1))
     # The machine has two CPUs, and this process may run on one of them.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(scanner, "BATCH_FILES", 1)  # a batch per directory
-    built = _record_executors(monkeypatch)
+    started = _record_starts(monkeypatch)
     counters = _record_counters(monkeypatch)
     assert _report_bytes(scan(tmp_path, jobs=2)) == one_job
-    assert built == [] and counters == []
+    assert started == [] and counters == []
 
 
-def test_one_batch_builds_no_executor_or_counter(tmp_path, monkeypatch):
+def test_one_batch_starts_no_worker_or_counter(tmp_path, monkeypatch):
     _tree(tmp_path, [1, 2, 1])
     _set_cpus(monkeypatch, 8)
-    built = _record_executors(monkeypatch)
+    started = _record_starts(monkeypatch)
     counters = _record_counters(monkeypatch)
     assert scan(tmp_path, jobs=4).scanned_files == 4
-    assert built == [] and counters == []
+    assert started == [] and counters == []
 
 
-def test_one_job_scan_does_not_import_the_process_pool():
+def _modules_after_scan(jobs: int) -> list[bool]:
+    """Whether multiprocessing and concurrent.futures are loaded after a scan of the
+    fixtures, one batch per directory, in a fresh interpreter."""
     code = (
         "import sys\n"
-        "from tfsustain.scanner import scan\n"
-        "assert scan(sys.argv[1], jobs=1).scanned_files\n"
-        "print('concurrent.futures.process' in sys.modules)\n"
+        "from tfsustain import scanner\n"
+        "scanner.BATCH_FILES = 1\n"
+        "assert scanner.scan(sys.argv[1], jobs=int(sys.argv[2])).scanned_files\n"
+        "print(*(m in sys.modules for m in ('multiprocessing', 'concurrent.futures')))\n"
     )
     src = str(Path(scanner.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(
-        [sys.executable, "-c", code, str(FIXTURES)],
+        [sys.executable, "-c", code, str(FIXTURES), str(jobs)],
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
-    assert done.stdout.strip() == "False"
+    return [word == "True" for word in done.stdout.split()]
+
+
+def test_one_job_scan_does_not_import_the_process_pool():
+    assert _modules_after_scan(1) == [False, False]
+
+
+@pytest.mark.skipif(_cpus() < 2, reason="needs two CPUs for a pool")
+def test_pooled_scan_does_not_import_concurrent_futures():
+    # multiprocessing is loaded, so the workers ran.
+    assert _modules_after_scan(2) == [True, False]
 
 
 def test_scan_ignores_symlinked_files(tmp_path):
