@@ -65,12 +65,12 @@ def _repo_stream(seed: int, repo: str) -> SplitMix64:
 
 
 def sample_stratified(manifest: dict[str, list[str]], seed: int) -> SampleSet:
-    """Select 4-5 files per repository, reproducibly for a given seed."""
+    """Select 4-5 distinct file names per repository, reproducibly for a seed."""
     if not manifest:
         raise ValueError("manifest must not be empty")
     selections: dict[str, list[str]] = {}
     for repo in sorted(manifest):
-        files = sorted(manifest[repo])
+        files = sorted(set(manifest[repo]))
         if len(files) <= 4:
             selections[repo] = files
             continue

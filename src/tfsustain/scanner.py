@@ -36,7 +36,7 @@ BATCH_FILES = 64
 
 
 class ScanError(Exception):
-    """Raised when a scan cannot start at all (e.g. missing root), or loses a worker."""
+    """Raised when a scan cannot start (e.g. missing root), or when a worker fails."""
 
 
 @dataclass
@@ -156,29 +156,18 @@ def _scan_batches(
     return findings, failed
 
 
-def _work(
-    base: str,
-    batches: list[list[list[str]]],
-    cfg: DetectorConfig,
-    engine: str,
-    counter: Synchronized,
-    sender: Connection,
-) -> None:
-    """A worker process: run the batch loop on ``counter`` and send its result once.
+def _work(sender: Connection, *job) -> None:
+    """A worker process: run ``_scan_batches(*job)`` and send its result once.
 
-    What is sent is ``(findings, failed)``, or the exception the loop raised,
-    or a ``RuntimeError`` with that exception's repr when it cannot make the
-    round trip through pickle.
+    What is sent is ``(findings, failed)``, or the formatted traceback of the
+    exception the loop raised: text always pickles and keeps the worker's frames.
     """
     try:
-        sent = _scan_batches(base, batches, cfg, engine, partial(_claim, counter))
-    except Exception as exc:
-        import pickle
+        sent = _scan_batches(*job)
+    except Exception:
+        import traceback
 
-        try:
-            sent = pickle.loads(pickle.dumps(exc))
-        except Exception:
-            sent = RuntimeError(f"a scan worker raised {exc!r}, which cannot be pickled")
+        sent = traceback.format_exc()
     sender.send(sent)
 
 
@@ -215,11 +204,13 @@ def scan(
     batch loop, each claiming the next batch from one shared counter until none
     is left; otherwise the calling process runs it alone, counting up, and
     starts no process. Each worker sends its findings and failures once through
-    a one-way pipe, and every worker is joined before this returns. The first
-    exception a worker raised is raised here, and a worker that exits without
-    sending raises ``ScanError``. Workers start by multiprocessing's default
-    method; under spawn or forkserver, a script that calls this with ``jobs``
-    above 1 needs the ``if __name__ == "__main__":`` guard.
+    a one-way pipe, and every worker is joined before this returns. A worker
+    whose loop raises sends the formatted traceback instead, so its frames
+    survive the pipe; ``ScanError`` is raised here with that text, and with the
+    exit code of a worker that exits without sending. Workers start by
+    multiprocessing's default method; under spawn or forkserver, a script that
+    calls this with ``jobs`` above 1 needs the ``if __name__ == "__main__":``
+    guard.
     The findings are sorted once, so the report never depends on ``jobs``.
     """
     root = Path(root)
@@ -252,38 +243,37 @@ def scan(
         # Imported here: it would add to every one-job scan's memory.
         import multiprocessing
 
-        counter = multiprocessing.Value("q", 0)
-        workers = []
-        try:
-            for _ in range(n - 1):
-                receiver, sender = multiprocessing.Pipe(duplex=False)
-                with sender:  # the worker holds the only write end, so its exit is an EOF
-                    worker = multiprocessing.Process(
-                        target=_work, args=(base, batches, cfg, engine, counter, sender)
-                    )
-                    worker.start()
-                workers.append((worker, receiver))
-            findings, failed = _scan_batches(base, batches, cfg, engine, partial(_claim, counter))
-            # A result larger than the pipe's buffer holds its worker until it
-            # is read, so every result is read before any worker is joined.
-            results = [_receive(receiver) for _, receiver in workers]
-        except BaseException:
-            for worker, _ in workers:
-                worker.terminate()
-            raise
-        finally:
-            for worker, receiver in workers:
-                worker.join()
-                receiver.close()
-        for (worker, _), result in zip(workers, results):
-            if result is None:
-                raise ScanError(f"a scan worker exited with code {worker.exitcode} before sending")
-            if isinstance(result, BaseException):
-                raise result
-            findings += result[0]
-            failed |= result[1]
+        claim = partial(_claim, multiprocessing.Value("q", 0))
     else:
-        findings, failed = _scan_batches(base, batches, cfg, engine, count().__next__)
+        claim = count().__next__
+    job = (base, batches, cfg, engine, claim)
+    workers = []
+    try:
+        for _ in range(n - 1):
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            with sender:  # the worker holds the only write end, so its exit is an EOF
+                worker = multiprocessing.Process(target=_work, args=(sender, *job))
+                worker.start()
+            workers.append((worker, receiver))
+        findings, failed = _scan_batches(*job)
+        # A result larger than the pipe's buffer holds its worker until it
+        # is read, so every result is read before any worker is joined.
+        results = [_receive(receiver) for _, receiver in workers]
+    except BaseException:
+        for worker, _ in workers:
+            worker.terminate()
+        raise
+    finally:
+        for worker, receiver in workers:
+            worker.join()
+            receiver.close()
+    for (worker, _), result in zip(workers, results):
+        if result is None:
+            raise ScanError(f"a scan worker exited with code {worker.exitcode} before sending")
+        if isinstance(result, str):
+            raise ScanError(f"a scan worker failed:\n{result.rstrip()}")
+        findings += result[0]
+        failed |= result[1]
     findings.sort(key=SmellFinding.sort_key)
 
     return ScanReport(

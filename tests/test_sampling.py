@@ -12,10 +12,20 @@ def make_manifest(repos: int, files_per_repo: int = 8) -> dict[str, list[str]]:
     }
 
 
-def test_small_repo_contributes_everything():
-    manifest = {"org/tiny": ["a.tf", "b.tf", "c.tf"]}
-    sample = sample_stratified(manifest, seed=1)
+@pytest.mark.parametrize(
+    "names",
+    [
+        ["a.tf", "b.tf", "c.tf"],
+        # A name listed twice is one file: three distinct names are all drawn, once.
+        ["a.tf", "a.tf", "a.tf", "b.tf", "c.tf"],
+    ],
+    ids=["distinct", "repeated"],
+)
+@pytest.mark.parametrize("seed", [1, 4])
+def test_small_repo_contributes_everything(names, seed):
+    sample = sample_stratified({"org/tiny": names}, seed=seed)
     assert sample.selections["org/tiny"] == ["a.tf", "b.tf", "c.tf"]
+    assert sample.total == 3
 
 
 def test_exactly_four_files_selects_all_four():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import json
 import multiprocessing
 import os
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfsustain import scanner
+from tfsustain import cli, scanner
 from tfsustain.catalog import SmellId, catalog
 from tfsustain.detectors import ENGINES
 from tfsustain.detectors.findings import SmellFinding
@@ -374,19 +375,33 @@ def _raise(error):
 
 @_fork_only
 @pytest.mark.parametrize(
-    "error, raised, message",
+    "error, line",
     [
-        (ValueError("boom"), ValueError, "^boom$"),
-        # A lambda cannot be pickled, so its repr travels in a RuntimeError.
-        (ValueError("boom", lambda: None), RuntimeError, r"raised ValueError\('boom', <function"),
+        (ValueError("boom"), "ValueError: boom"),
+        # A lambda cannot be pickled; the traceback is text, which always can.
+        (ValueError("boom", lambda: None), "ValueError: ('boom', <function <lambda> at "),
     ],
     ids=["picklable", "unpicklable"],
 )
-def test_an_error_in_a_worker_is_raised_by_scan(monkeypatch, start_method, error, raised, message):
+def test_an_error_in_a_worker_is_raised_by_scan(monkeypatch, start_method, error, line):
     started = _fail_while_pooled(monkeypatch, start_method, partial(_raise, error))
-    with pytest.raises(raised, match=message):
+    with pytest.raises(ScanError, match="^a scan worker failed:\nTraceback ") as raised:
         scan(FIXTURES, jobs=2)
+    message = str(raised.value)
+    # The worker's own frames, from its batch loop down to the raise.
+    assert "in _scan_batches\n" in message and "in _raise\n" in message
+    assert message.splitlines()[-1].startswith(line)
     assert [worker.exitcode for worker in started] == [0]
+    assert multiprocessing.active_children() == []
+
+
+@_fork_only
+def test_an_error_in_a_worker_is_an_error_exit_of_the_cli(monkeypatch, start_method, capsys):
+    _fail_while_pooled(monkeypatch, start_method, partial(_raise, ValueError("boom")))
+    assert cli.run(["scan", str(FIXTURES), "--jobs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a scan worker failed:\n")
+    assert "in _raise\n" in err and err.endswith("\nValueError: boom\n")
     assert multiprocessing.active_children() == []
 
 
@@ -576,6 +591,53 @@ def test_discovery_matches_an_os_walk_reference(tmp_path):
     ]
     assert walk_tf_files(tmp_path) == expected
     assert discover_tf_files(tmp_path) == expected
+
+
+class _ListingThatFailsPartWay:
+    """Stands in for ``os.scandir(path)``: the first entry, then ``PermissionError``."""
+
+    def __init__(self, entries):
+        self.entries, self.given = entries, False
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.entries.close()
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if self.given:
+            raise PermissionError(errno.EACCES, "Permission denied")
+        self.given = True
+        return next(self.entries)
+
+
+def test_a_directory_that_cannot_be_listed_drops_only_its_own_files(tmp_path, monkeypatch):
+    _tree(tmp_path, [2, 1, 3, 2])
+    every = discover_tf_files(tmp_path)
+    scandir = os.scandir
+
+    def failing(path):
+        name = os.path.basename(path)
+        if name == "b":  # cannot be opened
+            raise PermissionError(errno.EACCES, "Permission denied", path)
+        entries = scandir(path)
+        return _ListingThatFailsPartWay(entries) if name == "c" else entries
+
+    monkeypatch.setattr(os, "scandir", failing)
+    kept = [rel for rel in every if rel[0] not in "bc"]
+    assert walk_tf_files(tmp_path) == kept  # os.walk drops the same files
+    assert discover_tf_files(tmp_path) == kept
+    monkeypatch.setattr(scanner, "BATCH_FILES", 1)
+    _set_cpus(monkeypatch, 2)  # two batches, so jobs=2 starts a worker
+    for jobs in (1, 2):
+        report = scan(tmp_path, jobs=jobs)
+        assert report.scanned_files == len(kept) and report.parse_failures == 0
+        assert sorted({f.path for f in report.findings}) == kept  # every file is smelly
+        assert multiprocessing.active_children() == []
 
 
 _TREE_DEPTH = 1_100  # deeper than the default recursion limit of 1,000
