@@ -3,9 +3,10 @@
 All seven detectors are pure functions of (file view, config). A view holds
 every answer the detectors ask of one file, derived once from its parse: its
 resources, each reduced to its labels, offsets and the few attributes and
-facts a detector reads, its backends, its first ``terraform`` block, and
-whether a resource is an autoscaler. The parse hands each top-level item to
-:func:`prepare` as soon as it is parsed, so no file's whole tree is ever
+facts a detector reads, its backends and its first ``terraform`` block, as
+labels and offsets, and whether a resource is an autoscaler. The parse hands
+each top-level item to :func:`prepare` as soon as it is parsed, and a view
+keeps no attribute, block or reference node, so no file's whole tree is ever
 held. Findings for a file depend only on that file's content except for the
 remote-state check, which is scoped to a directory of files (one root
 module).
@@ -32,7 +33,6 @@ from ..hcl import (
     SourceText,
     StringLit,
     TemplateString,
-    find_blocks,
 )
 from .config import LOG_GROUP_TYPES, REGION_ATTR_ORDER, SIZE_ATTRS, DetectorConfig
 from .findings import SmellFinding, local_state_findings
@@ -40,23 +40,32 @@ from .findings import SmellFinding, local_state_findings
 _GCP_ZONE_RE = re.compile(r"\A(?P<region>[a-z]+-[a-z]+\d+)-[a-z]\Z")
 _AWS_AZ_RE = re.compile(r"\A(?P<region>[a-z]{2}(?:-[a-z]+)+-\d+)[a-z]\Z")
 
+# What a view keeps of an attribute: its offsets, then its value node when that
+# is a string or number literal, else None.
+Setting = tuple[int, int, StringLit | NumberLit | None]
+# What a view keeps of a reference: its attribute's offsets, then its segments.
+Link = tuple[int, int, tuple[str, ...]]
+_LITERALS = (StringLit, NumberLit)
+
 # The attributes of a resource that a detector reads once its view is built,
 # and one empty mapping shared by every resource that sets none of them.
 _VIEW_ATTRS = frozenset((*SIZE_ATTRS, "count", *LOG_GROUP_TYPES.values()))
-_NO_ATTRIBUTES: Mapping[str, Attribute] = MappingProxyType({})
+_NO_SETTINGS: Mapping[str, Setting] = MappingProxyType({})
 
 
 def resource_blocks(file: ConfigFile) -> list[Resource]:
-    """The resources of a file that :func:`prepare` parsed, in source order."""
-    return [r for r in file.body if isinstance(r, Resource)]
+    """The resources of a file that :func:`prepare` parsed, in source order: all its body."""
+    return file.body
 
 
 @dataclass(slots=True)
 class Resource:
     """One resource block reduced to what the detectors read of it.
 
-    ``start`` and ``end`` are the block's offsets. ``attributes`` holds only
-    the attributes in ``_VIEW_ATTRS``, by name (the last assignment wins).
+    ``start`` and ``end`` are the block's offsets. ``attributes`` holds the
+    :data:`Setting` of each attribute in ``_VIEW_ATTRS``, by name (the last
+    assignment wins), and ``references`` the :data:`Link` of each reference
+    in the block's attributes, nested blocks included.
     ``lifecycle`` is whether a ``lifecycle`` block nests in it, and is only
     looked for in the types SS3 checks. ``region`` and ``references`` are set
     only in a file of at least two resources, and ``references`` only for a
@@ -67,10 +76,10 @@ class Resource:
     name: str
     start: int
     end: int
-    attributes: Mapping[str, Attribute]
+    attributes: Mapping[str, Setting]
     lifecycle: bool
     region: str | None = None
-    references: Sequence[tuple[Attribute, Reference]] = ()
+    references: Sequence[Link] = ()
 
 
 @dataclass(slots=True)
@@ -80,15 +89,16 @@ class FileView:
     source: SourceText
     diagnosed: bool  # whether the parse reported an error
     resources: list[Resource]
-    backends: list[tuple[str, Block]]  # labelled, in the top-level terraform blocks
-    terraform: Block | None  # the first top-level terraform block
+    # Labelled backends in the top-level terraform blocks, as (label, offsets).
+    backends: list[tuple[str, tuple[int, int]]]
+    terraform: tuple[int, int] | None  # the first top-level terraform block's offsets
     autoscaled: bool
 
     def finding(
-        self, smell: SmellId, at: Attribute | Block | Resource | None, evidence: str, message: str
+        self, smell: SmellId, at: tuple | None, evidence: str, message: str
     ) -> SmellFinding:
-        """A finding over the offsets of ``at``, or over the whole file when None."""
-        span = self.source.span(*((at.start, at.end) if at else (0, len(self.source.text))))
+        """A finding over the offsets that lead ``at``, or over the whole file when None."""
+        span = self.source.span(*(at[:2] if at else (0, len(self.source.text))))
         return SmellFinding(smell, self.source.path, span, evidence, "ast", message)
 
 
@@ -96,24 +106,33 @@ class _Reduction:
     """The ``keep`` of :func:`prepare`'s parse: what it keeps of one file's top-level items.
 
     A labelled ``resource`` block becomes its :class:`Resource`, a
-    ``terraform`` block is kept whole, and any other item is dropped. A
-    resource's region and references are read only once a second resource
-    has arrived, so the first resource block is held until then.
+    ``terraform`` block adds its offsets and labelled backends to the view's,
+    and any other item is dropped. A resource's region and references are
+    read only once a second resource has arrived, so the first resource block
+    is held until then.
     """
 
-    __slots__ = ("cfg", "first", "paired", "regions")
+    __slots__ = ("cfg", "first", "paired", "regions", "backends", "terraform")
 
     def __init__(self, cfg: DetectorConfig) -> None:
         self.cfg = cfg
         self.first: tuple[Resource, Block] | None = None
         self.paired = False
         self.regions: dict[str, str] = {}  # one string per region
+        self.backends: list[tuple[str, tuple[int, int]]] = []
+        self.terraform: tuple[int, int] | None = None
 
-    def keep(self, item: Block | Attribute) -> Resource | Block | None:
+    def keep(self, item: Block | Attribute) -> Resource | None:
         if not isinstance(item, Block):
             return None
         if item.block_type == "terraform":
-            return item
+            self.terraform = self.terraform or (item.start, item.end)
+            self.backends += [
+                (b.labels[0], (b.start, b.end))
+                for b in item.body
+                if isinstance(b, Block) and b.block_type == "backend" and b.labels
+            ]
+            return None
         labels = item.labels
         if item.block_type != "resource" or not labels:
             return None
@@ -122,8 +141,12 @@ class _Reduction:
             labels[1] if len(labels) > 1 else "",
             item.start,
             item.end,
-            {a.name: a for a in item.body if isinstance(a, Attribute) and a.name in _VIEW_ATTRS}
-            or _NO_ATTRIBUTES,
+            {
+                a.name: (a.start, a.end, a.value if isinstance(a.value, _LITERALS) else None)
+                for a in item.body
+                if isinstance(a, Attribute) and a.name in _VIEW_ATTRS
+            }
+            or _NO_SETTINGS,
             labels[0] in self.cfg.ss3_lifecycle_required_types and _has_lifecycle(item.body),
         )
         if self.paired:
@@ -145,13 +168,13 @@ class _Reduction:
 
 def prepare(unit: SourceText, cfg: DetectorConfig) -> FileView:
     """Parse ``unit`` and keep what the detectors read, item by item as the parse goes."""
-    file = hcl.parse(unit, keep=_Reduction(cfg).keep)
+    reduction = _Reduction(cfg)
+    file = hcl.parse(unit, keep=reduction.keep)
     resources = resource_blocks(file)
-    tf_blocks = find_blocks(file, "terraform")
-    backends = [(b.labels[0], b) for t in tf_blocks for b in find_blocks(t, "backend") if b.labels]
     autoscaled = not cfg.ss2_autoscaler_types.isdisjoint([r.type for r in resources])
-    terraform = tf_blocks[0] if tf_blocks else None
-    return FileView(unit, bool(file.diagnostics), resources, backends, terraform, autoscaled)
+    return FileView(
+        unit, bool(file.diagnostics), resources, reduction.backends, reduction.terraform, autoscaled
+    )
 
 
 def normalize_region(attr_name: str, raw: str) -> str:
@@ -176,6 +199,11 @@ def _string_literal(node: Attribute | None) -> str | None:
     return node.value.value if node is not None and isinstance(node.value, StringLit) else None
 
 
+def _literal(setting: Setting | None, kind: type) -> str | int | float | None:
+    """The value of a setting whose literal is of ``kind``, else None."""
+    return setting[2].value if setting is not None and isinstance(setting[2], kind) else None
+
+
 def detect_ss1_overprovisioning(
     view: FileView, cfg: DetectorConfig
 ) -> list[SmellFinding]:
@@ -192,10 +220,8 @@ def detect_ss1_overprovisioning(
             if r.type.startswith(prefix):
                 break
         for attr_name in SIZE_ATTRS:
-            node = r.attributes.get(attr_name)
-            if node is None:
-                continue
-            literal = _string_literal(node)
+            setting = r.attributes.get(attr_name)
+            literal = _literal(setting, StringLit)
             if literal is None:
                 continue
             # GCP machine types may be full self-link URLs; compare the tail.
@@ -204,7 +230,7 @@ def detect_ss1_overprovisioning(
                 findings.append(
                     view.finding(
                         SmellId.SS1,
-                        node,
+                        setting,
                         literal,
                         f'instance size "{literal}" is in the oversized catalog '
                         "and the file configures no autoscaler",
@@ -223,15 +249,13 @@ def detect_ss2_no_autoscaling(
     for r in view.resources:
         if r.type not in cfg.ss2_compute_types:
             continue
-        node = r.attributes.get("count")
-        if node is None or not isinstance(node.value, NumberLit):
-            continue
-        count = node.value.value
+        setting = r.attributes.get("count")
+        count = _literal(setting, NumberLit)
         if isinstance(count, int) and count >= cfg.ss2_fixed_count_min:
             findings.append(
                 view.finding(
                     SmellId.SS2,
-                    node,
+                    setting,
                     f"count={count}",
                     f"{r.type} keeps a fixed count of {count} "
                     "instances and the file configures no autoscaler",
@@ -257,7 +281,7 @@ def detect_ss3_no_lifecycle(
         if r.type not in cfg.ss3_lifecycle_required_types or r.lifecycle:
             continue
         message = f'{r.type} "{r.name}" declares no lifecycle block'
-        findings.append(view.finding(SmellId.SS3, r, r.type, message))
+        findings.append(view.finding(SmellId.SS3, (r.start, r.end), r.type, message))
     return findings
 
 
@@ -270,27 +294,25 @@ def detect_ss4_excessive_logging(
         attr_name = LOG_GROUP_TYPES.get(r.type)
         if attr_name is None:
             continue
-        node = r.attributes.get(attr_name)
-        if node is None:
+        setting = r.attributes.get(attr_name)
+        if setting is None:
             if cfg.ss4_flag_missing_retention:
                 findings.append(
                     view.finding(
                         SmellId.SS4,
-                        r,
+                        (r.start, r.end),
                         "unset",
                         f'{r.type} "{r.name}" sets no {attr_name}; '
                         "logs are retained forever",
                     )
                 )
             continue
-        if not isinstance(node.value, NumberLit):
-            continue
-        days = node.value.value
-        if days > cfg.ss4_retention_max_days:
+        days = _literal(setting, NumberLit)
+        if days is not None and days > cfg.ss4_retention_max_days:
             findings.append(
                 view.finding(
                     SmellId.SS4,
-                    node,
+                    setting,
                     str(days),
                     f"log retention of {days} days exceeds the configured "
                     f"maximum of {cfg.ss4_retention_max_days}",
@@ -316,12 +338,12 @@ def _references_in(value: ExpressionValue) -> list[Reference]:
     return refs
 
 
-def _block_references(block: Block) -> list[tuple[Attribute, Reference]]:
-    out: list[tuple[Attribute, Reference]] = []
+def _block_references(block: Block) -> list[Link]:
+    out: list[Link] = []
     for item in block.body:
         if isinstance(item, Attribute):
             for ref in _references_in(item.value):
-                out.append((item, ref))
+                out.append((item.start, item.end, ref.segments))
         elif isinstance(item, Block):
             out.extend(_block_references(item))
     return out
@@ -366,15 +388,15 @@ def detect_ss5_cross_region_transfer(
     # The first attribute of resource i referring to resource j, per (i, j),
     # for regions that differ (so never i == j). Only a resource with a
     # region has references.
-    links: dict[tuple[int, int], Attribute] = {}
+    links: dict[tuple[int, int], Link] = {}
     for i, r in enumerate(resources):
-        for attr, ref in r.references:
-            segments = ref.segments
+        for link in r.references:
+            segments = link[2]
             if segments[:1] == ("data",):
                 segments = segments[1:]
             for j in index.get(segments[:2], ()):
                 if resources[j].region != r.region:
-                    links.setdefault((i, j), attr)
+                    links.setdefault((i, j), link)
 
     findings = []
     for i, j in sorted({(min(pair), max(pair)) for pair in links}):

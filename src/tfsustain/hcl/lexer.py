@@ -8,8 +8,8 @@ for arbitrary input, including malformed files. As in HCL, ``true`` and
 heredoc is a token carrying an ``error`` message, an unterminated block
 comment is an error at its ``/*``, and scanning continues.
 
-:func:`tokenize` fills a list of kinds and arrays of start and end offsets
-into one shared :class:`SourceText`, with the errors and the template
+:func:`tokenize` fills a byte of kind code and arrays of start and end
+offsets into one shared :class:`SourceText`, with the errors and the template
 interpolations keyed by start offset, and builds no object per token: the
 :class:`Token` views are made only when the sequence is first indexed or
 iterated. Line and column are computed from the line index only when a span
@@ -38,6 +38,12 @@ class TokenKind(enum.Enum):
     HEREDOC = "heredoc"
     NEWLINE = "newline"
     EOF = "eof"
+
+
+# A kind's code, the byte that stands for it in a Tokens column, is its place
+# in declaration order: ``list(TokenKind)[code]`` is the kind of a code.
+(IDENTIFIER, STRING, NUMBER, PUNCT, BLOCK_OPEN, BLOCK_CLOSE, ASSIGN, HEREDOC,
+ NEWLINE, EOF) = range(len(TokenKind))
 
 
 @dataclass(frozen=True)
@@ -136,21 +142,23 @@ class Token:
 class Tokens(Sequence[Token]):
     """The tokens of one text as parallel columns; the last token is always EOF.
 
-    Token ``i`` has kind ``kinds[i]`` and text ``source.text[starts[i]:ends[i]]``,
-    and its leading trivia starts where token ``i - 1`` ends. ``starts`` and
-    ``ends`` are :func:`offset_array` columns, four bytes a token for a text
-    shorter than ``2**31`` characters. ``errors`` maps the start offset of
-    each token that carries an error to its message; no two tokens start at
-    one offset, since only EOF is empty; an unterminated block comment is
-    keyed by the offset of its ``/*``. ``interpolations`` maps the
-    start offset of each quoted template that has interpolations or
-    directives to their ``(open, close)`` offsets, as :func:`scan_template`
-    reports them. Indexing, slicing and iteration read a list of
-    :class:`Token` views built on first use; the parser reads the columns.
+    Token ``i`` has kind ``list(TokenKind)[kinds[i]]`` and text
+    ``source.text[starts[i]:ends[i]]``, and its leading trivia starts where
+    token ``i - 1`` ends. ``kinds`` is a ``bytearray`` of kind codes, one
+    byte a token; ``starts`` and ``ends`` are :func:`offset_array` columns,
+    four bytes a token for a text shorter than ``2**31`` characters.
+    ``errors`` maps the start offset of each token that carries an error to
+    its message; no two tokens start at one offset, since only EOF is empty;
+    an unterminated block comment is keyed by the offset of its ``/*``.
+    ``interpolations`` maps the start offset of each quoted template that has
+    interpolations or directives to their ``(open, close)`` offsets, as
+    :func:`scan_template` reports them. Indexing, slicing and iteration read a
+    list of :class:`Token` views built on first use; the parser reads the
+    columns.
     """
 
     source: SourceText
-    kinds: list[TokenKind]
+    kinds: bytearray
     starts: array
     ends: array
     errors: dict[int, str]
@@ -167,10 +175,10 @@ class Tokens(Sequence[Token]):
 
     @cached_property
     def _views(self) -> list[Token]:
-        text, errors = self.source.text, self.errors
+        text, errors, kind = self.source.text, self.errors, list(TokenKind)
         return [
-            Token(kind, lead_start, start, end, text[start:end], errors.get(start), self.source)
-            for kind, lead_start, start, end in zip(
+            Token(kind[code], lead, start, end, text[start:end], errors.get(start), self.source)
+            for code, lead, start, end in zip(
                 self.kinds, [0, *self.ends], self.starts, self.ends
             )
         ]
@@ -208,12 +216,12 @@ _TOKEN_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
-# The token kind of each group, by group number; None for the groups whose
+# The kind code of each group, by group number; None for the groups whose
 # kind, error or end the regex alone does not settle.
 _GROUP_KINDS = [None] * (_TOKEN_RE.groups + 1)
 for _name, _index in _TOKEN_RE.groupindex.items():
     if _name in TokenKind.__members__ and _name not in ("HEREDOC", "EOF"):
-        _GROUP_KINDS[_index] = TokenKind[_name]
+        _GROUP_KINDS[_index] = list(TokenKind.__members__).index(_name)
 
 # Where a template scan stops, by the innermost open frame. In a quoted
 # template ('"'): an escape, an escaped marker ($${ or %%{), an interpolation
@@ -233,7 +241,7 @@ def tokenize(text: str | SourceText, file_id: str = "<input>") -> Tokens:
     """
     source = text if isinstance(text, SourceText) else SourceText(file_id, text)
     text = source.text
-    kinds: list[TokenKind] = []
+    kinds = bytearray()
     starts, ends = offset_array(len(text)), offset_array(len(text))
     errors: dict[int, str] = {}
     interpolations: dict[int, list[tuple[int, int]]] = {}
@@ -252,20 +260,20 @@ def tokenize(text: str | SourceText, file_id: str = "<input>") -> Tokens:
                 continue
             group, error = m.lastgroup, None
             if group == "EOF":
-                kind = TokenKind.EOF
+                kind = EOF
                 if (unclosed := m.start("unclosed")) >= 0:
                     errors[unclosed] = "unterminated block comment"
             elif group == "TEMPLATE":
-                kind = TokenKind.STRING
+                kind = STRING
                 end, error, opened = scan_template(text, start)
                 if opened:
                     interpolations[start] = opened
             elif m.group("tag"):
-                kind = TokenKind.HEREDOC
+                kind = HEREDOC
                 end, error = _heredoc_end(text, end, m.group("tag"))
             else:
                 # "<<" with no tag: treat the two angle brackets as punctuation.
-                kind = TokenKind.PUNCT
+                kind = PUNCT
             add_kind(kind)
             add_start(start)
             add_end(end)

@@ -39,15 +39,13 @@ from .ast import (
     StringLit,
     TemplateString,
 )
-from .lexer import SourceText, TokenKind, Tokens, tokenize
+from .lexer import (
+    SourceText, TokenKind, Tokens, tokenize,
+    # The kind codes, the byte of each token: the parser tests one at almost every token.
+    IDENTIFIER, STRING, NUMBER, PUNCT, BLOCK_OPEN, BLOCK_CLOSE, ASSIGN, HEREDOC, NEWLINE, EOF,
+)
 
 _MAX_DEPTH = 64
-
-# The kinds as module globals, in their TokenKind order: on Python 3.11 a member
-# read off the enum class costs about ten global reads, and the parser tests a
-# kind at almost every token.
-(IDENTIFIER, STRING, NUMBER, PUNCT, BLOCK_OPEN, BLOCK_CLOSE, ASSIGN, HEREDOC,
- NEWLINE, EOF) = TokenKind
 _LABEL_START = (STRING, IDENTIFIER, BLOCK_OPEN)  # what may follow a block type
 _SEGMENT_KINDS = (IDENTIFIER, NUMBER)  # what may follow a '.' in a reference
 # A lone identifier that is a literal in an expression.
@@ -126,7 +124,7 @@ class _ParseError(Exception):
 class _Parser:
     """Parses by index over the parallel token columns of one text.
 
-    Token ``i`` has kind ``kinds[i]`` and text ``text[starts[i]:ends[i]]``;
+    Token ``i`` has kind code ``kinds[i]`` and text ``text[starts[i]:ends[i]]``;
     the last token is EOF, and the cursor ``i`` never moves past it.
     ``errors`` and ``interpolations`` are the lexer's, keyed by start offset.
     """
@@ -148,10 +146,10 @@ class _Parser:
     def _error(self, message: str, i: int) -> Diagnostic:
         return Diagnostic(self.source, self.starts[i], self.ends[i], message)
 
-    def _skip_newlines(self) -> TokenKind:
-        """Move past newlines; return the current token's kind."""
+    def _skip_newlines(self) -> int:
+        """Move past newlines; return the current token's kind code."""
         kinds, i = self.kinds, self.i
-        while kinds[i] is NEWLINE:
+        while kinds[i] == NEWLINE:
             i += 1
         self.i = i
         return kinds[i]
@@ -163,13 +161,13 @@ class _Parser:
         kinds = self.kinds
         while True:
             i = self.i
-            while kinds[i] is NEWLINE:
+            while kinds[i] == NEWLINE:
                 i += 1
             self.i = i
             kind = kinds[i]
-            if kind is EOF:
+            if kind == EOF:
                 return
-            if kind is BLOCK_CLOSE:
+            if kind == BLOCK_CLOSE:
                 self.diagnostics.append(self._error("unexpected '}'", i))
                 self.i = i + 1
                 continue
@@ -184,13 +182,13 @@ class _Parser:
         """Skip to the next plausible top-level item after a parse error."""
         kinds, i = self.kinds, self.i
         depth = 0
-        while (kind := kinds[i]) is not EOF:
+        while (kind := kinds[i]) != EOF:
             i += 1
-            if kind is NEWLINE and depth <= 0:
+            if kind == NEWLINE and depth <= 0:
                 break
-            if kind is BLOCK_OPEN:
+            if kind == BLOCK_OPEN:
                 depth += 1
-            elif kind is BLOCK_CLOSE:
+            elif kind == BLOCK_CLOSE:
                 depth -= 1
         self.i = i
 
@@ -198,9 +196,9 @@ class _Parser:
 
     def _parse_item(self, depth: int) -> Block | Attribute:
         kinds, head = self.kinds, self.i
-        if kinds[head] is not IDENTIFIER:
+        if kinds[head] != IDENTIFIER:
             raise _ParseError(
-                f"expected block or attribute, found {kinds[head].value} "
+                f"expected block or attribute, found {list(TokenKind)[kinds[head]].value} "
                 f"{self._text(head)!r}",
                 head,
             )
@@ -210,7 +208,7 @@ class _Parser:
         self.i = i = head + 1
         kind = kinds[i]
 
-        if kind is ASSIGN:
+        if kind == ASSIGN:
             self.i = i + 1
             value = self._parse_expression(_ATTR_ENDS, depth)
             end = self.ends[self.i - 1]
@@ -221,17 +219,17 @@ class _Parser:
             labels: list[str] = []
             while True:
                 kind = kinds[i]
-                if kind is STRING:
+                if kind == STRING:
                     at = starts[i]
                     label = _decode(text, at + 1, ends[i] - (at not in errors))
-                elif kind is IDENTIFIER:
+                elif kind == IDENTIFIER:
                     label = text[starts[i] : ends[i]]
                 else:
                     break
                 labels.append(self.names.setdefault(label, label))
                 i += 1
             self.i = i
-            if kind is not BLOCK_OPEN:
+            if kind != BLOCK_OPEN:
                 raise _ParseError(
                     f"expected '{{' to open {name!r} block, found {self._text(i)!r}", i
                 )
@@ -250,14 +248,14 @@ class _Parser:
         kinds, body = self.kinds, []
         while True:
             i = self.i
-            while kinds[i] is NEWLINE:
+            while kinds[i] == NEWLINE:
                 i += 1
             kind = kinds[i]
-            if kind is BLOCK_CLOSE:
+            if kind == BLOCK_CLOSE:
                 self.i = i + 1
                 return body
             self.i = i
-            if kind is EOF:
+            if kind == EOF:
                 self.diagnostics.append(
                     self._error(f"block {self._text(head)!r} not closed before end of file", head)
                 )
@@ -277,30 +275,30 @@ class _Parser:
         kind, at, end = kinds[start], self.starts[start], self.ends[start]
         i = start + 1  # the token after a one-token value
         try:
-            if kind is STRING:
+            if kind == STRING:
                 opened = self.interpolations.get(at)
                 if opened:
                     value = _string_value(text, at, end, self.errors.get(at), opened)
                 else:
                     value = StringLit(_decode(text, at + 1, end - (at not in self.errors)))
-            elif kind is IDENTIFIER:
+            elif kind == IDENTIFIER:
                 value = self._parse_reference()
                 i = self.i
-            elif kind is NUMBER:
+            elif kind == NUMBER:
                 value = NumberLit(_number(text[at:end]))
-            elif kind is HEREDOC:
+            elif kind == HEREDOC:
                 value = StringLit(_heredoc_body(text[at:end], self.errors.get(at)))
-            elif text[at:end] == "-" and kinds[i] is NUMBER:
+            elif text[at:end] == "-" and kinds[i] == NUMBER:
                 value = NumberLit(-_number(self._text(i)))
                 i += 1
-            elif (kind is BLOCK_OPEN or text[at:end] == "[") and depth < _MAX_DEPTH:
+            elif (kind == BLOCK_OPEN or text[at:end] == "[") and depth < _MAX_DEPTH:
                 # A list or map nested deeper is kept as Opaque.
-                value = (self._parse_map if kind is BLOCK_OPEN else self._parse_list)(depth + 1)
+                value = (self._parse_map if kind == BLOCK_OPEN else self._parse_list)(depth + 1)
                 i = self.i
             else:
                 raise _ParseError("expected value", start)
             # A newline ends every expression, and needs no text read.
-            if kinds[i] is NEWLINE or text[self.starts[i] : self.ends[i]] in ends:
+            if kinds[i] == NEWLINE or text[self.starts[i] : self.ends[i]] in ends:
                 self.i = i
                 return value
         except _ParseError:
@@ -314,11 +312,11 @@ class _Parser:
         self.i += 1  # [
         items: list[ExpressionValue] = []
         while True:
-            if self._skip_newlines() is PUNCT and self._text(self.i) == "]":
+            if self._skip_newlines() == PUNCT and self._text(self.i) == "]":
                 self.i += 1
                 return ListValue(tuple(items))
             items.append(self._parse_expression(_LIST_ENDS, depth))
-            if self._skip_newlines() is PUNCT and self._text(self.i) == ",":
+            if self._skip_newlines() == PUNCT and self._text(self.i) == ",":
                 self.i += 1
 
     def _parse_map(self, depth: int) -> MapValue:
@@ -327,13 +325,13 @@ class _Parser:
         while True:
             kind = self._skip_newlines()
             i = self.i
-            if kind is BLOCK_CLOSE:
+            if kind == BLOCK_CLOSE:
                 self.i = i + 1
                 return MapValue(tuple(entries))
             at, end = self.starts[i], self.ends[i]
-            if kind is IDENTIFIER:
+            if kind == IDENTIFIER:
                 key = self.text[at:end]
-            elif kind is STRING:
+            elif kind == STRING:
                 key = _decode(self.text, at + 1, end - (at not in self.errors))
             else:
                 raise _ParseError(f"expected map key, found {self.text[at:end]!r}", i)
@@ -343,7 +341,7 @@ class _Parser:
                 raise _ParseError(f"expected '=' or ':' after map key, found {sep!r}", i)
             self.i = i + 1
             entries.append((key, self._parse_expression(_MAP_ENDS, depth)))
-            if self._skip_newlines() is PUNCT and self._text(self.i) == ",":
+            if self._skip_newlines() == PUNCT and self._text(self.i) == ",":
                 self.i += 1
 
     def _parse_reference(self) -> ExpressionValue:
@@ -352,7 +350,7 @@ class _Parser:
         segment = text[starts[i] : ends[i]]
         segments = [names.setdefault(segment, segment)]
         i += 1
-        while kinds[i] is PUNCT and text[starts[i] : ends[i]] == ".":
+        while kinds[i] == PUNCT and text[starts[i] : ends[i]] == ".":
             segment = text[starts[i + 1] : ends[i + 1]]
             if kinds[i + 1] not in _SEGMENT_KINDS and segment != "*":
                 break
@@ -367,7 +365,7 @@ class _Parser:
         """Consume one expression verbatim, balancing brackets."""
         kinds, start = self.kinds, self.i
         i, depth = start, 0
-        while kinds[i] is not EOF:
+        while kinds[i] != EOF:
             text = self._text(i)
             if depth == 0 and text in ends:
                 break

@@ -350,7 +350,7 @@ def reference_ss5_pair_loop(unit, cfg):
                 SmellFinding(
                     SmellId.SS5,
                     unit.path,
-                    link.span,
+                    unit.span(*link),
                     f"{ra} != {rb}",
                     "ast",
                     f"{addr_a} ({ra}) and {addr_b} ({rb}) reference each other "
@@ -362,12 +362,11 @@ def reference_ss5_pair_loop(unit, cfg):
 
 def reference_cross_reference(src, dst, refs, addresses):
     dst_type, dst_name = addresses[id(dst)]
-    for attr, ref in refs[id(src)]:
-        segments = ref.segments
+    for start, end, segments in refs[id(src)]:
         if segments[:1] == ("data",):
             segments = segments[1:]
         if len(segments) >= 2 and segments[0] == dst_type and segments[1] == dst_name:
-            return attr
+            return start, end
     return None
 
 
@@ -534,6 +533,10 @@ def test_prepare_peak_memory_is_a_small_multiple_of_the_text():
     assert peak <= 7 * len(text), peak / len(text)
 
 
+# The nodes no view may reach: a view keeps offsets and literals instead.
+NODES = (hcl.Attribute, hcl.Block, hcl.Reference, hcl.ConfigFile)
+
+
 def reachable(root) -> list:
     """Every object reachable from ``root``, not through classes or modules."""
     seen, stack = {}, [root]
@@ -552,17 +555,30 @@ def test_a_view_reaches_no_tree_and_no_resource_block():
         + 'resource "aws_cloudwatch_log_group" "l" {\n  retention_in_days = 400\n}\n'
         + 'terraform {\n  backend "local" {\n    path = "x"\n  }\n}\n'
     )
-    objects = reachable(view(unit_for("x.tf", text)))
+    unit = unit_for("x.tf", text)
+    file_view = view(unit)
+    objects = reachable(file_view)
     assert sum(isinstance(o, ast_engine.Resource) for o in objects) == 5
-    assert any(isinstance(o, hcl.Attribute) and o.name == "peer" for o in objects)
-    assert not any(isinstance(o, hcl.ConfigFile) for o in objects)
-    blocks = [o for o in objects if isinstance(o, hcl.Block)]
-    assert sorted(b.block_type for b in blocks) == ["backend", "terraform"]
+    assert not any(isinstance(o, NODES) for o in objects)
+    # The summaries keep offsets into the unit's text instead.
+    assert file_view.source is unit
+    [(start, end, segments)] = file_view.resources[0].references
+    assert unit.text[start:end] == "peer = aws_instance.i1.id"
+    assert segments == ("aws_instance", "i1", "id")
+    start, end, value = file_view.resources[4].attributes["retention_in_days"]
+    assert (unit.text[start:end], value) == ("retention_in_days = 400", hcl.NumberLit(400))
+    [(label, (start, end))] = file_view.backends
+    assert (label, unit.text[start:end]) == ("local", 'backend "local" {\n    path = "x"\n  }')
+    assert unit.text[slice(*file_view.terraform)].startswith("terraform {")
 
 
-def test_the_nodes_a_view_keeps_share_the_units_source_text():
-    unit = unit_for("x.tf", 'resource "aws_instance" "a" {\n  instance_type = "m5.24xlarge"\n}\n')
-    assert prepare(unit, CFG).resources[0].attributes["instance_type"].source is unit
+def test_a_monolith_view_reaches_no_attribute_block_or_reference():
+    text, _ = load_perfbench_corpus().monolith_text(3000, 1)
+    file_view = view(unit_for("main.tf", text))
+    summaries = (file_view.resources, file_view.backends, file_view.terraform)
+    assert not any(isinstance(o, NODES) for o in reachable(summaries))
+    assert sum(len(r.references) for r in file_view.resources) > 1000
+    assert [label for label, _ in file_view.backends] == ["gcs"]
 
 
 # Files whose detection work could grow faster than their size: one text per n.

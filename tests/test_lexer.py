@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from array import array
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from tfsustain.hcl import SourceText, TokenKind, detokenize, lexer, parse, tokenize
 
 from conftest import fixture_corpus_files, reference_heredoc_end, span_text
+from synth import load_perfbench_corpus
 
 
 def kinds(text: str) -> list[str]:
@@ -557,6 +559,36 @@ def test_tokens_keep_offsets_in_arrays_and_read_as_a_sequence():
     assert toks[-1].kind is TokenKind.EOF and toks[-1].start == len(text)
     assert detokenize(toks) == text
     assert detokenize(toks[:4]) + detokenize(toks[4:]) == text
+
+
+def test_kinds_are_one_byte_a_token_in_declaration_order():
+    toks = tokenize('x "a" {\n  y = <<EOT\nz\nEOT\n  n = -1\n}')
+    assert isinstance(toks.kinds, bytearray) and len(toks.kinds) == len(toks)
+    K = TokenKind
+    expected = [
+        K.IDENTIFIER, K.STRING, K.BLOCK_OPEN, K.NEWLINE,
+        K.IDENTIFIER, K.ASSIGN, K.HEREDOC, K.NEWLINE,
+        K.IDENTIFIER, K.ASSIGN, K.PUNCT, K.NUMBER, K.NEWLINE,
+        K.BLOCK_CLOSE, K.EOF,
+    ]
+    assert [t.kind for t in toks] == expected
+    assert [list(TokenKind)[code] for code in toks.kinds] == expected
+
+
+def test_tokenize_holds_at_most_11_bytes_a_token():
+    # A byte of kind code and two four-byte offsets a token, plus the columns'
+    # spare capacity; a list of TokenKind members held 16.7 bytes a token.
+    text, _ = load_perfbench_corpus().monolith_text(3000, 1)
+    tokenize("a = 1\n")  # warms the regex cache
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        toks = tokenize(text)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(toks) > 70_000
+    assert held <= 11 * len(toks), held / len(toks)
 
 
 @pytest.mark.parametrize("length, typecode", [(2**31 - 1, "i"), (2**31, "q")])

@@ -239,7 +239,7 @@ def test_unclosed_block_recovers_with_diagnostic():
 
 
 # Inputs that reach the parser's rarer branches: an empty or blank heredoc, a
-# stray closer, and a brace that is no map.
+# stray closer, an item that starts with no name, and a brace that is no map.
 @pytest.mark.parametrize(
     "text, values, diagnostics",
     [
@@ -257,6 +257,18 @@ def test_unclosed_block_recovers_with_diagnostic():
             [Opaque("a")],
             [("expected block or attribute, found punctuation ')'", 5)],
             id="stray-closer",
+        ),
+        pytest.param(
+            '"x"\ny = 1',
+            [NumberLit(1)],
+            [("expected block or attribute, found string '\"x\"'", 0)],
+            id="string-at-top-level",
+        ),
+        pytest.param(
+            "= 1\ny = 2",
+            [NumberLit(2)],
+            [("expected block or attribute, found assign '='", 0)],
+            id="assign-at-top-level",
         ),
         pytest.param("x = { 5 = 1 }", [Opaque("{ 5 = 1 }")], [], id="number-as-map-key"),
     ],
