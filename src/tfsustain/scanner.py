@@ -5,15 +5,21 @@ the number of processes: files are sorted up front, per-directory work is
 order-independent, and findings are sorted once at the end. Each process of a
 scan runs one loop: claim a batch of whole directories, at least
 ``BATCH_FILES`` files, read it, then detect and drop it. One process claims
-by counting; a scan on several processes claims from one shared counter.
+by counting; a scan on several processes claims from one shared counter. A
+directory whose file names and texts a process has already detected in the
+same scan is not detected again: the process keeps the results of its last
+``CACHED_DIRECTORIES`` directories, keyed by a digest of those names and
+texts, and moves a match's findings to the new directory's path.
 """
 
 from __future__ import annotations
 
 import os
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from hashlib import blake2b
 from itertools import count
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator
@@ -21,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, Iterator
 from .catalog import SmellId
 from .detectors import ENGINES, DetectorConfig, detect_all, unit_for
 from .detectors.findings import SmellFinding
-from .hcl import SourceText
+from .hcl import SourceSpan, SourceText
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -33,6 +39,17 @@ if TYPE_CHECKING:
 # directory between two detections, and the texts held stay bounded by one
 # batch plus one directory whatever the corpus size.
 BATCH_FILES = 64
+
+# A scan process keeps the results of at most this many directories, the
+# least recently used dropped first. An entry holds a 16-byte digest and
+# references to findings the scan keeps anyway: 208 bytes with its share of
+# the OrderedDict, measured by tracemalloc over 4,000 of tests/synth.py's
+# one-file directories, so a full cache holds about 0.8 MiB.
+CACHED_DIRECTORIES = 4096
+
+# Characters of a text encoded at a time for its digest, so no file's bytes
+# are ever held whole beside its text.
+_DIGEST_SLICE = 1 << 16
 
 
 class ScanError(Exception):
@@ -126,6 +143,68 @@ def _claim(counter: Synchronized) -> int:
     return k
 
 
+# A directory's key -> (its prefix's length, its findings, its failed paths).
+# An OrderedDict drops its oldest entry in constant time; a dict finds its
+# first key by skipping the slots of every key deleted before it.
+_Seen = OrderedDict[bytes, tuple[int, tuple[SmellFinding, ...], tuple[str, ...]]]
+
+
+def _directory_key(units: list[SourceText], start: int) -> bytes:
+    """A digest of the units' base names (``path[start:]``) and texts, in order.
+
+    Each name and text is framed by its length in characters and encoded in
+    slices; ``surrogatepass`` gives every string, a lone surrogate included,
+    its own bytes.
+    """
+    digest = blake2b(digest_size=16)
+    for unit in units:
+        for part in (unit.path[start:], unit.text):
+            digest.update(len(part).to_bytes(8, "little"))
+            for i in range(0, len(part), _DIGEST_SLICE):
+                digest.update(part[i : i + _DIGEST_SLICE].encode("utf-8", "surrogatepass"))
+    return digest.digest()
+
+
+def _detect_once(
+    prefix: str,
+    units: list[SourceText],
+    cfg: DetectorConfig,
+    engine: str,
+    failed: set[str],
+    seen: _Seen,
+) -> list[SmellFinding]:
+    """The findings of one directory, its files' paths all starting with ``prefix``.
+
+    ``seen`` maps the key of each directory detected before to the length of
+    its prefix, the findings that ``detect_all`` returned for it and the paths
+    it added to ``failed``, least recently used first. A directory with a
+    known key gets those findings and failures moved to its own prefix, and
+    ``detect_all`` is not called: for a fixed ``cfg`` and engine, a
+    directory's findings depend only on its base names and texts.
+    """
+    key = _directory_key(units, len(prefix))
+    known = seen.pop(key, None)
+    if known is None:
+        diagnosed: set[str] = set()
+        found = detect_all(units, cfg, engine, diagnosed)
+        failed |= diagnosed
+        known = (len(prefix), tuple(found), tuple(diagnosed))
+        if len(seen) >= CACHED_DIRECTORIES:
+            seen.popitem(last=False)
+    else:
+        start, known_found, known_failed = known
+        for path in known_failed:
+            failed.add(prefix + path[start:])
+        # Built field by field: dataclasses.replace costs two more calls a finding.
+        found = []
+        for f in known_found:
+            path, span = prefix + f.path[start:], f.span
+            at = SourceSpan(path, span.start_line, span.start_col, span.end_line, span.end_col)
+            found.append(SmellFinding(f.smell, path, at, f.evidence, f.engine, f.message))
+    seen[key] = known
+    return found
+
+
 def _scan_batches(
     base: str,
     batches: list[list[list[str]]],
@@ -136,12 +215,14 @@ def _scan_batches(
     """Scan batch ``claim()`` until it runs past the last; return findings and failed.
 
     A batch's directories are all read, then detected one by one, and its
-    texts are dropped before the next batch is read.
+    texts are dropped before the next batch is read. A directory seen before
+    in this call is not detected again (see :func:`_detect_once`).
     """
     findings: list[SmellFinding] = []
     failed: set[str] = set()
+    seen: _Seen = OrderedDict()
     while (k := claim()) < len(batches):
-        read: list[list[SourceText]] = []
+        read: list[tuple[str, list[SourceText]]] = []
         for rels in batches[k]:
             units = []
             for rel in rels:
@@ -150,9 +231,9 @@ def _scan_batches(
                     failed.add(rel)
                 if unit is not None:
                     units.append(unit)
-            read.append(units)
-        for units in read:
-            findings += detect_all(units, cfg, engine, failed)
+            read.append((rels[0][: rels[0].rfind("/") + 1], units))
+        for prefix, units in read:
+            findings += _detect_once(prefix, units, cfg, engine, failed, seen)
     return findings, failed
 
 
@@ -211,6 +292,11 @@ def scan(
     multiprocessing's default method; under spawn or forkserver, a script that
     calls this with ``jobs`` above 1 needs the ``if __name__ == "__main__":``
     guard.
+    A directory with the same file names and texts as one that the same
+    process detected earlier in this scan, among its last
+    ``CACHED_DIRECTORIES``, is read but not detected again; its findings and
+    parse failures are the earlier ones on its own paths, so the bytes of the
+    report do not change.
     The findings are sorted once, so the report never depends on ``jobs``.
     """
     root = Path(root)

@@ -1,21 +1,25 @@
 """``--jobs`` byte check: a scan's output and exit code do not depend on ``--jobs``.
 
 ``python tests/ci/jobs_bytes.py DIR`` writes ``tests/synth.py``'s corpus of 200
-one-file directories under ``DIR``. It then runs the ``tfsustain`` command on
-``PATH`` as ``tfsustain scan TREE --engine E --format F --jobs J`` for TREE
-``tests/fixtures`` and that corpus, each engine, the JSON and SARIF formats and
-J 1, 2 and 3, from the repository root. It exits 1 as soon as a scan exits above
-1, and at the end if ``--jobs`` 2 or 3 gave other standard output bytes or
+one-file directories under ``DIR/synth`` and three copies of ``tests/fixtures``
+under ``DIR/copies``. It then runs the ``tfsustain`` command on ``PATH`` as
+``tfsustain scan TREE --engine E --format F --jobs J`` for TREE
+``tests/fixtures`` and those two trees, each engine, the JSON and SARIF formats
+and J 1, 2 and 3, from the repository root. It exits 1 as soon as a scan exits
+above 1, and at the end if ``--jobs`` 2 or 3 gave other standard output bytes or
 another exit code than ``--jobs 1``.
 
 ``tests/fixtures`` is a single batch, so it starts no worker. The synthetic
 corpus is four batches, which ``--jobs`` 2 and 3 claim on worker processes of
 the installed command's Python; a machine with more than two CPUs runs three
-processes.
+processes. The three copies are two batches, so ``--jobs`` 2 and 3 split them
+between two processes, each of which detects a directory it has seen before
+from its own directory cache.
 """
 
 from __future__ import annotations
 
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -25,13 +29,16 @@ ENGINES = ("ast", "pattern")
 FORMATS = ("json", "sarif")
 
 
-def main(synth: str) -> int:
+def main(work: str) -> int:
     sys.path.insert(0, str(ROOT / "tests"))
     from synth import build_corpus
 
-    build_corpus(Path(synth))
+    synth, copies = Path(work, "synth"), Path(work, "copies")
+    build_corpus(synth)
+    for copy in ("a", "b", "c"):
+        shutil.copytree(ROOT / "tests" / "fixtures", copies / copy, dirs_exist_ok=True)
     differ = []
-    for tree in ("tests/fixtures", synth):
+    for tree in ("tests/fixtures", str(synth), str(copies)):
         for engine in ENGINES:
             for fmt in FORMATS:
                 runs = {}

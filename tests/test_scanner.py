@@ -9,9 +9,11 @@ import signal
 import string
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -110,20 +112,41 @@ def _tree(root, files_per_dir):
 _ONE_RESOURCE = 'resource "aws_instance" "i" {\n  instance_type = "t3.micro"\n  count         = 1\n}\n'
 
 
-def test_scan_work_per_file_is_bounded(tmp_path):
-    # Python-level calls, not time: no clock in Tier-1. Each directory holds one
-    # one-resource file, so the count per file is what each file of a corpus of
-    # small scripts pays, from discovery through its SS6 finding. The first scan
-    # warms up the caches, which would otherwise count.
+def _one_resource(name: str) -> str:
+    """``_ONE_RESOURCE`` with its resource named ``name``: a text no other name gives."""
+    return _ONE_RESOURCE.replace('"i"', f'"{name}"')
+
+
+def _scan_calls(tmp_path, text) -> dict[int, int]:
+    """The Python-level calls of scans of 200 and 400 directories, directory k
+    holding one file ``main.tf`` of ``text(k)``."""
     calls = {}
     for n in (200, 400):
         root = tmp_path / str(n)
         for k in range(n):
             (root / f"d{k:03d}").mkdir(parents=True)
-            (root / f"d{k:03d}" / "main.tf").write_text(_ONE_RESOURCE)
+            (root / f"d{k:03d}" / "main.tf").write_text(text(k))
         assert scan(root).scanned_files == n
         calls[n] = count_python_calls(scan, root)
+    return calls
+
+
+def test_scan_work_per_file_is_bounded(tmp_path):
+    # Python-level calls, not time: no clock in Tier-1. Each directory holds one
+    # one-resource file, so the count per file is what each file of a corpus of
+    # small scripts pays, from discovery through its SS6 finding. Each text is
+    # its own, so every directory is detected. The first scan warms up the
+    # caches, which would otherwise count.
+    calls = _scan_calls(tmp_path, lambda k: _one_resource(f"i{k}"))
     assert calls[200] / 200 <= 75, calls
+    assert calls[400] / calls[200] <= 2.2, calls
+
+
+def test_scan_work_per_repeated_file_is_bounded(tmp_path):
+    # Every directory holds the same file, so all but the first are found in
+    # the scan's directory cache and only read, keyed and moved.
+    calls = _scan_calls(tmp_path, lambda k: _ONE_RESOURCE)
+    assert calls[200] / 200 <= 15, calls
     assert calls[400] / calls[200] <= 2.2, calls
 
 
@@ -143,7 +166,8 @@ def test_each_process_reads_a_batch_of_whole_directories_before_detecting_them(
     for name, count in sizes.items():
         (tmp_path / name).mkdir()
         for i in range(count):
-            (tmp_path / name / f"f{i:03d}.tf").write_text(_ONE_RESOURCE)
+            # A directory's own text, so no directory is a repeat of another.
+            (tmp_path / name / f"f{i:03d}.tf").write_text(_one_resource(name))
     one_job = _report_bytes(scan(tmp_path))
     events = []
     read_unit, detect_all = scanner._read_unit, scanner.detect_all
@@ -306,6 +330,140 @@ def test_fixture_reports_do_not_depend_on_jobs(monkeypatch, engine):
     assert reports[3] == reports[1]
     pooled = [min(jobs, _cpus()) for jobs in (2, 3)]
     assert [c.value for c in counters] == [dirs + n for n in pooled if n > 1]
+
+
+def _under(prefix: str, findings: list[SmellFinding]) -> list[SmellFinding]:
+    """``findings`` with ``prefix`` put before each path, in the finding and its span."""
+    return [
+        replace(f, path=prefix + f.path, span=replace(f.span, file_id=prefix + f.span.file_id))
+        for f in findings
+    ]
+
+
+def _record_detections(monkeypatch) -> list[list[str]]:
+    """The paths of each directory that ``scan`` hands to ``detect_all``, in call order."""
+    detected = []
+    detect_all = scanner.detect_all
+
+    def detecting(units, cfg, engine, failed):
+        detected.append([u.path for u in units])
+        return detect_all(units, cfg, engine, failed)
+
+    monkeypatch.setattr(scanner, "detect_all", detecting)
+    return detected
+
+
+# A file that fails to decode: its findings come from the replaced text.
+_UNDECODABLE = b'resource "aws_instance" "u" {\n  instance_type = "m5.4xlarge\xff"\n}\n'
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_repeated_directory_has_the_findings_of_a_scan_of_it_alone(
+    tmp_path, monkeypatch, engine
+):
+    """Three copies of the fixtures, one with a byte changed and one with a file renamed."""
+    root = tmp_path / "tree"
+    for prefix in ("a", "b", "c"):
+        shutil.copytree(FIXTURES, root / prefix)
+        # Beside the BOM, CRLF and malformed files of hcl/.
+        (root / prefix / "hcl" / "undecodable.tf").write_bytes(_UNDECODABLE)
+    ss2 = root / "b" / "samples" / "ss2.tf"
+    assert ss2.read_bytes().count(b"= 5 #") == 1
+    ss2.write_bytes(ss2.read_bytes().replace(b"= 5 #", b"= 6 #"))
+    (root / "c" / "samples" / "ss1.tf").rename(root / "c" / "samples" / "zz1.tf")
+    alone = {prefix: scan(root / prefix, engine=engine) for prefix in ("a", "b", "c")}
+    assert alone["a"].findings != alone["b"].findings != alone["c"].findings
+    detected = _record_detections(monkeypatch)
+    report = scan(root, engine=engine)
+    assert report.findings == sorted(
+        (f for prefix, r in alone.items() for f in _under(prefix + "/", r.findings)),
+        key=SmellFinding.sort_key,
+    )
+    assert report.parse_failures == sum(r.parse_failures for r in alone.values())
+    assert report.parse_failures >= 3  # each copy's undecodable file
+    # Every directory of a; of b and c only samples/, which differs from a's.
+    dirs = _directories(FIXTURES)
+    assert [paths[0].split("/")[0] for paths in detected] == ["a"] * dirs + ["b", "c"]
+    # Small batches on three processes: each process keeps its own cache.
+    monkeypatch.setattr(scanner, "BATCH_FILES", 4)
+    _set_cpus(monkeypatch, 3)
+    one_job = _report_bytes(report)
+    for jobs in (1, 2, 3):
+        assert _report_bytes(scan(root, engine=engine, jobs=jobs)) == one_job
+        assert multiprocessing.active_children() == []
+
+
+def test_detect_all_runs_once_for_each_distinct_set_of_names_and_texts(tmp_path, monkeypatch):
+    x, y = _one_resource("x"), _one_resource("y")
+    dirs = {
+        "a": {"main.tf": x},
+        "b": {"main.tf": x},  # a's names and text: not detected again
+        "c": {"main.tf": y},  # a's name, another text
+        "d": {"other.tf": x},  # a's text, another name
+        "e": {"main.tf": y},  # c again
+        "f": {"other.tf": x},  # d again
+        "g": {"m.tf": x, "n.tf": y},
+        "h": {"m.tf": y, "n.tf": x},  # g's names and texts, paired otherwise
+        "i": {"m.tf": x, "n.tf": y},  # g again
+        # g's names and texts run together: the lengths frame each part.
+        "j": {"m.tf": x + "n.tf" + y},
+    }
+    for name, files in dirs.items():
+        (tmp_path / name).mkdir()
+        for file, text in files.items():
+            (tmp_path / name / file).write_text(text)
+    detected = _record_detections(monkeypatch)
+    report = scan(tmp_path)
+    assert [paths[0].split("/")[0] for paths in detected] == ["a", "c", "d", "g", "h", "j"]
+    for name in dirs:
+        alone = scan(tmp_path / name).findings
+        assert [f for f in report.findings if f.path.startswith(name + "/")] == _under(
+            name + "/", alone
+        )
+
+
+def test_an_evicted_directory_is_detected_again(tmp_path, monkeypatch):
+    monkeypatch.setattr(scanner, "CACHED_DIRECTORIES", 2)
+    texts = {"a": "x", "b": "y", "c": "x", "d": "z", "e": "x", "f": "y"}
+    for name, text in texts.items():
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "main.tf").write_text(_one_resource(text))
+    expected = scan(tmp_path).findings
+    detected = _record_detections(monkeypatch)
+    assert scan(tmp_path).findings == expected
+    # c uses x, so z evicts y, the least recently used; e finds x, and f detects y again.
+    assert [paths[0].split("/")[0] for paths in detected] == ["a", "b", "d", "f"]
+
+
+_FIXTURE_DIRS = sorted({rel.rpartition("/")[0] for rel in discover_tf_files(FIXTURES)})
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    copies=st.dictionaries(
+        st.text(alphabet="ab_", min_size=1, max_size=4),
+        st.sampled_from(_FIXTURE_DIRS),
+        min_size=1,
+        max_size=8,
+    ),
+    engine=st.sampled_from(ENGINES),
+)
+def test_a_scan_of_copied_directories_is_the_union_of_their_scans(copies, engine):
+    """Fixture directories copied under new names, some several times."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, fixture_dir in copies.items():
+            (root / name).mkdir()
+            for path in (FIXTURES / fixture_dir).glob("*.tf"):
+                shutil.copyfile(path, root / name / path.name)
+        report = scan(root, engine=engine)
+    alone = {name: scan(FIXTURES / d, engine=engine) for name, d in copies.items()}
+    assert report.findings == sorted(
+        (f for name, r in alone.items() for f in _under(name + "/", r.findings)),
+        key=SmellFinding.sort_key,
+    )
+    assert report.scanned_files == sum(r.scanned_files for r in alone.values())
+    assert report.parse_failures == sum(r.parse_failures for r in alone.values())
 
 
 def _check_started_by(method, monkeypatch, start_method) -> None:
