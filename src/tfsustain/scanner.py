@@ -22,7 +22,7 @@ from functools import cached_property, partial
 from hashlib import blake2b
 from itertools import count
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .catalog import SmellId
 from .detectors import ENGINES, DetectorConfig, detect_all, unit_for
@@ -47,8 +47,7 @@ BATCH_FILES = 64
 # one-file directories, so a full cache holds about 0.8 MiB.
 CACHED_DIRECTORIES = 4096
 
-# Characters of a text encoded at a time for its digest, so no file's bytes
-# are ever held whole beside its text.
+# Characters of a text encoded at a time for its digest: no text is copied whole.
 _DIGEST_SLICE = 1 << 16
 
 
@@ -143,25 +142,26 @@ def _claim(counter: Synchronized) -> int:
     return k
 
 
-# A directory's key -> (its prefix's length, its findings, its failed paths).
-# An OrderedDict drops its oldest entry in constant time; a dict finds its
-# first key by skipping the slots of every key deleted before it.
-_Seen = OrderedDict[bytes, tuple[int, tuple[SmellFinding, ...], tuple[str, ...]]]
+# A directory's key -> (its prefix's length, the findings and the paths that
+# detect_all gave and failed for it), least recently used first. An
+# OrderedDict drops its oldest entry in constant time; a dict finds its first
+# key by skipping the slots of every key deleted before it.
+_Seen = OrderedDict[bytes, tuple[int, tuple[SmellFinding, ...], Sequence[str]]]
 
 
 def _directory_key(units: list[SourceText], start: int) -> bytes:
     """A digest of the units' base names (``path[start:]``) and texts, in order.
 
-    Each name and text is framed by its length in characters and encoded in
-    slices; ``surrogatepass`` gives every string, a lone surrogate included,
-    its own bytes.
+    Each text follows its name and its length, each ended by a NUL, which no
+    file name holds, and is encoded in slices; ``surrogatepass`` gives a lone
+    surrogate, such as an undecodable file name holds, its own bytes.
     """
     digest = blake2b(digest_size=16)
     for unit in units:
-        for part in (unit.path[start:], unit.text):
-            digest.update(len(part).to_bytes(8, "little"))
-            for i in range(0, len(part), _DIGEST_SLICE):
-                digest.update(part[i : i + _DIGEST_SLICE].encode("utf-8", "surrogatepass"))
+        text = unit.text
+        digest.update(f"{unit.path[start:]}\0{len(text)}\0".encode("utf-8", "surrogatepass"))
+        for i in range(0, len(text), _DIGEST_SLICE):
+            digest.update(text[i : i + _DIGEST_SLICE].encode("utf-8", "surrogatepass"))
     return digest.digest()
 
 
@@ -173,35 +173,33 @@ def _detect_once(
     failed: set[str],
     seen: _Seen,
 ) -> list[SmellFinding]:
-    """The findings of one directory, its files' paths all starting with ``prefix``.
+    """``detect_all`` of one directory, its files' paths all starting with ``prefix``.
 
-    ``seen`` maps the key of each directory detected before to the length of
-    its prefix, the findings that ``detect_all`` returned for it and the paths
-    it added to ``failed``, least recently used first. A directory with a
-    known key gets those findings and failures moved to its own prefix, and
-    ``detect_all`` is not called: for a fixed ``cfg`` and engine, a
-    directory's findings depend only on its base names and texts.
+    For a fixed ``cfg`` and engine, a directory's findings and failures depend
+    only on its base names and texts, so a directory whose key is in ``seen``
+    gets the stored ones moved to its own prefix, and ``detect_all`` is not
+    called.
     """
     key = _directory_key(units, len(prefix))
-    known = seen.pop(key, None)
-    if known is None:
-        diagnosed: set[str] = set()
-        found = detect_all(units, cfg, engine, diagnosed)
-        failed |= diagnosed
-        known = (len(prefix), tuple(found), tuple(diagnosed))
-        if len(seen) >= CACHED_DIRECTORIES:
+    if key not in seen:
+        held = len(failed)
+        found = detect_all(units, cfg, engine, failed)
+        # Paths that _read_unit put in failed are put there again on a hit.
+        diagnosed = [u.path for u in units if u.path in failed] if len(failed) > held else ()
+        seen[key] = (len(prefix), tuple(found), diagnosed)
+        if len(seen) > CACHED_DIRECTORIES:
             seen.popitem(last=False)
-    else:
-        start, known_found, known_failed = known
-        for path in known_failed:
-            failed.add(prefix + path[start:])
-        # Built field by field: dataclasses.replace costs two more calls a finding.
-        found = []
-        for f in known_found:
-            path, span = prefix + f.path[start:], f.span
-            at = SourceSpan(path, span.start_line, span.start_col, span.end_line, span.end_col)
-            found.append(SmellFinding(f.smell, path, at, f.evidence, f.engine, f.message))
-    seen[key] = known
+        return found
+    seen.move_to_end(key)
+    start, known, diagnosed = seen[key]
+    for path in diagnosed:
+        failed.add(prefix + path[start:])
+    # Built field by field: dataclasses.replace costs two more calls a finding.
+    found = []
+    for f in known:
+        path, span = prefix + f.path[start:], f.span
+        at = SourceSpan(path, span.start_line, span.start_col, span.end_line, span.end_col)
+        found.append(SmellFinding(f.smell, path, at, f.evidence, f.engine, f.message))
     return found
 
 

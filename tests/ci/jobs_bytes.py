@@ -1,7 +1,7 @@
 """``--jobs`` byte check: a scan's output and exit code do not depend on ``--jobs``.
 
 ``python tests/ci/jobs_bytes.py DIR`` writes ``tests/synth.py``'s corpus of 200
-one-file directories under ``DIR/synth`` and three copies of ``tests/fixtures``
+one-file directories under ``DIR/synth`` and eight copies of ``tests/fixtures``
 under ``DIR/copies``. It then runs the ``tfsustain`` command on ``PATH`` as
 ``tfsustain scan TREE --engine E --format F --jobs J`` for TREE
 ``tests/fixtures`` and those two trees, each engine, the JSON and SARIF formats
@@ -12,9 +12,9 @@ another exit code than ``--jobs 1``.
 ``tests/fixtures`` is a single batch, so it starts no worker. The synthetic
 corpus is four batches, which ``--jobs`` 2 and 3 claim on worker processes of
 the installed command's Python; a machine with more than two CPUs runs three
-processes. The three copies are two batches, so ``--jobs`` 2 and 3 split them
-between two processes, each of which detects a directory it has seen before
-from its own directory cache.
+processes. The eight copies are three batches, each holding two copies of some
+fixture directory, so every process that claims one of them finds the second
+copy in its own directory cache.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def main(work: str) -> int:
 
     synth, copies = Path(work, "synth"), Path(work, "copies")
     build_corpus(synth)
-    for copy in ("a", "b", "c"):
+    for copy in "abcdefgh":
         shutil.copytree(ROOT / "tests" / "fixtures", copies / copy, dirs_exist_ok=True)
     differ = []
     for tree in ("tests/fixtures", str(synth), str(copies)):

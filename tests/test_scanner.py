@@ -405,8 +405,9 @@ def test_detect_all_runs_once_for_each_distinct_set_of_names_and_texts(tmp_path,
         "g": {"m.tf": x, "n.tf": y},
         "h": {"m.tf": y, "n.tf": x},  # g's names and texts, paired otherwise
         "i": {"m.tf": x, "n.tf": y},  # g again
-        # g's names and texts run together: the lengths frame each part.
-        "j": {"m.tf": x + "n.tf" + y},
+        # g's second name and texts run together as the key writes them, NUL and all:
+        # the lengths frame each part.
+        "j": {"m.tf": x + "n.tf\0" + y},
     }
     for name, files in dirs.items():
         (tmp_path / name).mkdir()
