@@ -17,11 +17,14 @@ Wire format expected from the API:
 * ``GET /repos/{full_name}/git/trees/HEAD?recursive=1`` ->
   ``{"tree": [{"path", "type", "sha"}]}``
 * ``GET /repos/{full_name}/contents/{path}`` ->
-  ``{"content": base64, "encoding": "base64"}``
+  ``{"content": base64, "encoding": "base64"}``, the base64 broken into
+  lines by ``"\n"``
 
 A response of another shape (not an object, or a listed field of another
-JSON type) is a ``HarvestError``. A search item, repository or tree entry of
-another shape is skipped without a request.
+JSON type) is a ``HarvestError``, and so are contents of another encoding
+and content that is not base64 once its line breaks are dropped. A search
+item, repository or tree entry of another shape is skipped without a
+request.
 
 Rate limiting follows the usual header convention: a 403/429 with
 ``X-RateLimit-Remaining: 0`` (or a ``Retry-After``) makes the client sleep
@@ -278,7 +281,8 @@ class CodeSearchClient:
         git blob sha and the bytes on disk still hash to the recorded
         digest, no content request is made. A repository name that is not
         ``owner/name`` and a tree path that would leave its directory are
-        skipped without a request.
+        skipped without a request. Content that does not decode (see the
+        module docstring) is a ``HarvestError`` before its file is written.
         """
         if not _is_owner_name(record.full_name):
             return []
@@ -303,10 +307,14 @@ class CodeSearchClient:
                         FileEntry(record.full_name, rel, git_sha, known.sha256, False)
                     )
                     continue
-            blob = self._get(
-                f"/repos/{record.full_name}/contents/{rel}", shape={"content": str}
-            )
-            content = base64.b64decode(blob.get("content", ""))
+            path = f"/repos/{record.full_name}/contents/{rel}"
+            blob = self._get(path, shape={"content": str})
+            if blob.get("encoding") != "base64" or "content" not in blob:
+                raise HarvestError(f"{path} returned content that is not base64-encoded")
+            try:
+                content = base64.b64decode(blob["content"].replace("\n", ""), validate=True)
+            except ValueError as err:  # binascii.Error is a ValueError
+                raise HarvestError(f"{path} returned content that is not base64: {err}") from None
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_bytes(content)
             digest = hashlib.sha256(content).hexdigest()
@@ -365,9 +373,19 @@ class HarvestManifest:
             fh.write(json.dumps(data, sort_keys=True) + "\n")
 
     def record_criteria(self, criteria: FilterCriteria) -> None:
+        """Record a run's criteria once; a run with other criteria is refused.
+
+        The manifest's decisions are all made under its one ``criteria`` line.
+        """
         if self.criteria is None:
             self.criteria = criteria
             self._append({"kind": "criteria", **asdict(criteria)})
+        elif criteria != self.criteria:
+            keys = [k for k, v in asdict(criteria).items() if v != getattr(self.criteria, k)]
+            raise HarvestError(
+                f"{self.path} was recorded under other criteria; "
+                f"this run differs in {', '.join(keys)}"
+            )
 
     def record_repo(
         self,
@@ -431,7 +449,8 @@ def harvest_provider(
     """Search, filter, and fetch one provider's repositories.
 
     A repository that vanishes mid-batch is recorded as skipped ("gone");
-    the batch always completes.
+    the batch always completes. A manifest recorded under other criteria is
+    a ``HarvestError`` before any request.
     """
     if query is None:
         query = PROVIDER_QUERIES.get(provider_tag, provider_tag)

@@ -6,10 +6,11 @@ order-independent, and findings are sorted once at the end. Each process of a
 scan runs one loop: claim a batch of whole directories, at least
 ``BATCH_FILES`` files, read it, then detect and drop it. One process claims
 by counting; a scan on several processes claims from one shared counter. A
-directory whose file names and texts a process has already detected in the
+directory whose file names and bytes a process has already detected in the
 same scan is not detected again: the process keeps the results of its last
 ``CACHED_DIRECTORIES`` directories, keyed by a digest of those names and
-texts, and moves a match's findings to the new directory's path.
+bytes made as the files are read, and moves a match's findings to the new
+directory's path.
 """
 
 from __future__ import annotations
@@ -46,9 +47,6 @@ BATCH_FILES = 64
 # the OrderedDict, measured by tracemalloc over 4,000 of tests/synth.py's
 # one-file directories, so a full cache holds about 0.8 MiB.
 CACHED_DIRECTORIES = 4096
-
-# Characters of a text encoded at a time for its digest: no text is copied whole.
-_DIGEST_SLICE = 1 << 16
 
 
 class ScanError(Exception):
@@ -117,17 +115,22 @@ def discover_tf_files(root: Path) -> list[str]:
     return sorted(_walk_tf_files(root))
 
 
-def _read_unit(base: str, rel: str) -> tuple[SourceText | None, bool]:
+def _read_unit(base: str, rel: str, digest: blake2b) -> tuple[SourceText | None, bool]:
     """Load ``base / rel``; returns (unit or None, is_read_or_decode_failure).
 
     The file is read whole with no buffer object in between, and the
-    ``utf-8-sig`` codec drops a leading BOM.
+    ``utf-8-sig`` codec drops a leading BOM. A file read adds its base name,
+    its length and its bytes to ``digest``, the name and the length each
+    ended by a NUL, which no file name holds; ``surrogatepass`` gives a lone
+    surrogate, such as an undecodable file name holds, its own bytes.
     """
     try:
         with open(os.path.join(base, rel), "rb", buffering=0) as f:
             data = f.readall()
     except OSError:
         return None, True
+    digest.update(f"{rel[rel.rfind('/') + 1 :]}\0{len(data)}\0".encode("utf-8", "surrogatepass"))
+    digest.update(data)
     try:
         return unit_for(rel, data.decode("utf-8-sig")), False
     except UnicodeDecodeError:
@@ -149,25 +152,10 @@ def _claim(counter: Synchronized) -> int:
 _Seen = OrderedDict[bytes, tuple[int, tuple[SmellFinding, ...], Sequence[str]]]
 
 
-def _directory_key(units: list[SourceText], start: int) -> bytes:
-    """A digest of the units' base names (``path[start:]``) and texts, in order.
-
-    Each text follows its name and its length, each ended by a NUL, which no
-    file name holds, and is encoded in slices; ``surrogatepass`` gives a lone
-    surrogate, such as an undecodable file name holds, its own bytes.
-    """
-    digest = blake2b(digest_size=16)
-    for unit in units:
-        text = unit.text
-        digest.update(f"{unit.path[start:]}\0{len(text)}\0".encode("utf-8", "surrogatepass"))
-        for i in range(0, len(text), _DIGEST_SLICE):
-            digest.update(text[i : i + _DIGEST_SLICE].encode("utf-8", "surrogatepass"))
-    return digest.digest()
-
-
 def _detect_once(
     prefix: str,
     units: list[SourceText],
+    key: bytes,
     cfg: DetectorConfig,
     engine: str,
     failed: set[str],
@@ -175,12 +163,12 @@ def _detect_once(
 ) -> list[SmellFinding]:
     """``detect_all`` of one directory, its files' paths all starting with ``prefix``.
 
-    For a fixed ``cfg`` and engine, a directory's findings and failures depend
-    only on its base names and texts, so a directory whose key is in ``seen``
-    gets the stored ones moved to its own prefix, and ``detect_all`` is not
-    called.
+    ``key`` is the digest that :func:`_read_unit` made of the directory's
+    base names and bytes. For a fixed ``cfg`` and engine, a directory's
+    findings and failures depend only on those, so a directory whose key is
+    in ``seen`` gets the stored ones moved to its own prefix, and
+    ``detect_all`` is not called.
     """
-    key = _directory_key(units, len(prefix))
     if key not in seen:
         held = len(failed)
         found = detect_all(units, cfg, engine, failed)
@@ -220,18 +208,19 @@ def _scan_batches(
     failed: set[str] = set()
     seen: _Seen = OrderedDict()
     while (k := claim()) < len(batches):
-        read: list[tuple[str, list[SourceText]]] = []
+        read: list[tuple[str, list[SourceText], bytes]] = []
         for rels in batches[k]:
             units = []
+            digest = blake2b(digest_size=16)
             for rel in rels:
-                unit, bad = _read_unit(base, rel)
+                unit, bad = _read_unit(base, rel, digest)
                 if bad:
                     failed.add(rel)
                 if unit is not None:
                     units.append(unit)
-            read.append((rels[0][: rels[0].rfind("/") + 1], units))
-        for prefix, units in read:
-            findings += _detect_once(prefix, units, cfg, engine, failed, seen)
+            read.append((rels[0][: rels[0].rfind("/") + 1], units, digest.digest()))
+        for prefix, units, key in read:
+            findings += _detect_once(prefix, units, key, cfg, engine, failed, seen)
     return findings, failed
 
 
@@ -290,7 +279,7 @@ def scan(
     multiprocessing's default method; under spawn or forkserver, a script that
     calls this with ``jobs`` above 1 needs the ``if __name__ == "__main__":``
     guard.
-    A directory with the same file names and texts as one that the same
+    A directory with the same file names and bytes as one that the same
     process detected earlier in this scan, among its last
     ``CACHED_DIRECTORIES``, is read but not detected again; its findings and
     parse failures are the earlier ones on its own paths, so the bytes of the

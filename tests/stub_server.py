@@ -103,13 +103,7 @@ class StubApi:
         for path, content in files.items():
             self.route(
                 f"/repos/{full_name}/contents/{path}",
-                Scripted(
-                    200,
-                    {
-                        "content": base64.b64encode(content).decode("ascii"),
-                        "encoding": "base64",
-                    },
-                ),
+                Scripted(200, {"content": github_base64(content), "encoding": "base64"}),
             )
 
     # -- lifecycle -------------------------------------------------------
@@ -126,6 +120,13 @@ class StubApi:
     def base_url(self) -> str:
         host, port = self.server.server_address[:2]
         return f"http://{host}:{port}"
+
+
+def github_base64(content: bytes) -> str:
+    """``content`` in base64 as GitHub's contents API sends it: a line break after
+    every 60 characters."""
+    encoded = base64.b64encode(content).decode("ascii")
+    return "".join(encoded[i : i + 60] + "\n" for i in range(0, len(encoded), 60))
 
 
 def search_item(

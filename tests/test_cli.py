@@ -317,6 +317,25 @@ def test_harvest_exits_2_when_the_rate_limit_asks_for_an_endless_wait(tmp_path, 
     assert err == "error: Retry-After: inf asks for a wait over 3600 s\n"
 
 
+def test_harvest_exits_2_on_a_manifest_recorded_under_other_criteria(tmp_path, capsys):
+    criteria = tmp_path / "criteria.json"
+    criteria.write_text('{"min_stars": 5}')
+    manifest = tmp_path / "dest" / "manifest.jsonl"
+    with StubApi() as stub:
+        stub.add_search_pages([[search_item("org/three", stars=3)]])
+        argv = ["harvest", "--provider", "aws", "--dest", str(tmp_path / "dest"),
+                "--base-url", stub.base_url, "--token", "stub", "--dry-run"]
+        assert run(argv) == 0
+        before, requests = manifest.read_bytes(), len(stub.requests)
+        capsys.readouterr()
+        assert run([*argv, "--criteria", str(criteria)]) == 2
+        assert len(stub.requests) == requests
+    assert capsys.readouterr().err == (
+        f"error: {manifest} was recorded under other criteria; this run differs in min_stars\n"
+    )
+    assert manifest.read_bytes() == before
+
+
 # -- load_config ---------------------------------------------------------
 
 

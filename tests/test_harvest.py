@@ -23,7 +23,7 @@ from tfsustain.harvest import (
     harvest_provider,
 )
 
-from stub_server import Scripted, StubApi, search_item
+from stub_server import Scripted, StubApi, github_base64, search_item
 
 
 def record(full_name="org/repo", stars=5, fork=False, size=120, public=True):
@@ -347,6 +347,72 @@ def test_manifest_criteria_and_repo_lines_are_pinned(tmp_path):
         '"provider_tag": "aws", "retrieved_at": "2026-01-01T00:00:00+00:00", '
         '"size_kb": 120, "stars": 7, "visibility": "public"}}',
     ]
+
+
+def test_a_manifest_refuses_a_run_under_other_criteria_before_any_request(tmp_path):
+    path = tmp_path / "manifest.jsonl"
+    with StubApi() as stub:
+        stub.add_search_pages([[search_item("org/three", stars=3)]])
+        harvest_provider(
+            make_client(stub), "aws", tmp_path / "dest", HarvestManifest(path), dry_run=True
+        )
+        before, requests = path.read_bytes(), len(stub.requests)
+        stricter = FilterCriteria(min_stars=5, exclude_forks=False)
+        with pytest.raises(HarvestError) as err:
+            harvest_provider(
+                make_client(stub),
+                "aws",
+                tmp_path / "dest",
+                HarvestManifest(path),
+                criteria=stricter,
+                dry_run=True,
+            )
+        assert len(stub.requests) == requests
+    assert str(err.value) == (
+        f"{path} was recorded under other criteria; this run differs in min_stars, exclude_forks"
+    )
+    assert path.read_bytes() == before
+    assert manifest_repos(path)["org/three"]["decision"] == "kept"
+    # The same criteria again are not a difference.
+    HarvestManifest(path).record_criteria(FilterCriteria())
+    assert path.read_bytes() == before
+
+
+def test_fetch_decodes_content_in_base64_lines(tmp_path):
+    text = b'resource "aws_instance" "a" {\n  instance_type = "t3.micro"\n}\n' * 3
+    assert github_base64(text).count("\n") > 1
+    with StubApi() as stub:
+        stub.add_repo_tree("org/repo", {"main.tf": text})
+        manifest = HarvestManifest(tmp_path / "manifest.jsonl")
+        make_client(stub).fetch_tf_files(record(), tmp_path / "dest", manifest)
+    assert (tmp_path / "dest" / "org/repo/main.tf").read_bytes() == text
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        ({"content": "!!!!", "encoding": "base64"}, "not base64: Only base64 data is allowed"),
+        ({"content": "abc", "encoding": "base64"}, "not base64: Incorrect padding"),
+        ({"content": "\u00e9A==", "encoding": "base64"}, "not base64: string argument"),
+        ({"content": "", "encoding": "none"}, "not base64-encoded"),
+        ({"content": "YQ=="}, "not base64-encoded"),
+        ({"encoding": "base64"}, "not base64-encoded"),
+    ],
+    ids=["not-alphabet", "padding", "not-ascii", "encoding-none", "no-encoding", "no-content"],
+)
+def test_content_that_does_not_decode_is_a_harvest_error_naming_its_path(tmp_path, blob, message):
+    with StubApi() as stub:
+        stub.add_search_pages([[search_item("org/repo")]])
+        stub.add_repo_tree("org/repo", {"main.tf": b"# ok\n"})
+        stub.route("/repos/org/repo/contents/main.tf", Scripted(200, blob))
+        manifest = HarvestManifest(tmp_path / "manifest.jsonl")
+        with pytest.raises(HarvestError) as err:
+            harvest_provider(make_client(stub), "aws", tmp_path / "dest", manifest)
+    assert str(err.value).startswith("/repos/org/repo/contents/main.tf returned content that is ")
+    assert message in str(err.value)
+    assert not (tmp_path / "dest").exists()
+    assert manifest.file_entry("org/repo", "main.tf") is None
+    assert '"kind": "file"' not in (tmp_path / "manifest.jsonl").read_text(encoding="utf-8")
 
 
 def test_fetch_skips_tree_paths_that_leave_the_repository_directory(tmp_path):

@@ -16,10 +16,11 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
+from hashlib import blake2b
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tfsustain import cli, scanner
@@ -172,9 +173,9 @@ def test_each_process_reads_a_batch_of_whole_directories_before_detecting_them(
     events = []
     read_unit, detect_all = scanner._read_unit, scanner.detect_all
 
-    def reading(base, rel):
+    def reading(base, rel, digest):
         events.append(("read", rel))
-        return read_unit(base, rel)
+        return read_unit(base, rel, digest)
 
     def detecting(units, cfg, engine, failed):
         events.append(("detect", [u.path for u in units]))
@@ -262,9 +263,9 @@ def test_scan_processes_claim_each_batch_once_and_detect_each_directory_whole(
     one_job = _report_bytes(scan(root, jobs=1))
     read_unit, detect_all = scanner._read_unit, scanner.detect_all
 
-    def reading(base, rel):
+    def reading(base, rel, digest):
         _append_line(log, "read", str(os.getpid()), rel)
-        return read_unit(base, rel)
+        return read_unit(base, rel, digest)
 
     def detecting(units, cfg, engine, failed):
         _append_line(log, "detect", str(os.getpid()), *(u.path for u in units))
@@ -361,7 +362,8 @@ _UNDECODABLE = b'resource "aws_instance" "u" {\n  instance_type = "m5.4xlarge\xf
 def test_a_repeated_directory_has_the_findings_of_a_scan_of_it_alone(
     tmp_path, monkeypatch, engine
 ):
-    """Three copies of the fixtures, one with a byte changed and one with a file renamed."""
+    """Four copies of the fixtures: one with a byte changed, one with a file renamed, and
+    one whose undecodable file holds the UTF-8 of its decoded text."""
     root = tmp_path / "tree"
     for prefix in ("a", "b", "c"):
         shutil.copytree(FIXTURES, root / prefix)
@@ -371,8 +373,15 @@ def test_a_repeated_directory_has_the_findings_of_a_scan_of_it_alone(
     assert ss2.read_bytes().count(b"= 5 #") == 1
     ss2.write_bytes(ss2.read_bytes().replace(b"= 5 #", b"= 6 #"))
     (root / "c" / "samples" / "ss1.tf").rename(root / "c" / "samples" / "zz1.tf")
-    alone = {prefix: scan(root / prefix, engine=engine) for prefix in ("a", "b", "c")}
+    # The text of a's undecodable file as UTF-8: the same text, and no decode failure.
+    # A key on texts took d's hcl/ for a repeat of a's and gave it a's failure.
+    shutil.copytree(root / "a", root / "d")
+    (root / "d" / "hcl" / "undecodable.tf").write_bytes(
+        _UNDECODABLE.decode("utf-8", "replace").encode()
+    )
+    alone = {prefix: scan(root / prefix, engine=engine) for prefix in ("a", "b", "c", "d")}
     assert alone["a"].findings != alone["b"].findings != alone["c"].findings
+    assert alone["d"].parse_failures == alone["a"].parse_failures - 1
     detected = _record_detections(monkeypatch)
     report = scan(root, engine=engine)
     assert report.findings == sorted(
@@ -380,10 +389,10 @@ def test_a_repeated_directory_has_the_findings_of_a_scan_of_it_alone(
         key=SmellFinding.sort_key,
     )
     assert report.parse_failures == sum(r.parse_failures for r in alone.values())
-    assert report.parse_failures >= 3  # each copy's undecodable file
-    # Every directory of a; of b and c only samples/, which differs from a's.
+    assert report.parse_failures >= 3  # the undecodable file of a, b and c
+    # Every directory of a; of b and c only samples/, and of d only hcl/, which differ from a's.
     dirs = _directories(FIXTURES)
-    assert [paths[0].split("/")[0] for paths in detected] == ["a"] * dirs + ["b", "c"]
+    assert [paths[0].split("/")[0] for paths in detected] == ["a"] * dirs + ["b", "c", "d"]
     # Small batches on three processes: each process keeps its own cache.
     monkeypatch.setattr(scanner, "BATCH_FILES", 4)
     _set_cpus(monkeypatch, 3)
@@ -393,11 +402,11 @@ def test_a_repeated_directory_has_the_findings_of_a_scan_of_it_alone(
         assert multiprocessing.active_children() == []
 
 
-def test_detect_all_runs_once_for_each_distinct_set_of_names_and_texts(tmp_path, monkeypatch):
+def test_detect_all_runs_once_for_each_distinct_set_of_names_and_bytes(tmp_path, monkeypatch):
     x, y = _one_resource("x"), _one_resource("y")
     dirs = {
         "a": {"main.tf": x},
-        "b": {"main.tf": x},  # a's names and text: not detected again
+        "b": {"main.tf": x},  # a's names and bytes: not detected again
         "c": {"main.tf": y},  # a's name, another text
         "d": {"other.tf": x},  # a's text, another name
         "e": {"main.tf": y},  # c again
@@ -408,19 +417,37 @@ def test_detect_all_runs_once_for_each_distinct_set_of_names_and_texts(tmp_path,
         # g's second name and texts run together as the key writes them, NUL and all:
         # the lengths frame each part.
         "j": {"m.tf": x + "n.tf\0" + y},
+        "k": {"main.tf": "\ufeff" + x},  # a's name and text, after a BOM
+        # One text, U+FFFD, from bytes that fail to decode and from its own UTF-8.
+        "l": {"main.tf": b"\xff"},
+        "m": {"main.tf": b"\xef\xbf\xbd"},
     }
     for name, files in dirs.items():
         (tmp_path / name).mkdir()
         for file, text in files.items():
-            (tmp_path / name / file).write_text(text)
+            if isinstance(text, str):
+                text = text.encode()
+            (tmp_path / name / file).write_bytes(text)
     detected = _record_detections(monkeypatch)
     report = scan(tmp_path)
-    assert [paths[0].split("/")[0] for paths in detected] == ["a", "c", "d", "g", "h", "j"]
+    assert [paths[0].split("/")[0] for paths in detected] == [
+        "a", "c", "d", "g", "h", "j", "k", "l", "m"
+    ]
+    failures = 0
     for name in dirs:
-        alone = scan(tmp_path / name).findings
+        alone = scan(tmp_path / name)
         assert [f for f in report.findings if f.path.startswith(name + "/")] == _under(
-            name + "/", alone
+            name + "/", alone.findings
         )
+        failures += alone.parse_failures
+    assert report.parse_failures == failures
+    # One-directory batches on three processes: whichever of l and m a process
+    # reads first, the other is a miss.
+    monkeypatch.setattr(scanner, "BATCH_FILES", 1)
+    _set_cpus(monkeypatch, 3)
+    one_job = _report_bytes(report)
+    for jobs in (1, 2, 3):
+        assert _report_bytes(scan(tmp_path, jobs=jobs)) == one_job
 
 
 def test_an_evicted_directory_is_detected_again(tmp_path, monkeypatch):
@@ -437,28 +464,35 @@ def test_an_evicted_directory_is_detected_again(tmp_path, monkeypatch):
 
 
 _FIXTURE_DIRS = sorted({rel.rpartition("/")[0] for rel in discover_tf_files(FIXTURES)})
+# The bytes of one-file directories whose text is U+FFFD, one failing to decode.
+_REPLACEMENT_BYTES = [b"\xff", b"\xef\xbf\xbd"]
 
 
 @settings(max_examples=25, deadline=None)
 @given(
     copies=st.dictionaries(
         st.text(alphabet="ab_", min_size=1, max_size=4),
-        st.sampled_from(_FIXTURE_DIRS),
+        st.sampled_from(_FIXTURE_DIRS + _REPLACEMENT_BYTES),
         min_size=1,
         max_size=8,
     ),
     engine=st.sampled_from(ENGINES),
 )
+@example(copies=dict(zip("ab", _REPLACEMENT_BYTES)), engine="ast")
 def test_a_scan_of_copied_directories_is_the_union_of_their_scans(copies, engine):
-    """Fixture directories copied under new names, some several times."""
+    """Fixture directories copied under new names, some several times, and
+    one-file directories of given bytes."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        for name, fixture_dir in copies.items():
+        for name, source in copies.items():
             (root / name).mkdir()
-            for path in (FIXTURES / fixture_dir).glob("*.tf"):
+            if isinstance(source, bytes):
+                (root / name / "main.tf").write_bytes(source)
+                continue
+            for path in (FIXTURES / source).glob("*.tf"):
                 shutil.copyfile(path, root / name / path.name)
         report = scan(root, engine=engine)
-    alone = {name: scan(FIXTURES / d, engine=engine) for name, d in copies.items()}
+        alone = {name: scan(root / name, engine=engine) for name in copies}
     assert report.findings == sorted(
         (f for name, r in alone.items() for f in _under(name + "/", r.findings)),
         key=SmellFinding.sort_key,
@@ -848,7 +882,7 @@ def test_scan_counts_unreadable_files_in_denominator(tmp_path):
 
 def test_a_bom_before_an_undecodable_byte_is_dropped_and_the_file_fails_once(tmp_path):
     (tmp_path / "bad.tf").write_bytes(b'\xef\xbb\xbf\xff = 1\nresource "aws_instance" "x" {}\n')
-    unit, failed = scanner._read_unit(str(tmp_path), "bad.tf")
+    unit, failed = scanner._read_unit(str(tmp_path), "bad.tf", blake2b())
     assert failed and unit.text == '\ufffd = 1\nresource "aws_instance" "x" {}\n'
     for engine in ENGINES:
         report = scan(tmp_path, engine=engine)
